@@ -36,6 +36,7 @@ from .tableau import (
     enumerate_syt,
     kostka,
     qyt_count_exact,
+    qyt_counts,
 )
 from .verify import (
     SUITES,
@@ -88,6 +89,7 @@ __all__ = [
     "q_int",
     "qyt_count_exact",
     "qyt_count_via_pnk",
+    "qyt_counts",
     "ribbon_rows",
     "rsk",
     "rsk_multiset",

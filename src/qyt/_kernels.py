@@ -1,60 +1,22 @@
-"""Permutation censuses over S_n, with an optional compiled fast path.
+"""Permutation censuses over S_n, in pure Python.
 
-The compiled extension is picked up at import time when present; set
-QYT_PURE=1 in the environment to force the pure-Python implementation.
-Both backends produce identical output.
+These sweeps are the brute-force route to hit and q-hit numbers; the
+board module computes both by the product identity and keeps the q-hit
+census only as the independent side of the gjw suite.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import permutations
-
-try:
-    from . import _qhit as _compiled
-except ImportError:  # extension not built; pure Python only
-    _compiled = None
-
-
-def compiled_available() -> bool:
-    return _compiled is not None
 
 
 def active_backend() -> str:
-    if _compiled is None:
-        return "pure"
-    if os.environ.get("QYT_PURE", "") in ("1", "true", "yes"):
-        return "pure"
-    return "compiled"
+    """Name of the census implementation; there is only the pure one."""
+    return "pure"
 
 
-def _pick(backend: str | None) -> str:
-    if backend is None:
-        return active_backend()
-    if backend not in ("pure", "compiled"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "compiled" and _compiled is None:
-        raise RuntimeError("compiled census kernels are not available")
-    return backend
-
-
-def hit_census(n: int, heights, backend: str | None = None) -> list[int]:
+def hit_census(n: int, heights) -> list[int]:
     """counts[k] = permutations of S_n with exactly k hits on the board."""
-    heights = tuple(heights)
-    if _pick(backend) == "compiled":
-        return _compiled.hit_census(n, heights)
-    return _hit_census_py(n, heights)
-
-
-def q_hit_census(n: int, heights, backend: str | None = None) -> list[list[int]]:
-    """counts[k][w] = permutations with k hits and circle weight w."""
-    heights = tuple(heights)
-    if _pick(backend) == "compiled":
-        return _compiled.q_hit_census(n, heights)
-    return _q_hit_census_py(n, heights)
-
-
-def _hit_census_py(n: int, heights) -> list[int]:
     counts = [0] * (n + 1)
     for perm in permutations(range(1, n + 1)):
         k = 0
@@ -65,7 +27,9 @@ def _hit_census_py(n: int, heights) -> list[int]:
     return counts
 
 
-def _q_hit_census_py(n: int, heights) -> list[list[int]]:
+def q_hit_census(n: int, heights) -> list[list[int]]:
+    """counts[k][w] = permutations with k hits and circle weight w."""
+    heights = tuple(heights)
     maxw = n * (n - 1) // 2
     counts = [[0] * (maxw + 1) for _ in range(n + 1)]
     pos = [0] * (n + 1)

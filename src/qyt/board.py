@@ -5,19 +5,55 @@ grid (column i, row r, both 1-based with row 1 at the bottom) belongs to
 the board iff r <= heights[i-1].  A permutation pi hits the board at
 column i when pi(i) <= heights[i-1], and its q-weight is the circle
 count of the walk described at q_weight_columns below.
+
+Hit and q-hit numbers come from the Goldman-Joichi-White product
+identity (Garsia-Remmel's q-form)
+
+    prod_i [x + h_i - i + 1]  ==  sum_k [x + k choose n] T_k,
+
+solved for T_n, T_{n-1}, ..., T_0 at x = 0, 1, ..., n.  The sweep over
+all of S_n survives only as q_hit_census, the independent route that the
+gjw suite checks the identity against.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from math import comb
+from typing import Callable, Sequence
 
 from . import _kernels
 from .partition import Partition
-from .qpoly import QPoly
+from .qpoly import QPoly, q_binom, q_int
 
-#: Default cap on brute-force S_n sweeps (9! is a third of a million
-#: permutations); pass an explicit limit to go beyond it.
+#: Default cap on the board size n of every hit-number computation.  It
+#: keeps the S_n census at 9! (a third of a million permutations); pass an
+#: explicit limit to go beyond it.
 BRUTE_FORCE_LIMIT = 9
+
+
+def _solve_product_identity(heights, factor: Callable, binom: Callable) -> list:
+    """T_0..T_n from prod_i factor(x + h_i - i + 1) == sum_k binom(x + k, n) T_k.
+
+    At x the terms with x + k < n vanish, so the only new unknown is
+    T_{n-x}, whose coefficient binom(n, n) is 1: each step needs only
+    products and differences.  The factors start at x + h_1 >= 0 and drop
+    by at most 1 per column, so the first factor that is not positive is
+    0 and ends the product.
+    """
+    n = len(heights)
+    one = factor(1)
+    T = [one] * (n + 1)
+    for x in range(n + 1):
+        value = one
+        for i, h in enumerate(heights, 1):
+            f = x + h - i + 1
+            value = value * factor(f)
+            if f == 0:
+                break
+        for k in range(n - x + 1, n + 1):
+            value = value - binom(x + k, n) * T[k]
+        T[n - x] = value
+    return T
 
 
 class FerrersBoard:
@@ -95,13 +131,21 @@ class FerrersBoard:
         return sum(self.q_weight_columns(perm))
 
     def hit_numbers(self, limit: int | None = None) -> list[int]:
-        """h_0..h_n by census over all of S_n."""
+        """h_0..h_n, where h_k counts the permutations with exactly k hits,
+        by the product identity at q = 1."""
         self._check_limit(limit)
-        return _kernels.hit_census(self.n, self.heights)
+        return _solve_product_identity(self.heights, int, comb)
 
     def q_hit_numbers(self, limit: int | None = None) -> list[QPoly]:
         """T_0..T_n, where T_k collects q^(q-weight) over the permutations
-        with exactly k hits."""
+        with exactly k hits, by the product identity."""
+        self._check_limit(limit)
+        return _solve_product_identity(self.heights, q_int, q_binom)
+
+    def q_hit_census(self, limit: int | None = None) -> list[QPoly]:
+        """T_0..T_n by sweeping all of S_n.  This is the route that does
+        not assume the product identity, so only the gjw suite, which
+        tests that identity, should use it."""
         self._check_limit(limit)
         rows = _kernels.q_hit_census(self.n, self.heights)
         return [QPoly(row) for row in rows]
@@ -114,7 +158,7 @@ class FerrersBoard:
         cap = BRUTE_FORCE_LIMIT if limit is None else limit
         if self.n > cap:
             raise ValueError(
-                f"board size {self.n} exceeds the brute-force cap {cap}; "
+                f"board size {self.n} exceeds the cap {cap}; "
                 "pass a larger limit explicitly to override"
             )
 

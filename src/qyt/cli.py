@@ -24,7 +24,7 @@ from .perm import format_word, is_permutation, parse_word
 from .pnk import DEFAULT_SEED, a_table
 from .qpoly import QTPoly
 from .symfun import gen_fn, rsk, rsk_multiset, schur_truncated
-from .tableau import qyt_count_exact
+from .tableau import qyt_count_exact, qyt_counts
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -58,7 +58,7 @@ def _cmd_count(args) -> int:
         value = qyt_count_exact(shape, args.exact_entry)
     elif args.max_entry is not None:
         mode, arg = "max-entry", args.max_entry
-        value = sum(qyt_count_exact(shape, m) for m in range(args.max_entry + 1))
+        value = sum(c for m, c in enumerate(qyt_counts(shape)) if m <= args.max_entry)
     elif args.ssyt is not None:
         mode, arg = "ssyt", args.ssyt
         value = shape.hook_content_count(args.ssyt)
@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--hits", action="store_true", help="hit numbers h_0..h_n")
     group.add_argument("--q-hits", action="store_true", help="q-hit numbers T_0..T_n")
     p.add_argument("--limit", type=int, default=None,
-                   help="raise the brute-force cap on n (default 9)")
+                   help="raise the cap on the board size n (default 9)")
     add_format(p)
     p.set_defaults(run=_cmd_board)
 
@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help=f"seed for sampled evaluation points (default {DEFAULT_SEED})")
     p.add_argument("--limit", type=int, default=None,
-                   help="raise the brute-force cap on n (default 9)")
+                   help="raise the cap on board sizes n (default 9)")
     add_format(p)
     p.set_defaults(run=_cmd_verify)
 

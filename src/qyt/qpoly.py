@@ -8,6 +8,7 @@ the quotient would leave the integer ring.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 
@@ -185,6 +186,7 @@ def q_fact(k: int) -> QPoly:
     return out
 
 
+@lru_cache(maxsize=None)
 def q_binom(a: int, b: int) -> QPoly:
     """Gaussian binomial, via exact division of q-factorials."""
     if not 0 <= b <= a:

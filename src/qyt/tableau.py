@@ -253,12 +253,23 @@ def enumerate_qyt_at_most(shape, m: int) -> list[Tableau]:
     ]
 
 
+def qyt_counts(shape) -> list[int]:
+    """counts[m] = |QYT with largest entry exactly m| for m = 0..n, from
+    one pass over the standard fillings: a filling with k runs
+    destandardizes to one with largest entry k."""
+    shape = _as_partition(shape)
+    if shape.size == 0:
+        return [1]
+    counts = [0] * (shape.size + 1)
+    for t in enumerate_syt(shape):
+        counts[t.des() + 1] += 1
+    return counts
+
+
 def qyt_count_exact(shape, m: int) -> int:
     """|QYT with largest entry exactly m| = |{standard fillings with m runs}|."""
-    shape = _as_partition(shape)
-    if m == 0:
-        return 1 if shape.size == 0 else 0
-    return sum(1 for t in enumerate_syt(shape) if t.des() + 1 == m)
+    counts = qyt_counts(shape)
+    return counts[m] if 0 <= m < len(counts) else 0
 
 
 def kostka(shape, weight) -> int:

@@ -80,6 +80,13 @@ def _finish(name: str, bounds: dict, counterexample: dict | None, started: float
     )
 
 
+def _require_positive(**bounds: int) -> None:
+    """Reject a bound below 1, under which a suite would check nothing."""
+    for name, value in bounds.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _part(shape) -> Partition:
     return shape if isinstance(shape, Partition) else Partition(shape)
 
@@ -110,6 +117,7 @@ def _qyt_census(shape: Partition) -> list[int]:
 
 def verify_hit(max_n: int = 7, limit: int | None = None) -> SuiteReport:
     """QYT_{=k+1}(shape) * hook product == h_k of the conjugate board."""
+    _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
@@ -129,24 +137,17 @@ def verify_hit(max_n: int = 7, limit: int | None = None) -> SuiteReport:
     return _finish("hit", bounds, None, started)
 
 
-def _maj_gen_by_runs(shape: Partition) -> dict[int, QPoly]:
-    """k -> sum of q^maj over fillings with k descents (k + 1 runs)."""
+def _gen_by_runs(shape: Partition, stat: str) -> dict[int, QPoly]:
+    """k -> sum of q^stat over fillings with k descents (k + 1 runs),
+    where stat is "maj" or "charge"."""
+    column = ("des", "maj", "charge").index(stat)
     out: dict[int, list[int]] = {}
-    for d, m, _ in _syt_stats(shape.parts):
-        row = out.setdefault(d, [])
-        while len(row) <= m:
+    for stats in _syt_stats(shape.parts):
+        row = out.setdefault(stats[0], [])
+        e = stats[column]
+        while len(row) <= e:
             row.append(0)
-        row[m] += 1
-    return {k: QPoly(row) for k, row in out.items()}
-
-
-def _charge_gen_by_runs(shape: Partition) -> dict[int, QPoly]:
-    out: dict[int, list[int]] = {}
-    for d, _, ch in _syt_stats(shape.parts):
-        row = out.setdefault(d, [])
-        while len(row) <= ch:
-            row.append(0)
-        row[ch] += 1
+        row[e] += 1
     return {k: QPoly(row) for k, row in out.items()}
 
 
@@ -160,6 +161,7 @@ def verify_maj_hit(max_n: int = 6, limit: int | None = None) -> SuiteReport:
     corollary (sum over all standard fillings of q^maj) * prod [h] =
     q^n(shape) [n]!.
     """
+    _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
@@ -174,7 +176,7 @@ def verify_maj_hit(max_n: int = 6, limit: int | None = None) -> SuiteReport:
                     "lhs": str(sum(T, QPoly())),
                     "rhs": str(q_fact(n)),
                 }, started)
-            gens = _maj_gen_by_runs(shape)
+            gens = _gen_by_runs(shape, "maj")
             for k in range(n):
                 lhs = gens.get(k, QPoly()) * hooks_poly
                 rhs = T[n - k].shift(shape.n_stat())
@@ -203,6 +205,7 @@ def verify_charge_hit(max_n: int = 6, limit: int | None = None) -> SuiteReport:
     (sum_{QYT_{=k+1}} q^ch) * prod [h(u)] * q^C(n,2)
         ==  q^(nk + n(conjugate)) * T_k(board of the conjugate).
     """
+    _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
@@ -211,7 +214,7 @@ def verify_charge_hit(max_n: int = 6, limit: int | None = None) -> SuiteReport:
             hooks_poly = prod((q_int(h) for h in shape.hooks()), start=QPoly((1,)))
             conj = shape.conjugate()
             T = FerrersBoard.from_partition(conj).q_hit_numbers(limit)
-            gens = _charge_gen_by_runs(shape)
+            gens = _gen_by_runs(shape, "charge")
             for k in range(n):
                 lhs = (gens.get(k, QPoly()) * hooks_poly).shift(half)
                 rhs = T[k].shift(n * k + conj.n_stat())
@@ -231,6 +234,7 @@ def verify_summation(max_n: int = 8) -> SuiteReport:
 
     QYT_{=k+1}(shape) == sum_m C(n+1, k-m) (-1)^(k-m) SSYT_{m+1}(shape).
     """
+    _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
@@ -261,7 +265,12 @@ def verify_gjw(max_n: int = 6, limit: int | None = None) -> SuiteReport:
     rotation; the q-hit numbers are Mahonian; and the Goldman-Joichi-White
     identity  prod_i [x + h_i - i + 1] == sum_k [x+k choose n] T_k  holds
     for every x in 0..n whose factors are all nonnegative.
+
+    T_k comes from the S_n census here, since the board's own q-hit
+    numbers are solved from this identity and would satisfy it by
+    construction.  The "product-route" check compares the two.
     """
+    _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
@@ -276,7 +285,7 @@ def verify_gjw(max_n: int = 6, limit: int | None = None) -> SuiteReport:
                     "rhs": str(expected),
                 }, started)
             for board in (base, base.plus_one()):
-                T = board.q_hit_numbers(limit)
+                T = board.q_hit_census(limit)
                 if sum(T, QPoly()) != q_fact(n):
                     return _finish("gjw", bounds, {
                         "check": "mahonian",
@@ -301,6 +310,14 @@ def verify_gjw(max_n: int = 6, limit: int | None = None) -> SuiteReport:
                             "lhs": str(lhs),
                             "rhs": str(rhs),
                         }, started)
+                solved = board.q_hit_numbers(limit)
+                if solved != T:
+                    return _finish("gjw", bounds, {
+                        "check": "product-route",
+                        "board": str(board),
+                        "lhs": [str(p) for p in solved],
+                        "rhs": [str(p) for p in T],
+                    }, started)
     return _finish("gjw", bounds, None, started)
 
 
@@ -340,6 +357,7 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
     the fixed n-m = 3 triangle rows, the Eulerian constant terms, the
     vanishing row sums, agreement between the path sum and the e-basis
     evaluation, symmetry, and the two-term recursion."""
+    _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n, "points": points, "seed": seed}
     rng = random.Random(seed)
@@ -481,6 +499,7 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
     lemma behind the monomial one, RSK sanity, the nonzero-term
     property of the truncated fundamental expansion, monomial
     triangularity, and the t = 1 / q = 1 specializations."""
+    _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
@@ -654,6 +673,7 @@ def jack_coefficient(shape, k: int) -> int:
 
 def verify_foulkes(max_n: int = 7) -> SuiteReport:
     """foulkes_multiplicity(n, k, shape) == QYT_{=n-k}(shape) everywhere."""
+    _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
@@ -671,6 +691,7 @@ def verify_foulkes(max_n: int = 7) -> SuiteReport:
 
 
 def verify_polya(max_n: int = 6, max_m: int = 5) -> SuiteReport:
+    _require_positive(max_n=max_n, max_m=max_m)
     started = time.perf_counter()
     bounds = {"max_n": max_n, "max_m": max_m}
     for n in range(1, max_n + 1):
@@ -683,6 +704,7 @@ def verify_polya(max_n: int = 6, max_m: int = 5) -> SuiteReport:
 def verify_jack(max_n: int = 6, limit: int | None = None) -> SuiteReport:
     """The labeled coefficients against both the direct census of the
     conjugate shape and the independent hit-number route."""
+    _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):

@@ -1,8 +1,9 @@
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
 
+from qyt import _kernels
 from qyt.board import FerrersBoard
 from qyt.partition import Partition, partitions
 from qyt.qpoly import QPoly, q_fact
@@ -134,12 +135,33 @@ def test_q_hit_numbers_specialize_and_sum():
     assert T[2].at_one() == 72
 
 
+def _assert_product_route_matches_census(board):
+    census = _kernels.q_hit_census(board.n, board.heights)
+    assert board.q_hit_numbers() == [QPoly(row) for row in census]
+    assert board.hit_numbers() == _kernels.hit_census(board.n, board.heights)
+
+
+def test_product_route_matches_census_on_every_small_board():
+    for n in range(6):
+        for heights in combinations_with_replacement(range(n + 1), n):
+            _assert_product_route_matches_census(FerrersBoard(n, heights))
+
+
+def test_product_route_matches_census_on_partition_boards():
+    for lam in shapes_upto(7):
+        base = FerrersBoard.from_partition(lam)
+        _assert_product_route_matches_census(base)
+        _assert_product_route_matches_census(base.plus_one())
+
+
 def test_brute_force_cap():
     board = FerrersBoard.from_partition(Partition((10,)))
     with pytest.raises(ValueError):
         board.hit_numbers()
     with pytest.raises(ValueError):
         board.q_hit_numbers(limit=9)
+    with pytest.raises(ValueError):
+        board.q_hit_census()
 
 
 def test_text_and_json_forms():

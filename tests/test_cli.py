@@ -159,6 +159,15 @@ def test_domain_errors_exit_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("suite,bound", [("hit", "0"), ("polya", "-3"), ("lattice", "0")])
+def test_verify_rejects_bounds_below_one(capsys, suite, bound):
+    code = main(["verify", suite, "--max-n", bound])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: max_n must be at least 1, got {bound}\n"
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "expand", "genfun", "--n", "4", "--format", "json")
     second = run(capsys, "expand", "genfun", "--n", "4", "--format", "json")

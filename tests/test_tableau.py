@@ -9,6 +9,7 @@ from qyt.tableau import (
     enumerate_syt,
     kostka,
     qyt_count_exact,
+    qyt_counts,
 )
 
 import oracles
@@ -114,6 +115,15 @@ def test_refinement_by_descents():
             by_descents = sum(1 for t in enumerate_syt(lam) if t.des() == k - 1)
             assert qyt_count_exact(lam, k) == by_descents
         assert sum(qyt_count_exact(lam, k) for k in range(n + 1)) == lam.hook_length_count()
+
+
+def test_qyt_counts_match_oracle():
+    for lam in shapes_upto(5):
+        n = lam.size
+        assert qyt_counts(lam) == [len(oracles.qyt_exact_brute(lam.parts, m)) for m in range(n + 1)]
+    # the empty filling is the one filling of the empty shape; its largest entry is 0
+    assert qyt_counts(Partition(())) == [1]
+    assert qyt_count_exact(Partition(()), 1) == 0
 
 
 def test_destandardize_examples():

@@ -53,6 +53,25 @@ def test_suites_pass_at_reduced_bounds(suite, kwargs):
     json.dumps(report.to_json())  # serializable
 
 
+def test_gjw_reports_product_route_disagreement(monkeypatch):
+    from qyt.board import FerrersBoard
+    from qyt.qpoly import QPoly
+
+    solve = FerrersBoard.q_hit_numbers
+
+    def off_by_q(self, limit=None):
+        T = solve(self, limit)
+        return T[:-1] + [T[-1] + QPoly((0, 1))]
+
+    monkeypatch.setattr(FerrersBoard, "q_hit_numbers", off_by_q)
+    report = verify_gjw(max_n=2)
+    assert report.status == "fail"
+    assert report.counterexample["check"] == "product-route"
+    assert report.counterexample["board"] == "n=1; heights=0"
+    assert report.counterexample["lhs"] == ["1", "q"]
+    assert report.counterexample["rhs"] == ["1", "0"]
+
+
 def test_report_shape():
     report = SuiteReport("demo", {"max_n": 3}, "fail", {"shape": "2,1"}, 12)
     assert not report.passed
