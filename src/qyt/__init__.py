@@ -30,6 +30,7 @@ from .symfun import (
 )
 from .tableau import (
     Tableau,
+    des_maj_counts,
     enumerate_qyt_at_most,
     enumerate_qyt_exact,
     enumerate_ssyt,
@@ -64,6 +65,7 @@ __all__ = [
     "a_coeffs",
     "a_table",
     "des",
+    "des_maj_counts",
     "descent_set",
     "enumerate_qyt_at_most",
     "enumerate_qyt_exact",

@@ -9,7 +9,6 @@ strictly above it in its column.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Iterator
 
@@ -122,21 +121,22 @@ class Partition:
     def hook_content_count(self, m: int) -> int:
         """Number of semistandard fillings with entries at most m.
 
-        Evaluated as the exact rational product of (m + c(u)) / h(u); a
-        non-integral result signals an implementation bug and raises.
+        Evaluated as prod (m + c(u)) divided once by prod h(u); a nonzero
+        remainder signals an implementation bug and raises.
         """
         if m < 1:
             raise ValueError("m must be a positive integer")
-        conj = self.conjugate().parts
-        total = Fraction(1)
-        for (i, j) in self.cells():
-            hook = (self.parts[j - 1] - i) + (conj[i - 1] - j) + 1
-            total *= Fraction(m + i - j, hook)
-        if total.denominator != 1:
+        count, rem = divmod(prod(m + c for c in self.contents()), self.hook_product())
+        if rem:
             raise ArithmeticError(
                 f"non-integral hook-content product for {self!r}, m={m}"
             )
-        return int(total)
+        return count
+
+
+def as_partition(shape) -> Partition:
+    """`shape` itself if it is a Partition, else Partition(shape)."""
+    return shape if isinstance(shape, Partition) else Partition(shape)
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .partition import Partition
+from .partition import as_partition
 from .perm import eulerian
 
 #: Seed for the deterministic pseudo-random evaluation points used by
@@ -172,7 +172,7 @@ def qyt_count_via_pnk(shape, k: int) -> int:
     """Count quasi-Yamanouchi fillings with largest entry k + 1 as
     P_{n,k}(contents) / hook product; the division is exact, and a
     remainder raises."""
-    shape = shape if isinstance(shape, Partition) else Partition(shape)
+    shape = as_partition(shape)
     n = shape.size
     if n == 0:
         raise ValueError("defined for nonempty shapes")

@@ -12,14 +12,10 @@ from bisect import bisect_right
 from itertools import permutations as _itertools_permutations
 from typing import Iterable, Sequence
 
-from .partition import Partition, partitions
+from .partition import Partition, as_partition, partitions
 from .perm import is_permutation
 from .qpoly import QTPoly
-from .tableau import Tableau, enumerate_ssyt, enumerate_syt
-
-
-def _part(shape) -> Partition:
-    return shape if isinstance(shape, Partition) else Partition(shape)
+from .tableau import Tableau, _ssyt_rows, des_maj_counts
 
 
 def _as_qt(c):
@@ -113,16 +109,19 @@ class MonomialMap:
 def schur_truncated(shape, n_vars: int) -> MonomialMap:
     """Schur polynomial of `shape` in x_1..x_N: one monomial per
     semistandard filling, weighted by multiplicity."""
-    shape = _part(shape)
     out = MonomialMap(n_vars)
-    for t in enumerate_ssyt(shape, n_vars):
-        out.add_term(t.weight(n_vars), 1)
+    for rows in _ssyt_rows(as_partition(shape).parts, n_vars):
+        exps = [0] * n_vars
+        for row in rows:
+            for v in row:
+                exps[v - 1] += 1
+        out.add_term(exps, 1)
     return out
 
 
 def monomial_truncated(shape, n_vars: int) -> MonomialMap:
     """Monomial symmetric polynomial: the orbit of the exponent vector."""
-    shape = _part(shape)
+    shape = as_partition(shape)
     out = MonomialMap(n_vars)
     if len(shape) > n_vars:
         return out
@@ -231,7 +230,7 @@ class SchurExpansion:
                 self.add(shape, coeff)
 
     def add(self, shape, coeff) -> None:
-        shape = _part(shape)
+        shape = as_partition(shape)
         if shape.size != self.n:
             raise ValueError(f"expected a partition of {self.n}, got {shape!r}")
         new = self.data.get(shape, QTPoly()) + _as_qt(coeff)
@@ -241,7 +240,7 @@ class SchurExpansion:
             self.data.pop(shape, None)
 
     def coefficient(self, shape) -> QTPoly:
-        return self.data.get(_part(shape), QTPoly())
+        return self.data.get(as_partition(shape), QTPoly())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SchurExpansion):
@@ -266,8 +265,7 @@ def gen_fn(n: int, with_q: bool = True) -> SchurExpansion:
     filling with largest entry k contributes t^(k-1)."""
     out = SchurExpansion(n)
     for shape in partitions(n):
-        for t in enumerate_syt(shape):
-            dset = t.descent_set()
-            qdeg = sum(dset) if with_q else 0
-            out.add(shape, QTPoly({(qdeg, len(dset)): 1}))
+        out.add(shape, QTPoly(
+            ((mj if with_q else 0, d), c) for (d, mj), c in des_maj_counts(shape)
+        ))
     return out

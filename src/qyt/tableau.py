@@ -10,17 +10,23 @@ Quasi-Yamanouchi fillings are enumerated through the standard fillings:
 relabelling the i-th run of a standard filling to i (destandardization)
 is a bijection onto the quasi-Yamanouchi fillings of the same shape, and
 a filling with k runs lands on one with largest entry k.
+
+The descent statistics of the standard fillings of a shape are counted
+without building any filling, by one dynamic program over Young's
+lattice (`des_maj_counts`).  Its state is a sub-shape together with the
+row of its largest entry n; removing n from row r leaves the largest
+entry n - 1 at the end of some row r', and n - 1 is a descent exactly
+when r > r'.  The tallies are cached by the parts of the sub-shape, so
+every shape of a sweep shares them.  `enumerate_syt` serves only to
+list the fillings themselves, and the enumeration check of the
+`genfun` suite, which walks them on purpose.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .partition import Partition
-
-
-def _as_partition(shape) -> Partition:
-    return shape if isinstance(shape, Partition) else Partition(shape)
+from .partition import Partition, as_partition
 
 
 class Tableau:
@@ -183,39 +189,55 @@ class Tableau:
         return "/".join(",".join(str(v) for v in row) for row in self.rows)
 
 
+def _ssyt_rows(parts: tuple[int, ...], m: int) -> Iterator[list[list[int]]]:
+    """Rows of every semistandard filling of `parts` with entries at most
+    m, in lexicographic order of the bottom-to-top reading word.
+
+    The same lists are yielded each time and refilled in place, so a
+    caller copies what it keeps.
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    cells = [(i, j) for j, p in enumerate(parts) for i in range(p)]
+    rows = [[0] * p for p in parts]
+    if not cells:
+        yield rows
+        return
+    last = len(cells) - 1
+
+    def start(k: int) -> None:
+        """Set cell k one below its least admissible value."""
+        i, j = cells[k]
+        lo = rows[j][i - 1] if i else 1
+        if j and rows[j - 1][i] >= lo:
+            lo = rows[j - 1][i] + 1
+        rows[j][i] = lo - 1
+
+    k = 0
+    start(0)
+    while k >= 0:
+        i, j = cells[k]
+        v = rows[j][i] + 1
+        if v > m:
+            k -= 1
+            continue
+        rows[j][i] = v
+        if k == last:
+            yield rows
+        else:
+            k += 1
+            start(k)
+
+
 def enumerate_ssyt(shape, m: int) -> list[Tableau]:
     """All semistandard fillings of `shape` with entries at most m,
     ordered lexicographically by bottom-to-top reading word."""
-    shape = _as_partition(shape)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    parts = shape.parts
-    order = [(i, j) for j, p in enumerate(parts) for i in range(p)]
-    rows: list[list[int]] = [[] for _ in parts]
-    out: list[Tableau] = []
-
-    def fill(idx: int) -> None:
-        if idx == len(order):
-            out.append(Tableau(tuple(r) for r in rows))
-            return
-        i, j = order[idx]
-        lo = 1
-        if i > 0:
-            lo = max(lo, rows[j][i - 1])
-        if j > 0:
-            lo = max(lo, rows[j - 1][i] + 1)
-        for v in range(lo, m + 1):
-            rows[j].append(v)
-            fill(idx + 1)
-            rows[j].pop()
-
-    fill(0)
-    return out
+    return [Tableau(rows) for rows in _ssyt_rows(as_partition(shape).parts, m)]
 
 
 def enumerate_syt(shape) -> list[Tableau]:
     """All standard fillings of `shape`, by backtracking on the values."""
-    shape = _as_partition(shape)
+    shape = as_partition(shape)
     parts = shape.parts
     n = shape.size
     rows: list[list[int]] = [[] for _ in parts]
@@ -253,16 +275,72 @@ def enumerate_qyt_at_most(shape, m: int) -> list[Tableau]:
     ]
 
 
+#: parts -> for each row r, the (des, maj) tally of the standard fillings
+#: whose largest entry ends row r (empty unless r is a corner).  Filled on
+#: demand and shared by every shape; the dicts are never mutated once in.
+_TOP_TALLIES: dict[tuple[int, ...], tuple[dict[tuple[int, int], int], ...]] = {}
+
+
+def _corners(parts: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(r, parts with the last cell of row r removed) for each corner row r."""
+    for r, p in enumerate(parts):
+        if r + 1 == len(parts) or parts[r + 1] < p:
+            yield r, parts[:r] + ((p - 1,) if p > 1 else ()) + parts[r + 1:]
+
+
+def _des_maj_by_top(parts: tuple[int, ...]) -> tuple[dict[tuple[int, int], int], ...]:
+    """_TOP_TALLIES[parts], after computing, level by level from the
+    bottom, every sub-shape it needs that is not in yet."""
+    levels = [{parts}]
+    while levels[-1]:
+        levels.append({
+            rest
+            for mu in levels[-1] if mu not in _TOP_TALLIES
+            for _, rest in _corners(mu)
+        })
+    for level in reversed(levels):
+        for mu in level:
+            if mu in _TOP_TALLIES:
+                continue
+            if not mu:
+                # the empty filling, as if its largest entry ended row 0
+                _TOP_TALLIES[mu] = ({(0, 0): 1},)
+                continue
+            n = sum(mu)
+            out: list[dict[tuple[int, int], int]] = [{} for _ in mu]
+            for r, rest in _corners(mu):
+                tally = out[r]
+                for row, sub in enumerate(_TOP_TALLIES[rest]):
+                    # n - 1 is a descent exactly when n lands in a higher row
+                    dd, dm = (1, n - 1) if r > row else (0, 0)
+                    for (d, mj), c in sub.items():
+                        key = (d + dd, mj + dm)
+                        tally[key] = tally.get(key, 0) + c
+            _TOP_TALLIES[mu] = tuple(out)
+    return _TOP_TALLIES[parts]
+
+
+def des_maj_counts(shape) -> tuple[tuple[tuple[int, int], int], ...]:
+    """((des, maj), count) over the standard fillings of `shape`, sorted,
+    from the Young's-lattice dynamic program; the empty shape has its
+    one filling at (0, 0).  Charge is n * des - maj."""
+    total: dict[tuple[int, int], int] = {}
+    for tally in _des_maj_by_top(as_partition(shape).parts):
+        for key, c in tally.items():
+            total[key] = total.get(key, 0) + c
+    return tuple(sorted(total.items()))
+
+
 def qyt_counts(shape) -> list[int]:
-    """counts[m] = |QYT with largest entry exactly m| for m = 0..n, from
-    one pass over the standard fillings: a filling with k runs
-    destandardizes to one with largest entry k."""
-    shape = _as_partition(shape)
+    """counts[m] = |QYT with largest entry exactly m| for m = 0..n: a
+    standard filling with d descents destandardizes to one with largest
+    entry d + 1."""
+    shape = as_partition(shape)
     if shape.size == 0:
         return [1]
     counts = [0] * (shape.size + 1)
-    for t in enumerate_syt(shape):
-        counts[t.des() + 1] += 1
+    for (d, _), c in des_maj_counts(shape):
+        counts[d + 1] += c
     return counts
 
 
@@ -274,7 +352,7 @@ def qyt_count_exact(shape, m: int) -> int:
 
 def kostka(shape, weight) -> int:
     """Number of semistandard fillings of `shape` with the given weight."""
-    shape = _as_partition(shape)
+    shape = as_partition(shape)
     target = tuple(weight.parts) if isinstance(weight, Partition) else tuple(weight)
     if shape.size != sum(target):
         return 0

@@ -16,13 +16,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations as _all_perms
 from math import comb, factorial, prod
 from typing import Callable
 
 from .board import FerrersBoard
-from .partition import Partition, partitions
+from .partition import Partition, as_partition, partitions
 from .perm import descent_set as word_descents
 from .perm import eulerian, inverse, multiset_perms, perms
 from .pnk import (
@@ -43,7 +42,14 @@ from .symfun import (
     rsk,
     schur_truncated,
 )
-from .tableau import Tableau, enumerate_syt, kostka, qyt_count_exact
+from .tableau import (
+    Tableau,
+    des_maj_counts,
+    enumerate_syt,
+    kostka,
+    qyt_count_exact,
+    qyt_counts,
+)
 
 
 @dataclass
@@ -87,30 +93,6 @@ def _require_positive(**bounds: int) -> None:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _part(shape) -> Partition:
-    return shape if isinstance(shape, Partition) else Partition(shape)
-
-
-@lru_cache(maxsize=None)
-def _syt_stats(parts: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """(des, maj, charge) of every standard filling of the shape."""
-    n = sum(parts)
-    out = []
-    for t in enumerate_syt(Partition(parts)):
-        dset = t.descent_set()
-        out.append((len(dset), sum(dset), sum(n - i for i in dset)))
-    return tuple(out)
-
-
-def _qyt_census(shape: Partition) -> list[int]:
-    """counts[m] = number of quasi-Yamanouchi fillings with largest
-    entry exactly m, for m = 0..n."""
-    counts = [0] * (shape.size + 1)
-    for d, _, _ in _syt_stats(shape.parts):
-        counts[d + 1] += 1
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # hit numbers
 
@@ -123,7 +105,7 @@ def verify_hit(max_n: int = 7, limit: int | None = None) -> SuiteReport:
     for n in range(1, max_n + 1):
         for shape in partitions(n):
             hooks = shape.hook_product()
-            counts = _qyt_census(shape)
+            counts = qyt_counts(shape)
             hit = FerrersBoard.from_partition(shape.conjugate()).hit_numbers(limit)
             for k in range(n):
                 lhs = counts[k + 1] * hooks
@@ -139,16 +121,13 @@ def verify_hit(max_n: int = 7, limit: int | None = None) -> SuiteReport:
 
 def _gen_by_runs(shape: Partition, stat: str) -> dict[int, QPoly]:
     """k -> sum of q^stat over fillings with k descents (k + 1 runs),
-    where stat is "maj" or "charge"."""
-    column = ("des", "maj", "charge").index(stat)
-    out: dict[int, list[int]] = {}
-    for stats in _syt_stats(shape.parts):
-        row = out.setdefault(stats[0], [])
-        e = stats[column]
-        while len(row) <= e:
-            row.append(0)
-        row[e] += 1
-    return {k: QPoly(row) for k, row in out.items()}
+    where stat is "maj" or "charge" (charge = n * des - maj)."""
+    n = shape.size
+    out: dict[int, QPoly] = {}
+    for (d, mj), c in des_maj_counts(shape):
+        e = mj if stat == "maj" else n * d - mj
+        out[d] = out.get(d, QPoly()) + QPoly.term(e, c)
+    return out
 
 
 def verify_maj_hit(max_n: int = 6, limit: int | None = None) -> SuiteReport:
@@ -239,10 +218,11 @@ def verify_summation(max_n: int = 8) -> SuiteReport:
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
         for shape in partitions(n):
-            counts = _qyt_census(shape)
+            counts = qyt_counts(shape)
+            ssyt = [shape.hook_content_count(m + 1) for m in range(n)]
             for k in range(n):
                 rhs = sum(
-                    comb(n + 1, k - m) * (-1) ** (k - m) * shape.hook_content_count(m + 1)
+                    comb(n + 1, k - m) * (-1) ** (k - m) * ssyt[m]
                     for m in range(k + 1)
                 )
                 if counts[k + 1] != rhs:
@@ -456,7 +436,7 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
 
     for n in range(1, max_n + 1):
         for shape in partitions(n):
-            counts = _qyt_census(shape)
+            counts = qyt_counts(shape)
             for k in range(n + 1):
                 got = qyt_count_via_pnk(shape, k)
                 want = counts[k + 1] if k + 1 <= n else 0
@@ -483,14 +463,16 @@ def _qt_stats(des_count: int, maj_sum: int) -> QTPoly:
     return QTPoly({(maj_sum, des_count): 1})
 
 
+def _qt_des_maj(shape: Partition) -> QTPoly:
+    """sum of q^maj t^des over the standard fillings of the shape."""
+    return QTPoly(((mj, d), c) for (d, mj), c in des_maj_counts(shape))
+
+
 def _rhs_expansion(n: int) -> MonomialMap:
     """sum over shapes of (sum_T q^maj t^des) s_shape, in n variables."""
     out = MonomialMap(n)
     for shape in partitions(n):
-        coeff = QTPoly()
-        for d, m, _ in _syt_stats(shape.parts):
-            coeff = coeff + _qt_stats(d, m)
-        out = out + schur_truncated(shape, n).scale(coeff)
+        out = out + schur_truncated(shape, n).scale(_qt_des_maj(shape))
     return out
 
 
@@ -536,10 +518,7 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
             for nu in partitions(n):
                 if not nu.dominates(shape):
                     continue
-                inner = QTPoly()
-                for d, m, _ in _syt_stats(nu.parts):
-                    inner = inner + _qt_stats(d, m)
-                rhs_poly = rhs_poly + kostka(nu, shape) * inner
+                rhs_poly = rhs_poly + kostka(nu, shape) * _qt_des_maj(nu)
             if lhs_poly != rhs_poly:
                 return _finish("genfun", bounds, {
                     "check": "kostka-lemma", "shape": str(shape),
@@ -607,8 +586,8 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
         plain = gen_fn(n, with_q=False)
         for shape in partitions(n):
             maj_poly = QPoly()
-            for _, m, _ in _syt_stats(shape.parts):
-                maj_poly = maj_poly + QPoly.term(m)
+            for (_, mj), c in des_maj_counts(shape):
+                maj_poly = maj_poly + QPoly.term(mj, c)
             if with_q.coefficient(shape).at_t1() != maj_poly:
                 return _finish("genfun", bounds, {
                     "check": "t1-specialization", "shape": str(shape),
@@ -644,30 +623,29 @@ def ribbon_rows(sigma: str) -> tuple[int, ...]:
 def foulkes_multiplicity(n: int, k: int, shape) -> int:
     """Standard fillings of `shape` whose signature carries exactly k
     plus signs, i.e. exactly n - 1 - k descents."""
-    shape = _part(shape)
+    shape = as_partition(shape)
     if shape.size != n:
         raise ValueError("shape size must equal n")
     if not 0 <= k <= n - 1:
         return 0
-    return sum(1 for d, _, _ in _syt_stats(shape.parts) if d == n - 1 - k)
+    return sum(c for (d, _), c in des_maj_counts(shape) if d == n - 1 - k)
 
 
 def polya_dimension_check(n: int, m: int) -> bool:
     """m**n == sum_k C(m+k, n) sum_shapes QYT_{=n-k}(shape) SYT(shape)."""
     total = 0
-    for k in range(n):
-        inner = sum(
-            qyt_count_exact(shape, n - k) * shape.hook_length_count()
-            for shape in partitions(n)
+    for shape in partitions(n):
+        counts = qyt_counts(shape)
+        total += shape.hook_length_count() * sum(
+            comb(m + k, n) * counts[n - k] for k in range(n)
         )
-        total += comb(m + k, n) * inner
     return total == m**n
 
 
 def jack_coefficient(shape, k: int) -> int:
     """n! times the number of quasi-Yamanouchi fillings of the conjugate
     shape with largest entry k + 1 (the labeled one-row Jack coefficient)."""
-    shape = _part(shape)
+    shape = as_partition(shape)
     return factorial(shape.size) * qyt_count_exact(shape.conjugate(), k + 1)
 
 
@@ -678,7 +656,7 @@ def verify_foulkes(max_n: int = 7) -> SuiteReport:
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
         for shape in partitions(n):
-            census = _qyt_census(shape)
+            census = qyt_counts(shape)
             for k in range(n):
                 got = foulkes_multiplicity(n, k, shape)
                 want = census[n - k] if 0 < n - k <= n else 0
@@ -710,7 +688,7 @@ def verify_jack(max_n: int = 6, limit: int | None = None) -> SuiteReport:
     for n in range(1, max_n + 1):
         for shape in partitions(n):
             conj = shape.conjugate()
-            census = _qyt_census(conj)
+            census = qyt_counts(conj)
             hit = FerrersBoard.from_partition(shape).hit_numbers(limit)
             for k in range(n):
                 got = jack_coefficient(shape, k)

@@ -137,9 +137,12 @@ def test_hook_content_count_matches_enumeration():
 
 
 def test_hook_content_count_matches_oracle():
-    for lam in all_partitions_upto(5):
-        for m in range(1, 6):
-            assert lam.hook_content_count(m) == len(oracles.ssyt_brute(lam.parts, m))
+    for lam in all_partitions_upto(6):
+        for m in range(1, 7):
+            want = len(oracles.ssyt_brute(lam.parts, m))
+            assert lam.hook_content_count(m) == want
+            if m < len(lam):  # a column taller than m cannot be filled
+                assert want == 0
 
 
 def test_partitions_iteration_order():

@@ -1,8 +1,13 @@
+from collections import Counter
+
 import pytest
 
 from qyt.partition import Partition, partitions
+from qyt.qpoly import QTPoly
+from qyt.symfun import gen_fn
 from qyt.tableau import (
     Tableau,
+    des_maj_counts,
     enumerate_qyt_at_most,
     enumerate_qyt_exact,
     enumerate_ssyt,
@@ -115,6 +120,40 @@ def test_refinement_by_descents():
             by_descents = sum(1 for t in enumerate_syt(lam) if t.des() == k - 1)
             assert qyt_count_exact(lam, k) == by_descents
         assert sum(qyt_count_exact(lam, k) for k in range(n + 1)) == lam.hook_length_count()
+
+
+def test_des_maj_counts_match_enumeration():
+    for n in range(10):
+        for lam in partitions(n):
+            tally = Counter((t.des(), t.maj()) for t in enumerate_syt(lam))
+            assert des_maj_counts(lam) == tuple(sorted(tally.items()))
+    assert des_maj_counts(Partition(())) == (((0, 0), 1),)
+    assert des_maj_counts((2, 1)) == (((1, 1), 1), ((1, 2), 1))
+    # the lattice is walked level by level, so size is not bounded by
+    # the interpreter's recursion limit
+    assert des_maj_counts((1500,)) == (((0, 0), 1),)
+    assert des_maj_counts((1,) * 1500) == (((1499, 1499 * 1500 // 2), 1),)
+
+
+def test_des_maj_counts_match_oracle():
+    for n in range(7):
+        for lam in partitions(n):
+            tally = Counter()
+            for rows in oracles.syt_brute(lam.parts):
+                dset = oracles.descents_of_standard(rows)
+                tally[(len(dset), sum(dset))] += 1
+            assert des_maj_counts(lam) == tuple(sorted(tally.items()))
+
+
+@pytest.mark.parametrize("with_q", [True, False])
+def test_gen_fn_matches_enumeration(with_q):
+    for n in range(1, 8):
+        expansion = gen_fn(n, with_q=with_q)
+        for lam in partitions(n):
+            want = QTPoly()
+            for t in enumerate_syt(lam):
+                want = want + QTPoly.term(t.maj() if with_q else 0, t.des())
+            assert expansion.coefficient(lam) == want
 
 
 def test_qyt_counts_match_oracle():

@@ -72,6 +72,55 @@ def test_gjw_reports_product_route_disagreement(monkeypatch):
     assert report.counterexample["rhs"] == ["1", "0"]
 
 
+def _move_one_filling(monkeypatch, dd, dm):
+    """Make the (des, maj) dynamic program report one standard filling of
+    shape 2,1 at (des + dd, maj + dm), under every name verify reaches it
+    by: its own binding, and the tableau module's, which qyt_counts reads."""
+    from collections import Counter
+
+    import qyt.tableau
+    import qyt.verify
+
+    true_counts = qyt.tableau.des_maj_counts
+
+    def faulty(shape):
+        tally = true_counts(shape)
+        if Partition(shape) != Partition((2, 1)):
+            return tally
+        moved = Counter(dict(tally))
+        (d, mj), _ = tally[0]
+        moved[(d, mj)] -= 1
+        moved[(d + dd, mj + dm)] += 1
+        return tuple(sorted((k, c) for k, c in moved.items() if c))
+
+    monkeypatch.setattr(qyt.tableau, "des_maj_counts", faulty)
+    monkeypatch.setattr(qyt.verify, "des_maj_counts", faulty)
+
+
+@pytest.mark.parametrize(
+    "suite,kwargs",
+    [
+        (verify_summation, {"max_n": 3}),
+        (verify_hit, {"max_n": 3}),
+        (verify_lattice, {"max_n": 3, "points": 10}),
+    ],
+)
+def test_suites_catch_a_descent_moved_in_the_dp(monkeypatch, suite, kwargs):
+    _move_one_filling(monkeypatch, dd=1, dm=0)
+    report = suite(**kwargs)
+    assert report.status == "fail"
+    assert report.counterexample["shape"] == "2,1"
+
+
+@pytest.mark.parametrize("suite", [verify_maj_hit, verify_charge_hit])
+def test_suites_catch_a_maj_moved_in_the_dp(monkeypatch, suite):
+    _move_one_filling(monkeypatch, dd=0, dm=1)
+    report = suite(max_n=3)
+    assert report.status == "fail"
+    assert report.counterexample["check"] == "refinement"
+    assert report.counterexample["shape"] == "2,1"
+
+
 def test_report_shape():
     report = SuiteReport("demo", {"max_n": 3}, "fail", {"shape": "2,1"}, 12)
     assert not report.passed
