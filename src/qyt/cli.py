@@ -187,18 +187,15 @@ def _cmd_expand(args) -> int:
         if args.shape is None:
             raise ValueError("expand schur requires --shape")
         n_vars = args.vars if args.vars is not None else args.shape.size
-        mono = schur_truncated(args.shape, n_vars)
+        terms = schur_truncated(args.shape, n_vars).expand(n_vars)
         payload = {
             "shape": str(args.shape),
             "vars": n_vars,
-            "terms": mono.to_json(),
+            "terms": [{"exponents": list(exps), "coeff": c} for exps, c in terms],
         }
-        lines = [
-            f"{','.join(str(e) for e in exps)}: {coeff}"
-            for exps, coeff in mono.terms()
-        ]
+        lines = [f"{','.join(str(e) for e in exps)}: {c}" for exps, c in terms]
         header = ["exponents", "coeff"]
-        rows = [[" ".join(str(e) for e in exps), coeff] for exps, coeff in mono.terms()]
+        rows = [[" ".join(str(e) for e in exps), c] for exps, c in terms]
         _emit(args, payload, "\n".join(lines), header, rows)
         return 0
     if args.n is None:

@@ -135,7 +135,10 @@ class Partition:
 
 
 def as_partition(shape) -> Partition:
-    """`shape` itself if it is a Partition, else Partition(shape)."""
+    """`shape` itself if it is a Partition, its text form parsed if it is a
+    string, else Partition(shape)."""
+    if isinstance(shape, str):
+        return Partition.parse(shape)
     return shape if isinstance(shape, Partition) else Partition(shape)
 
 

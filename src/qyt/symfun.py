@@ -1,19 +1,22 @@
-"""Truncated symmetric and quasisymmetric expansions, RSK insertion, and
+"""Quasisymmetric expansions in the monomial basis, RSK insertion, and
 the Schur generating function of quasi-Yamanouchi fillings.
 
-Everything lives over a bounded variable set x_1..x_N.  Truncating at
-N = n is lossless for degree-n coefficientwise comparisons, since a
-degree-n monomial touches at most n distinct variables.
+A quasisymmetric function of degree n is fixed by its coefficients on
+the monomial quasisymmetric functions M_alpha, alpha a composition of n
+(Gessel 1984).  `MonomialMap` keys them by alpha, so it names no
+variable count and has at most 2^(n-1) keys.  Restricting to x_1..x_N
+keeps the compositions with at most N parts (`MonomialMap.truncate`);
+`MonomialMap.expand` lists the monomials in N variables themselves.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import permutations as _itertools_permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .partition import Partition, as_partition, partitions
-from .perm import is_permutation
+from .perm import is_permutation, multiset_perms
 from .qpoly import QTPoly
 from .tableau import Tableau, _ssyt_rows, des_maj_counts
 
@@ -27,56 +30,70 @@ def _is_zero(c) -> bool:
 
 
 class MonomialMap:
-    """Finite map from exponent vectors of a fixed length to coefficients.
+    """Quasisymmetric function in the monomial basis: a finite map from
+    compositions alpha (tuples of positive parts) to the coefficient of
+    M_alpha.
 
     Coefficients may be plain ints or QTPoly values; zero coefficients
     are never stored, and equality compares the two kinds interchangeably.
     """
 
-    __slots__ = ("n_vars", "data")
+    __slots__ = ("data",)
 
-    def __init__(self, n_vars: int, data=None) -> None:
-        self.n_vars = n_vars
+    def __init__(self, data=None) -> None:
         self.data: dict[tuple[int, ...], object] = {}
         if data:
             items = data.items() if isinstance(data, dict) else data
-            for exps, c in items:
-                self.add_term(exps, c)
+            for alpha, c in items:
+                self.add_term(alpha, c)
 
-    def add_term(self, exps: Sequence[int], coeff) -> None:
-        exps = tuple(exps)
-        if len(exps) != self.n_vars:
-            raise ValueError(
-                f"expected {self.n_vars} exponents, got {len(exps)}"
-            )
-        cur = self.data.get(exps)
+    def add_term(self, alpha: Sequence[int], coeff) -> None:
+        alpha = tuple(alpha)
+        cur = self.data.get(alpha)
         new = coeff if cur is None else cur + coeff
         if _is_zero(new):
-            self.data.pop(exps, None)
+            self.data.pop(alpha, None)
         else:
-            self.data[exps] = new
+            self.data[alpha] = new
 
-    def coefficient(self, exps: Sequence[int]):
-        return self.data.get(tuple(exps), 0)
+    def coefficient(self, alpha: Sequence[int]):
+        return self.data.get(tuple(alpha), 0)
 
     def __add__(self, other):
-        if not isinstance(other, MonomialMap) or other.n_vars != self.n_vars:
+        if not isinstance(other, MonomialMap):
             return NotImplemented
-        out = MonomialMap(self.n_vars, self.data)
-        for exps, c in other.data.items():
-            out.add_term(exps, c)
+        out = MonomialMap(self.data)
+        for alpha, c in other.data.items():
+            out.add_term(alpha, c)
         return out
 
     def scale(self, coeff) -> "MonomialMap":
         """Multiply every coefficient by `coeff` (int or QTPoly)."""
-        out = MonomialMap(self.n_vars)
-        for exps, c in self.data.items():
-            out.add_term(exps, c * coeff)
+        return MonomialMap((alpha, c * coeff) for alpha, c in self.data.items())
+
+    def truncate(self, n_vars: int) -> "MonomialMap":
+        """Restriction to x_1..x_N: the compositions with at most N parts."""
+        return MonomialMap(
+            (alpha, c) for alpha, c in self.data.items() if len(alpha) <= n_vars
+        )
+
+    def expand(self, n_vars: int) -> list[tuple[tuple[int, ...], object]]:
+        """(exponents, coefficient) of every monomial in x_1..x_N, in
+        lexicographic exponent order.  M_alpha puts the parts of alpha,
+        in order, on each set of len(alpha) of the N variables."""
+        out = []
+        for alpha, c in self.data.items():
+            for places in combinations(range(n_vars), len(alpha)):
+                exps = [0] * n_vars
+                for i, a in zip(places, alpha):
+                    exps[i] = a
+                out.append((tuple(exps), c))
+        out.sort()  # exponent vectors are distinct, so ties never reach c
         return out
 
     def terms(self) -> list[tuple[tuple[int, ...], object]]:
-        """(exponents, coefficient) pairs in lexicographic exponent order."""
-        return [(exps, self.data[exps]) for exps in sorted(self.data)]
+        """(composition, coefficient) pairs in lexicographic order."""
+        return [(alpha, self.data[alpha]) for alpha in sorted(self.data)]
 
     def __bool__(self) -> bool:
         return bool(self.data)
@@ -87,8 +104,6 @@ class MonomialMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialMap):
             return NotImplemented
-        if self.n_vars != other.n_vars:
-            return False
         keys = set(self.data) | set(other.data)
         return all(
             _as_qt(self.data.get(key, 0)) == _as_qt(other.data.get(key, 0))
@@ -96,68 +111,59 @@ class MonomialMap:
         )
 
     def __repr__(self) -> str:
-        return f"MonomialMap({self.n_vars}, {self.data!r})"
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for exps, c in self.terms():
-            coeff = c.triples() if isinstance(c, QTPoly) else c
-            out.append({"exponents": list(exps), "coeff": coeff})
-        return out
+        return f"MonomialMap({self.data!r})"
 
 
 def schur_truncated(shape, n_vars: int) -> MonomialMap:
-    """Schur polynomial of `shape` in x_1..x_N: one monomial per
-    semistandard filling, weighted by multiplicity."""
-    out = MonomialMap(n_vars)
-    for rows in _ssyt_rows(as_partition(shape).parts, n_vars):
-        exps = [0] * n_vars
+    """Schur polynomial of `shape` in x_1..x_N: the coefficient of M_alpha
+    counts the semistandard fillings with content alpha.  Only fillings
+    whose content is packed (every value 1..l used, none above) are
+    counted, so the walk stops at entries min(N, size)."""
+    parts = as_partition(shape).parts
+    n = sum(parts)
+    m = min(n_vars, n)
+    counts: dict[tuple[int, ...], int] = {}
+    for rows in _ssyt_rows(parts, m):
+        exps = [0] * (m + 1)  # the last stays 0, ending every prefix
         for row in rows:
             for v in row:
                 exps[v - 1] += 1
-        out.add_term(exps, 1)
-    return out
+        alpha = tuple(exps[:exps.index(0)])
+        if sum(alpha) == n:
+            counts[alpha] = counts.get(alpha, 0) + 1
+    return MonomialMap(counts)
 
 
 def monomial_truncated(shape, n_vars: int) -> MonomialMap:
-    """Monomial symmetric polynomial: the orbit of the exponent vector."""
-    shape = as_partition(shape)
-    out = MonomialMap(n_vars)
-    if len(shape) > n_vars:
-        return out
-    base = tuple(shape.parts) + (0,) * (n_vars - len(shape))
-    for exps in set(_itertools_permutations(base)):
-        out.add_term(exps, 1)
-    return out
+    """Monomial symmetric polynomial of `shape` in x_1..x_N: M_alpha for
+    each distinct rearrangement alpha of the parts, if there are at most
+    N of them."""
+    parts = as_partition(shape).parts
+    if len(parts) > n_vars:
+        return MonomialMap()
+    values = sorted(set(parts))
+    return MonomialMap(
+        (tuple(values[i - 1] for i in word), 1)
+        for word in multiset_perms([parts.count(v) for v in values])
+    )
 
 
 def fundamental_truncated(strict_at: Iterable[int], n: int, n_vars: int) -> MonomialMap:
-    """Fundamental quasisymmetric polynomial F_sigma in x_1..x_N: weakly
-    increasing words i_1 <= ... <= i_n with i_j < i_{j+1} forced exactly
-    at the positions j in sigma."""
+    """Fundamental quasisymmetric polynomial F_S in x_1..x_N: the sum of
+    M_T over the subsets T of [n-1] containing S, each T read as the
+    composition of n with partial sums T; the compositions with more than
+    N parts drop out."""
     sigma = set(strict_at)
     if any(j < 1 or j > n - 1 for j in sigma):
         raise ValueError("strict positions must lie in 1..n-1")
-    out = MonomialMap(n_vars)
-    if n == 0:
-        out.add_term((0,) * n_vars, 1)
-        return out
-    word: list[int] = []
-
-    def extend(pos: int, low: int) -> None:
-        if pos > n:
-            exps = [0] * n_vars
-            for i in word:
-                exps[i - 1] += 1
-            out.add_term(tuple(exps), 1)
-            return
-        for i in range(low, n_vars + 1):
-            word.append(i)
-            extend(pos + 1, i + 1 if pos in sigma else i)
-            word.pop()
-
-    extend(1, 1)
-    return out
+    free = [j for j in range(1, n) if j not in sigma]
+    out = MonomialMap()
+    for extra in range(len(free) + 1):
+        for added in combinations(free, extra):
+            cuts = [0, *sorted(sigma.union(added)), n]
+            # b > a except at n = 0, whose only composition is ()
+            out.add_term(tuple(b - a for a, b in zip(cuts, cuts[1:]) if b > a), 1)
+    return out.truncate(n_vars)
 
 
 def composition_descents(weight: Sequence[int]) -> set[int]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qyt.partition import Partition, partitions
+from qyt.partition import Partition, as_partition, partitions
 
 import oracles
 
@@ -39,6 +39,17 @@ def test_text_round_trip():
     for parts in [(), (1,), (4, 2, 1), (3, 3, 3)]:
         lam = Partition(parts)
         assert Partition.parse(str(lam)) == lam
+
+
+def test_as_partition_parses_text():
+    assert as_partition("10") == Partition((10,))
+    assert as_partition("3,3,2,2") == Partition((3, 3, 2, 2))
+    assert as_partition("") == Partition()
+    assert as_partition((2, 1)) == Partition((2, 1))
+    lam = Partition((4, 1))
+    assert as_partition(lam) is lam
+    with pytest.raises(ValueError):
+        as_partition("2,3")
 
 
 def test_conjugate_examples():

@@ -1,3 +1,5 @@
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 import pytest
@@ -18,10 +20,13 @@ from qyt.symfun import (
 )
 from qyt.tableau import Tableau, enumerate_syt, kostka
 
+import oracles
+
 
 def test_schur_truncated_small_cases():
     s22 = schur_truncated(Partition((2, 2)), 3)
-    assert dict(s22.terms()) == {
+    assert dict(s22.terms()) == {(2, 2): 1, (2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): 1}
+    assert dict(s22.expand(3)) == {
         (2, 2, 0): 1,
         (2, 1, 1): 1,
         (1, 2, 1): 1,
@@ -30,39 +35,95 @@ def test_schur_truncated_small_cases():
         (0, 2, 2): 1,
     }
     s1 = schur_truncated(Partition((1,)), 4)
-    assert dict(s1.terms()) == {
+    assert dict(s1.terms()) == {(1,): 1}
+    assert dict(s1.expand(4)) == {
         (1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1
     }
     s21 = schur_truncated(Partition((2, 1)), 2)
     assert dict(s21.terms()) == {(2, 1): 1, (1, 2): 1}
+    assert schur_truncated(Partition((2, 1)), 3) == MonomialMap(
+        {(2, 1): 1, (1, 2): 1, (1, 1, 1): 2}
+    )
+    assert schur_truncated("2,1", 3) == schur_truncated(Partition((2, 1)), 3)
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        schur_truncated(Partition((2, 1)), -1)
 
 
 def test_fundamental_small_cases():
     f_empty = fundamental_truncated((), 2, 2)
-    assert dict(f_empty.terms()) == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
+    assert dict(f_empty.terms()) == {(2,): 1, (1, 1): 1}
+    assert dict(f_empty.expand(2)) == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
     f_one = fundamental_truncated((1,), 2, 2)
     assert dict(f_one.terms()) == {(1, 1): 1}
+    assert dict(fundamental_truncated((1,), 3, 9).terms()) == {(1, 2): 1, (1, 1, 1): 1}
+    assert dict(fundamental_truncated((1,), 3, 2).terms()) == {(1, 2): 1}
+    assert not fundamental_truncated((1, 2), 3, 2)
+    assert dict(fundamental_truncated((), 0, 0).terms()) == {(): 1}
     with pytest.raises(ValueError):
         fundamental_truncated((2,), 2, 2)
 
 
 def test_monomial_small_cases():
     m21 = monomial_truncated(Partition((2, 1)), 3)
-    assert len(m21) == 6
-    assert all(sorted(e, reverse=True) == [2, 1, 0] for e, _ in m21.terms())
+    assert dict(m21.terms()) == {(2, 1): 1, (1, 2): 1}
+    assert len(m21.expand(3)) == 6
+    assert all(sorted(e, reverse=True) == [2, 1, 0] for e, _ in m21.expand(3))
+    m211 = monomial_truncated(Partition((2, 1, 1)), 3)
+    assert dict(m211.terms()) == {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): 1}
     assert not monomial_truncated(Partition((1, 1, 1)), 2)
+    assert dict(monomial_truncated(Partition(), 0).terms()) == {(): 1}
 
 
 def test_monomial_map_arithmetic_and_equality():
-    a = MonomialMap(2, {(1, 0): 1})
-    b = MonomialMap(2, {(1, 0): QTPoly.term(0, 0)})
+    a = MonomialMap({(1,): 1})
+    b = MonomialMap({(1,): QTPoly.term(0, 0)})
     assert a == b  # int and constant QTPoly coefficients compare equal
     c = a.scale(QTPoly.term(1, 1))
-    assert c.coefficient((1, 0)) == QTPoly.term(1, 1)
+    assert c.coefficient((1,)) == QTPoly.term(1, 1)
     d = a + a.scale(-1)
     assert not d
-    with pytest.raises(ValueError):
-        a.add_term((1, 0, 0), 1)
+    e = MonomialMap({(2,): 1, (1, 1): 3})
+    assert e.truncate(1) == MonomialMap({(2,): 1})
+    assert e.truncate(2) == e
+    assert not e.truncate(0)
+    assert e.expand(2) == [((0, 2), 1), ((1, 1), 3), ((2, 0), 1)]
+    assert e.expand(0) == []
+
+
+def _exponent_counts(fillings, n_vars):
+    out = Counter()
+    for rows in fillings:
+        exps = [0] * n_vars
+        for row in rows:
+            for v in row:
+                exps[v - 1] += 1
+        out[tuple(exps)] += 1
+    return dict(out)
+
+
+def test_schur_expansion_matches_brute_force_fillings():
+    # the full expansion `expand schur --vars N` prints, for every N
+    for n in range(7):
+        for lam in partitions(n):
+            for n_vars in range(n + 2):
+                got = dict(schur_truncated(lam, n_vars).expand(n_vars))
+                assert got == _exponent_counts(oracles.ssyt_brute(lam.parts, n_vars), n_vars)
+
+
+def test_fundamental_truncation_matches_brute_force_words():
+    # F_S in x_1..x_N: weakly increasing words over 1..N, strict exactly at S
+    for n in range(6):
+        for size in range(n):
+            for sigma in combinations(range(1, n), size):
+                full = fundamental_truncated(sigma, n, n)
+                for n_vars in range(n + 2):
+                    words = [
+                        w for w in combinations_with_replacement(range(1, n_vars + 1), n)
+                        if all(w[j - 1] < w[j] for j in sigma)
+                    ]
+                    want = _exponent_counts([(w,) for w in words], n_vars)
+                    assert dict(full.truncate(n_vars).expand(n_vars)) == want
+                    assert fundamental_truncated(sigma, n, n_vars) == full.truncate(n_vars)
 
 
 def test_composition_descents():
@@ -184,9 +245,8 @@ def test_schur_triangularity():
         for nu in partitions(n):
             sch = schur_truncated(nu, n)
             for lam in partitions(n):
-                exps = tuple(lam.parts) + (0,) * (n - len(lam))
-                coeff = sch.coefficient(exps)
+                coeff = sch.coefficient(lam.parts)
                 assert coeff == kostka(nu, lam)
                 if coeff and nu != lam:
                     assert nu.dominates(lam)
-            assert sch.coefficient(tuple(nu.parts) + (0,) * (n - len(nu))) == 1
+            assert sch.coefficient(nu.parts) == 1

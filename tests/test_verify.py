@@ -75,9 +75,11 @@ def test_gjw_reports_product_route_disagreement(monkeypatch):
 def _move_one_filling(monkeypatch, dd, dm):
     """Make the (des, maj) dynamic program report one standard filling of
     shape 2,1 at (des + dd, maj + dm), under every name verify reaches it
-    by: its own binding, and the tableau module's, which qyt_counts reads."""
+    by: its own binding, the tableau module's, which qyt_counts reads, and
+    the symfun module's, which gen_fn reads."""
     from collections import Counter
 
+    import qyt.symfun
     import qyt.tableau
     import qyt.verify
 
@@ -95,6 +97,7 @@ def _move_one_filling(monkeypatch, dd, dm):
 
     monkeypatch.setattr(qyt.tableau, "des_maj_counts", faulty)
     monkeypatch.setattr(qyt.verify, "des_maj_counts", faulty)
+    monkeypatch.setattr(qyt.symfun, "des_maj_counts", faulty)
 
 
 @pytest.mark.parametrize(
@@ -103,6 +106,7 @@ def _move_one_filling(monkeypatch, dd, dm):
         (verify_summation, {"max_n": 3}),
         (verify_hit, {"max_n": 3}),
         (verify_lattice, {"max_n": 3, "points": 10}),
+        (verify_jack, {"max_n": 3}),
     ],
 )
 def test_suites_catch_a_descent_moved_in_the_dp(monkeypatch, suite, kwargs):
@@ -119,6 +123,14 @@ def test_suites_catch_a_maj_moved_in_the_dp(monkeypatch, suite):
     assert report.status == "fail"
     assert report.counterexample["check"] == "refinement"
     assert report.counterexample["shape"] == "2,1"
+
+
+@pytest.mark.parametrize("dd,dm", [(1, 0), (0, 1)])
+def test_genfun_checks_gen_fn_against_the_permutation_side(monkeypatch, dd, dm):
+    _move_one_filling(monkeypatch, dd=dd, dm=dm)
+    report = verify_genfun(max_n=3)
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "fundamental", "n": 3}
 
 
 def test_report_shape():
