@@ -11,9 +11,10 @@ identity (Garsia-Remmel's q-form)
 
     prod_i [x + h_i - i + 1]  ==  sum_k [x + k choose n] T_k,
 
-solved for T_n, T_{n-1}, ..., T_0 at x = 0, 1, ..., n.  The sweep over
-all of S_n survives only as q_hit_census, the independent route that the
-gjw suite checks the identity against.
+solved for T_n, T_{n-1}, ..., T_0 at x = 0, 1, ..., n.  The route that
+does not assume the identity is q_hit_census, a dynamic program over the
+rows occupied column by column (no sweep over S_n); the gjw suite checks
+the identity against it.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from . import _kernels
 from .partition import Partition
 from .qpoly import QPoly, q_binom, q_int
 
-#: Default cap on the board size n of every hit-number computation.  It
-#: keeps the S_n census at 9! (a third of a million permutations); pass an
-#: explicit limit to go beyond it.
+#: Default cap on the board size n of every hit-number computation; pass
+#: an explicit limit to go beyond it.  Neither route needs it any more (the
+#: census visits 2^n row sets, not n! permutations), but it stays until a
+#: benchmark change moves the `board --shape 4,3,2,1,1 --hits` operation,
+#: which expects it to refuse n = 10.
 BRUTE_FORCE_LIMIT = 9
 
 
@@ -143,9 +146,10 @@ class FerrersBoard:
         return _solve_product_identity(self.heights, q_int, q_binom)
 
     def q_hit_census(self, limit: int | None = None) -> list[QPoly]:
-        """T_0..T_n by sweeping all of S_n.  This is the route that does
-        not assume the product identity, so only the gjw suite, which
-        tests that identity, should use it."""
+        """T_0..T_n by the census of _kernels.q_hit_census, which counts
+        the permutations of S_n column by column without assuming the
+        product identity, so only the gjw suite, which tests that
+        identity, should use it."""
         self._check_limit(limit)
         rows = _kernels.q_hit_census(self.n, self.heights)
         return [QPoly(row) for row in rows]

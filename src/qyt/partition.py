@@ -73,11 +73,12 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Reflect the diagram across its main diagonal."""
-        if not self.parts:
-            return Partition()
-        return Partition(
-            sum(1 for p in self.parts if p > i) for i in range(self.parts[0])
-        )
+        return Partition(self._column_lengths())
+
+    def _column_lengths(self) -> list[int]:
+        """Cells in each column, left to right: the conjugate's parts."""
+        parts = self.parts
+        return [sum(1 for p in parts if p > i) for i in range(parts[0] if parts else 0)]
 
     def contents(self) -> list[int]:
         """c(u) = i - j for every cell, in cells() order."""
@@ -85,14 +86,16 @@ class Partition:
 
     def hooks(self) -> list[int]:
         """h(u) for every cell, in cells() order."""
-        conj = self.conjugate().parts
-        return [
-            (self.parts[j - 1] - i) + (conj[i - 1] - j) + 1
-            for (i, j) in self.cells()
-        ]
+        return list(self._hook_lengths())
 
     def hook_product(self) -> int:
-        return prod(self.hooks())
+        return prod(self._hook_lengths())
+
+    def _hook_lengths(self) -> Iterator[int]:
+        cols = self._column_lengths()
+        for j, row in enumerate(self.parts, 1):
+            for i in range(1, row + 1):
+                yield (row - i) + (cols[i - 1] - j) + 1
 
     def n_stat(self) -> int:
         """n(lambda) = sum_i (i - 1) * lambda_i."""

@@ -247,14 +247,16 @@ def verify_gjw(max_n: int = 6, limit: int | None = None) -> SuiteReport:
     identity  prod_i [x + h_i - i + 1] == sum_k [x+k choose n] T_k  holds
     for every x in 0..n whose factors are all nonnegative.
 
-    T_k comes from the S_n census here, since the board's own q-hit
-    numbers are solved from this identity and would satisfy it by
-    construction.  The "product-route" check compares the two.
+    T_k comes from the census here (FerrersBoard.q_hit_census), since the
+    board's own q-hit numbers are solved from this identity and would
+    satisfy it by construction.  The "product-route" check compares the
+    two.
     """
     _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
+        mahonian = q_fact(n)
         for shape in partitions(n):
             base = FerrersBoard.from_partition(shape)
             expected = FerrersBoard.from_partition(shape.conjugate())
@@ -267,12 +269,12 @@ def verify_gjw(max_n: int = 6, limit: int | None = None) -> SuiteReport:
                 }, started)
             for board in (base, base.plus_one()):
                 T = board.q_hit_census(limit)
-                if sum(T, QPoly()) != q_fact(n):
+                if sum(T, QPoly()) != mahonian:
                     return _finish("gjw", bounds, {
                         "check": "mahonian",
                         "board": str(board),
                         "lhs": str(sum(T, QPoly())),
-                        "rhs": str(q_fact(n)),
+                        "rhs": str(mahonian),
                     }, started)
                 for x in range(n + 1):
                     factors = [x + h - i + 1 for i, h in enumerate(board.heights, 1)]

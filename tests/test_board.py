@@ -138,7 +138,7 @@ def test_q_hit_numbers_specialize_and_sum():
 def _assert_product_route_matches_census(board):
     census = _kernels.q_hit_census(board.n, board.heights)
     assert board.q_hit_numbers() == [QPoly(row) for row in census]
-    assert board.hit_numbers() == _kernels.hit_census(board.n, board.heights)
+    assert board.hit_numbers() == oracles.hit_numbers_brute(board.heights)
 
 
 def test_product_route_matches_census_on_every_small_board():
@@ -152,6 +152,15 @@ def test_product_route_matches_census_on_partition_boards():
         base = FerrersBoard.from_partition(lam)
         _assert_product_route_matches_census(base)
         _assert_product_route_matches_census(base.plus_one())
+
+
+def test_product_route_matches_census_on_large_partition_boards():
+    # sizes the census reaches only since it stopped sweeping S_n
+    for size in (8, 9):
+        for lam in partitions(size):
+            base = FerrersBoard.from_partition(lam)
+            for board in (base, base.plus_one()):
+                assert board.q_hit_numbers() == board.q_hit_census()
 
 
 def test_brute_force_cap():

@@ -72,6 +72,26 @@ def test_gjw_reports_product_route_disagreement(monkeypatch):
     assert report.counterexample["rhs"] == ["1", "0"]
 
 
+def test_gjw_catches_a_weight_moved_in_the_census(monkeypatch):
+    from qyt import _kernels
+
+    census = _kernels.q_hit_census
+
+    def faulty(n, heights):
+        counts = census(n, heights)
+        if tuple(heights) == (2, 2, 2):  # the board of shape 3
+            k = next(k for k, row in enumerate(counts) if any(row[:-1]))
+            w = next(w for w, c in enumerate(counts[k][:-1]) if c)
+            counts[k][w] -= 1
+            counts[k][w + 1] += 1
+        return counts
+
+    monkeypatch.setattr(_kernels, "q_hit_census", faulty)
+    report = verify_gjw(max_n=3)
+    assert report.status == "fail"
+    assert report.counterexample["board"] == "n=3; heights=2,2,2"
+
+
 def _move_one_filling(monkeypatch, dd, dm):
     """Make the (des, maj) dynamic program report one standard filling of
     shape 2,1 at (des + dd, maj + dm), under every name verify reaches it
