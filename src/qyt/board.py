@@ -11,20 +11,24 @@ identity (Garsia-Remmel's q-form)
 
     prod_i [x + h_i - i + 1]  ==  sum_k [x + k choose n] T_k,
 
-solved for T_n, T_{n-1}, ..., T_0 at x = 0, 1, ..., n.  The route that
-does not assume the identity is q_hit_census, a dynamic program over the
-rows occupied column by column (no sweep over S_n); the gjw suite checks
-the identity against it.
+solved for T_n, T_{n-1}, ..., T_0 at x = 0, 1, ..., n.  The same solve
+gives h_k at q = 1 and T_k at q = 2^W, where every polynomial is one
+packed integer (qpoly.pack) and [f] is (Q^f - 1) / (Q - 1); T_0..T_n are
+unpacked once at the end.  The route that does not assume the identity
+is q_hit_census, a dynamic program over the rows occupied column by
+column (no sweep over S_n); the gjw suite checks the identity against
+it.
 """
 
 from __future__ import annotations
 
-from math import comb
+from functools import partial
+from math import comb, factorial
 from typing import Callable, Sequence
 
 from . import _kernels
 from .partition import Partition
-from .qpoly import QPoly, q_binom, q_int
+from .qpoly import QPoly, pack, q_binom, q_int_at, unpack
 
 #: Default cap on the board size n of every hit-number computation; pass
 #: an explicit limit to go beyond it.  Neither route needs it any more (the
@@ -95,9 +99,6 @@ class FerrersBoard:
         """Complement within the n x n grid, rotated a half turn."""
         return FerrersBoard(self.n, tuple(self.n - h for h in reversed(self.heights)))
 
-    def contains(self, col: int, row: int) -> bool:
-        return 1 <= col <= self.n and 1 <= row <= self.heights[col - 1]
-
     def hits(self, perm: Sequence[int]) -> int:
         """|graph(perm) ∩ board|: columns i with perm[i] <= heights[i]."""
         self._check_perm(perm)
@@ -141,9 +142,20 @@ class FerrersBoard:
 
     def q_hit_numbers(self, limit: int | None = None) -> list[QPoly]:
         """T_0..T_n, where T_k collects q^(q-weight) over the permutations
-        with exactly k hits, by the product identity."""
+        with exactly k hits, by the product identity at q = 2^width.
+
+        The solve is ring arithmetic, so it yields T_k(2^width) exactly.
+        T_k has nonnegative coefficients summing to h_k <= n!, so a width
+        of bits(n!) plus a sign bit lets unpack read T_k back.
+        """
         self._check_limit(limit)
-        return _solve_product_identity(self.heights, q_int, q_binom)
+        width = factorial(self.n).bit_length() + 1
+        T = _solve_product_identity(
+            self.heights,
+            partial(q_int_at, q=1 << width),
+            lambda a, b: pack(q_binom(a, b).coeffs, width),
+        )
+        return [QPoly(unpack(t, width)) for t in T]
 
     def q_hit_census(self, limit: int | None = None) -> list[QPoly]:
         """T_0..T_n by the census of _kernels.q_hit_census, which counts

@@ -4,16 +4,57 @@ q-integers, q-factorials, and Gaussian binomial coefficients.
 Coefficients are Python ints, so overflow cannot happen.  The only
 division anywhere is exact polynomial division, which fails loudly when
 the quotient would leave the integer ring.
+
+Products go through Kronecker substitution: a polynomial evaluated at
+q = 2^W is one Python int whose W-bit slots hold its coefficients
+(pack), so a product of polynomials is one big-integer product, read
+back slot by slot (unpack).  Evaluation at 2^W is a ring homomorphism,
+so any ring expression can be evaluated packed and unpacked once, as
+long as every coefficient of the result fits a W-bit signed slot.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class InexactDivisionError(ArithmeticError):
     """A polynomial quotient would not be exact over the integers."""
+
+
+def pack(coeffs: Sequence[int], width: int) -> int:
+    """sum_i coeffs[i] * 2^(width*i): the polynomial at q = 2^width.
+
+    Any integer coefficients are allowed; unpack inverts this when each
+    one lies strictly between -2^(width-1) and 2^(width-1).
+    """
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << width) + c
+    return value
+
+
+def unpack(value: int, width: int) -> list[int]:
+    """The coefficients c_0..c_d of the polynomial whose value at
+    q = 2^width is `value`, given that |c_i| < 2^(width-1) for all i.
+
+    Under that bound the value lies within half a slot of its leading
+    term, so it has between d*width and (d+1)*width - 1 bits, which fixes
+    d.  Adding the offset 2^(width-1) to every slot makes every slot a
+    digit in 0..2^width - 1 with no borrow between slots; the digits are
+    read off and the offset is taken away again.  The list ends at the
+    leading coefficient ([0] for the value 0).
+    """
+    slots = abs(value).bit_length() // width + 1
+    half = 1 << (width - 1)
+    value += ((1 << (width * slots)) - 1) // ((1 << width) - 1) * half
+    mask = (1 << width) - 1
+    out = []
+    for _ in range(slots):
+        out.append((value & mask) - half)
+        value >>= width
+    return out
 
 
 def _coerce(x):
@@ -85,12 +126,10 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return QPoly(out)
+        # each product coefficient is at most |a|_1 * |b|_1 in absolute
+        # value, so it fits a slot of that many bits plus a sign bit
+        width = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() + 1
+        return QPoly(unpack(pack(a, width) * pack(b, width), width))
 
     __rmul__ = __mul__
 
@@ -176,6 +215,11 @@ def q_int(k: int) -> QPoly:
     if k < 0:
         raise ValueError("q-integer of a negative integer")
     return QPoly((1,) * k)
+
+
+def q_int_at(k: int, q: int) -> int:
+    """[k] evaluated at an integer q >= 2, that is (q^k - 1) / (q - 1)."""
+    return (q**k - 1) // (q - 1)
 
 
 def q_fact(k: int) -> QPoly:

@@ -33,7 +33,7 @@ from .pnk import (
     pnk_eval_paths,
     qyt_count_via_pnk,
 )
-from .qpoly import QPoly, QTPoly, q_binom, q_fact, q_int
+from .qpoly import QPoly, QTPoly, pack, q_binom, q_fact, q_int, q_int_at
 from .symfun import (
     MonomialMap,
     composition_descents,
@@ -145,16 +145,17 @@ def verify_maj_hit(max_n: int = 6, limit: int | None = None) -> SuiteReport:
     started = time.perf_counter()
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
+        mahonian = q_fact(n)
         for shape in partitions(n):
             hooks_poly = prod((q_int(h) for h in shape.hooks()), start=QPoly((1,)))
             board = FerrersBoard.from_partition(shape).plus_one()
             T = board.q_hit_numbers(limit)
-            if sum(T, QPoly()) != q_fact(n):
+            if sum(T, QPoly()) != mahonian:
                 return _finish("maj-hit", bounds, {
                     "check": "mahonian",
                     "board": str(board),
                     "lhs": str(sum(T, QPoly())),
-                    "rhs": str(q_fact(n)),
+                    "rhs": str(mahonian),
                 }, started)
             gens = _gen_by_runs(shape, "maj")
             for k in range(n):
@@ -169,12 +170,12 @@ def verify_maj_hit(max_n: int = 6, limit: int | None = None) -> SuiteReport:
                         "rhs": str(rhs),
                     }, started)
             total = sum(gens.values(), QPoly())
-            if total * hooks_poly != q_fact(n).shift(shape.n_stat()):
+            if total * hooks_poly != mahonian.shift(shape.n_stat()):
                 return _finish("maj-hit", bounds, {
                     "check": "hook-length-q-analogue",
                     "shape": str(shape),
                     "lhs": str(total * hooks_poly),
-                    "rhs": str(q_fact(n).shift(shape.n_stat())),
+                    "rhs": str(mahonian.shift(shape.n_stat())),
                 }, started)
     return _finish("maj-hit", bounds, None, started)
 
@@ -240,6 +241,31 @@ def verify_summation(max_n: int = 8) -> SuiteReport:
 # Goldman-Joichi-White product identity and the board complement
 
 
+def _gjw_width(board: FerrersBoard, T: list[QPoly]) -> int:
+    """A slot width W at which the gjw checks on `board` may compare the
+    two sides packed at q = 2^W instead of as polynomials.
+
+    If the coefficients of both sides are below 2^(W-1) in absolute
+    value, those of their difference D are below 2^W, and D(2^W) = 0
+    forces d_0 = 0 (2^W divides it), then d_1 = 0, and so on: equal
+    packed ints mean equal polynomials.  So W is a sign bit plus the bits
+    of a bound on the sum of absolute coefficients of either side of any
+    check.  The bound is read off the census as it is, so it holds for a
+    faulty census with negative or oversized counts too.  The factors
+    are nonnegative and grow with x, so x = n bounds every x: the product
+    side sums to at most prod_i (n + h_i - i + 1), which is at least n!
+    (the Mahonian side), and the binomial side to at most
+    sum_k C(n + k, n) |T_k|_1, which is at least the census side of the
+    Mahonian check.
+    """
+    n = board.n
+    product = prod(n + h - i + 1 for i, h in enumerate(board.heights, 1))
+    binomial = sum(
+        comb(n + k, n) * sum(map(abs, t.coeffs)) for k, t in enumerate(T)
+    )
+    return max(product, binomial).bit_length() + 1
+
+
 def verify_gjw(max_n: int = 6, limit: int | None = None) -> SuiteReport:
     """On every board built from a shape of size <= max_n (raised or not):
     the complement of the raised board is the conjugate's board up to
@@ -250,7 +276,9 @@ def verify_gjw(max_n: int = 6, limit: int | None = None) -> SuiteReport:
     T_k comes from the census here (FerrersBoard.q_hit_census), since the
     board's own q-hit numbers are solved from this identity and would
     satisfy it by construction.  The "product-route" check compares the
-    two.
+    two.  The Mahonian and product-identity checks compare both sides
+    packed at q = 2^W (see _gjw_width); the polynomials are built only
+    to report a counterexample.
     """
     _require_positive(max_n=max_n)
     started = time.perf_counter()
@@ -269,7 +297,9 @@ def verify_gjw(max_n: int = 6, limit: int | None = None) -> SuiteReport:
                 }, started)
             for board in (base, base.plus_one()):
                 T = board.q_hit_census(limit)
-                if sum(T, QPoly()) != mahonian:
+                width = _gjw_width(board, T)
+                packed = [pack(t.coeffs, width) for t in T]
+                if sum(packed) != pack(mahonian.coeffs, width):
                     return _finish("gjw", bounds, {
                         "check": "mahonian",
                         "board": str(board),
@@ -280,18 +310,21 @@ def verify_gjw(max_n: int = 6, limit: int | None = None) -> SuiteReport:
                     factors = [x + h - i + 1 for i, h in enumerate(board.heights, 1)]
                     if any(f < 0 for f in factors):
                         continue
-                    lhs = prod((q_int(f) for f in factors), start=QPoly((1,)))
-                    rhs = QPoly()
-                    for k in range(n + 1):
-                        if x + k >= n:
-                            rhs = rhs + q_binom(x + k, n) * T[k]
+                    lhs = prod(q_int_at(f, 1 << width) for f in factors)
+                    rhs = sum(
+                        pack(q_binom(x + k, n).coeffs, width) * packed[k]
+                        for k in range(n - x, n + 1)
+                    )
                     if lhs != rhs:
                         return _finish("gjw", bounds, {
                             "check": "product-identity",
                             "board": str(board),
                             "x": x,
-                            "lhs": str(lhs),
-                            "rhs": str(rhs),
+                            "lhs": str(prod((q_int(f) for f in factors),
+                                            start=QPoly((1,)))),
+                            "rhs": str(sum((q_binom(x + k, n) * T[k]
+                                            for k in range(n - x, n + 1)),
+                                           QPoly())),
                         }, started)
                 solved = board.q_hit_numbers(limit)
                 if solved != T:

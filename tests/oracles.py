@@ -121,6 +121,15 @@ def q_weight_brute(perm, heights):
     return total
 
 
+def poly_mul_brute(a, b):
+    """Schoolbook product of two coefficient lists, lowest degree first."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def eulerian_brute(n, k):
     return sum(
         1

@@ -141,3 +141,11 @@ def test_criterion_9_applications():
         assert table == [120 * c for c in (0, 2, 3, 0, 0)]
 
     _criterion(9, "application identities", 30, body)
+
+
+def test_criterion_10_gjw_at_ten():
+    def body():
+        report = verify_gjw(max_n=10, limit=10)
+        assert report.passed, report.counterexample
+
+    _criterion(10, "product identity on the packed census, shapes up to 10", 3, body)

@@ -4,7 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qyt.qpoly import InexactDivisionError, QPoly, QTPoly, q_binom, q_fact, q_int
+from qyt.qpoly import (
+    InexactDivisionError,
+    QPoly,
+    QTPoly,
+    pack,
+    q_binom,
+    q_fact,
+    q_int,
+    unpack,
+)
+
+import oracles
 
 small_poly = st.lists(
     st.integers(min_value=-9, max_value=9), min_size=0, max_size=6
@@ -70,6 +81,41 @@ def test_exact_div_fails_loudly():
         QPoly((3,)).exact_div(QPoly((2,)))
     with pytest.raises(ZeroDivisionError):
         QPoly((1,)).exact_div(QPoly())
+
+
+def _smallest_width(coeffs):
+    """Fewest bits per slot that hold every coefficient with its sign."""
+    return max(map(abs, coeffs), default=0).bit_length() + 1
+
+
+def test_pack_unpack_round_trips_at_the_smallest_width():
+    for coeffs in [(), (0,), (1,), (5,), (-5,), (7, -7, 0, -7), (-3, 0, 7, -8),
+                   (0, 0, -1), (1, -1), (-1, 1), (2**70, -(2**70) + 1)]:
+        width = _smallest_width(coeffs)
+        got = QPoly(unpack(pack(coeffs, width), width))
+        assert got == QPoly(coeffs), (coeffs, width)
+    assert unpack(0, 1) == [0]
+    assert unpack(pack((-3, 0, 7, -8), 5), 5) == [-3, 0, 7, -8]
+    # one bit fewer and the top slot reads as a borrow
+    assert unpack(pack((7,), 3), 3) != [7]
+
+
+@given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=8))
+def test_pack_unpack_property(coeffs):
+    width = _smallest_width(coeffs)
+    assert QPoly(unpack(pack(coeffs, width), width)) == QPoly(coeffs)
+    assert QPoly(unpack(pack(coeffs, width + 7), width + 7)) == QPoly(coeffs)
+
+
+signed_poly = st.lists(
+    st.integers(min_value=-(2**35), max_value=2**35), min_size=0, max_size=12
+)
+
+
+@given(signed_poly, signed_poly)
+def test_mul_matches_schoolbook_oracle(a, b):
+    assert QPoly(a) * QPoly(b) == QPoly(oracles.poly_mul_brute(a, b))
+    assert (QPoly(a) * 3).coeffs == QPoly([3 * c for c in a]).coeffs
 
 
 @given(small_poly, small_poly, small_poly)

@@ -92,6 +92,36 @@ def test_gjw_catches_a_weight_moved_in_the_census(monkeypatch):
     assert report.counterexample["board"] == "n=3; heights=2,2,2"
 
 
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_gjw_catches_counts_that_cancel_at_the_honest_width(monkeypatch, sign):
+    # An honest census of board 2,2,2 needs W = bits(5 * 4 * 3) + 1 = 7
+    # bits per slot.  Moving 2^W out of (into) slot w = 0 and one unit
+    # into (out of) w = 1 leaves every value at q = 2^W unchanged, so a
+    # fixed width would miss both faults: a negative count (sign -1) and
+    # a count of 2^W or more (sign +1).
+    from math import prod
+
+    from qyt import _kernels
+
+    heights = (2, 2, 2)
+    width = prod(3 + h - i + 1 for i, h in enumerate(heights, 1)).bit_length() + 1
+    assert width == 7
+    census = _kernels.q_hit_census
+
+    def faulty(n, hs):
+        counts = census(n, hs)
+        if tuple(hs) == heights:
+            counts[2][0] += sign * 2**width
+            counts[2][1] -= sign
+        return counts
+
+    monkeypatch.setattr(_kernels, "q_hit_census", faulty)
+    report = verify_gjw(max_n=3)
+    assert report.status == "fail"
+    assert report.counterexample["check"] in ("mahonian", "product-identity")
+    assert report.counterexample["board"] == "n=3; heights=2,2,2"
+
+
 def _move_one_filling(monkeypatch, dd, dm):
     """Make the (des, maj) dynamic program report one standard filling of
     shape 2,1 at (des + dd, maj + dm), under every name verify reaches it
