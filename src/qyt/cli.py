@@ -16,6 +16,7 @@ import inspect
 import json
 import os
 import sys
+from typing import Callable
 
 from . import verify as verify_mod
 from .board import FerrersBoard
@@ -35,13 +36,16 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _emit(args, payload: dict, text: str, header: list[str], rows: list[list]) -> None:
+def _emit(args, payload: Callable[[], object], text: Callable[[], str],
+          header: list[str], rows: Callable[[], list[list]]) -> None:
+    """Print the output in args.format.  payload, text and rows are
+    zero-argument callables, so only the requested form is built."""
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     elif args.format == "csv":
-        print(_csv_text(header, rows))
+        print(_csv_text(header, rows()))
     else:
-        print(text)
+        print(text())
 
 
 def _shape(text: str) -> Partition:
@@ -65,10 +69,11 @@ def _cmd_count(args) -> int:
     else:
         mode, arg = "syt", None
         value = shape.hook_length_count()
-    payload = {"shape": str(shape), "mode": mode, "arg": arg, "count": value}
-    _emit(args, payload, str(value),
+    _emit(args,
+          lambda: {"shape": str(shape), "mode": mode, "arg": arg, "count": value},
+          lambda: str(value),
           ["shape", "mode", "arg", "count"],
-          [[str(shape), mode, "" if arg is None else arg, value]])
+          lambda: [[str(shape), mode, "" if arg is None else arg, value]])
     return 0
 
 
@@ -80,21 +85,21 @@ def _cmd_board(args) -> int:
     payload["shape"] = str(args.shape)
     if args.hits:
         numbers = board.hit_numbers(args.limit)
-        payload["hit_numbers"] = numbers
-        text = ",".join(str(v) for v in numbers)
-        header = ["k", "count"]
-        rows = [[k, v] for k, v in enumerate(numbers)]
+        _emit(args, lambda: {**payload, "hit_numbers": numbers},
+              lambda: ",".join(str(v) for v in numbers),
+              ["k", "count"],
+              lambda: [[k, v] for k, v in enumerate(numbers)])
     elif args.q_hits:
         polys = board.q_hit_numbers(args.limit)
-        payload["q_hit_numbers"] = [p.pairs() for p in polys]
-        text = "\n".join(f"T_{k} = {p}" for k, p in enumerate(polys))
-        header = ["k", "q_degree", "coeff"]
-        rows = [[k, d, c] for k, p in enumerate(polys) for d, c in p.pairs()]
+        _emit(args, lambda: {**payload, "q_hit_numbers": [p.pairs() for p in polys]},
+              lambda: "\n".join(f"T_{k} = {p}" for k, p in enumerate(polys)),
+              ["k", "q_degree", "coeff"],
+              lambda: [[k, d, c] for k, p in enumerate(polys) for d, c in p.pairs()])
     else:
-        text = ",".join(str(h) for h in board.heights)
-        header = ["column", "height"]
-        rows = [[i, h] for i, h in enumerate(board.heights, 1)]
-    _emit(args, payload, text, header, rows)
+        _emit(args, lambda: payload,
+              lambda: ",".join(str(h) for h in board.heights),
+              ["column", "height"],
+              lambda: [[i, h] for i, h in enumerate(board.heights, 1)])
     return 0
 
 
@@ -116,32 +121,42 @@ def _cmd_verify(args) -> int:
             kwargs["limit"] = args.limit
         reports.append(fn(**kwargs))
 
-    payload = [r.to_json() for r in reports]
-    lines = []
-    for r in reports:
-        bounds = ", ".join(f"{k}={v}" for k, v in r.bounds.items())
-        lines.append(f"{r.suite}: {r.status} ({bounds}; {r.ms} ms)")
-        if r.counterexample is not None:
-            lines.append(json.dumps(r.counterexample, sort_keys=True))
-    header = ["suite", "status", "ms", "counterexample"]
-    rows = [
-        [r.suite, r.status, r.ms,
-         "" if r.counterexample is None else json.dumps(r.counterexample, sort_keys=True)]
-        for r in reports
-    ]
-    _emit(args, payload if len(payload) > 1 else payload[0], "\n".join(lines), header, rows)
+    def text() -> str:
+        lines = []
+        for r in reports:
+            bounds = ", ".join(f"{k}={v}" for k, v in r.bounds.items())
+            lines.append(f"{r.suite}: {r.status} ({bounds}; {r.ms} ms)")
+            if r.counterexample is not None:
+                lines.append(json.dumps(r.counterexample, sort_keys=True))
+        return "\n".join(lines)
+
+    def payload():
+        blobs = [r.to_json() for r in reports]
+        return blobs if len(blobs) > 1 else blobs[0]
+
+    def rows() -> list[list]:
+        return [
+            [r.suite, r.status, r.ms,
+             "" if r.counterexample is None else json.dumps(r.counterexample, sort_keys=True)]
+            for r in reports
+        ]
+
+    _emit(args, payload, text, ["suite", "status", "ms", "counterexample"], rows)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_table(args) -> int:
     table = a_table(args.n)
-    payload = {"n": args.n, "a": table}
-    lines = ["k\\m " + " ".join(f"{m:>6}" for m in range(args.n + 1))]
-    for k, row in enumerate(table):
-        lines.append(f"{k:>3} " + " ".join(f"{c:>6}" for c in row))
-    header = ["k"] + [f"m{m}" for m in range(args.n + 1)]
-    rows = [[k] + row for k, row in enumerate(table)]
-    _emit(args, payload, "\n".join(lines), header, rows)
+
+    def text() -> str:
+        lines = ["k\\m " + " ".join(f"{m:>6}" for m in range(args.n + 1))]
+        for k, row in enumerate(table):
+            lines.append(f"{k:>3} " + " ".join(f"{c:>6}" for c in row))
+        return "\n".join(lines)
+
+    _emit(args, lambda: {"n": args.n, "a": table}, text,
+          ["k"] + [f"m{m}" for m in range(args.n + 1)],
+          lambda: [[k] + row for k, row in enumerate(table)])
     return 0
 
 
@@ -156,25 +171,25 @@ def _cmd_rsk(args) -> int:
     shape = P.shape
     des_q = sorted(Q.descent_set())
     des_p = sorted(P.descent_set())
-    payload = {
-        "word": format_word(word),
-        "shape": str(shape),
-        "P": str(P),
-        "Q": str(Q),
-        "des_P": des_p,
-        "des_Q": des_q,
-    }
-    text = "\n".join([
-        f"shape: {shape}",
-        f"P: {P}",
-        f"Q: {Q}",
-        f"Des(P): {{{','.join(str(d) for d in des_p)}}}",
-        f"Des(Q): {{{','.join(str(d) for d in des_q)}}}",
-    ])
-    header = ["word", "shape", "P", "Q", "des_P", "des_Q"]
-    rows = [[format_word(word), str(shape), str(P), str(Q),
-             " ".join(str(d) for d in des_p), " ".join(str(d) for d in des_q)]]
-    _emit(args, payload, text, header, rows)
+    _emit(args,
+          lambda: {
+              "word": format_word(word),
+              "shape": str(shape),
+              "P": str(P),
+              "Q": str(Q),
+              "des_P": des_p,
+              "des_Q": des_q,
+          },
+          lambda: "\n".join([
+              f"shape: {shape}",
+              f"P: {P}",
+              f"Q: {Q}",
+              f"Des(P): {{{','.join(str(d) for d in des_p)}}}",
+              f"Des(Q): {{{','.join(str(d) for d in des_q)}}}",
+          ]),
+          ["word", "shape", "P", "Q", "des_P", "des_Q"],
+          lambda: [[format_word(word), str(shape), str(P), str(Q),
+                    " ".join(str(d) for d in des_p), " ".join(str(d) for d in des_q)]])
     return 0
 
 
@@ -188,31 +203,32 @@ def _cmd_expand(args) -> int:
             raise ValueError("expand schur requires --shape")
         n_vars = args.vars if args.vars is not None else args.shape.size
         terms = schur_truncated(args.shape, n_vars).expand(n_vars)
-        payload = {
-            "shape": str(args.shape),
-            "vars": n_vars,
-            "terms": [{"exponents": list(exps), "coeff": c} for exps, c in terms],
-        }
-        lines = [f"{','.join(str(e) for e in exps)}: {c}" for exps, c in terms]
-        header = ["exponents", "coeff"]
-        rows = [[" ".join(str(e) for e in exps), c] for exps, c in terms]
-        _emit(args, payload, "\n".join(lines), header, rows)
+        _emit(args,
+              lambda: {
+                  "shape": str(args.shape),
+                  "vars": n_vars,
+                  "terms": [{"exponents": list(exps), "coeff": c} for exps, c in terms],
+              },
+              lambda: "\n".join(f"{','.join(str(e) for e in exps)}: {c}" for exps, c in terms),
+              ["exponents", "coeff"],
+              lambda: [[" ".join(str(e) for e in exps), c] for exps, c in terms])
         return 0
     if args.n is None:
         raise ValueError("expand genfun requires --n")
     expansion = gen_fn(args.n, with_q=not args.no_q)
-    payload = {"n": args.n, "q": not args.no_q, "schur": expansion.to_json()}
-    lines = [
-        f"{entry['partition']}: {_coeff_text(QTPoly({(q, t): c for q, t, c in entry['coeff']}))}"
-        for entry in expansion.to_json()
-    ]
-    header = ["partition", "q_degree", "t_degree", "coeff"]
-    rows = [
-        [entry["partition"], q, t, c]
-        for entry in expansion.to_json()
-        for q, t, c in entry["coeff"]
-    ]
-    _emit(args, payload, "\n".join(lines), header, rows)
+    _emit(args,
+          lambda: {"n": args.n, "q": not args.no_q, "schur": expansion.to_json()},
+          lambda: "\n".join(
+              f"{entry['partition']}: "
+              f"{_coeff_text(QTPoly({(q, t): c for q, t, c in entry['coeff']}))}"
+              for entry in expansion.to_json()
+          ),
+          ["partition", "q_degree", "t_degree", "coeff"],
+          lambda: [
+              [entry["partition"], q, t, c]
+              for entry in expansion.to_json()
+              for q, t, c in entry["coeff"]
+          ])
     return 0
 
 

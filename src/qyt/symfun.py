@@ -7,18 +7,22 @@ the monomial quasisymmetric functions M_alpha, alpha a composition of n
 variable count and has at most 2^(n-1) keys.  Restricting to x_1..x_N
 keeps the compositions with at most N parts (`MonomialMap.truncate`);
 `MonomialMap.expand` lists the monomials in N variables themselves.
+
+The coefficients of a Schur polynomial in that basis are Kostka numbers,
+counted by a dynamic program over Young's lattice that adds one
+horizontal strip per part (`schur_truncated`); no filling is built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .partition import Partition, as_partition, partitions
 from .perm import is_permutation, multiset_perms
 from .qpoly import QTPoly
-from .tableau import Tableau, _ssyt_rows, des_maj_counts
+from .tableau import Tableau, des_maj_counts
 
 
 def _as_qt(c):
@@ -116,21 +120,54 @@ class MonomialMap:
 
 def schur_truncated(shape, n_vars: int) -> MonomialMap:
     """Schur polynomial of `shape` in x_1..x_N: the coefficient of M_alpha
-    counts the semistandard fillings with content alpha.  Only fillings
-    whose content is packed (every value 1..l used, none above) are
-    counted, so the walk stops at entries min(N, size)."""
+    is the Kostka number K_{shape, alpha}, for every composition alpha of
+    the size with at most N parts.
+
+    K_{shape, alpha} counts the chains of sub-shapes from the empty one
+    to `shape` whose j-th step adds a horizontal strip of alpha_j cells
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.5).  A
+    dynamic program over composition prefixes keeps, for each prefix,
+    the number of chains ending at each sub-shape; appending a part a
+    grows each sub-shape nu by every strip of a cells inside `shape`,
+    nu_i <= mu_i <= min(shape_i, nu_(i-1)).  Every composition is
+    counted on its own; the symmetry of K in alpha is not assumed."""
+    if n_vars < 0:
+        raise ValueError("m must be nonnegative")
     parts = as_partition(shape).parts
     n = sum(parts)
     m = min(n_vars, n)
+    strips: dict[tuple[int, ...], dict[int, list[tuple[int, ...]]]] = {}
+
+    def grown(nu: tuple[int, ...]) -> dict[int, list[tuple[int, ...]]]:
+        """Strip size -> the sub-shapes mu that nu grows to by one strip."""
+        got = strips.get(nu)
+        if got is None:
+            got = strips[nu] = {}
+            size = sum(nu)
+            for mu in product(*(
+                range(v, min(p, cap) + 1)
+                for v, p, cap in zip(nu, parts, (parts[0],) + nu)
+            )):
+                got.setdefault(sum(mu) - size, []).append(mu)
+        return got
+
     counts: dict[tuple[int, ...], int] = {}
-    for rows in _ssyt_rows(parts, m):
-        exps = [0] * (m + 1)  # the last stays 0, ending every prefix
-        for row in rows:
-            for v in row:
-                exps[v - 1] += 1
-        alpha = tuple(exps[:exps.index(0)])
-        if sum(alpha) == n:
-            counts[alpha] = counts.get(alpha, 0) + 1
+    # (prefix, {sub-shape padded to len(parts): chains}, size of the prefix)
+    stack = [((), {(0,) * len(parts): 1}, 0)]
+    while stack:
+        alpha, chains, size = stack.pop()
+        if size == n:
+            counts[alpha] = chains[parts]  # the one sub-shape of size n
+            continue
+        if len(alpha) == m:
+            continue
+        for a in range(1, n - size + 1):
+            nxt: dict[tuple[int, ...], int] = {}
+            for nu, c in chains.items():
+                for mu in grown(nu).get(a, ()):
+                    nxt[mu] = nxt.get(mu, 0) + c
+            if nxt:
+                stack.append((alpha + (a,), nxt, size + a))
     return MonomialMap(counts)
 
 
@@ -185,8 +222,8 @@ def rsk(perm: Sequence[int]) -> tuple[Tableau, Tableau]:
     """
     if not is_permutation(perm):
         raise ValueError(f"not a permutation: {tuple(perm)}")
-    insertion, recording = _insert_word(perm)
-    return insertion, recording
+    insertion, recording = row_insert(perm)
+    return Tableau(insertion), Tableau(recording)
 
 
 def rsk_multiset(word: Sequence[int]) -> tuple[Tableau, Tableau]:
@@ -196,11 +233,16 @@ def rsk_multiset(word: Sequence[int]) -> tuple[Tableau, Tableau]:
     content."""
     if any(v < 1 for v in word):
         raise ValueError("word values must be positive")
-    insertion, recording = _insert_word(word)
-    return recording, insertion
+    insertion, recording = row_insert(word)
+    return Tableau(recording), Tableau(insertion)
 
 
-def _insert_word(word: Sequence[int]) -> tuple[Tableau, Tableau]:
+def row_insert(
+    word: Sequence[int],
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Row insertion of a word on plain rows, bottom to top: (insertion
+    rows, recording rows), unvalidated and building no Tableau, for
+    callers that only hash or measure the pair."""
     rows: list[list[int]] = []
     rec: list[list[int]] = []
     for step, x in enumerate(word, 1):
@@ -218,7 +260,7 @@ def _insert_word(word: Sequence[int]) -> tuple[Tableau, Tableau]:
                 break
             row[i], x = x, row[i]
             r += 1
-    return Tableau(rows), Tableau(rec)
+    return tuple(map(tuple, rows)), tuple(map(tuple, rec))
 
 
 class SchurExpansion:

@@ -7,8 +7,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import time
 
 from qyt.board import FerrersBoard
-from qyt.partition import Partition
+from qyt.partition import Partition, partitions
 from qyt.pnk import a_coeffs
+from qyt.symfun import schur_truncated
 from qyt.tableau import enumerate_ssyt, enumerate_syt, qyt_count_exact
 from qyt.verify import (
     jack_coefficient,
@@ -149,3 +150,11 @@ def test_criterion_10_gjw_at_ten():
         assert report.passed, report.counterexample
 
     _criterion(10, "product identity on the packed census, shapes up to 10", 3, body)
+
+
+def test_criterion_11_schur_coefficients_at_nine():
+    def body():
+        for lam in partitions(9):
+            assert schur_truncated(lam, 9).coefficient(lam.parts) == 1
+
+    _criterion(11, "Schur coefficients of every shape of 9 in 9 variables", 1, body)

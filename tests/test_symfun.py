@@ -18,7 +18,7 @@ from qyt.symfun import (
     rsk_multiset,
     schur_truncated,
 )
-from qyt.tableau import Tableau, enumerate_syt, kostka
+from qyt.tableau import Tableau, enumerate_ssyt, enumerate_syt, kostka
 
 import oracles
 
@@ -108,6 +108,42 @@ def test_schur_expansion_matches_brute_force_fillings():
             for n_vars in range(n + 2):
                 got = dict(schur_truncated(lam, n_vars).expand(n_vars))
                 assert got == _exponent_counts(oracles.ssyt_brute(lam.parts, n_vars), n_vars)
+
+
+def test_schur_truncated_matches_ssyt_content_tally():
+    # A filling with packed content alpha has largest entry len(alpha) <= n,
+    # so the fillings with entries at most n hold every packed content, and
+    # in N variables the ones with at most N parts count.
+    for n in range(9):
+        for lam in partitions(n):
+            tally = Counter()
+            for t in enumerate_ssyt(lam, n):
+                weight = t.weight(n) + (0,)
+                alpha = weight[:weight.index(0)]
+                if sum(alpha) == n:
+                    tally[alpha] += 1
+            for n_vars in range(n + 2):
+                want = {alpha: c for alpha, c in tally.items() if len(alpha) <= n_vars}
+                assert dict(schur_truncated(lam, n_vars).terms()) == want, (lam, n_vars)
+
+
+def _compositions(n):
+    for size in range(n):
+        for cuts in combinations(range(1, n), size):
+            bounds = (0, *cuts, n)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def test_schur_coefficients_are_symmetric_in_the_composition():
+    # K_{lam, alpha} = K_{lam, sort(alpha)}; schur_truncated counts every
+    # composition on its own and does not assume the symmetry
+    for n in range(1, 10):
+        compositions = list(_compositions(n))
+        for lam in partitions(n):
+            sch = schur_truncated(lam, n)
+            for alpha in compositions:
+                want = sch.coefficient(sorted(alpha, reverse=True))
+                assert sch.coefficient(alpha) == want, (lam, alpha)
 
 
 def test_fundamental_truncation_matches_brute_force_words():

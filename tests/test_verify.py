@@ -183,6 +183,34 @@ def test_genfun_checks_gen_fn_against_the_permutation_side(monkeypatch, dd, dm):
     assert report.counterexample == {"check": "fundamental", "n": 3}
 
 
+def test_genfun_catches_a_raised_schur_coefficient(monkeypatch):
+    import qyt.verify
+
+    true_schur = qyt.verify.schur_truncated
+
+    def faulty(shape, n_vars):
+        out = true_schur(shape, n_vars)
+        if Partition(shape) == Partition((2, 1)):
+            out.add_term((1, 1, 1), 1)
+        return out
+
+    monkeypatch.setattr(qyt.verify, "schur_truncated", faulty)
+    report = verify_genfun(max_n=3)
+    assert report.status == "fail"
+    assert report.counterexample["n"] == 3
+
+
+def test_genfun_checks_q1_against_the_path_counts(monkeypatch):
+    import qyt.verify
+
+    true_count = qyt.verify.qyt_count_via_pnk
+    monkeypatch.setattr(qyt.verify, "qyt_count_via_pnk",
+                        lambda shape, k: true_count(shape, k + 1))
+    report = verify_genfun(max_n=3)
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "q1-specialization", "shape": "1"}
+
+
 def test_report_shape():
     report = SuiteReport("demo", {"max_n": 3}, "fail", {"shape": "2,1"}, 12)
     assert not report.passed
