@@ -10,10 +10,7 @@ for fixed arguments and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import inspect
-import json
 import os
 import sys
 from typing import Callable
@@ -28,7 +25,17 @@ from .symfun import gen_fn, rsk, rsk_multiset, schur_truncated
 from .tableau import qyt_count_exact, qyt_counts
 
 
+# json and csv are imported only where a JSON, CSV or counterexample line
+# is written: every command is a fresh process, and most print text only.
+def _json_text(blob) -> str:
+    import json
+
+    return json.dumps(blob, sort_keys=True)
+
+
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -41,7 +48,7 @@ def _emit(args, payload: Callable[[], object], text: Callable[[], str],
     """Print the output in args.format.  payload, text and rows are
     zero-argument callables, so only the requested form is built."""
     if args.format == "json":
-        print(json.dumps(payload(), sort_keys=True))
+        print(_json_text(payload()))
     elif args.format == "csv":
         print(_csv_text(header, rows()))
     else:
@@ -105,21 +112,18 @@ def _cmd_board(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
+    max_n = args.max_n
+    if max_n is None and os.environ.get("QYT_MAX_N"):
+        max_n = int(os.environ["QYT_MAX_N"])
+    given = {"max_n": max_n, "seed": args.seed, "limit": args.limit}
     reports = []
     for name in names:
         fn = verify_mod.SUITES[name]
-        kwargs = {}
-        accepted = inspect.signature(fn).parameters
-        max_n = args.max_n
-        if max_n is None and os.environ.get("QYT_MAX_N"):
-            max_n = int(os.environ["QYT_MAX_N"])
-        if max_n is not None and "max_n" in accepted:
-            kwargs["max_n"] = max_n
-        if args.seed is not None and "seed" in accepted:
-            kwargs["seed"] = args.seed
-        if args.limit is not None and "limit" in accepted:
-            kwargs["limit"] = args.limit
-        reports.append(fn(**kwargs))
+        # a decorated suite (functools.wraps) keeps its own parameters on __wrapped__
+        code = getattr(fn, "__wrapped__", fn).__code__
+        accepted = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+        reports.append(fn(**{key: value for key, value in given.items()
+                             if value is not None and key in accepted}))
 
     def text() -> str:
         lines = []
@@ -127,7 +131,7 @@ def _cmd_verify(args) -> int:
             bounds = ", ".join(f"{k}={v}" for k, v in r.bounds.items())
             lines.append(f"{r.suite}: {r.status} ({bounds}; {r.ms} ms)")
             if r.counterexample is not None:
-                lines.append(json.dumps(r.counterexample, sort_keys=True))
+                lines.append(_json_text(r.counterexample))
         return "\n".join(lines)
 
     def payload():
@@ -137,7 +141,7 @@ def _cmd_verify(args) -> int:
     def rows() -> list[list]:
         return [
             [r.suite, r.status, r.ms,
-             "" if r.counterexample is None else json.dumps(r.counterexample, sort_keys=True)]
+             "" if r.counterexample is None else _json_text(r.counterexample)]
             for r in reports
         ]
 

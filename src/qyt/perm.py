@@ -120,11 +120,10 @@ def parse_word(text: str) -> Word:
     text = text.strip()
     if not text:
         return ()
-    if "," in text:
-        return tuple(int(piece) for piece in text.split(","))
-    if not text.isdigit():
+    pieces = text.split(",") if "," in text else text
+    if not all(piece.isdecimal() for piece in pieces):
         raise ValueError(f"cannot parse word: {text!r}")
-    return tuple(int(ch) for ch in text)
+    return tuple(int(piece) for piece in pieces)
 
 
 def format_word(word: Sequence[int]) -> str:

@@ -126,6 +126,12 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPoly()
+        # scaling by a constant is cheaper than a pack, a multiply and an unpack
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            c = a[0]
+            return QPoly([c * x for x in b])
         # each product coefficient is at most |a|_1 * |b|_1 in absolute
         # value, so it fits a slot of that many bits plus a sign bit
         width = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() + 1

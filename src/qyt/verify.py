@@ -16,10 +16,9 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from itertools import permutations as _all_perms
 from math import comb, factorial, prod
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .board import FerrersBoard
 from .partition import Partition, as_partition, partitions
@@ -53,8 +52,7 @@ from .tableau import (
 )
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """Outcome of one suite run."""
 
     suite: str
@@ -68,13 +66,7 @@ class SuiteReport:
         return self.status == "pass"
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "bounds": self.bounds,
-            "status": self.status,
-            "counterexample": self.counterexample,
-            "ms": self.ms,
-        }
+        return self._asdict()
 
 
 def _finish(name: str, bounds: dict, counterexample: dict | None, started: float) -> SuiteReport:

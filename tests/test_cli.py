@@ -1,9 +1,14 @@
 import csv
+import functools
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qyt
 from qyt import verify
 from qyt.cli import main
 from qyt.verify import SuiteReport
@@ -95,6 +100,29 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert '"shape": "2,1"' in out
 
 
+def test_wrapped_suite_gets_its_bounds(capsys, monkeypatch):
+    @functools.wraps(verify.verify_lattice)
+    def wrapped(*args, **kwargs):
+        return verify.verify_lattice(*args, **kwargs)
+
+    monkeypatch.setitem(verify.SUITES, "lattice", wrapped)
+    code, out = run(capsys, "verify", "lattice", "--max-n", "3", "--seed", "5",
+                    "--format", "json")
+    assert code == 0
+    assert json.loads(out)["bounds"] == {"max_n": 3, "points": 200, "seed": 5}
+
+
+def test_import_leaves_out_unused_stdlib_modules():
+    script = ("import sys; before = set(sys.modules); import qyt.cli; "
+              "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = os.path.dirname(os.path.dirname(qyt.__file__))  # the qyt under test
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    added = set(proc.stdout.split())
+    assert "qyt.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "json", "csv", "ast", "dis", "tokenize"})
+
+
 def test_table_a_coeffs(capsys):
     code, out = run(capsys, "table", "a-coeffs", "--n", "6", "--format", "json")
     assert code == 0
@@ -157,6 +185,15 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("word", ["1,,2", "1,2,", ",1", "1,a", "4a1"])
+def test_rsk_rejects_unparseable_words(capsys, word):
+    code = main(["rsk", word])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse word: {word!r}\n"
 
 
 @pytest.mark.parametrize("suite,bound", [("hit", "0"), ("polya", "-3"), ("lattice", "0")])

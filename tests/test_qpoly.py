@@ -118,6 +118,23 @@ def test_mul_matches_schoolbook_oracle(a, b):
     assert (QPoly(a) * 3).coeffs == QPoly([3 * c for c in a]).coeffs
 
 
+def _packed_product(a, b):
+    """a * b by one packed big-integer multiply, as QPoly.__mul__ forms
+    the product of two polynomials of two or more coefficients."""
+    width = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() + 1
+    return QPoly(unpack(pack(a, width) * pack(b, width), width))
+
+
+def test_constant_products_match_the_packed_route():
+    shifted_monomial = QPoly.term(5, -2)
+    for c in (0, 1, -3):
+        for p in (q_fact(6), QPoly((-4, 0, 9, -1)), shifted_monomial, QPoly((5,))):
+            want = _packed_product((c,), p.coeffs)
+            assert c * p == want and p * c == want, (c, p)
+            assert QPoly((c,)) * p == want and p * QPoly((c,)) == want, (c, p)
+    assert (-3 * shifted_monomial).coeffs == (0, 0, 0, 0, 0, 6)
+
+
 @given(small_poly, small_poly, small_poly)
 def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
