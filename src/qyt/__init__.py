@@ -16,6 +16,7 @@ from .pnk import (
     pnk_eval_ebasis,
     pnk_eval_paths,
     qyt_count_via_pnk,
+    qyt_counts_via_pnk,
 )
 from .qpoly import InexactDivisionError, QPoly, QTPoly, q_binom, q_fact, q_int
 from .symfun import (
@@ -92,6 +93,7 @@ __all__ = [
     "qyt_count_exact",
     "qyt_count_via_pnk",
     "qyt_counts",
+    "qyt_counts_via_pnk",
     "ribbon_rows",
     "rsk",
     "rsk_multiset",

@@ -38,7 +38,10 @@ class Partition:
         text = text.strip()
         if not text:
             return cls()
-        return cls(int(piece) for piece in text.split(","))
+        pieces = [piece.strip() for piece in text.split(",")]
+        if not all(piece.isdecimal() for piece in pieces):
+            raise ValueError(f"cannot parse shape: {text!r}")
+        return cls(int(piece) for piece in pieces)
 
     @property
     def size(self) -> int:
@@ -129,12 +132,27 @@ class Partition:
         """
         if m < 1:
             raise ValueError("m must be a positive integer")
-        count, rem = divmod(prod(m + c for c in self.contents()), self.hook_product())
-        if rem:
-            raise ArithmeticError(
-                f"non-integral hook-content product for {self!r}, m={m}"
-            )
-        return count
+        return self._hook_content_quotients((m,))[0]
+
+    def hook_content_counts(self, upto: int) -> list[int]:
+        """hook_content_count(m) for m = 1..upto, from one contents list
+        and one hook product."""
+        if upto < 0:
+            raise ValueError("upto must be nonnegative")
+        return self._hook_content_quotients(range(1, upto + 1))
+
+    def _hook_content_quotients(self, ms: Iterable[int]) -> list[int]:
+        contents = self.contents()
+        hooks = self.hook_product()
+        out = []
+        for m in ms:
+            count, rem = divmod(prod(m + c for c in contents), hooks)
+            if rem:
+                raise ArithmeticError(
+                    f"non-integral hook-content product for {self!r}, m={m}"
+                )
+            out.append(count)
+        return out
 
 
 def as_partition(shape) -> Partition:

@@ -168,23 +168,44 @@ def pnk_eval_ebasis(n: int, k: int, xs: Sequence[int]) -> int:
     return a_coeffs(n, k).eval(xs)
 
 
+def qyt_counts_via_pnk(shape) -> list[int]:
+    """counts[k] = quasi-Yamanouchi fillings of `shape` with largest entry
+    k + 1, for k = 0..n, each as P_{n,k}(contents) / hook product.
+
+    The contents, their elementary values e_0..e_n and the hook product
+    are computed once for all k; each P_{n,k} is then a dot product with
+    its row of e-basis coefficients.  The divisions are exact, and a
+    remainder raises.
+    """
+    shape = as_partition(shape)
+    n = shape.size
+    if n == 0:
+        raise ValueError("defined for nonempty shapes")
+    es = elementary_values(shape.contents(), n)
+    hooks = shape.hook_product()
+    counts = []
+    for k, row in enumerate(_coeff_rows(n)):
+        count, rem = divmod(sum(c * e for c, e in zip(row, es)), hooks)
+        if rem:
+            raise ArithmeticError(
+                f"hook product does not divide the path sum for {shape!r}, k={k}"
+            )
+        counts.append(count)
+    return counts
+
+
 def qyt_count_via_pnk(shape, k: int) -> int:
     """Count quasi-Yamanouchi fillings with largest entry k + 1 as
-    P_{n,k}(contents) / hook product; the division is exact, and a
-    remainder raises."""
+    P_{n,k}(contents) / hook product: entry k of qyt_counts_via_pnk, and
+    0 for k outside 0..n.  A caller that needs several k for one shape
+    reads that list once instead."""
     shape = as_partition(shape)
     n = shape.size
     if n == 0:
         raise ValueError("defined for nonempty shapes")
     if k < 0 or k > n:
         return 0
-    value = pnk_eval_ebasis(n, k, shape.contents())
-    count, rem = divmod(value, shape.hook_product())
-    if rem:
-        raise ArithmeticError(
-            f"hook product does not divide the path sum for {shape!r}, k={k}"
-        )
-    return count
+    return qyt_counts_via_pnk(shape)[k]
 
 
 def seeded_points(

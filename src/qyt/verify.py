@@ -30,7 +30,7 @@ from .pnk import (
     a_table,
     pnk_eval_ebasis,
     pnk_eval_paths,
-    qyt_count_via_pnk,
+    qyt_counts_via_pnk,
 )
 from .qpoly import QPoly, QTPoly, pack, q_binom, q_fact, q_int, q_int_at
 from .symfun import (
@@ -213,7 +213,7 @@ def verify_summation(max_n: int = 8) -> SuiteReport:
     for n in range(1, max_n + 1):
         for shape in partitions(n):
             counts = qyt_counts(shape)
-            ssyt = [shape.hook_content_count(m + 1) for m in range(n)]
+            ssyt = shape.hook_content_counts(n)
             for k in range(n):
                 rhs = sum(
                     comb(n + 1, k - m) * (-1) ** (k - m) * ssyt[m]
@@ -464,19 +464,21 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
     for n in range(1, max_n + 1):
         for shape in partitions(n):
             counts = qyt_counts(shape)
+            by_paths = qyt_counts_via_pnk(shape)
             for k in range(n + 1):
-                got = qyt_count_via_pnk(shape, k)
+                got = by_paths[k]
                 want = counts[k + 1] if k + 1 <= n else 0
                 if got != want:
                     return _finish("lattice", bounds, {
                         "check": "theorem", "shape": str(shape), "k": k,
                         "lhs": got, "rhs": want,
                     }, started)
-            total = sum(qyt_count_via_pnk(shape, k) for k in range(n + 1))
-            if total != shape.hook_length_count():
+            total = sum(by_paths)
+            syt = shape.hook_length_count()
+            if total != syt:
                 return _finish("lattice", bounds, {
                     "check": "hook-recovery", "shape": str(shape),
-                    "lhs": total, "rhs": shape.hook_length_count(),
+                    "lhs": total, "rhs": syt,
                 }, started)
 
     return _finish("lattice", bounds, None, started)
@@ -603,7 +605,7 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
                 return _finish("genfun", bounds, {
                     "check": "t1-specialization", "shape": str(shape),
                 }, started)
-            path_counts = QPoly([qyt_count_via_pnk(shape, k) for k in range(n)])
+            path_counts = QPoly(qyt_counts_via_pnk(shape)[:n])
             if with_q.coefficient(shape).at_q1() != path_counts:
                 return _finish("genfun", bounds, {
                     "check": "q1-specialization", "shape": str(shape),
@@ -640,7 +642,16 @@ def foulkes_multiplicity(n: int, k: int, shape) -> int:
         raise ValueError("shape size must equal n")
     if not 0 <= k <= n - 1:
         return 0
-    return sum(c for (d, _), c in des_maj_counts(shape) if d == n - 1 - k)
+    return _descent_tally(shape).get(n - 1 - k, 0)
+
+
+def _descent_tally(shape: Partition) -> dict[int, int]:
+    """des -> number of standard fillings of `shape` with that many
+    descents, from one read of the (des, maj) tally."""
+    out: dict[int, int] = {}
+    for (d, _), c in des_maj_counts(shape):
+        out[d] = out.get(d, 0) + c
+    return out
 
 
 def polya_dimension_check(n: int, m: int) -> bool:
@@ -662,16 +673,18 @@ def jack_coefficient(shape, k: int) -> int:
 
 
 def verify_foulkes(max_n: int = 7) -> SuiteReport:
-    """foulkes_multiplicity(n, k, shape) == QYT_{=n-k}(shape) everywhere."""
+    """foulkes_multiplicity(n, k, shape) == QYT_{=n-k}(shape) everywhere;
+    each shape's descent tally is read once for all k."""
     _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
         for shape in partitions(n):
             census = qyt_counts(shape)
+            by_des = _descent_tally(shape)
             for k in range(n):
-                got = foulkes_multiplicity(n, k, shape)
-                want = census[n - k] if 0 < n - k <= n else 0
+                got = by_des.get(n - 1 - k, 0)
+                want = census[n - k]
                 if got != want:
                     return _finish("foulkes", bounds, {
                         "shape": str(shape), "k": k,
@@ -700,19 +713,21 @@ def verify_jack(max_n: int = 6, limit: int | None = None) -> SuiteReport:
     for n in range(1, max_n + 1):
         for shape in partitions(n):
             conj = shape.conjugate()
+            path_counts = qyt_counts_via_pnk(conj)
+            conj_hooks = conj.hook_product()
             hit = FerrersBoard.from_partition(shape).hit_numbers(limit)
             for k in range(n):
                 got = jack_coefficient(shape, k)
-                by_paths = factorial(n) * qyt_count_via_pnk(conj, k)
+                by_paths = factorial(n) * path_counts[k]
                 if got != by_paths:
                     return _finish("jack", bounds, {
                         "check": "path-route", "shape": str(shape), "k": k,
                         "lhs": got, "rhs": by_paths,
                     }, started)
-                if got * conj.hook_product() != factorial(n) * hit[k]:
+                if got * conj_hooks != factorial(n) * hit[k]:
                     return _finish("jack", bounds, {
                         "check": "hit-route", "shape": str(shape), "k": k,
-                        "lhs": got * conj.hook_product(),
+                        "lhs": got * conj_hooks,
                         "rhs": factorial(n) * hit[k],
                     }, started)
     return _finish("jack", bounds, None, started)

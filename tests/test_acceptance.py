@@ -158,3 +158,13 @@ def test_criterion_11_schur_coefficients_at_nine():
             assert schur_truncated(lam, 9).coefficient(lam.parts) == 1
 
     _criterion(11, "Schur coefficients of every shape of 9 in 9 variables", 1, body)
+
+
+def test_criterion_12_per_shape_suites_at_twelve():
+    def body():
+        lattice = verify_lattice(max_n=12)
+        assert lattice.passed, lattice.counterexample
+        foulkes = verify_foulkes(max_n=12)
+        assert foulkes.passed, foulkes.counterexample
+
+    _criterion(12, "lattice and Foulkes suites, shapes up to 12", 1.5, body)

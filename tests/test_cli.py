@@ -196,6 +196,18 @@ def test_rsk_rejects_unparseable_words(capsys, word):
     assert captured.err == f"error: cannot parse word: {word!r}\n"
 
 
+@pytest.mark.parametrize("shape", ["3,,2", ",", "3,x", "3,2,"])
+def test_count_rejects_unparseable_shapes(capsys, shape):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--shape", shape, "--syt"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --shape: cannot parse shape: {shape!r}\n")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("suite,bound", [("hit", "0"), ("polya", "-3"), ("lattice", "0")])
 def test_verify_rejects_bounds_below_one(capsys, suite, bound):
     code = main(["verify", suite, "--max-n", bound])

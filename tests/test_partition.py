@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import combinations, product
 from math import factorial
@@ -154,6 +155,26 @@ def test_hook_content_count_matches_oracle():
             assert lam.hook_content_count(m) == want
             if m < len(lam):  # a column taller than m cannot be filled
                 assert want == 0
+
+
+def test_hook_content_row_matches_single_counts_and_oracle():
+    for lam in all_partitions_upto(6):
+        row = lam.hook_content_counts(6)
+        assert row == [lam.hook_content_count(m) for m in range(1, 7)]
+        assert row == [len(oracles.ssyt_brute(lam.parts, m)) for m in range(1, 7)]
+    assert Partition((2, 2)).hook_content_counts(0) == []
+    with pytest.raises(ValueError):
+        Partition((2, 2)).hook_content_counts(-1)
+
+
+@pytest.mark.parametrize("text", ["3,,2", ",", "3,x", "3,2,", "-1", "3, ,2"])
+def test_parse_rejects_bad_pieces(text):
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse shape: {text!r}")):
+        Partition.parse(text)
+
+
+def test_parse_allows_spaces_around_parts():
+    assert Partition.parse(" 3, 2 ") == Partition((3, 2))
 
 
 def test_partitions_iteration_order():

@@ -15,10 +15,11 @@ from qyt.pnk import (
     pnk_eval_ebasis,
     pnk_eval_paths,
     qyt_count_via_pnk,
+    qyt_counts_via_pnk,
     seeded_points,
 )
 from qyt.perm import eulerian
-from qyt.tableau import qyt_count_exact
+from qyt.tableau import qyt_count_exact, qyt_counts
 
 import oracles
 
@@ -169,6 +170,20 @@ def test_qyt_count_matches_census():
                 assert qyt_count_via_pnk(lam, k) == qyt_count_exact(lam, k + 1)
 
 
+def test_per_shape_counts_match_the_census():
+    for size in range(1, 10):
+        for lam in partitions(size):
+            assert qyt_counts_via_pnk(lam) == qyt_counts(lam)[1:] + [0], lam
+
+
+def test_per_shape_counts_match_the_oracle():
+    for size in range(1, 7):
+        for lam in partitions(size):
+            want = [len(oracles.qyt_exact_brute(lam.parts, k + 1))
+                    for k in range(size + 1)]
+            assert qyt_counts_via_pnk(lam) == want, lam
+
+
 def test_hook_length_recovery():
     for size in range(1, 8):
         for lam in partitions(size):
@@ -185,3 +200,5 @@ def test_argument_validation():
         pnk_eval_paths(3, 1, (1, 2))
     with pytest.raises(ValueError):
         qyt_count_via_pnk(Partition(()), 0)
+    with pytest.raises(ValueError):
+        qyt_counts_via_pnk(Partition(()))

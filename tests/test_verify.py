@@ -203,12 +203,68 @@ def test_genfun_catches_a_raised_schur_coefficient(monkeypatch):
 def test_genfun_checks_q1_against_the_path_counts(monkeypatch):
     import qyt.verify
 
-    true_count = qyt.verify.qyt_count_via_pnk
-    monkeypatch.setattr(qyt.verify, "qyt_count_via_pnk",
-                        lambda shape, k: true_count(shape, k + 1))
+    true_counts = qyt.verify.qyt_counts_via_pnk
+    monkeypatch.setattr(qyt.verify, "qyt_counts_via_pnk",
+                        lambda shape: true_counts(shape)[1:] + [0])
     report = verify_genfun(max_n=3)
     assert report.status == "fail"
     assert report.counterexample == {"check": "q1-specialization", "shape": "1"}
+
+
+@pytest.mark.parametrize("suite,check", [
+    (verify_lattice, "theorem"),
+    (verify_jack, "path-route"),
+])
+def test_suites_catch_a_path_count_moved_up_one_k(monkeypatch, suite, check):
+    import qyt.verify
+
+    true_counts = qyt.verify.qyt_counts_via_pnk
+
+    def faulty(shape):
+        counts = true_counts(shape)
+        if Partition(shape) == Partition((2, 1)):
+            k = next(k for k, c in enumerate(counts) if c)
+            counts[k] -= 1
+            counts[k + 1] += 1
+        return counts
+
+    monkeypatch.setattr(qyt.verify, "qyt_counts_via_pnk", faulty)
+    report = suite(max_n=3)
+    assert report.status == "fail"
+    assert report.counterexample["check"] == check
+    assert report.counterexample["shape"] == "2,1"
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    true_fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return true_fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_lattice_builds_the_elementary_values_once_per_shape(monkeypatch):
+    import qyt.pnk
+
+    calls = _count_calls(monkeypatch, qyt.pnk, "elementary_values")
+    report = verify_lattice(max_n=9, points=0)
+    assert report.passed, report.counterexample
+    shapes = sum(1 for n in range(1, 10) for _ in partitions(n))
+    assert shapes == 96
+    assert len(calls) == shapes
+
+
+def test_foulkes_reads_the_des_maj_tally_at_most_once_per_shape(monkeypatch):
+    import qyt.verify
+
+    calls = _count_calls(monkeypatch, qyt.verify, "des_maj_counts")
+    report = verify_foulkes(max_n=9)
+    assert report.passed, report.counterexample
+    assert len(calls) <= sum(1 for n in range(1, 10) for _ in partitions(n))
 
 
 def test_report_shape():
