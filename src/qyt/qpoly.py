@@ -228,6 +228,19 @@ def q_int_at(k: int, q: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
+def q_binom_at(a: int, b: int, q: int) -> int:
+    """[a choose b] evaluated at an integer q >= 2, as
+    prod_{i=1..b} (q^(a-b+i) - 1) / (q^i - 1); the quotient is exact
+    because the Gaussian binomial has integer coefficients."""
+    if not 0 <= b <= a:
+        raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
+    num = den = 1
+    for i in range(1, b + 1):
+        num *= q ** (a - b + i) - 1
+        den *= q**i - 1
+    return num // den
+
+
 def q_fact(k: int) -> QPoly:
     """[k]! = [1][2]...[k]."""
     out = QPoly((1,))

@@ -132,7 +132,7 @@ def schur_truncated(shape, n_vars: int) -> MonomialMap:
     nu_i <= mu_i <= min(shape_i, nu_(i-1)).  Every composition is
     counted on its own; the symmetry of K in alpha is not assumed."""
     if n_vars < 0:
-        raise ValueError("m must be nonnegative")
+        raise ValueError(f"n_vars must be nonnegative, got {n_vars}")
     parts = as_partition(shape).parts
     n = sum(parts)
     m = min(n_vars, n)
@@ -201,6 +201,29 @@ def fundamental_truncated(strict_at: Iterable[int], n: int, n_vars: int) -> Mono
             # b > a except at n = 0, whose only composition is ()
             out.add_term(tuple(b - a for a, b in zip(cuts, cuts[1:]) if b > a), 1)
     return out.truncate(n_vars)
+
+
+def fundamental_sums(coeffs: dict[int, object], n: int) -> MonomialMap:
+    """sum_D coeffs[D] F_D in degree n, each D a subset of [n-1] given as
+    a bitmask (bit j-1 for j).  F_D is the sum of M_T over the T
+    containing D, so the coefficient of M_T is the sum of coeffs[D] over
+    the D inside T: one subset-sum transform over the 2^(n-1) masks,
+    adding each bit in turn."""
+    size = 1 << max(n - 1, 0)
+    sums = [0] * size
+    for mask, c in coeffs.items():
+        sums[mask] = c
+    bit = 1
+    while bit < size:
+        for mask in range(size):
+            if mask & bit:
+                sums[mask] = sums[mask] + sums[mask ^ bit]
+        bit <<= 1
+    out = MonomialMap()
+    for mask, c in enumerate(sums):
+        cuts = [0, *(j for j in range(1, n) if mask >> (j - 1) & 1), n]
+        out.add_term(tuple(b - a for a, b in zip(cuts, cuts[1:]) if b > a), c)
+    return out
 
 
 def composition_descents(weight: Sequence[int]) -> set[int]:

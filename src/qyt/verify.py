@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
 from itertools import permutations as _all_perms
 from math import comb, factorial, prod
 from typing import Callable, NamedTuple
@@ -23,7 +22,7 @@ from typing import Callable, NamedTuple
 from .board import FerrersBoard
 from .partition import Partition, as_partition, partitions
 from .perm import descent_set as word_descents
-from .perm import inverse, multiset_perms, perms
+from .perm import perms
 from .pnk import (
     DEFAULT_SEED,
     a_coeffs,
@@ -32,10 +31,21 @@ from .pnk import (
     pnk_eval_paths,
     qyt_counts_via_pnk,
 )
-from .qpoly import QPoly, QTPoly, pack, q_binom, q_fact, q_int, q_int_at
+from .qpoly import (
+    QPoly,
+    QTPoly,
+    pack,
+    q_binom,
+    q_binom_at,
+    q_fact,
+    q_int,
+    q_int_at,
+    unpack,
+)
 from .symfun import (
     MonomialMap,
     composition_descents,
+    fundamental_sums,
     fundamental_truncated,
     gen_fn,
     monomial_truncated,
@@ -275,6 +285,7 @@ def verify_gjw(max_n: int = 6, limit: int | None = None) -> SuiteReport:
     _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n}
+    binoms: dict[tuple[int, int, int], int] = {}  # (a, n, width) -> [a choose n] packed
     for n in range(1, max_n + 1):
         mahonian = q_fact(n)
         for shape in partitions(n):
@@ -303,10 +314,12 @@ def verify_gjw(max_n: int = 6, limit: int | None = None) -> SuiteReport:
                     if any(f < 0 for f in factors):
                         continue
                     lhs = prod(q_int_at(f, 1 << width) for f in factors)
-                    rhs = sum(
-                        pack(q_binom(x + k, n).coeffs, width) * packed[k]
-                        for k in range(n - x, n + 1)
-                    )
+                    rhs = 0
+                    for k in range(n - x, n + 1):
+                        key = (x + k, n, width)
+                        if key not in binoms:
+                            binoms[key] = pack(q_binom(x + k, n).coeffs, width)
+                        rhs += binoms[key] * packed[k]
                     if lhs != rhs:
                         return _finish("gjw", bounds, {
                             "check": "product-identity",
@@ -488,9 +501,78 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
 # generating functions
 
 
-def _word_stats(words) -> QTPoly:
-    """sum of q^maj t^des over the words."""
-    return QTPoly(Counter((sum(d), len(d)) for d in map(word_descents, words)))
+def _inverse_descent_tally(n: int) -> dict[int, QTPoly]:
+    """Des(p^-1) as a bitmask (bit j-1 for j) -> sum of q^maj(p) t^des(p)
+    over the permutations p of S_n with that inverse descent set.
+
+    The values are placed left to right, p(1) first.  The state is the
+    set of values already placed and the last of them; it carries a
+    tally of those partial permutations by the part of Des(p^-1) they
+    fix.  j is in Des(p^-1) iff j + 1 comes before j in p, so placing y
+    puts y - 1 in it exactly when y - 1 is still unplaced; and placing y
+    after a larger value x at position i makes i a descent of p.
+
+    As in the census (_kernels.q_hit_census), each tally is one packed
+    int whose slot des * (maxmaj + 1) + maj, of width bits(n!) + 1, holds
+    a count, so a step is one shift and one add; no count exceeds n!.
+    """
+    maxmaj = n * (n - 1) // 2
+    width = factorial(n).bit_length() + 1
+    descent = (maxmaj + 1) * width
+    layer: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
+    for i in range(n):
+        nxt: dict[tuple[int, int], dict[int, int]] = {}
+        for (placed, last), tally in layer.items():
+            for y in range(1, n + 1):
+                bit = 1 << (y - 1)
+                if placed & bit:
+                    continue
+                shift = descent + i * width if last > y else 0
+                below = bit >> 1 if y > 1 and not placed & (bit >> 1) else 0
+                out = nxt.setdefault((placed | bit, y), {})
+                for mask, packed in tally.items():
+                    key = mask | below
+                    out[key] = out.get(key, 0) + (packed << shift)
+        layer = nxt
+    total: dict[int, int] = {}
+    for tally in layer.values():
+        for mask, packed in tally.items():
+            total[mask] = total.get(mask, 0) + packed
+    return {
+        mask: QTPoly(((s % (maxmaj + 1), s // (maxmaj + 1)), c)
+                     for s, c in enumerate(unpack(packed, width)) if c)
+        for mask, packed in total.items()
+    }
+
+
+def _content_tally(parts: tuple[int, ...]) -> QTPoly:
+    """sum of q^maj t^des over the words in which the value i appears
+    parts[i-1] times, by MacMahon's closed form (Combinatory Analysis,
+    1915): with n = sum(parts),
+
+        sum_w t^des q^maj  =  prod_{i=0..n} (1 - t q^i)
+                              * sum_{k>=0} t^k prod_j [parts_j + k choose parts_j].
+
+    By the q-binomial theorem the product is sum_j (-1)^j q^C(j,2)
+    [n+1 choose j] t^j, so the coefficient of t^d is
+    sum_{k<=d} (-1)^(d-k) q^C(d-k,2) [n+1 choose d-k] P_k with
+    P_k = prod_j [parts_j + k choose parts_j].  It is evaluated at
+    q = 2^W: evaluation is a ring map, so only the result has to fit a
+    slot, and each of its coefficients is at most the multinomial
+    coefficient, at most n! < 2^(W-1) for W = bits(n!) + 1.
+    """
+    n = sum(parts)
+    width = factorial(n).bit_length() + 1
+    q = 1 << width
+    P = [prod(q_binom_at(a + k, a, q) for a in parts) for k in range(n)]
+    E = [(-1) ** j * q ** comb(j, 2) * q_binom_at(n + 1, j, q) for j in range(n)]
+    terms = {}
+    for d in range(n):
+        value = sum(E[d - k] * P[k] for k in range(d + 1))
+        for mj, c in enumerate(unpack(value, width)):
+            if c:
+                terms[(mj, d)] = c
+    return QTPoly(terms)
 
 
 def verify_genfun(max_n: int = 5) -> SuiteReport:
@@ -500,28 +582,33 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
     triangularity against Kostka numbers, the t = 1 specialization
     against the q-hook formula and the q = 1 one against the path
     counts.  Expansions keep every composition of n, which is lossless
-    in degree n."""
+    in degree n.
+
+    Each side is built from a tally, not by listing words.  The
+    fundamental side tallies S_n by (Des(p^-1), maj, des) with the
+    placed-set program (_inverse_descent_tally) and the monomial side
+    each partition content by MacMahon's closed form (_content_tally);
+    fundamental_sums turns a tally by descent set into the monomial
+    basis by one subset-sum transform.  The Kostka numbers of the lemma
+    and of triangularity come from one table per n, filled by the cell
+    backtracker tableau.kostka.  The truncated-fundamental check still
+    walks the standard fillings and destandardizes each."""
     _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
+        shapes = list(partitions(n))
         with_q = gen_fn(n, with_q=True)
-        schur = {shape: schur_truncated(shape, n) for shape in partitions(n)}
+        schur = {shape: schur_truncated(shape, n) for shape in shapes}
         rhs = sum((sch.scale(with_q.coefficient(s)) for s, sch in schur.items()),
                   MonomialMap())
 
-        # S_n side, grouped by Des(p^-1) before any F is expanded.
-        groups: dict[tuple[int, ...], list] = {}
-        for p in perms(n):
-            groups.setdefault(tuple(sorted(word_descents(inverse(p)))), []).append(p)
-        lhs = sum((fundamental_truncated(d, n, n).scale(_word_stats(g))
-                   for d, g in groups.items()), MonomialMap())
-        if lhs != rhs:
+        if fundamental_sums(_inverse_descent_tally(n), n) != rhs:
             return _finish("genfun", bounds, {
                 "check": "fundamental", "n": n,
             }, started)
 
-        words = {s: _word_stats(multiset_perms(s.parts)) for s in partitions(n)}
+        words = {s: _content_tally(s.parts) for s in shapes}
         lhs = sum((monomial_truncated(s, n).scale(c) for s, c in words.items()),
                   MonomialMap())
         if lhs != rhs:
@@ -529,12 +616,12 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
                 "check": "monomial", "n": n,
             }, started)
 
+        K = {(nu, lam): kostka(nu, lam) for nu in shapes for lam in shapes}
         for shape, lhs_poly in words.items():
             rhs_poly = QTPoly()
-            for nu in partitions(n):
-                if not nu.dominates(shape):
-                    continue
-                rhs_poly = rhs_poly + kostka(nu, shape) * with_q.coefficient(nu)
+            for nu in shapes:
+                if nu.dominates(shape):
+                    rhs_poly = rhs_poly + K[nu, shape] * with_q.coefficient(nu)
             if lhs_poly != rhs_poly:
                 return _finish("genfun", bounds, {
                     "check": "kostka-lemma", "shape": str(shape),
@@ -550,7 +637,7 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
                 }, started)
             pairs.add((P, Q))
         expected_pairs = sum(
-            shape.hook_length_count() ** 2 for shape in partitions(n)
+            shape.hook_length_count() ** 2 for shape in shapes
         )
         if len(pairs) != factorial(n) or expected_pairs != factorial(n):
             return _finish("genfun", bounds, {
@@ -558,34 +645,44 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
                 "distinct_pairs": len(pairs), "squares_sum": expected_pairs,
             }, started)
 
-        for shape in partitions(n):
-            fillings = []
+        for shape in shapes:
+            # weight -> (first filling of that weight, how many have it)
+            weights: dict[tuple[int, ...], list] = {}
             for t in enumerate_syt(shape):
                 qyt = t.destandardize()
-                f = fundamental_truncated(composition_descents(qyt.weight()), n, n)
-                fillings.append((qyt, f))
-            for n_vars in range(1, n + 1):
-                acc = MonomialMap()
-                for qyt, f in fillings:
-                    if qyt.max_entry > n_vars:
-                        continue
-                    f = f.truncate(n_vars)
-                    if not f:
-                        return _finish("genfun", bounds, {
-                            "check": "nonzero-terms", "shape": str(shape),
-                            "vars": n_vars, "filling": str(qyt),
-                        }, started)
-                    acc = acc + f
-                if acc != schur[shape].truncate(n_vars):
-                    return _finish("genfun", bounds, {
-                        "check": "truncated-fundamental", "shape": str(shape),
-                        "vars": n_vars,
-                    }, started)
+                seen = weights.setdefault(qyt.weight(), [qyt, 0])
+                seen[1] += 1
+            # F_D vanishes in fewer than |D| + 1 = max_entry variables, so
+            # a filling first counts at N = its max_entry; the smallest N
+            # at which a term is empty or the sums differ is reported.
+            empty = {}
+            tally = {}
+            for weight, (qyt, count) in weights.items():
+                strict = composition_descents(weight)
+                if not fundamental_truncated(strict, n, n).truncate(qyt.max_entry):
+                    empty.setdefault(qyt.max_entry, qyt)
+                tally[sum(1 << (j - 1) for j in strict)] = count
+            sums = fundamental_sums(tally, n)
+            differs = n + 1
+            if sums != schur[shape]:
+                differs = next(
+                    n_vars for n_vars in range(1, n + 1)
+                    if sums.truncate(n_vars) != schur[shape].truncate(n_vars))
+            if empty and min(empty) <= differs:
+                return _finish("genfun", bounds, {
+                    "check": "nonzero-terms", "shape": str(shape),
+                    "vars": min(empty), "filling": str(empty[min(empty)]),
+                }, started)
+            if differs <= n:
+                return _finish("genfun", bounds, {
+                    "check": "truncated-fundamental", "shape": str(shape),
+                    "vars": differs,
+                }, started)
 
         for nu, sch in schur.items():
-            for lam in partitions(n):
+            for lam in shapes:
                 got = sch.coefficient(lam.parts)
-                want = kostka(nu, lam)
+                want = K[nu, lam]
                 if got != want or (want and not nu.dominates(lam)):
                     return _finish("genfun", bounds, {
                         "check": "triangularity",
@@ -597,7 +694,7 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
                     "check": "triangularity-leading", "shape": str(nu),
                 }, started)
 
-        for shape in partitions(n):
+        for shape in shapes:
             # q-hook formula: sum of q^maj = q^n(shape) [n]! / prod [h(u)]
             hooks_poly = prod((q_int(h) for h in shape.hooks()), start=QPoly((1,)))
             q_hook = q_fact(n).shift(shape.n_stat()).exact_div(hooks_poly)
@@ -706,18 +803,20 @@ def verify_polya(max_n: int = 6, max_m: int = 5) -> SuiteReport:
 
 def verify_jack(max_n: int = 6, limit: int | None = None) -> SuiteReport:
     """The labeled coefficients against the two independent routes: the
-    lattice-path count of the conjugate shape and the hit numbers."""
+    lattice-path count of the conjugate shape and the hit numbers.  Each
+    shape's quasi-Yamanouchi counts are read once for all k."""
     _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
         for shape in partitions(n):
             conj = shape.conjugate()
+            counts = qyt_counts(conj)
             path_counts = qyt_counts_via_pnk(conj)
             conj_hooks = conj.hook_product()
             hit = FerrersBoard.from_partition(shape).hit_numbers(limit)
             for k in range(n):
-                got = jack_coefficient(shape, k)
+                got = factorial(n) * counts[k + 1]  # jack_coefficient(shape, k)
                 by_paths = factorial(n) * path_counts[k]
                 if got != by_paths:
                     return _finish("jack", bounds, {

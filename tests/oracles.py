@@ -7,6 +7,7 @@ definitions.  Expected values frozen into the tests were produced by
 these oracles.
 """
 
+from collections import Counter
 from itertools import combinations_with_replacement, permutations
 
 
@@ -151,3 +152,27 @@ def kostka_brute(parts, weight, m=None):
         if tuple(counts) == weight + (0,) * (m - len(weight)):
             hit += 1
     return hit
+
+
+def word_stats_brute(content):
+    """Counter of (maj, des) over the distinct words in which the value i
+    appears content[i-1] times, listed as the distinct rearrangements of
+    one such word."""
+    letters = [v for v, c in enumerate(content, 1) for _ in range(c)]
+    out = Counter()
+    for w in set(permutations(letters)):
+        ds = [i for i in range(1, len(w)) if w[i - 1] > w[i]]
+        out[(sum(ds), len(ds))] += 1
+    return out
+
+
+def inverse_descent_brute(n):
+    """Des(p^-1) -> Counter of (maj(p), des(p)) over S_n, where j is an
+    inverse descent of p when j + 1 stands left of j."""
+    out = {}
+    for p in permutations(range(1, n + 1)):
+        where = {v: i for i, v in enumerate(p)}
+        inv = frozenset(j for j in range(1, n) if where[j + 1] < where[j])
+        ds = [i for i in range(1, n) if p[i - 1] > p[i]]
+        out.setdefault(inv, Counter())[(sum(ds), len(ds))] += 1
+    return out

@@ -168,3 +168,11 @@ def test_criterion_12_per_shape_suites_at_twelve():
         assert foulkes.passed, foulkes.counterexample
 
     _criterion(12, "lattice and Foulkes suites, shapes up to 12", 1.5, body)
+
+
+def test_criterion_13_generating_functions_at_eight():
+    def body():
+        report = verify_genfun(max_n=8)
+        assert report.passed, report.counterexample
+
+    _criterion(13, "generating-function expansions, degree up to 8", 2, body)

@@ -208,6 +208,15 @@ def test_count_rejects_unparseable_shapes(capsys, shape):
     assert "Traceback" not in captured.err
 
 
+def test_expand_schur_names_vars_in_its_error(capsys):
+    code = main(["expand", "schur", "--shape", "2,1", "--vars", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "vars" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("suite,bound", [("hit", "0"), ("polya", "-3"), ("lattice", "0")])
 def test_verify_rejects_bounds_below_one(capsys, suite, bound):
     code = main(["verify", suite, "--max-n", bound])

@@ -10,6 +10,7 @@ from qyt.qpoly import (
     QTPoly,
     pack,
     q_binom,
+    q_binom_at,
     q_fact,
     q_int,
     unpack,
@@ -179,3 +180,12 @@ def test_qtpoly_str():
     assert str(QTPoly({(3, 2): 1})) == "q^3 t^2"
     assert str(QTPoly({(0, 1): 2, (0, 2): 3})) == "2 t + 3 t^2"
     assert str(QTPoly()) == "0"
+
+
+def test_q_binom_at_evaluates_the_gaussian_binomial():
+    for a in range(10):
+        for b in range(a + 1):
+            for q in (2, 3, 1 << 7):
+                assert q_binom_at(a, b, q) == q_binom(a, b)(q)
+    with pytest.raises(ValueError):
+        q_binom_at(2, 3, 2)

@@ -11,6 +11,7 @@ from qyt.symfun import (
     MonomialMap,
     SchurExpansion,
     composition_descents,
+    fundamental_sums,
     fundamental_truncated,
     gen_fn,
     monomial_truncated,
@@ -45,8 +46,20 @@ def test_schur_truncated_small_cases():
         {(2, 1): 1, (1, 2): 1, (1, 1, 1): 2}
     )
     assert schur_truncated("2,1", 3) == schur_truncated(Partition((2, 1)), 3)
-    with pytest.raises(ValueError, match="m must be nonnegative"):
+    with pytest.raises(ValueError, match="n_vars must be nonnegative, got -1"):
         schur_truncated(Partition((2, 1)), -1)
+
+
+def test_fundamental_sums_is_the_sum_of_fundamentals():
+    for n in range(1, 7):
+        for mask in range(1 << (n - 1)):
+            strict = {j for j in range(1, n) if mask >> (j - 1) & 1}
+            assert fundamental_sums({mask: 1}, n) == fundamental_truncated(strict, n, n)
+    coeffs = {0b001: 2, 0b101: QTPoly.term(1, 2), 0b110: -3}
+    want = (fundamental_truncated({1}, 4, 4).scale(2)
+            + fundamental_truncated({1, 3}, 4, 4).scale(QTPoly.term(1, 2))
+            + fundamental_truncated({2, 3}, 4, 4).scale(-3))
+    assert fundamental_sums(coeffs, 4) == want
 
 
 def test_fundamental_small_cases():

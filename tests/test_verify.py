@@ -5,6 +5,7 @@ import pytest
 
 from qyt.partition import Partition, partitions
 from qyt.tableau import Tableau, enumerate_syt, qyt_count_exact
+from qyt.qpoly import QTPoly
 from qyt.verify import (
     SUITES,
     SuiteReport,
@@ -24,6 +25,8 @@ from qyt.verify import (
     verify_polya,
     verify_summation,
 )
+
+import oracles
 
 
 # Suites at reduced bounds, to exercise the machinery quickly; the
@@ -265,6 +268,120 @@ def test_foulkes_reads_the_des_maj_tally_at_most_once_per_shape(monkeypatch):
     report = verify_foulkes(max_n=9)
     assert report.passed, report.counterexample
     assert len(calls) <= sum(1 for n in range(1, 10) for _ in partitions(n))
+
+
+def test_jack_reads_the_des_maj_tally_at_most_once_per_shape(monkeypatch):
+    import qyt.tableau
+
+    calls = _count_calls(monkeypatch, qyt.tableau, "des_maj_counts")
+    report = verify_jack(max_n=9)
+    assert report.passed, report.counterexample
+    assert len(calls) <= sum(1 for n in range(1, 10) for _ in partitions(n))
+
+
+def test_content_tally_matches_the_word_listing():
+    from qyt.verify import _content_tally
+
+    for n in range(1, 8):
+        for shape in partitions(n):
+            want = QTPoly(oracles.word_stats_brute(shape.parts))
+            assert _content_tally(shape.parts) == want, shape
+
+
+def test_inverse_descent_tally_matches_an_s_n_sweep():
+    from qyt.verify import _inverse_descent_tally
+
+    for n in range(1, 8):
+        want = {
+            sum(1 << (j - 1) for j in inv): QTPoly(c)
+            for inv, c in oracles.inverse_descent_brute(n).items()
+        }
+        assert _inverse_descent_tally(n) == want, n
+
+
+def test_genfun_catches_a_maj_moved_in_one_content(monkeypatch):
+    import qyt.verify
+
+    true_tally = qyt.verify._content_tally
+
+    def faulty(parts):
+        tally = true_tally(parts)
+        if parts == (2, 1):
+            (mj, d), _ = sorted(tally.coeffs.items())[0]
+            tally = tally - QTPoly.term(mj, d) + QTPoly.term(mj + 1, d)
+        return tally
+
+    monkeypatch.setattr(qyt.verify, "_content_tally", faulty)
+    report = verify_genfun(max_n=4)
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "monomial", "n": 3}
+
+
+@pytest.mark.parametrize("dd,dm", [(1, 0), (0, 1)])
+def test_genfun_catches_an_entry_moved_in_the_placed_set_tally(monkeypatch, dd, dm):
+    import qyt.verify
+
+    true_tally = qyt.verify._inverse_descent_tally
+
+    def faulty(n):
+        tally = true_tally(n)
+        if n == 4:
+            mask = max(tally)
+            (mj, d), _ = sorted(tally[mask].coeffs.items())[0]
+            tally[mask] = (tally[mask] - QTPoly.term(mj, d)
+                           + QTPoly.term(mj + dm, d + dd))
+        return tally
+
+    monkeypatch.setattr(qyt.verify, "_inverse_descent_tally", faulty)
+    report = verify_genfun(max_n=5)
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "fundamental", "n": 4}
+
+
+@pytest.mark.parametrize("nu,lam,check,shape", [
+    ((2, 1), (1, 1, 1), "kostka-lemma", "1,1,1"),   # read by the lemma
+    ((1, 1, 1), (2, 1), "triangularity", "1,1,1"),  # nu does not dominate lam
+])
+def test_genfun_catches_a_raised_kostka_number(monkeypatch, nu, lam, check, shape):
+    import qyt.verify
+
+    true_kostka = qyt.verify.kostka
+
+    def faulty(shape, weight):
+        k = true_kostka(shape, weight)
+        return k + 1 if (shape.parts, weight.parts) == (nu, lam) else k
+
+    monkeypatch.setattr(qyt.verify, "kostka", faulty)
+    report = verify_genfun(max_n=4)
+    assert report.status == "fail"
+    assert report.counterexample["check"] == check
+    assert report.counterexample["shape"] == shape
+
+
+def test_genfun_lists_no_words_and_builds_each_kostka_number_once(monkeypatch):
+    import qyt.perm
+    import qyt.symfun
+    import qyt.verify
+
+    listed = []
+    true_multiset_perms = qyt.perm.multiset_perms
+
+    def counted(content):
+        for word in true_multiset_perms(content):
+            listed.append(word)
+            yield word
+
+    for module in (qyt.perm, qyt.symfun, qyt.verify):
+        monkeypatch.setattr(module, "multiset_perms", counted, raising=False)
+    perm_calls = _count_calls(monkeypatch, qyt.verify, "perms")
+    kostka_calls = _count_calls(monkeypatch, qyt.verify, "kostka")
+    report = verify_genfun(max_n=6)
+    assert report.passed, report.counterexample
+    # only monomial_truncated lists words: the distinct rearrangements of
+    # each partition's parts, that is every composition of n once
+    assert len(listed) == sum(2 ** (n - 1) for n in range(1, 7))
+    assert perm_calls == [(n,) for n in range(1, 7)]
+    assert len(kostka_calls) == len(set(kostka_calls))
 
 
 def test_report_shape():
