@@ -17,7 +17,8 @@ packed integer (qpoly.pack) and [f] is (Q^f - 1) / (Q - 1); T_0..T_n are
 unpacked once at the end.  The route that does not assume the identity
 is q_hit_census, a dynamic program over the rows occupied column by
 column (no sweep over S_n); the gjw suite checks the identity against
-it.
+it.  Neither route caps the board size: the solve takes polynomial time
+and the census visits 2^n row sets.
 """
 
 from __future__ import annotations
@@ -29,14 +30,6 @@ from typing import Callable, Sequence
 from . import _kernels
 from .partition import Partition
 from .qpoly import QPoly, pack, q_binom, q_int_at, unpack
-
-#: Default cap on the board size n of every hit-number computation; pass
-#: an explicit limit to go beyond it.  Neither route needs it any more (the
-#: census visits 2^n row sets, not n! permutations), but it stays until a
-#: benchmark change moves the `board --shape 4,3,2,1,1 --hits` operation,
-#: which expects it to refuse n = 10.
-BRUTE_FORCE_LIMIT = 9
-
 
 def _solve_product_identity(heights, factor: Callable, binom: Callable) -> list:
     """T_0..T_n from prod_i factor(x + h_i - i + 1) == sum_k binom(x + k, n) T_k.
@@ -134,13 +127,12 @@ class FerrersBoard:
     def q_weight(self, perm: Sequence[int]) -> int:
         return sum(self.q_weight_columns(perm))
 
-    def hit_numbers(self, limit: int | None = None) -> list[int]:
+    def hit_numbers(self) -> list[int]:
         """h_0..h_n, where h_k counts the permutations with exactly k hits,
         by the product identity at q = 1."""
-        self._check_limit(limit)
         return _solve_product_identity(self.heights, int, comb)
 
-    def q_hit_numbers(self, limit: int | None = None) -> list[QPoly]:
+    def q_hit_numbers(self) -> list[QPoly]:
         """T_0..T_n, where T_k collects q^(q-weight) over the permutations
         with exactly k hits, by the product identity at q = 2^width.
 
@@ -148,7 +140,6 @@ class FerrersBoard:
         T_k has nonnegative coefficients summing to h_k <= n!, so a width
         of bits(n!) plus a sign bit lets unpack read T_k back.
         """
-        self._check_limit(limit)
         width = factorial(self.n).bit_length() + 1
         T = _solve_product_identity(
             self.heights,
@@ -157,26 +148,18 @@ class FerrersBoard:
         )
         return [QPoly(unpack(t, width)) for t in T]
 
-    def q_hit_census(self, limit: int | None = None) -> list[QPoly]:
-        """T_0..T_n by the census of _kernels.q_hit_census, which counts
-        the permutations of S_n column by column without assuming the
+    def q_hit_census(self) -> list[QPoly]:
+        """T_0..T_n by the census of _kernels.q_hit_census, a dynamic
+        program over the sets of rows the first columns occupy: it visits
+        2^n row sets, not the n! permutations, and does not assume the
         product identity, so only the gjw suite, which tests that
         identity, should use it."""
-        self._check_limit(limit)
         rows = _kernels.q_hit_census(self.n, self.heights)
         return [QPoly(row) for row in rows]
 
     def _check_perm(self, perm) -> None:
         if len(perm) != self.n or sorted(perm) != list(range(1, self.n + 1)):
             raise ValueError(f"expected a permutation of 1..{self.n}")
-
-    def _check_limit(self, limit) -> None:
-        cap = BRUTE_FORCE_LIMIT if limit is None else limit
-        if self.n > cap:
-            raise ValueError(
-                f"board size {self.n} exceeds the cap {cap}; "
-                "pass a larger limit explicitly to override"
-            )
 
     def __eq__(self, other) -> bool:
         return (

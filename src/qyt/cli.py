@@ -24,6 +24,10 @@ from .qpoly import QTPoly
 from .symfun import gen_fn, rsk, rsk_multiset, schur_truncated
 from .tableau import qyt_count_exact, qyt_counts
 
+#: Largest board size n that `board --hits` and `board --q-hits` accept
+#: unless --limit raises it.  The library itself takes any size.
+BOARD_SIZE_CAP = 9
+
 
 # json and csv are imported only where a JSON, CSV or counterexample line
 # is written: every command is a fresh process, and most print text only.
@@ -88,16 +92,20 @@ def _cmd_board(args) -> int:
     board = FerrersBoard.from_partition(args.shape)
     if args.plus_one:
         board = board.plus_one()
+    cap = BOARD_SIZE_CAP if args.limit is None else args.limit
+    if (args.hits or args.q_hits) and board.n > cap:
+        raise ValueError(f"board size {board.n} exceeds the cap {cap}; "
+                         "pass a larger limit explicitly to override")
     payload = board.to_json()
     payload["shape"] = str(args.shape)
     if args.hits:
-        numbers = board.hit_numbers(args.limit)
+        numbers = board.hit_numbers()
         _emit(args, lambda: {**payload, "hit_numbers": numbers},
               lambda: ",".join(str(v) for v in numbers),
               ["k", "count"],
               lambda: [[k, v] for k, v in enumerate(numbers)])
     elif args.q_hits:
-        polys = board.q_hit_numbers(args.limit)
+        polys = board.q_hit_numbers()
         _emit(args, lambda: {**payload, "q_hit_numbers": [p.pairs() for p in polys]},
               lambda: "\n".join(f"T_{k} = {p}" for k, p in enumerate(polys)),
               ["k", "q_degree", "coeff"],
@@ -115,15 +123,10 @@ def _cmd_verify(args) -> int:
     max_n = args.max_n
     if max_n is None and os.environ.get("QYT_MAX_N"):
         max_n = int(os.environ["QYT_MAX_N"])
-    given = {"max_n": max_n, "seed": args.seed, "limit": args.limit}
-    reports = []
-    for name in names:
-        fn = verify_mod.SUITES[name]
-        # a decorated suite (functools.wraps) keeps its own parameters on __wrapped__
-        code = getattr(fn, "__wrapped__", fn).__code__
-        accepted = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
-        reports.append(fn(**{key: value for key, value in given.items()
-                             if value is not None and key in accepted}))
+    bounds = {} if max_n is None else {"max_n": max_n}
+    seed = {} if args.seed is None else {"seed": args.seed}
+    reports = [verify_mod.SUITES[name](**bounds, **(seed if name == "lattice" else {}))
+               for name in names]
 
     def text() -> str:
         lines = []
@@ -267,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--hits", action="store_true", help="hit numbers h_0..h_n")
     group.add_argument("--q-hits", action="store_true", help="q-hit numbers T_0..T_n")
     p.add_argument("--limit", type=int, default=None,
-                   help="raise the cap on the board size n (default 9)")
+                   help=f"raise the cap on the board size n (default {BOARD_SIZE_CAP})")
     add_format(p)
     p.set_defaults(run=_cmd_board)
 
@@ -277,8 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the suite bound (or set QYT_MAX_N)")
     p.add_argument("--seed", type=int, default=None,
                    help=f"seed for sampled evaluation points (default {DEFAULT_SEED})")
-    p.add_argument("--limit", type=int, default=None,
-                   help="raise the cap on board sizes n (default 9)")
     add_format(p)
     p.set_defaults(run=_cmd_verify)
 

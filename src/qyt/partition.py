@@ -163,12 +163,11 @@ def as_partition(shape) -> Partition:
     return shape if isinstance(shape, Partition) else Partition(shape)
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, lexicographically decreasing."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cap = n if max_part is None else min(max_part, n)
-    return (Partition(t) for t in _part_tuples(n, cap))
+    return (Partition(t) for t in _part_tuples(n, n))
 
 
 def _part_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:

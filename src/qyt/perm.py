@@ -7,7 +7,6 @@ positions are 1-based as well.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations as _lex_permutations
 from typing import Iterator, Sequence
 
@@ -40,26 +39,6 @@ def inverse(perm: Sequence[int]) -> Word:
     return tuple(inv)
 
 
-def compose(p: Sequence[int], q: Sequence[int]) -> Word:
-    """(p o q)(i) = p[q[i]]."""
-    return tuple(p[v - 1] for v in q)
-
-
-def cycle_count(perm: Sequence[int]) -> int:
-    if not is_permutation(perm):
-        raise ValueError(f"not a permutation: {tuple(perm)}")
-    seen = [False] * len(perm)
-    count = 0
-    for i in range(len(perm)):
-        if not seen[i]:
-            count += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j] - 1
-    return count
-
-
 def perms(n: int) -> Iterator[Word]:
     """All of S_n in lexicographic order."""
     return _lex_permutations(range(1, n + 1))
@@ -89,20 +68,10 @@ def multiset_perms(content: Sequence[int]) -> Iterator[Word]:
     return emit()
 
 
-def word_content(word: Sequence[int], values: int | None = None) -> tuple[int, ...]:
-    """Multiplicity vector of a word over 1..values."""
-    k = values if values is not None else (max(word) if word else 0)
-    out = [0] * k
-    for v in word:
-        out[v - 1] += 1
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def eulerian(n: int, k: int) -> int:
     """Number of permutations in S_n with exactly k descents.
 
-    Computed by the classical recurrence
+    Computed row by row by the classical recurrence
     A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1); the test suite pins
     this against a brute-force descent census.
     """
@@ -110,9 +79,10 @@ def eulerian(n: int, k: int) -> int:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > max(n - 1, 0):
         return 0
-    if n == 0:
-        return 1
-    return (k + 1) * eulerian(n - 1, k) + (n - k) * eulerian(n - 1, k - 1)
+    row = [1]  # A(0, 0)
+    for m in range(1, n + 1):
+        row = [(j + 1) * a + (m - j) * b for j, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return row[k]
 
 
 def parse_word(text: str) -> Word:

@@ -15,10 +15,10 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations
+from operator import sub
 from typing import Iterator, Sequence
 
 from .partition import as_partition
-from .perm import eulerian
 
 #: Seed for the deterministic pseudo-random evaluation points used by
 #: the identity suites; recorded in their reports.
@@ -121,27 +121,24 @@ class PnkPoly:
 
 @lru_cache(maxsize=None)
 def _coeff_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """rows[k][m] = a(n, k, m) for k, m in 0..n."""
+    """rows[k][m] = a(n, k, m) for k, m in 0..n.
+
+    Built level by level from the empty path (P_{0,0} = 1), keeping only
+    the previous level: row k of level n is the Eulerian number A(n, k)
+    followed by a(n-1, k, m-1) - a(n-1, k-1, m-1) for m = 1..n, with
+    a(n-1, ., .) read as 0 outside 0..n-1.  The Eulerian row advances in
+    the same loop by A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1).
+    """
     if n < 1:
         raise ValueError("coefficients are defined for n >= 1")
-    if n == 1:
-        # P_{1,0} = e_1 + 1.  P_{1,1} is the single east step, whose
-        # weight N_1 - x_1 = -x_1 forces a(1,1,1) = -1 (and in general
-        # the all-east path makes P_{n,n} = (-1)^n e_n).
-        return ((1, 1), (0, -1))
-    prev = _coeff_rows(n - 1)
-
-    def at(k: int, m: int) -> int:
-        if k < 0 or k >= len(prev) or m < 0 or m >= n:
-            return 0
-        return prev[k][m]
-
-    rows = []
-    for k in range(n + 1):
-        row = [eulerian(n, k)]
-        for m in range(1, n + 1):
-            row.append(at(k, m - 1) - at(k - 1, m - 1))
-        rows.append(tuple(row))
+    rows = [(1,)]
+    euler = [1]  # A(0, 0)
+    for level in range(1, n + 1):
+        e = [0, *euler, 0]
+        euler = [(k + 1) * e[k + 1] + (level - k) * e[k] for k in range(level + 1)]
+        zero = (0,) * level
+        padded = [zero, *rows, zero]
+        rows = [(euler[k], *map(sub, padded[k + 1], padded[k])) for k in range(level + 1)]
     return tuple(rows)
 
 

@@ -25,14 +25,6 @@ from .qpoly import QTPoly
 from .tableau import Tableau, des_maj_counts
 
 
-def _as_qt(c):
-    return c if isinstance(c, QTPoly) else QTPoly({(0, 0): c})
-
-
-def _is_zero(c) -> bool:
-    return (not c) if isinstance(c, QTPoly) else c == 0
-
-
 class MonomialMap:
     """Quasisymmetric function in the monomial basis: a finite map from
     compositions alpha (tuples of positive parts) to the coefficient of
@@ -55,7 +47,7 @@ class MonomialMap:
         alpha = tuple(alpha)
         cur = self.data.get(alpha)
         new = coeff if cur is None else cur + coeff
-        if _is_zero(new):
+        if not new:
             self.data.pop(alpha, None)
         else:
             self.data[alpha] = new
@@ -108,11 +100,7 @@ class MonomialMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialMap):
             return NotImplemented
-        keys = set(self.data) | set(other.data)
-        return all(
-            _as_qt(self.data.get(key, 0)) == _as_qt(other.data.get(key, 0))
-            for key in keys
-        )
+        return self.data == other.data
 
     def __repr__(self) -> str:
         return f"MonomialMap({self.data!r})"
@@ -304,7 +292,7 @@ class SchurExpansion:
         shape = as_partition(shape)
         if shape.size != self.n:
             raise ValueError(f"expected a partition of {self.n}, got {shape!r}")
-        new = self.data.get(shape, QTPoly()) + _as_qt(coeff)
+        new = self.data.get(shape, QTPoly()) + coeff
         if new:
             self.data[shape] = new
         else:

@@ -100,7 +100,7 @@ def _require_positive(**bounds: int) -> None:
 # hit numbers
 
 
-def verify_hit(max_n: int = 7, limit: int | None = None) -> SuiteReport:
+def verify_hit(max_n: int = 7) -> SuiteReport:
     """QYT_{=k+1}(shape) * hook product == h_k of the conjugate board."""
     _require_positive(max_n=max_n)
     started = time.perf_counter()
@@ -109,7 +109,7 @@ def verify_hit(max_n: int = 7, limit: int | None = None) -> SuiteReport:
         for shape in partitions(n):
             hooks = shape.hook_product()
             counts = qyt_counts(shape)
-            hit = FerrersBoard.from_partition(shape.conjugate()).hit_numbers(limit)
+            hit = FerrersBoard.from_partition(shape.conjugate()).hit_numbers()
             for k in range(n):
                 lhs = counts[k + 1] * hooks
                 if lhs != hit[k]:
@@ -133,7 +133,7 @@ def _gen_by_runs(shape: Partition, stat: str) -> dict[int, QPoly]:
     return out
 
 
-def verify_maj_hit(max_n: int = 6, limit: int | None = None) -> SuiteReport:
+def verify_maj_hit(max_n: int = 6) -> SuiteReport:
     """Major-index refinement, cross-multiplied:
 
     (sum_{QYT_{=k+1}} q^maj) * prod [h(u)]  ==  q^n(shape) * T_{n-k}(B+1),
@@ -151,7 +151,7 @@ def verify_maj_hit(max_n: int = 6, limit: int | None = None) -> SuiteReport:
         for shape in partitions(n):
             hooks_poly = prod((q_int(h) for h in shape.hooks()), start=QPoly((1,)))
             board = FerrersBoard.from_partition(shape).plus_one()
-            T = board.q_hit_numbers(limit)
+            T = board.q_hit_numbers()
             if sum(T, QPoly()) != mahonian:
                 return _finish("maj-hit", bounds, {
                     "check": "mahonian",
@@ -182,7 +182,7 @@ def verify_maj_hit(max_n: int = 6, limit: int | None = None) -> SuiteReport:
     return _finish("maj-hit", bounds, None, started)
 
 
-def verify_charge_hit(max_n: int = 6, limit: int | None = None) -> SuiteReport:
+def verify_charge_hit(max_n: int = 6) -> SuiteReport:
     """Charge refinement, cross-multiplied:
 
     (sum_{QYT_{=k+1}} q^ch) * prod [h(u)] * q^C(n,2)
@@ -196,7 +196,7 @@ def verify_charge_hit(max_n: int = 6, limit: int | None = None) -> SuiteReport:
         for shape in partitions(n):
             hooks_poly = prod((q_int(h) for h in shape.hooks()), start=QPoly((1,)))
             conj = shape.conjugate()
-            T = FerrersBoard.from_partition(conj).q_hit_numbers(limit)
+            T = FerrersBoard.from_partition(conj).q_hit_numbers()
             gens = _gen_by_runs(shape, "charge")
             for k in range(n):
                 lhs = (gens.get(k, QPoly()) * hooks_poly).shift(half)
@@ -268,7 +268,7 @@ def _gjw_width(board: FerrersBoard, T: list[QPoly]) -> int:
     return max(product, binomial).bit_length() + 1
 
 
-def verify_gjw(max_n: int = 6, limit: int | None = None) -> SuiteReport:
+def verify_gjw(max_n: int = 6) -> SuiteReport:
     """On every board built from a shape of size <= max_n (raised or not):
     the complement of the raised board is the conjugate's board up to
     rotation; the q-hit numbers are Mahonian; and the Goldman-Joichi-White
@@ -299,7 +299,7 @@ def verify_gjw(max_n: int = 6, limit: int | None = None) -> SuiteReport:
                     "rhs": str(expected),
                 }, started)
             for board in (base, base.plus_one()):
-                T = board.q_hit_census(limit)
+                T = board.q_hit_census()
                 width = _gjw_width(board, T)
                 packed = [pack(t.coeffs, width) for t in T]
                 if sum(packed) != pack(mahonian.coeffs, width):
@@ -331,7 +331,7 @@ def verify_gjw(max_n: int = 6, limit: int | None = None) -> SuiteReport:
                                             for k in range(n - x, n + 1)),
                                            QPoly())),
                         }, started)
-                solved = board.q_hit_numbers(limit)
+                solved = board.q_hit_numbers()
                 if solved != T:
                     return _finish("gjw", bounds, {
                         "check": "product-route",
@@ -801,7 +801,7 @@ def verify_polya(max_n: int = 6, max_m: int = 5) -> SuiteReport:
     return _finish("polya", bounds, None, started)
 
 
-def verify_jack(max_n: int = 6, limit: int | None = None) -> SuiteReport:
+def verify_jack(max_n: int = 6) -> SuiteReport:
     """The labeled coefficients against the two independent routes: the
     lattice-path count of the conjugate shape and the hit numbers.  Each
     shape's quasi-Yamanouchi counts are read once for all k."""
@@ -814,7 +814,7 @@ def verify_jack(max_n: int = 6, limit: int | None = None) -> SuiteReport:
             counts = qyt_counts(conj)
             path_counts = qyt_counts_via_pnk(conj)
             conj_hooks = conj.hook_product()
-            hit = FerrersBoard.from_partition(shape).hit_numbers(limit)
+            hit = FerrersBoard.from_partition(shape).hit_numbers()
             for k in range(n):
                 got = factorial(n) * counts[k + 1]  # jack_coefficient(shape, k)
                 by_paths = factorial(n) * path_counts[k]

@@ -146,7 +146,7 @@ def test_criterion_9_applications():
 
 def test_criterion_10_gjw_at_ten():
     def body():
-        report = verify_gjw(max_n=10, limit=10)
+        report = verify_gjw(max_n=10)
         assert report.passed, report.counterexample
 
     _criterion(10, "product identity on the packed census, shapes up to 10", 3, body)

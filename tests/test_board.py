@@ -155,22 +155,15 @@ def test_product_route_matches_census_on_partition_boards():
 
 
 def test_product_route_matches_census_on_large_partition_boards():
-    # sizes the census reaches only since it stopped sweeping S_n
-    for size in (8, 9):
-        for lam in partitions(size):
-            base = FerrersBoard.from_partition(lam)
-            for board in (base, base.plus_one()):
-                assert board.q_hit_numbers() == board.q_hit_census()
-
-
-def test_brute_force_cap():
-    board = FerrersBoard.from_partition(Partition((10,)))
-    with pytest.raises(ValueError):
-        board.hit_numbers()
-    with pytest.raises(ValueError):
-        board.q_hit_numbers(limit=9)
-    with pytest.raises(ValueError):
-        board.q_hit_census()
+    # sizes the census reaches only since it stopped sweeping S_n; no
+    # route caps the board size
+    tens = [Partition(p) for p in ((10,), (4, 3, 2, 1), (1,) * 10)]
+    for lam in [*partitions(8), *partitions(9), *tens]:
+        base = FerrersBoard.from_partition(lam)
+        for board in (base, base.plus_one()):
+            T = board.q_hit_numbers()
+            assert T == board.q_hit_census()
+            assert board.hit_numbers() == [p.at_one() for p in T]
 
 
 def test_text_and_json_forms():

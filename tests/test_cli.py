@@ -46,6 +46,8 @@ def test_board_examples(capsys):
     assert code == 0 and out.strip() == "3,3,3,4,4"
     code, out = run(capsys, "board", "--shape", "2,2,1", "--hits")
     assert code == 0 and out.strip() == "0,48,72,0,0,0"
+    code, out = run(capsys, "board", "--shape", "10")  # the cap is for statistics only
+    assert code == 0 and out.strip() == ",".join(["9"] * 10)
 
 
 def test_board_csv_and_json_agree(capsys):
@@ -110,6 +112,42 @@ def test_wrapped_suite_gets_its_bounds(capsys, monkeypatch):
                     "--format", "json")
     assert code == 0
     assert json.loads(out)["bounds"] == {"max_n": 3, "points": 200, "seed": 5}
+
+
+def test_verify_all_passes_the_seed_to_lattice_only(capsys):
+    code, out = run(capsys, "verify", "all", "--seed", "5", "--format", "json")
+    assert code == 0
+    bounds = {blob["suite"]: blob["bounds"] for blob in json.loads(out)}
+    assert bounds["lattice"]["seed"] == 5
+    assert [name for name, b in bounds.items() if "seed" in b] == ["lattice"]
+
+
+def test_suites_run_past_the_board_cap(capsys):
+    code, out = run(capsys, "verify", "hit", "--max-n", "10")
+    assert code == 0 and out.startswith("hit: pass (max_n=10; ")
+
+
+def test_verify_takes_no_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "hit", "--limit", "10"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("stat", ["--hits", "--q-hits"])
+def test_board_caps_the_size_of_its_statistics(capsys, stat):
+    code = main(["board", "--shape", "10", stat])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: board size 10 exceeds the cap 9; "
+                            "pass a larger limit explicitly to override\n")
+    code, out = run(capsys, "board", "--shape", "10", stat, "--limit", "10")
+    assert code == 0
+    if stat == "--hits":
+        assert sum(int(v) for v in out.strip().split(",")) == 3628800
+    else:
+        assert [line.split(" = ")[0] for line in out.splitlines()] == [
+            f"T_{k}" for k in range(11)]
 
 
 def test_import_leaves_out_unused_stdlib_modules():

@@ -5,8 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qyt.perm import (
-    compose,
-    cycle_count,
     des,
     descent_set,
     eulerian,
@@ -16,7 +14,6 @@ from qyt.perm import (
     multiset_perms,
     parse_word,
     perms,
-    word_content,
 )
 from qyt.qpoly import QPoly, q_fact
 
@@ -51,8 +48,9 @@ def test_inverse_examples():
 @given(random_perm)
 def test_inverse_composes_to_identity(p):
     n = len(p)
-    assert compose(p, inverse(p)) == tuple(range(1, n + 1))
-    assert compose(inverse(p), p) == tuple(range(1, n + 1))
+    inv = inverse(p)
+    assert tuple(p[v - 1] for v in inv) == tuple(range(1, n + 1))
+    assert tuple(inv[v - 1] for v in p) == tuple(range(1, n + 1))
     assert inverse(inverse(p)) == p
 
 
@@ -73,12 +71,6 @@ def test_multiset_perms_examples():
     assert list(multiset_perms((2, 1))) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
     assert len(list(multiset_perms((1, 1, 1)))) == 6
     assert set(multiset_perms((1, 1, 1))) == set(perms(3))
-
-
-def test_word_content_round_trip():
-    for content in [(2, 1), (3,), (1, 1, 2)]:
-        for w in multiset_perms(content):
-            assert word_content(w, len(content)) == content
 
 
 def test_eulerian_examples():
@@ -105,12 +97,6 @@ def test_maj_is_mahonian():
         for p in perms(n):
             gen = gen + QPoly.term(maj(p))
         assert gen == q_fact(n)
-
-
-def test_cycle_count():
-    assert cycle_count((1, 2, 3, 4, 5)) == 5
-    assert cycle_count((2, 1, 3, 4, 5)) == 4
-    assert cycle_count((2, 3, 4, 5, 1)) == 1
 
 
 def test_parse_and_format():

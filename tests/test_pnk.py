@@ -1,6 +1,8 @@
 from itertools import permutations
 from math import comb, factorial
 
+import sys
+
 import pytest
 
 from qyt.partition import Partition, partitions
@@ -101,6 +103,24 @@ def test_constant_terms_are_eulerian():
     for n in range(1, 7):
         for k in range(n):
             assert a_table(n)[k][0] == oracles.eulerian_brute(n, k)
+
+
+def test_large_tables_do_not_recurse():
+    # a(n, k, m) and the Eulerian numbers are built level by level, so n
+    # is not bounded by the interpreter's recursion limit
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        table = a_table(200)
+        top = eulerian(200, 100)
+    finally:
+        sys.setrecursionlimit(old)
+    assert [row[0] for row in table[:3]] == [1, 2**200 - 201, eulerian(200, 2)]
+    assert sum(row[0] for row in table) == factorial(200)
+    assert top == table[100][0]
 
 
 def test_row_sums_vanish():

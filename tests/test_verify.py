@@ -62,8 +62,8 @@ def test_gjw_reports_product_route_disagreement(monkeypatch):
 
     solve = FerrersBoard.q_hit_numbers
 
-    def off_by_q(self, limit=None):
-        T = solve(self, limit)
+    def off_by_q(self):
+        T = solve(self)
         return T[:-1] + [T[-1] + QPoly((0, 1))]
 
     monkeypatch.setattr(FerrersBoard, "q_hit_numbers", off_by_q)
