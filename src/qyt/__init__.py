@@ -21,7 +21,6 @@ from .pnk import (
 from .qpoly import InexactDivisionError, QPoly, QTPoly, q_binom, q_fact, q_int
 from .symfun import (
     MonomialMap,
-    SchurExpansion,
     fundamental_truncated,
     gen_fn,
     monomial_truncated,
@@ -59,7 +58,6 @@ __all__ = [
     "Partition",
     "QPoly",
     "QTPoly",
-    "SchurExpansion",
     "SuiteReport",
     "SUITES",
     "Tableau",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import os
 import sys
 from typing import Callable
 
@@ -20,7 +19,6 @@ from .board import FerrersBoard
 from .partition import Partition
 from .perm import format_word, is_permutation, parse_word
 from .pnk import DEFAULT_SEED, a_table
-from .qpoly import QTPoly
 from .symfun import gen_fn, rsk, rsk_multiset, schur_truncated
 from .tableau import qyt_count_exact, qyt_counts
 
@@ -120,10 +118,7 @@ def _cmd_board(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
-    max_n = args.max_n
-    if max_n is None and os.environ.get("QYT_MAX_N"):
-        max_n = int(os.environ["QYT_MAX_N"])
-    bounds = {} if max_n is None else {"max_n": max_n}
+    bounds = {} if args.max_n is None else {"max_n": args.max_n}
     seed = {} if args.seed is None else {"seed": args.seed}
     reports = [verify_mod.SUITES[name](**bounds, **(seed if name == "lattice" else {}))
                for name in names]
@@ -200,10 +195,6 @@ def _cmd_rsk(args) -> int:
     return 0
 
 
-def _coeff_text(poly: QTPoly) -> str:
-    return str(poly)
-
-
 def _cmd_expand(args) -> int:
     if args.what == "schur":
         if args.shape is None:
@@ -224,17 +215,16 @@ def _cmd_expand(args) -> int:
         raise ValueError("expand genfun requires --n")
     expansion = gen_fn(args.n, with_q=not args.no_q)
     _emit(args,
-          lambda: {"n": args.n, "q": not args.no_q, "schur": expansion.to_json()},
-          lambda: "\n".join(
-              f"{entry['partition']}: "
-              f"{_coeff_text(QTPoly({(q, t): c for q, t, c in entry['coeff']}))}"
-              for entry in expansion.to_json()
-          ),
+          lambda: {"n": args.n, "q": not args.no_q, "schur": [
+              {"partition": str(shape), "coeff": coeff.triples()}
+              for shape, coeff in expansion.items()
+          ]},
+          lambda: "\n".join(f"{shape}: {coeff}" for shape, coeff in expansion.items()),
           ["partition", "q_degree", "t_degree", "coeff"],
           lambda: [
-              [entry["partition"], q, t, c]
-              for entry in expansion.to_json()
-              for q, t, c in entry["coeff"]
+              [str(shape), q, t, c]
+              for shape, coeff in expansion.items()
+              for q, t, c in coeff.triples()
           ])
     return 0
 
@@ -277,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(verify_mod.SUITES) + ["all"])
     p.add_argument("--max-n", type=int, default=None,
-                   help="override the suite bound (or set QYT_MAX_N)")
+                   help="override the suite bound")
     p.add_argument("--seed", type=int, default=None,
                    help=f"seed for sampled evaluation points (default {DEFAULT_SEED})")
     add_format(p)

@@ -6,8 +6,9 @@ A path takes n unit steps from (0, 0) to (k, n - k) over the alphabet
 going north and N_i - x_i going east; a path weighs the product of its
 step weights.  The path sums turn out to be symmetric in the x's, so
 each one is stored as its coefficient vector against the elementary
-symmetric basis; the explicit path sum is kept only as the reference
-evaluation route.
+symmetric basis, a plain tuple (`a_coeffs`), and evaluated as its dot
+product with e_0..e_n of the point; the explicit path sum is kept only
+as the reference evaluation route.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations
-from operator import sub
+from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .partition import as_partition
@@ -73,52 +74,6 @@ def elementary_values(xs: Sequence[int], upto: int) -> list[int]:
     return es
 
 
-class PnkPoly:
-    """P_{n,k} by its elementary-basis coefficients a(n, k, 0..n)."""
-
-    __slots__ = ("n", "k", "coeffs")
-
-    def __init__(self, n: int, k: int, coeffs: Sequence[int]) -> None:
-        self.n = n
-        self.k = k
-        self.coeffs = tuple(int(c) for c in coeffs)
-        if len(self.coeffs) != n + 1:
-            raise ValueError("need one coefficient per degree 0..n")
-
-    def eval(self, xs: Sequence[int]) -> int:
-        xs = tuple(xs)
-        if len(xs) != self.n:
-            raise ValueError(f"need {self.n} values, got {len(xs)}")
-        es = elementary_values(xs, self.n)
-        return sum(c * e for c, e in zip(self.coeffs, es))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PnkPoly)
-            and (self.n, self.k, self.coeffs) == (other.n, other.k, other.coeffs)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.k, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"PnkPoly({self.n}, {self.k}, {list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        chunks = []
-        for m, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            body = str(abs(c)) if m == 0 else (
-                f"e{m}" if abs(c) == 1 else f"{abs(c)}*e{m}"
-            )
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks) if chunks else "0"
-
-
 @lru_cache(maxsize=None)
 def _coeff_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """rows[k][m] = a(n, k, m) for k, m in 0..n.
@@ -142,8 +97,8 @@ def _coeff_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def a_coeffs(n: int, k: int) -> PnkPoly:
-    """Coefficient vector of P_{n,k}.
+def a_coeffs(n: int, k: int) -> tuple[int, ...]:
+    """Coefficient vector a(n, k, 0..n) of P_{n,k} against e_0..e_n.
 
     The constant term is the Eulerian number A(n, k); the higher terms
     follow a(n, k, m) = a(n-1, k, m-1) - a(n-1, k-1, m-1).
@@ -152,7 +107,7 @@ def a_coeffs(n: int, k: int) -> PnkPoly:
         raise ValueError("defined for n >= 1")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return PnkPoly(n, k, _coeff_rows(n)[k])
+    return _coeff_rows(n)[k]
 
 
 def a_table(n: int) -> list[list[int]]:
@@ -162,7 +117,11 @@ def a_table(n: int) -> list[list[int]]:
 
 def pnk_eval_ebasis(n: int, k: int, xs: Sequence[int]) -> int:
     """Evaluate P_{n,k} through its elementary-basis coefficients."""
-    return a_coeffs(n, k).eval(xs)
+    row = a_coeffs(n, k)
+    xs = tuple(xs)
+    if len(xs) != n:
+        raise ValueError(f"need {n} values, got {len(xs)}")
+    return sum(map(mul, row, elementary_values(xs, n)))
 
 
 def qyt_counts_via_pnk(shape) -> list[int]:
@@ -182,7 +141,7 @@ def qyt_counts_via_pnk(shape) -> list[int]:
     hooks = shape.hook_product()
     counts = []
     for k, row in enumerate(_coeff_rows(n)):
-        count, rem = divmod(sum(c * e for c, e in zip(row, es)), hooks)
+        count, rem = divmod(sum(map(mul, row, es)), hooks)
         if rem:
             raise ArithmeticError(
                 f"hook product does not divide the path sum for {shape!r}, k={k}"

@@ -11,11 +11,15 @@ keeps the compositions with at most N parts (`MonomialMap.truncate`);
 The coefficients of a Schur polynomial in that basis are Kostka numbers,
 counted by a dynamic program over Young's lattice that adds one
 horizontal strip per part (`schur_truncated`); no filling is built.
+
+`gen_fn` returns the Schur generating function as a plain dict from
+partitions to `QTPoly` coefficients.  `row_insert` and its inverse
+`row_uninsert` work on plain row tuples.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -253,7 +257,7 @@ def row_insert(
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Row insertion of a word on plain rows, bottom to top: (insertion
     rows, recording rows), unvalidated and building no Tableau, for
-    callers that only hash or measure the pair."""
+    callers that only measure the pair or invert it."""
     rows: list[list[int]] = []
     rec: list[list[int]] = []
     for step, x in enumerate(word, 1):
@@ -274,57 +278,39 @@ def row_insert(
     return tuple(map(tuple, rows)), tuple(map(tuple, rec))
 
 
-class SchurExpansion:
-    """Finite Schur expansion of a degree-n series: a map from partitions
-    of n to QTPoly coefficients."""
-
-    __slots__ = ("n", "data")
-
-    def __init__(self, n: int, data=None) -> None:
-        self.n = n
-        self.data: dict[Partition, QTPoly] = {}
-        if data:
-            items = data.items() if isinstance(data, dict) else data
-            for shape, coeff in items:
-                self.add(shape, coeff)
-
-    def add(self, shape, coeff) -> None:
-        shape = as_partition(shape)
-        if shape.size != self.n:
-            raise ValueError(f"expected a partition of {self.n}, got {shape!r}")
-        new = self.data.get(shape, QTPoly()) + coeff
-        if new:
-            self.data[shape] = new
-        else:
-            self.data.pop(shape, None)
-
-    def coefficient(self, shape) -> QTPoly:
-        return self.data.get(as_partition(shape), QTPoly())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SchurExpansion):
-            return NotImplemented
-        return self.n == other.n and self.data == other.data
-
-    def __repr__(self) -> str:
-        return f"SchurExpansion({self.n}, {self.data!r})"
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"partition": str(shape), "coeff": self.data[shape].triples()}
-            for shape in partitions(self.n)
-            if shape in self.data
-        ]
+def row_uninsert(
+    insertion: Sequence[Sequence[int]], recording: Sequence[Sequence[int]],
+) -> tuple[int, ...]:
+    """The word that row_insert sends to (insertion, recording), by
+    reverse bumping: the largest recording label marks the cell the last
+    letter's insertion added; its entry goes back down one row at a
+    time, replacing the rightmost entry strictly smaller than itself,
+    and the entry it pushes out of the bottom row is that letter.
+    Unvalidated, like row_insert."""
+    rows = [list(row) for row in insertion]
+    row_of = {step: r for r, rec in enumerate(recording) for step in rec}
+    word = []
+    for step in range(len(row_of), 0, -1):
+        r = row_of[step]
+        x = rows[r].pop()
+        while r:
+            r -= 1
+            row = rows[r]
+            i = bisect_left(row, x) - 1  # rightmost entry strictly smaller
+            row[i], x = x, row[i]
+        word.append(x)
+    return tuple(reversed(word))
 
 
-def gen_fn(n: int, with_q: bool = True) -> SchurExpansion:
+def gen_fn(n: int, with_q: bool = True) -> dict[Partition, QTPoly]:
     """Schur generating function of the quasi-Yamanouchi fillings of
-    size n: the coefficient of s_shape collects q^maj t^des over the
+    size n, as {shape: coefficient of s_shape} over every partition of n
+    in partitions(n) order: the coefficient collects q^maj t^des over the
     shape's fillings.  With with_q=False the q-grading is dropped, so a
     filling with largest entry k contributes t^(k-1)."""
-    out = SchurExpansion(n)
-    for shape in partitions(n):
-        out.add(shape, QTPoly(
+    return {
+        shape: QTPoly(
             ((mj if with_q else 0, d), c) for (d, mj), c in des_maj_counts(shape)
-        ))
-    return out
+        )
+        for shape in partitions(n)
+    }

@@ -20,6 +20,11 @@ when r > r'.  The tallies are cached by the parts of the sub-shape, so
 every shape of a sweep shares them.  `enumerate_syt` serves only to
 list the fillings themselves, and the enumeration check of the
 `genfun` suite, which walks them on purpose.
+
+Semistandard fillings come from one cell walk, `_ssyt_rows`, which
+fills the cells in reading order under a budget of uses per value:
+`enumerate_ssyt(shape, m)` gives every value up to m the whole size as
+its budget, and `kostka(shape, weight)` gives the weight and counts.
 """
 
 from __future__ import annotations
@@ -189,50 +194,65 @@ class Tableau:
         return "/".join(",".join(str(v) for v in row) for row in self.rows)
 
 
-def _ssyt_rows(parts: tuple[int, ...], m: int) -> Iterator[list[list[int]]]:
-    """Rows of every semistandard filling of `parts` with entries at most
-    m, in lexicographic order of the bottom-to-top reading word.
+def _ssyt_rows(parts: tuple[int, ...], budget: Iterable[int]) -> Iterator[list[list[int]]]:
+    """Rows of every semistandard filling of `parts` that uses each value
+    v at most budget[v - 1] times, in lexicographic order of the
+    bottom-to-top reading word.
 
-    The same lists are yielded each time and refilled in place, so a
-    caller copies what it keeps.
+    The cells are walked in reading order.  Each steps through the
+    values from its least admissible one up to the largest that leaves
+    room for the strictly larger cells above it, at most len(budget),
+    skipping the values whose budget is spent.  The same lists are
+    yielded each time and refilled in place, so a caller copies what it
+    keeps.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    cells = [(i, j) for j, p in enumerate(parts) for i in range(p)]
     rows = [[0] * p for p in parts]
+    left = [0, *budget]  # left[v]: uses of v still free; left[0] is a dummy
+    m = len(left) - 1
+    floor = [0] * (parts[0] if parts else 0)  # below the bottom row
+    # (row, column, the row below, the largest value allowed), in reading order
+    cells = [(row, i, rows[j - 1] if j else floor,
+              m - sum(1 for p in parts[j + 1:] if p > i))
+             for j, row in enumerate(rows) for i in range(len(row))]
     if not cells:
         yield rows
         return
     last = len(cells) - 1
-
-    def start(k: int) -> None:
-        """Set cell k one below its least admissible value."""
-        i, j = cells[k]
-        lo = rows[j][i - 1] if i else 1
-        if j and rows[j - 1][i] >= lo:
-            lo = rows[j - 1][i] + 1
-        rows[j][i] = lo - 1
-
+    # A cell is started one below its least admissible value, taking that
+    # value from the budget as if it held it, so stepping on releases it.
+    left[0] -= 1
     k = 0
-    start(0)
     while k >= 0:
-        i, j = cells[k]
-        v = rows[j][i] + 1
-        if v > m:
+        row, i, below, top = cells[k]
+        v = row[i]
+        left[v] += 1
+        v += 1
+        while v <= top and not left[v]:
+            v += 1
+        if v > top:
             k -= 1
             continue
-        rows[j][i] = v
+        row[i] = v
+        left[v] -= 1
         if k == last:
             yield rows
-        else:
-            k += 1
-            start(k)
+            continue
+        k += 1
+        row, i, below, top = cells[k]
+        lo = v if i else 1  # cell k - 1 is the left neighbour when i > 0
+        if below[i] >= lo:
+            lo = below[i] + 1
+        row[i] = lo - 1
+        left[lo - 1] -= 1
 
 
 def enumerate_ssyt(shape, m: int) -> list[Tableau]:
     """All semistandard fillings of `shape` with entries at most m,
     ordered lexicographically by bottom-to-top reading word."""
-    return [Tableau(rows) for rows in _ssyt_rows(as_partition(shape).parts, m)]
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    parts = as_partition(shape).parts
+    return [Tableau(rows) for rows in _ssyt_rows(parts, (sum(parts),) * m)]
 
 
 def enumerate_syt(shape) -> list[Tableau]:
@@ -351,35 +371,12 @@ def qyt_count_exact(shape, m: int) -> int:
 
 
 def kostka(shape, weight) -> int:
-    """Number of semistandard fillings of `shape` with the given weight."""
-    shape = as_partition(shape)
+    """Number of semistandard fillings of `shape` with the given weight,
+    zero parts allowed: the fillings the cell walk finds with the weight
+    as its budget, each of which uses the whole weight when the sizes
+    agree."""
+    parts = as_partition(shape).parts
     target = tuple(weight.parts) if isinstance(weight, Partition) else tuple(weight)
-    if shape.size != sum(target):
+    if sum(parts) != sum(target):
         return 0
-    parts = shape.parts
-    order = [(i, j) for j, p in enumerate(parts) for i in range(p)]
-    rows: list[list[int]] = [[] for _ in parts]
-    remaining = list(target)
-    count = 0
-
-    def fill(idx: int) -> None:
-        nonlocal count
-        if idx == len(order):
-            count += 1
-            return
-        i, j = order[idx]
-        lo = 1
-        if i > 0:
-            lo = max(lo, rows[j][i - 1])
-        if j > 0:
-            lo = max(lo, rows[j - 1][i] + 1)
-        for v in range(lo, len(remaining) + 1):
-            if remaining[v - 1]:
-                remaining[v - 1] -= 1
-                rows[j].append(v)
-                fill(idx + 1)
-                rows[j].pop()
-                remaining[v - 1] += 1
-
-    fill(0)
-    return count
+    return sum(1 for _ in _ssyt_rows(parts, target))

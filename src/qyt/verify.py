@@ -50,6 +50,7 @@ from .symfun import (
     gen_fn,
     monomial_truncated,
     row_insert,
+    row_uninsert,
     schur_truncated,
 )
 from .tableau import (
@@ -384,7 +385,7 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
     rng = random.Random(seed)
 
     for (n, k), expected in sorted(_SMALL_PNK_COEFFS.items()):
-        got = a_coeffs(n, k).coeffs
+        got = a_coeffs(n, k)
         if got != expected:
             return _finish("lattice", bounds, {
                 "check": "closed-forms", "n": n, "k": k,
@@ -591,8 +592,10 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
     fundamental_sums turns a tally by descent set into the monomial
     basis by one subset-sum transform.  The Kostka numbers of the lemma
     and of triangularity come from one table per n, filled by the cell
-    backtracker tableau.kostka.  The truncated-fundamental check still
-    walks the standard fillings and destandardizes each."""
+    walk tableau.kostka.  The RSK checks insert every p of S_n and give
+    it back by inverse insertion, keeping no pair.  The
+    truncated-fundamental check still walks the standard fillings and
+    destandardizes each."""
     _require_positive(max_n=max_n)
     started = time.perf_counter()
     bounds = {"max_n": max_n}
@@ -600,7 +603,7 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
         shapes = list(partitions(n))
         with_q = gen_fn(n, with_q=True)
         schur = {shape: schur_truncated(shape, n) for shape in shapes}
-        rhs = sum((sch.scale(with_q.coefficient(s)) for s, sch in schur.items()),
+        rhs = sum((sch.scale(with_q[s]) for s, sch in schur.items()),
                   MonomialMap())
 
         if fundamental_sums(_inverse_descent_tally(n), n) != rhs:
@@ -621,28 +624,34 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
             rhs_poly = QTPoly()
             for nu in shapes:
                 if nu.dominates(shape):
-                    rhs_poly = rhs_poly + K[nu, shape] * with_q.coefficient(nu)
+                    rhs_poly = rhs_poly + K[nu, shape] * with_q[nu]
             if lhs_poly != rhs_poly:
                 return _finish("genfun", bounds, {
                     "check": "kostka-lemma", "shape": str(shape),
                     "lhs": str(lhs_poly), "rhs": str(rhs_poly),
                 }, started)
 
-        pairs = set()
+        # Inverse insertion giving back every p shows that p -> (P, Q)
+        # is injective; the pairs of standard fillings of one shape
+        # number sum f_shape^2, so it is onto when that sum is n!.
         for p in perms(n):
             P, Q = row_insert(p)
             if tuple(map(len, P)) != tuple(map(len, Q)):
                 return _finish("genfun", bounds, {
                     "check": "rsk-shapes", "perm": list(p),
                 }, started)
-            pairs.add((P, Q))
-        expected_pairs = sum(
-            shape.hook_length_count() ** 2 for shape in shapes
-        )
-        if len(pairs) != factorial(n) or expected_pairs != factorial(n):
+            try:
+                back = row_uninsert(P, Q)
+            except (KeyError, IndexError):  # Q is not a standard filling
+                back = None
+            if back != p:
+                return _finish("genfun", bounds, {
+                    "check": "rsk-bijection", "perm": list(p),
+                }, started)
+        squares_sum = sum(shape.hook_length_count() ** 2 for shape in shapes)
+        if squares_sum != factorial(n):
             return _finish("genfun", bounds, {
-                "check": "rsk-bijection", "n": n,
-                "distinct_pairs": len(pairs), "squares_sum": expected_pairs,
+                "check": "rsk-bijection", "n": n, "squares_sum": squares_sum,
             }, started)
 
         for shape in shapes:
@@ -698,12 +707,12 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
             # q-hook formula: sum of q^maj = q^n(shape) [n]! / prod [h(u)]
             hooks_poly = prod((q_int(h) for h in shape.hooks()), start=QPoly((1,)))
             q_hook = q_fact(n).shift(shape.n_stat()).exact_div(hooks_poly)
-            if with_q.coefficient(shape).at_t1() != q_hook:
+            if with_q[shape].at_t1() != q_hook:
                 return _finish("genfun", bounds, {
                     "check": "t1-specialization", "shape": str(shape),
                 }, started)
             path_counts = QPoly(qyt_counts_via_pnk(shape)[:n])
-            if with_q.coefficient(shape).at_q1() != path_counts:
+            if with_q[shape].at_q1() != path_counts:
                 return _finish("genfun", bounds, {
                     "check": "q1-specialization", "shape": str(shape),
                 }, started)

@@ -10,7 +10,7 @@ from qyt.board import FerrersBoard
 from qyt.partition import Partition, partitions
 from qyt.pnk import a_coeffs
 from qyt.symfun import schur_truncated
-from qyt.tableau import enumerate_ssyt, enumerate_syt, qyt_count_exact
+from qyt.tableau import enumerate_ssyt, enumerate_syt, kostka, qyt_count_exact
 from qyt.verify import (
     jack_coefficient,
     ribbon_rows,
@@ -106,7 +106,7 @@ def test_criterion_6_lattice_path_polynomials():
             (3, 3): (0, 0, 0, -1),
         }
         for (n, k), coeffs in expected.items():
-            assert a_coeffs(n, k).coeffs == coeffs, (n, k)
+            assert a_coeffs(n, k) == coeffs, (n, k)
         # triangle rows, Eulerian constants, row sums, symmetry,
         # recursion, and the lattice theorem itself
         report = verify_lattice(max_n=7, points=200)
@@ -176,3 +176,17 @@ def test_criterion_13_generating_functions_at_eight():
         assert report.passed, report.counterexample
 
     _criterion(13, "generating-function expansions, degree up to 8", 2, body)
+
+
+def test_criterion_14_kostka_table_at_ten():
+    def body():
+        shapes = list(partitions(10))
+        table = {(nu, lam): kostka(nu, lam) for nu in shapes for lam in shapes}
+        # K_{nu,lam} is 1 on the diagonal and 0 unless nu dominates lam;
+        # its column at 1^10 is the standard-filling count of nu
+        for (nu, lam), k in table.items():
+            assert (k > 0) == nu.dominates(lam) and (k == 1 or nu != lam)
+        column = Partition((1,) * 10)
+        assert all(table[nu, column] == nu.hook_length_count() for nu in shapes)
+
+    _criterion(14, "Kostka table over the partitions of 10", 1.0, body)

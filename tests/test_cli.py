@@ -83,13 +83,6 @@ def test_verify_pass_and_exit_codes(capsys):
     assert blob["status"] == "pass" and blob["bounds"] == {"max_n": 4}
 
 
-def test_verify_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("QYT_MAX_N", "3")
-    code, out = run(capsys, "verify", "summation", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["bounds"] == {"max_n": 3}
-
-
 def test_verify_failure_exit_code(capsys, monkeypatch):
     def broken(max_n=2):
         return SuiteReport("broken", {"max_n": max_n}, "fail",

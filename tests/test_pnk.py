@@ -72,15 +72,23 @@ def test_pnk_example_value():
 def test_coefficient_closed_forms():
     # e-basis coefficient vectors of P_{n,k} for n <= 3.  The all-east
     # path weighs prod(-x_i), which pins a(n, n, n) = (-1)^n.
-    assert a_coeffs(1, 0).coeffs == (1, 1)
-    assert a_coeffs(1, 1).coeffs == (0, -1)
-    assert a_coeffs(2, 0).coeffs == (1, 1, 1)
-    assert a_coeffs(2, 1).coeffs == (1, -1, -2)
-    assert a_coeffs(2, 2).coeffs == (0, 0, 1)
-    assert a_coeffs(3, 0).coeffs == (1, 1, 1, 1)
-    assert a_coeffs(3, 1).coeffs == (4, 0, -2, -3)
-    assert a_coeffs(3, 2).coeffs == (1, -1, 1, 3)
-    assert a_coeffs(3, 3).coeffs == (0, 0, 0, -1)
+    assert a_coeffs(1, 0) == (1, 1)
+    assert a_coeffs(1, 1) == (0, -1)
+    assert a_coeffs(2, 0) == (1, 1, 1)
+    assert a_coeffs(2, 1) == (1, -1, -2)
+    assert a_coeffs(2, 2) == (0, 0, 1)
+    assert a_coeffs(3, 0) == (1, 1, 1, 1)
+    assert a_coeffs(3, 1) == (4, 0, -2, -3)
+    assert a_coeffs(3, 2) == (1, -1, 1, 3)
+    assert a_coeffs(3, 3) == (0, 0, 0, -1)
+
+
+def test_tables_agree_in_any_order():
+    # each table is the same whichever n were asked for before it
+    ascending = {n: a_table(n) for n in range(1, 13)}
+    for n in (12, 3, 11, 1, 7, 7, 2, 12):
+        assert a_table(n) == ascending[n], n
+        assert a_coeffs(n, n // 2) == tuple(ascending[n][n // 2])
 
 
 def test_triangle_rows_for_fixed_difference():
@@ -142,7 +150,7 @@ def test_ebasis_agrees_with_path_sum():
 
 def test_top_coefficient_sign():
     for n in range(1, 8):
-        assert a_coeffs(n, n).coeffs == (0,) * n + ((-1) ** n,)
+        assert a_coeffs(n, n) == (0,) * n + ((-1) ** n,)
 
 
 def test_symmetry_exhaustive_small():

@@ -1,20 +1,23 @@
+import json
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 
 import pytest
 
+from qyt.cli import main
 from qyt.partition import Partition, partitions
 from qyt.perm import descent_set, inverse, multiset_perms, perms
 from qyt.qpoly import QPoly, QTPoly
 from qyt.symfun import (
     MonomialMap,
-    SchurExpansion,
     composition_descents,
     fundamental_sums,
     fundamental_truncated,
     gen_fn,
     monomial_truncated,
+    row_insert,
+    row_uninsert,
     rsk,
     rsk_multiset,
     schur_truncated,
@@ -135,7 +138,7 @@ def test_schur_truncated_matches_ssyt_content_tally():
         for lam in partitions(n):
             by_entries = Counter(
                 tuple(sorted([v for row in rows for v in row]))
-                for rows in _ssyt_rows(lam.parts, n)
+                for rows in _ssyt_rows(lam.parts, (n,) * n)
             )
             tally = Counter()
             for entries, c in by_entries.items():
@@ -220,6 +223,17 @@ def test_rsk_is_a_bijection():
         ) == factorial(n)
 
 
+def test_row_uninsert_inverts_row_insert():
+    for n in range(7):
+        for p in perms(n):
+            assert row_uninsert(*row_insert(p)) == p
+    # repeated letters: the reverse bump takes the rightmost entry
+    # strictly smaller, as the forward bump took the leftmost strictly larger
+    for n in range(1, 6):
+        for w in product(range(1, 4), repeat=n):
+            assert row_uninsert(*row_insert(w)) == w
+
+
 def test_rsk_rejects_non_permutations():
     with pytest.raises(ValueError):
         rsk((1, 1, 2))
@@ -255,12 +269,12 @@ def test_rsk_multiset_shape_counts_give_kostka():
 
 def test_gen_fn_small_cases():
     g1 = gen_fn(1)
-    assert g1.coefficient(Partition((1,))) == QTPoly.term(0, 0)
+    assert g1[Partition((1,))] == QTPoly.term(0, 0)
     g5 = gen_fn(5)
-    coeff = g5.coefficient(Partition((3, 2)))
+    coeff = g5[Partition((3, 2))]
     assert coeff.at_q1() == QPoly((0, 2, 3))  # 2t + 3t^2
     g3 = gen_fn(3)
-    assert g3.coefficient(Partition((1, 1, 1))) == QTPoly.term(3, 2)
+    assert g3[Partition((1, 1, 1))] == QTPoly.term(3, 2)
 
 
 def test_gen_fn_without_q_matches_specialization():
@@ -268,7 +282,7 @@ def test_gen_fn_without_q_matches_specialization():
         plain = gen_fn(n, with_q=False)
         graded = gen_fn(n, with_q=True)
         for lam in partitions(n):
-            assert plain.coefficient(lam).at_q1() == graded.coefficient(lam).at_q1()
+            assert plain[lam].at_q1() == graded[lam].at_q1()
 
 
 def test_gen_fn_t1_matches_maj_generating_function():
@@ -278,21 +292,22 @@ def test_gen_fn_t1_matches_maj_generating_function():
             maj_poly = QPoly()
             for t in enumerate_syt(lam):
                 maj_poly = maj_poly + QPoly.term(t.maj())
-            assert graded.coefficient(lam).at_t1() == maj_poly
+            assert graded[lam].at_t1() == maj_poly
 
 
-def test_schur_expansion_json():
+def test_schur_expansion_json(capsys):
+    # `expand genfun --format json` lists every shape in partitions(n)
+    # order, and its triples rebuild gen_fn's coefficients
     g = gen_fn(3)
-    blob = g.to_json()
-    assert [entry["partition"] for entry in blob] == ["3", "2,1", "1,1,1"]
-    rebuilt = SchurExpansion(
-        3,
-        [
-            (Partition.parse(entry["partition"]),
-             QTPoly({(qd, td): c for qd, td, c in entry["coeff"]}))
-            for entry in blob
-        ],
-    )
+    assert list(g) == list(partitions(3))
+    assert main(["expand", "genfun", "--n", "3", "--format", "json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert [entry["partition"] for entry in blob["schur"]] == ["3", "2,1", "1,1,1"]
+    rebuilt = {
+        Partition.parse(entry["partition"]):
+            QTPoly({(qd, td): c for qd, td, c in entry["coeff"]})
+        for entry in blob["schur"]
+    }
     assert rebuilt == g
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -53,6 +54,17 @@ def test_ssyt_enumeration_matches_oracle():
             got = {t.rows for t in enumerate_ssyt(lam, m)}
             want = set(oracles.ssyt_brute(lam.parts, m))
             assert got == want
+
+
+def test_ssyt_enumeration_is_in_reading_word_order():
+    # increasing bottom-to-top reading word, as enumerate_ssyt promises
+    for lam in [Partition(()), *shapes_upto(5)]:
+        for m in range(6):
+            words = [tuple(v for row in t.rows for v in row) for t in enumerate_ssyt(lam, m)]
+            assert words == sorted(set(words)), (lam, m)
+            assert len(words) == len(oracles.ssyt_brute(lam.parts, m))
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        enumerate_ssyt(Partition((2,)), -1)
 
 
 def test_syt_enumeration_examples():
@@ -153,7 +165,7 @@ def test_gen_fn_matches_enumeration(with_q):
             want = QTPoly()
             for t in enumerate_syt(lam):
                 want = want + QTPoly.term(t.maj() if with_q else 0, t.des())
-            assert expansion.coefficient(lam) == want
+            assert expansion[lam] == want
 
 
 def test_qyt_counts_match_oracle():
@@ -218,10 +230,36 @@ def test_kostka_examples():
     assert kostka(Partition((2, 2)), (3, 1)) == 0
 
 
+def _compositions(n):
+    for size in range(n):
+        for cuts in combinations(range(1, n), size):
+            bounds = (0, *cuts, n)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
 def test_kostka_matches_oracle():
-    for nu in shapes_upto(5):
-        for lam in partitions(nu.size):
-            assert kostka(nu, lam) == oracles.kostka_brute(nu.parts, lam.parts)
+    # every composition of n <= 6 as weight, as it is and with one zero
+    # part put in at each place; the oracle's fillings in len(weight)
+    # values are tallied by weight once, which is kostka_brute for every
+    # weight of that length at once
+    for n in range(7):
+        weights = [
+            w
+            for alpha in (_compositions(n) if n else [()])
+            for w in [alpha, *(alpha[:i] + (0,) + alpha[i:] for i in range(len(alpha) + 1))]
+        ]
+        for nu in partitions(n):
+            by_weight = {}
+            for w in weights:
+                m = len(w)
+                if m not in by_weight:
+                    by_weight[m] = Counter(
+                        tuple(sum(row.count(v) for row in rows) for v in range(1, m + 1))
+                        for rows in oracles.ssyt_brute(nu.parts, m)
+                    )
+                assert kostka(nu, w) == by_weight[m][w], (nu, w)
+    assert kostka(Partition((3, 2)), (2, 0, 2, 1)) == oracles.kostka_brute((3, 2), (2, 0, 2, 1))
+    assert kostka(Partition((2, 1)), (1, 1)) == 0  # sizes differ
 
 
 def test_qyt_at_most_is_cumulative():

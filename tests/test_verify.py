@@ -358,6 +358,57 @@ def test_genfun_catches_a_raised_kostka_number(monkeypatch, nu, lam, check, shap
     assert report.counterexample["shape"] == shape
 
 
+def test_genfun_catches_an_insertion_with_mismatched_shapes(monkeypatch):
+    import qyt.verify
+
+    true_insert = qyt.verify.row_insert
+
+    def faulty(word):
+        P, Q = true_insert(word)
+        if tuple(word) == (2, 1, 3):
+            Q = ((1, 2, 3),)
+        return P, Q
+
+    monkeypatch.setattr(qyt.verify, "row_insert", faulty)
+    report = verify_genfun(max_n=4)
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "rsk-shapes", "perm": [2, 1, 3]}
+
+
+def test_genfun_catches_an_insertion_that_merges_two_permutations(monkeypatch):
+    import qyt.verify
+
+    true_insert = qyt.verify.row_insert
+
+    def faulty(word):
+        # 132 and 312 share P = 12/3 but not Q; send 312 to 132's pair
+        return true_insert((1, 3, 2) if tuple(word) == (3, 1, 2) else word)
+
+    monkeypatch.setattr(qyt.verify, "row_insert", faulty)
+    report = verify_genfun(max_n=4)
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "rsk-bijection", "perm": [3, 1, 2]}
+
+
+@pytest.mark.parametrize("word, recording", [
+    ((2, 1, 3), ((1, 1), (3,))),  # a label repeated, one missing
+    ((2, 1), ((2,), (1,))),  # labels 1..n, but not a standard filling
+])
+def test_genfun_reports_a_recording_that_cannot_be_inverted(monkeypatch, word, recording):
+    import qyt.verify
+
+    true_insert = qyt.verify.row_insert
+
+    def faulty(w):
+        P, Q = true_insert(w)
+        return P, (recording if tuple(w) == word else Q)
+
+    monkeypatch.setattr(qyt.verify, "row_insert", faulty)
+    report = verify_genfun(max_n=4)
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "rsk-bijection", "perm": list(word)}
+
+
 def test_genfun_lists_no_words_and_builds_each_kostka_number_once(monkeypatch):
     import qyt.perm
     import qyt.symfun
