@@ -372,11 +372,13 @@ def qyt_count_exact(shape, m: int) -> int:
 
 def kostka(shape, weight) -> int:
     """Number of semistandard fillings of `shape` with the given weight,
-    zero parts allowed: the fillings the cell walk finds with the weight
+    zero parts allowed and a negative part rejected: the fillings the cell walk finds with the weight
     as its budget, each of which uses the whole weight when the sizes
     agree."""
     parts = as_partition(shape).parts
     target = tuple(weight.parts) if isinstance(weight, Partition) else tuple(weight)
+    if any(w < 0 for w in target):
+        raise ValueError("weight parts must be nonnegative")
     if sum(parts) != sum(target):
         return 0
     return sum(1 for _ in _ssyt_rows(parts, target))

@@ -6,6 +6,10 @@ order (n ascending, shapes lexicographically decreasing), with both
 sides fully evaluated.  Identities with q-integer denominators are
 checked in cross-multiplied form, so only ring operations are needed.
 
+A suite is written as a body that takes its bounds and returns its
+first counterexample, or None; `_suite` makes it into the suite, which
+reports the bounds, rejects a max_* bound below 1 and times the body.
+
 The counting-level application identities live here too: signatures and
 ribbons, Foulkes multiplicities, the Polya dimension identity, and the
 labeled one-row Jack coefficients.
@@ -13,6 +17,7 @@ labeled one-row Jack coefficients.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from itertools import permutations as _all_perms
@@ -46,7 +51,6 @@ from .symfun import (
     MonomialMap,
     composition_descents,
     fundamental_sums,
-    fundamental_truncated,
     gen_fn,
     monomial_truncated,
     row_insert,
@@ -80,32 +84,47 @@ class SuiteReport(NamedTuple):
         return self._asdict()
 
 
-def _finish(name: str, bounds: dict, counterexample: dict | None, started: float) -> SuiteReport:
-    return SuiteReport(
-        suite=name,
-        bounds=bounds,
-        status="pass" if counterexample is None else "fail",
-        counterexample=counterexample,
-        ms=int((time.perf_counter() - started) * 1000),
-    )
+def _suite(name: str) -> Callable[[Callable[..., dict | None]], Callable[..., SuiteReport]]:
+    """Make a check body into the suite `name`.
 
+    The body takes the suite's bounds, each with a default, and returns
+    its first counterexample, or None when every instance passes.  The
+    suite reports every bound in signature order, defaults included,
+    rejects a max_* bound below 1, under which it would check nothing,
+    and times the body, which gets the caller's arguments as they are.
+    """
+    def decorate(body: Callable[..., dict | None]) -> Callable[..., SuiteReport]:
+        params = body.__code__.co_varnames[:body.__code__.co_argcount]
+        defaults = dict(zip(params, body.__defaults__))
 
-def _require_positive(**bounds: int) -> None:
-    """Reject a bound below 1, under which a suite would check nothing."""
-    for name, value in bounds.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+        @functools.wraps(body)
+        def suite(*args, **kwargs) -> SuiteReport:
+            bounds = {**defaults, **dict(zip(params, args)), **kwargs}
+            for key in params:
+                if key.startswith("max_") and bounds[key] < 1:
+                    raise ValueError(f"{key} must be at least 1, got {bounds[key]}")
+            started = time.perf_counter()
+            counterexample = body(*args, **kwargs)
+            return SuiteReport(
+                suite=name,
+                bounds=bounds,
+                status="pass" if counterexample is None else "fail",
+                counterexample=counterexample,
+                ms=int((time.perf_counter() - started) * 1000),
+            )
+
+        return suite
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
 # hit numbers
 
 
-def verify_hit(max_n: int = 7) -> SuiteReport:
+@_suite("hit")
+def verify_hit(max_n: int = 7) -> dict | None:
     """QYT_{=k+1}(shape) * hook product == h_k of the conjugate board."""
-    _require_positive(max_n=max_n)
-    started = time.perf_counter()
-    bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
         for shape in partitions(n):
             hooks = shape.hook_product()
@@ -114,13 +133,12 @@ def verify_hit(max_n: int = 7) -> SuiteReport:
             for k in range(n):
                 lhs = counts[k + 1] * hooks
                 if lhs != hit[k]:
-                    return _finish("hit", bounds, {
+                    return {
                         "shape": str(shape),
                         "k": k,
                         "lhs": lhs,
                         "rhs": hit[k],
-                    }, started)
-    return _finish("hit", bounds, None, started)
+                    }
 
 
 def _gen_by_runs(shape: Partition, stat: str) -> dict[int, QPoly]:
@@ -134,7 +152,8 @@ def _gen_by_runs(shape: Partition, stat: str) -> dict[int, QPoly]:
     return out
 
 
-def verify_maj_hit(max_n: int = 6) -> SuiteReport:
+@_suite("maj-hit")
+def verify_maj_hit(max_n: int = 6) -> dict | None:
     """Major-index refinement, cross-multiplied:
 
     (sum_{QYT_{=k+1}} q^maj) * prod [h(u)]  ==  q^n(shape) * T_{n-k}(B+1),
@@ -144,9 +163,6 @@ def verify_maj_hit(max_n: int = 6) -> SuiteReport:
     corollary (sum over all standard fillings of q^maj) * prod [h] =
     q^n(shape) [n]!.
     """
-    _require_positive(max_n=max_n)
-    started = time.perf_counter()
-    bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
         mahonian = q_fact(n)
         for shape in partitions(n):
@@ -154,44 +170,41 @@ def verify_maj_hit(max_n: int = 6) -> SuiteReport:
             board = FerrersBoard.from_partition(shape).plus_one()
             T = board.q_hit_numbers()
             if sum(T, QPoly()) != mahonian:
-                return _finish("maj-hit", bounds, {
+                return {
                     "check": "mahonian",
                     "board": str(board),
                     "lhs": str(sum(T, QPoly())),
                     "rhs": str(mahonian),
-                }, started)
+                }
             gens = _gen_by_runs(shape, "maj")
             for k in range(n):
                 lhs = gens.get(k, QPoly()) * hooks_poly
                 rhs = T[n - k].shift(shape.n_stat())
                 if lhs != rhs:
-                    return _finish("maj-hit", bounds, {
+                    return {
                         "check": "refinement",
                         "shape": str(shape),
                         "k": k,
                         "lhs": str(lhs),
                         "rhs": str(rhs),
-                    }, started)
+                    }
             total = sum(gens.values(), QPoly())
             if total * hooks_poly != mahonian.shift(shape.n_stat()):
-                return _finish("maj-hit", bounds, {
+                return {
                     "check": "hook-length-q-analogue",
                     "shape": str(shape),
                     "lhs": str(total * hooks_poly),
                     "rhs": str(mahonian.shift(shape.n_stat())),
-                }, started)
-    return _finish("maj-hit", bounds, None, started)
+                }
 
 
-def verify_charge_hit(max_n: int = 6) -> SuiteReport:
+@_suite("charge-hit")
+def verify_charge_hit(max_n: int = 6) -> dict | None:
     """Charge refinement, cross-multiplied:
 
     (sum_{QYT_{=k+1}} q^ch) * prod [h(u)] * q^C(n,2)
         ==  q^(nk + n(conjugate)) * T_k(board of the conjugate).
     """
-    _require_positive(max_n=max_n)
-    started = time.perf_counter()
-    bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
         half = comb(n, 2)
         for shape in partitions(n):
@@ -203,24 +216,21 @@ def verify_charge_hit(max_n: int = 6) -> SuiteReport:
                 lhs = (gens.get(k, QPoly()) * hooks_poly).shift(half)
                 rhs = T[k].shift(n * k + conj.n_stat())
                 if lhs != rhs:
-                    return _finish("charge-hit", bounds, {
+                    return {
                         "check": "refinement",
                         "shape": str(shape),
                         "k": k,
                         "lhs": str(lhs),
                         "rhs": str(rhs),
-                    }, started)
-    return _finish("charge-hit", bounds, None, started)
+                    }
 
 
-def verify_summation(max_n: int = 8) -> SuiteReport:
+@_suite("summation")
+def verify_summation(max_n: int = 8) -> dict | None:
     """Alternating summation:
 
     QYT_{=k+1}(shape) == sum_m C(n+1, k-m) (-1)^(k-m) SSYT_{m+1}(shape).
     """
-    _require_positive(max_n=max_n)
-    started = time.perf_counter()
-    bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
         for shape in partitions(n):
             counts = qyt_counts(shape)
@@ -231,13 +241,12 @@ def verify_summation(max_n: int = 8) -> SuiteReport:
                     for m in range(k + 1)
                 )
                 if counts[k + 1] != rhs:
-                    return _finish("summation", bounds, {
+                    return {
                         "shape": str(shape),
                         "k": k,
                         "lhs": counts[k + 1],
                         "rhs": rhs,
-                    }, started)
-    return _finish("summation", bounds, None, started)
+                    }
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +278,8 @@ def _gjw_width(board: FerrersBoard, T: list[QPoly]) -> int:
     return max(product, binomial).bit_length() + 1
 
 
-def verify_gjw(max_n: int = 6) -> SuiteReport:
+@_suite("gjw")
+def verify_gjw(max_n: int = 6) -> dict | None:
     """On every board built from a shape of size <= max_n (raised or not):
     the complement of the raised board is the conjugate's board up to
     rotation; the q-hit numbers are Mahonian; and the Goldman-Joichi-White
@@ -283,9 +293,6 @@ def verify_gjw(max_n: int = 6) -> SuiteReport:
     packed at q = 2^W (see _gjw_width); the polynomials are built only
     to report a counterexample.
     """
-    _require_positive(max_n=max_n)
-    started = time.perf_counter()
-    bounds = {"max_n": max_n}
     binoms: dict[tuple[int, int, int], int] = {}  # (a, n, width) -> [a choose n] packed
     for n in range(1, max_n + 1):
         mahonian = q_fact(n)
@@ -293,23 +300,23 @@ def verify_gjw(max_n: int = 6) -> SuiteReport:
             base = FerrersBoard.from_partition(shape)
             expected = FerrersBoard.from_partition(shape.conjugate())
             if base.plus_one().complement_rotated() != expected:
-                return _finish("gjw", bounds, {
+                return {
                     "check": "complement",
                     "shape": str(shape),
                     "lhs": str(base.plus_one().complement_rotated()),
                     "rhs": str(expected),
-                }, started)
+                }
             for board in (base, base.plus_one()):
                 T = board.q_hit_census()
                 width = _gjw_width(board, T)
                 packed = [pack(t.coeffs, width) for t in T]
                 if sum(packed) != pack(mahonian.coeffs, width):
-                    return _finish("gjw", bounds, {
+                    return {
                         "check": "mahonian",
                         "board": str(board),
                         "lhs": str(sum(T, QPoly())),
                         "rhs": str(mahonian),
-                    }, started)
+                    }
                 for x in range(n + 1):
                     factors = [x + h - i + 1 for i, h in enumerate(board.heights, 1)]
                     if any(f < 0 for f in factors):
@@ -322,7 +329,7 @@ def verify_gjw(max_n: int = 6) -> SuiteReport:
                             binoms[key] = pack(q_binom(x + k, n).coeffs, width)
                         rhs += binoms[key] * packed[k]
                     if lhs != rhs:
-                        return _finish("gjw", bounds, {
+                        return {
                             "check": "product-identity",
                             "board": str(board),
                             "x": x,
@@ -331,16 +338,15 @@ def verify_gjw(max_n: int = 6) -> SuiteReport:
                             "rhs": str(sum((q_binom(x + k, n) * T[k]
                                             for k in range(n - x, n + 1)),
                                            QPoly())),
-                        }, started)
+                        }
                 solved = board.q_hit_numbers()
                 if solved != T:
-                    return _finish("gjw", bounds, {
+                    return {
                         "check": "product-route",
                         "board": str(board),
                         "lhs": [str(p) for p in solved],
                         "rhs": [str(p) for p in T],
-                    }, started)
-    return _finish("gjw", bounds, None, started)
+                    }
 
 
 # ---------------------------------------------------------------------------
@@ -373,33 +379,31 @@ _TRIANGLE_ROWS = {
 }
 
 
-def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) -> SuiteReport:
+@_suite("lattice")
+def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) -> dict | None:
     """The lattice-path route to QYT counting, plus the supporting facts
     about the e-basis coefficients a(n, k, m): the n <= 3 closed forms,
     the fixed n-m = 3 triangle rows, the Eulerian constant terms, the
     vanishing row sums, agreement between the path sum and the e-basis
     evaluation, symmetry, and the two-term recursion."""
-    _require_positive(max_n=max_n)
-    started = time.perf_counter()
-    bounds = {"max_n": max_n, "points": points, "seed": seed}
     rng = random.Random(seed)
 
     for (n, k), expected in sorted(_SMALL_PNK_COEFFS.items()):
         got = a_coeffs(n, k)
         if got != expected:
-            return _finish("lattice", bounds, {
+            return {
                 "check": "closed-forms", "n": n, "k": k,
                 "lhs": list(got), "rhs": list(expected),
-            }, started)
+            }
 
     for n, expected in sorted(_TRIANGLE_ROWS.items()):
         table = a_table(n)
         got = tuple(table[k][n - 3] for k in range(n))
         if got != expected:
-            return _finish("lattice", bounds, {
+            return {
                 "check": "triangle-rows", "n": n,
                 "lhs": list(got), "rhs": list(expected),
-            }, started)
+            }
 
     for n in range(1, max_n + 1):
         table = a_table(n)
@@ -407,10 +411,10 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
             # the Eulerian number by its closed form, not its recurrence
             want = sum((-1) ** j * comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 2))
             if table[k][0] != want:
-                return _finish("lattice", bounds, {
+                return {
                     "check": "eulerian-base", "n": n, "k": k,
                     "lhs": table[k][0], "rhs": want,
-                }, started)
+                }
 
     for n in range(1, max_n + 1):
         table = a_table(n)
@@ -418,10 +422,10 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
             total = sum(table[k][m] for k in range(n + 1))
             want = factorial(n) if m == 0 else 0
             if total != want:
-                return _finish("lattice", bounds, {
+                return {
                     "check": "row-sums", "n": n, "m": m,
                     "lhs": total, "rhs": want,
-                }, started)
+                }
 
     for _ in range(points):
         n = rng.randint(1, min(max_n, 7))
@@ -430,10 +434,10 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
         by_paths = pnk_eval_paths(n, k, xs)
         by_basis = pnk_eval_ebasis(n, k, xs)
         if by_paths != by_basis:
-            return _finish("lattice", bounds, {
+            return {
                 "check": "path-vs-ebasis", "n": n, "k": k, "x": list(xs),
                 "lhs": by_paths, "rhs": by_basis,
-            }, started)
+            }
 
     for _ in range(points):
         n = rng.randint(2, 6)
@@ -442,10 +446,10 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
         shuffled = xs[:]
         rng.shuffle(shuffled)
         if pnk_eval_paths(n, k, xs) != pnk_eval_paths(n, k, shuffled):
-            return _finish("lattice", bounds, {
+            return {
                 "check": "symmetry", "n": n, "k": k,
                 "x": xs, "shuffled": shuffled,
-            }, started)
+            }
 
     for n in range(1, 5):
         xs = tuple(rng.randint(-5, 5) for _ in range(n))
@@ -453,10 +457,10 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
             base = pnk_eval_paths(n, k, xs)
             for reordered in _all_perms(xs):
                 if pnk_eval_paths(n, k, reordered) != base:
-                    return _finish("lattice", bounds, {
+                    return {
                         "check": "symmetry-exhaustive", "n": n, "k": k,
                         "x": list(xs), "reordered": list(reordered),
-                    }, started)
+                    }
 
     for _ in range(points):
         n = rng.randint(2, 6)
@@ -470,10 +474,10 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
         rhs = (xs[-1] + k + 1) * sub(k) + (n - k - xs[-1]) * sub(k - 1)
         lhs = pnk_eval_ebasis(n, k, xs)
         if lhs != rhs:
-            return _finish("lattice", bounds, {
+            return {
                 "check": "recursion", "n": n, "k": k, "x": list(xs),
                 "lhs": lhs, "rhs": rhs,
-            }, started)
+            }
 
     for n in range(1, max_n + 1):
         for shape in partitions(n):
@@ -483,19 +487,17 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
                 got = by_paths[k]
                 want = counts[k + 1] if k + 1 <= n else 0
                 if got != want:
-                    return _finish("lattice", bounds, {
+                    return {
                         "check": "theorem", "shape": str(shape), "k": k,
                         "lhs": got, "rhs": want,
-                    }, started)
+                    }
             total = sum(by_paths)
             syt = shape.hook_length_count()
             if total != syt:
-                return _finish("lattice", bounds, {
+                return {
                     "check": "hook-recovery", "shape": str(shape),
                     "lhs": total, "rhs": syt,
-                }, started)
-
-    return _finish("lattice", bounds, None, started)
+                }
 
 
 # ---------------------------------------------------------------------------
@@ -576,11 +578,12 @@ def _content_tally(parts: tuple[int, ...]) -> QTPoly:
     return QTPoly(terms)
 
 
-def verify_genfun(max_n: int = 5) -> SuiteReport:
+@_suite("genfun")
+def verify_genfun(max_n: int = 5) -> dict | None:
     """Both expansions of the q,t Schur generating function, the Kostka
-    lemma behind the monomial one, RSK sanity, the nonzero-term
-    property of the truncated fundamental expansion, monomial
-    triangularity against Kostka numbers, the t = 1 specialization
+    lemma behind the monomial one, RSK sanity, the fundamental
+    expansion of each Schur function from its quasi-Yamanouchi fillings,
+    monomial triangularity against Kostka numbers, the t = 1 specialization
     against the q-hook formula and the q = 1 one against the path
     counts.  Expansions keep every composition of n, which is lossless
     in degree n.
@@ -595,10 +598,7 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
     walk tableau.kostka.  The RSK checks insert every p of S_n and give
     it back by inverse insertion, keeping no pair.  The
     truncated-fundamental check still walks the standard fillings and
-    destandardizes each."""
-    _require_positive(max_n=max_n)
-    started = time.perf_counter()
-    bounds = {"max_n": max_n}
+    tallies the descent sets of their destandardizations."""
     for n in range(1, max_n + 1):
         shapes = list(partitions(n))
         with_q = gen_fn(n, with_q=True)
@@ -607,17 +607,17 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
                   MonomialMap())
 
         if fundamental_sums(_inverse_descent_tally(n), n) != rhs:
-            return _finish("genfun", bounds, {
+            return {
                 "check": "fundamental", "n": n,
-            }, started)
+            }
 
         words = {s: _content_tally(s.parts) for s in shapes}
         lhs = sum((monomial_truncated(s, n).scale(c) for s, c in words.items()),
                   MonomialMap())
         if lhs != rhs:
-            return _finish("genfun", bounds, {
+            return {
                 "check": "monomial", "n": n,
-            }, started)
+            }
 
         K = {(nu, lam): kostka(nu, lam) for nu in shapes for lam in shapes}
         for shape, lhs_poly in words.items():
@@ -626,10 +626,10 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
                 if nu.dominates(shape):
                     rhs_poly = rhs_poly + K[nu, shape] * with_q[nu]
             if lhs_poly != rhs_poly:
-                return _finish("genfun", bounds, {
+                return {
                     "check": "kostka-lemma", "shape": str(shape),
                     "lhs": str(lhs_poly), "rhs": str(rhs_poly),
-                }, started)
+                }
 
         # Inverse insertion giving back every p shows that p -> (P, Q)
         # is injective; the pairs of standard fillings of one shape
@@ -637,86 +637,68 @@ def verify_genfun(max_n: int = 5) -> SuiteReport:
         for p in perms(n):
             P, Q = row_insert(p)
             if tuple(map(len, P)) != tuple(map(len, Q)):
-                return _finish("genfun", bounds, {
+                return {
                     "check": "rsk-shapes", "perm": list(p),
-                }, started)
+                }
             try:
                 back = row_uninsert(P, Q)
             except (KeyError, IndexError):  # Q is not a standard filling
                 back = None
             if back != p:
-                return _finish("genfun", bounds, {
+                return {
                     "check": "rsk-bijection", "perm": list(p),
-                }, started)
+                }
         squares_sum = sum(shape.hook_length_count() ** 2 for shape in shapes)
         if squares_sum != factorial(n):
-            return _finish("genfun", bounds, {
+            return {
                 "check": "rsk-bijection", "n": n, "squares_sum": squares_sum,
-            }, started)
+            }
 
         for shape in shapes:
-            # weight -> (first filling of that weight, how many have it)
-            weights: dict[tuple[int, ...], list] = {}
+            tally: dict[int, int] = {}  # descent mask -> fillings
             for t in enumerate_syt(shape):
-                qyt = t.destandardize()
-                seen = weights.setdefault(qyt.weight(), [qyt, 0])
-                seen[1] += 1
-            # F_D vanishes in fewer than |D| + 1 = max_entry variables, so
-            # a filling first counts at N = its max_entry; the smallest N
-            # at which a term is empty or the sums differ is reported.
-            empty = {}
-            tally = {}
-            for weight, (qyt, count) in weights.items():
-                strict = composition_descents(weight)
-                if not fundamental_truncated(strict, n, n).truncate(qyt.max_entry):
-                    empty.setdefault(qyt.max_entry, qyt)
-                tally[sum(1 << (j - 1) for j in strict)] = count
+                strict = composition_descents(t.destandardize().weight())
+                mask = sum(1 << (j - 1) for j in strict)
+                tally[mask] = tally.get(mask, 0) + 1
             sums = fundamental_sums(tally, n)
-            differs = n + 1
             if sums != schur[shape]:
+                # the fewest variables in which the two sides differ
                 differs = next(
                     n_vars for n_vars in range(1, n + 1)
                     if sums.truncate(n_vars) != schur[shape].truncate(n_vars))
-            if empty and min(empty) <= differs:
-                return _finish("genfun", bounds, {
-                    "check": "nonzero-terms", "shape": str(shape),
-                    "vars": min(empty), "filling": str(empty[min(empty)]),
-                }, started)
-            if differs <= n:
-                return _finish("genfun", bounds, {
+                return {
                     "check": "truncated-fundamental", "shape": str(shape),
                     "vars": differs,
-                }, started)
+                }
 
         for nu, sch in schur.items():
             for lam in shapes:
                 got = sch.coefficient(lam.parts)
                 want = K[nu, lam]
                 if got != want or (want and not nu.dominates(lam)):
-                    return _finish("genfun", bounds, {
+                    return {
                         "check": "triangularity",
                         "shape": str(nu), "weight": str(lam),
                         "lhs": got, "rhs": want,
-                    }, started)
+                    }
             if sch.coefficient(nu.parts) != 1:
-                return _finish("genfun", bounds, {
+                return {
                     "check": "triangularity-leading", "shape": str(nu),
-                }, started)
+                }
 
         for shape in shapes:
             # q-hook formula: sum of q^maj = q^n(shape) [n]! / prod [h(u)]
             hooks_poly = prod((q_int(h) for h in shape.hooks()), start=QPoly((1,)))
             q_hook = q_fact(n).shift(shape.n_stat()).exact_div(hooks_poly)
             if with_q[shape].at_t1() != q_hook:
-                return _finish("genfun", bounds, {
+                return {
                     "check": "t1-specialization", "shape": str(shape),
-                }, started)
+                }
             path_counts = QPoly(qyt_counts_via_pnk(shape)[:n])
             if with_q[shape].at_q1() != path_counts:
-                return _finish("genfun", bounds, {
+                return {
                     "check": "q1-specialization", "shape": str(shape),
-                }, started)
-    return _finish("genfun", bounds, None, started)
+                }
 
 
 # ---------------------------------------------------------------------------
@@ -778,12 +760,10 @@ def jack_coefficient(shape, k: int) -> int:
     return factorial(shape.size) * qyt_count_exact(shape.conjugate(), k + 1)
 
 
-def verify_foulkes(max_n: int = 7) -> SuiteReport:
+@_suite("foulkes")
+def verify_foulkes(max_n: int = 7) -> dict | None:
     """foulkes_multiplicity(n, k, shape) == QYT_{=n-k}(shape) everywhere;
     each shape's descent tally is read once for all k."""
-    _require_positive(max_n=max_n)
-    started = time.perf_counter()
-    bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
         for shape in partitions(n):
             census = qyt_counts(shape)
@@ -792,31 +772,25 @@ def verify_foulkes(max_n: int = 7) -> SuiteReport:
                 got = by_des.get(n - 1 - k, 0)
                 want = census[n - k]
                 if got != want:
-                    return _finish("foulkes", bounds, {
+                    return {
                         "shape": str(shape), "k": k,
                         "lhs": got, "rhs": want,
-                    }, started)
-    return _finish("foulkes", bounds, None, started)
+                    }
 
 
-def verify_polya(max_n: int = 6, max_m: int = 5) -> SuiteReport:
-    _require_positive(max_n=max_n, max_m=max_m)
-    started = time.perf_counter()
-    bounds = {"max_n": max_n, "max_m": max_m}
+@_suite("polya")
+def verify_polya(max_n: int = 6, max_m: int = 5) -> dict | None:
     for n in range(1, max_n + 1):
         for m in range(1, max_m + 1):
             if not polya_dimension_check(n, m):
-                return _finish("polya", bounds, {"n": n, "m": m}, started)
-    return _finish("polya", bounds, None, started)
+                return {"n": n, "m": m}
 
 
-def verify_jack(max_n: int = 6) -> SuiteReport:
+@_suite("jack")
+def verify_jack(max_n: int = 6) -> dict | None:
     """The labeled coefficients against the two independent routes: the
     lattice-path count of the conjugate shape and the hit numbers.  Each
     shape's quasi-Yamanouchi counts are read once for all k."""
-    _require_positive(max_n=max_n)
-    started = time.perf_counter()
-    bounds = {"max_n": max_n}
     for n in range(1, max_n + 1):
         for shape in partitions(n):
             conj = shape.conjugate()
@@ -828,17 +802,16 @@ def verify_jack(max_n: int = 6) -> SuiteReport:
                 got = factorial(n) * counts[k + 1]  # jack_coefficient(shape, k)
                 by_paths = factorial(n) * path_counts[k]
                 if got != by_paths:
-                    return _finish("jack", bounds, {
+                    return {
                         "check": "path-route", "shape": str(shape), "k": k,
                         "lhs": got, "rhs": by_paths,
-                    }, started)
+                    }
                 if got * conj_hooks != factorial(n) * hit[k]:
-                    return _finish("jack", bounds, {
+                    return {
                         "check": "hit-route", "shape": str(shape), "k": k,
                         "lhs": got * conj_hooks,
                         "rhs": factorial(n) * hit[k],
-                    }, started)
-    return _finish("jack", bounds, None, started)
+                    }
 
 
 #: CLI-facing registry of suites.

@@ -49,6 +49,7 @@ INVOCATIONS = [
     ("verify", "foulkes", "--max-n", "5"),
     ("verify", "polya", "--max-n", "4"),
     ("verify", "jack", "--max-n", "5"),
+    ("verify", "all"),
     ("verify", "all", "--max-n", "3", "--format", "json"),
     ("verify", "all", "--max-n", "3", "--format", "csv"),
 ]
@@ -144,6 +145,8 @@ GOLDEN = {
         "3d503a8a78c3fbdfbf9ee6b98fd60e53b942deba028c807b0e5e98fe77360e72",
     "verify jack --max-n 5":
         "cb04e2e13d5cabee3c37f9515022f37531296726885cc8933fd9bd9c76a73f57",
+    "verify all":
+        "6682ef655f2a9782abd6c39946cbf3fd0715c9c6a08f6e1a3df3bf2d72620cd7",
     "verify all --max-n 3 --format json":
         "7e6fd42abfd4cbc5cb057e2bf6b8bcfc7ae9052bb164efb4b571a5d4a7bea717",
     "verify all --max-n 3 --format csv":

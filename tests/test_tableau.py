@@ -237,6 +237,12 @@ def _compositions(n):
             yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
+@pytest.mark.parametrize("shape,weight", [((2,), (3, -1)), ((1, 1), (3, -1))])
+def test_kostka_rejects_negative_weights(shape, weight):
+    with pytest.raises(ValueError, match="nonnegative"):
+        kostka(Partition(shape), weight)
+
+
 def test_kostka_matches_oracle():
     # every composition of n <= 6 as weight, as it is and with one zero
     # part put in at each place; the oracle's fillings in len(weight)

@@ -3,6 +3,8 @@ from math import factorial
 
 import pytest
 
+import qyt.verify
+from qyt.board import FerrersBoard
 from qyt.partition import Partition, partitions
 from qyt.tableau import Tableau, enumerate_syt, qyt_count_exact
 from qyt.qpoly import QTPoly
@@ -54,6 +56,25 @@ def test_suites_pass_at_reduced_bounds(suite, kwargs):
     for key, value in kwargs.items():
         assert report.bounds[key] == value
     json.dumps(report.to_json())  # serializable
+
+
+def test_suites_bind_their_arguments_like_plain_functions():
+    from qyt.pnk import DEFAULT_SEED
+
+    with pytest.raises(TypeError):
+        verify_hit(5, 6)
+    with pytest.raises(TypeError):
+        verify_hit(5, max_n=6)
+    with pytest.raises(TypeError):
+        verify_lattice(bogus=1)
+    with pytest.raises(ValueError, match="^max_m must be at least 1, got 0$"):
+        verify_polya(max_m=0)
+    # only max_* bounds are guarded; every bound is reported, in order
+    report = verify_lattice(max_n=3, points=0)
+    assert report.passed, report.counterexample
+    assert list(report.bounds.items()) == [
+        ("max_n", 3), ("points", 0), ("seed", DEFAULT_SEED)]
+    assert verify_polya(4).bounds == {"max_n": 4, "max_m": 5}
 
 
 def test_gjw_reports_product_route_disagreement(monkeypatch):
@@ -407,6 +428,133 @@ def test_genfun_reports_a_recording_that_cannot_be_inverted(monkeypatch, word, r
     report = verify_genfun(max_n=4)
     assert report.status == "fail"
     assert report.counterexample == {"check": "rsk-bijection", "perm": list(word)}
+
+
+def _when(match, change):
+    """A fault for a function or method: `change(result, *args)` in place
+    of the true result on the calls whose arguments satisfy `match`."""
+    def make(true):
+        def faulty(*args):
+            out = true(*args)
+            return change(out, *args) if match(*args) else out
+        return faulty
+    return make
+
+
+def _bumped(table, k, m):
+    out = [row[:] for row in table]
+    out[k][m] += 1
+    return out
+
+
+def _always(*args):
+    return True
+
+
+_P21 = Partition((2, 1))
+
+
+# One row per named check that no other test here makes fail.  Each row
+# injects one fault through one module seam and names the check that
+# must report it, with the shape, board or instance when the
+# counterexample names one.  A row's bounds keep every check that runs
+# before its target from meeting the fault: the lattice rows at
+# max_n = 1 sample only n = 1 in path-vs-ebasis, and points = 0 skips
+# the sampled checks altogether.
+MUTATIONS = [
+    pytest.param(
+        verify_genfun, {"max_n": 3}, qyt.verify, "enumerate_syt",
+        _when(lambda shape: shape == _P21, lambda out, shape: out[:-1]),
+        {"check": "truncated-fundamental", "shape": "2,1", "vars": 2},
+        id="truncated-fundamental"),
+    pytest.param(
+        verify_genfun, {"max_n": 3}, qyt.verify, "q_fact",
+        _when(lambda n: n == 3, lambda out, n: out.shift(1)),
+        {"check": "t1-specialization", "shape": "3"},
+        id="t1-specialization"),
+    pytest.param(
+        verify_lattice, {"max_n": 3}, qyt.verify, "a_coeffs",
+        _when(lambda n, k: (n, k) == (2, 1), lambda out, n, k: (*out[:-1], out[-1] + 1)),
+        {"check": "closed-forms", "n": 2, "k": 1},
+        id="closed-forms"),
+    pytest.param(
+        verify_lattice, {"max_n": 3}, qyt.verify, "a_table",
+        _when(lambda n: n == 4, lambda out, n: _bumped(out, 1, 1)),
+        {"check": "triangle-rows", "n": 4},
+        id="triangle-rows"),
+    pytest.param(
+        verify_lattice, {"max_n": 3}, qyt.verify, "a_table",
+        _when(lambda n: n == 2, lambda out, n: _bumped(out, 0, 0)),
+        {"check": "eulerian-base", "n": 2, "k": 0},
+        id="eulerian-base"),
+    pytest.param(
+        verify_lattice, {"max_n": 3}, qyt.verify, "a_table",
+        _when(lambda n: n == 2, lambda out, n: _bumped(out, 2, 1)),
+        {"check": "row-sums", "n": 2, "m": 1},
+        id="row-sums"),
+    pytest.param(
+        verify_lattice, {"max_n": 3, "points": 10}, qyt.verify, "pnk_eval_ebasis",
+        _when(_always, lambda out, *args: out + 1),
+        {"check": "path-vs-ebasis"},
+        id="path-vs-ebasis"),
+    pytest.param(
+        verify_lattice, {"max_n": 1, "points": 50}, qyt.verify, "pnk_eval_paths",
+        _when(lambda n, k, xs: n >= 2, lambda out, n, k, xs: out + xs[0]),
+        {"check": "symmetry"},
+        id="symmetry"),
+    pytest.param(
+        verify_lattice, {"max_n": 1, "points": 0}, qyt.verify, "pnk_eval_paths",
+        _when(lambda n, k, xs: n >= 2, lambda out, n, k, xs: out + xs[0]),
+        {"check": "symmetry-exhaustive"},
+        id="symmetry-exhaustive"),
+    pytest.param(
+        verify_lattice, {"max_n": 1, "points": 50}, qyt.verify, "pnk_eval_ebasis",
+        _when(lambda n, k, xs: n == 3, lambda out, *args: out + 1),
+        {"check": "recursion"},
+        id="recursion"),
+    pytest.param(
+        verify_lattice, {"max_n": 3, "points": 0}, Partition, "hook_length_count",
+        _when(lambda shape: shape == _P21, lambda out, shape: out + 1),
+        {"check": "hook-recovery", "shape": "2,1"},
+        id="hook-recovery"),
+    pytest.param(
+        verify_gjw, {"max_n": 3}, FerrersBoard, "complement_rotated",
+        _when(_always, lambda out, board: board),
+        {"check": "complement", "shape": "1"},
+        id="complement"),
+    pytest.param(
+        # a filling with n descents, which no k < n of the refinement reads
+        verify_maj_hit, {"max_n": 3}, qyt.verify, "des_maj_counts",
+        _when(lambda shape: shape == _P21, lambda out, shape: (*out, ((3, 0), 1))),
+        {"check": "hook-length-q-analogue", "shape": "2,1"},
+        id="hook-length-q-analogue"),
+    pytest.param(
+        verify_jack, {"max_n": 3}, FerrersBoard, "hit_numbers",
+        _when(lambda board: board == FerrersBoard.from_partition(_P21),
+              lambda out, board: [h + 1 for h in out]),
+        {"check": "hit-route", "shape": "2,1", "k": 0},
+        id="hit-route"),
+    pytest.param(
+        verify_foulkes, {"max_n": 3}, qyt.verify, "_descent_tally",
+        _when(lambda shape: shape == _P21,
+              lambda out, shape: {d + 1: c for d, c in out.items()}),
+        {"shape": "2,1"},
+        id="foulkes"),
+    pytest.param(
+        verify_polya, {"max_n": 3, "max_m": 3}, qyt.verify, "qyt_counts",
+        _when(lambda shape: shape == _P21, lambda out, shape: [0, *out[:-1]]),
+        {"n": 3, "m": 2},
+        id="polya"),
+]
+
+
+@pytest.mark.parametrize("suite,kwargs,owner,name,fault,expected", MUTATIONS)
+def test_each_check_fails_under_a_fault(monkeypatch, suite, kwargs, owner, name,
+                                        fault, expected):
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    report = suite(**kwargs)
+    assert report.status == "fail"
+    assert {key: report.counterexample.get(key) for key in expected} == expected
 
 
 def test_genfun_lists_no_words_and_builds_each_kostka_number_once(monkeypatch):
