@@ -21,10 +21,11 @@ every shape of a sweep shares them.  `enumerate_syt` serves only to
 list the fillings themselves, and the enumeration check of the
 `genfun` suite, which walks them on purpose.
 
-Semistandard fillings come from one cell walk, `_ssyt_rows`, which
-fills the cells in reading order under a budget of uses per value:
+Every filling comes from one cell walk, `_ssyt_rows`, which fills the
+cells in reading order under a budget of uses per value:
 `enumerate_ssyt(shape, m)` gives every value up to m the whole size as
-its budget, and `kostka(shape, weight)` gives the weight and counts.
+its budget, `enumerate_syt(shape)` gives each of 1..n a budget of one,
+and `kostka(shape, weight)` gives the weight and counts.
 """
 
 from __future__ import annotations
@@ -256,25 +257,11 @@ def enumerate_ssyt(shape, m: int) -> list[Tableau]:
 
 
 def enumerate_syt(shape) -> list[Tableau]:
-    """All standard fillings of `shape`, by backtracking on the values."""
-    shape = as_partition(shape)
-    parts = shape.parts
-    n = shape.size
-    rows: list[list[int]] = [[] for _ in parts]
-    out: list[Tableau] = []
-
-    def place(v: int) -> None:
-        if v > n:
-            out.append(Tableau(tuple(r) for r in rows))
-            return
-        for j in range(len(parts)):
-            if len(rows[j]) < parts[j] and (j == 0 or len(rows[j - 1]) > len(rows[j])):
-                rows[j].append(v)
-                place(v + 1)
-                rows[j].pop()
-
-    place(1)
-    return out
+    """All standard fillings of `shape`: the semistandard fillings that
+    use each of 1..n at most once, ordered lexicographically by
+    bottom-to-top reading word."""
+    parts = as_partition(shape).parts
+    return [Tableau(rows) for rows in _ssyt_rows(parts, (1,) * sum(parts))]
 
 
 def enumerate_qyt_exact(shape, m: int) -> list[Tableau]:

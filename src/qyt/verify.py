@@ -290,8 +290,8 @@ def verify_gjw(max_n: int = 6) -> dict | None:
     board's own q-hit numbers are solved from this identity and would
     satisfy it by construction.  The "product-route" check compares the
     two.  The Mahonian and product-identity checks compare both sides
-    packed at q = 2^W (see _gjw_width); the polynomials are built only
-    to report a counterexample.
+    packed at q = 2^W (see _gjw_width), and a counterexample reports the
+    packed values they compared, read back as polynomials.
     """
     binoms: dict[tuple[int, int, int], int] = {}  # (a, n, width) -> [a choose n] packed
     for n in range(1, max_n + 1):
@@ -314,7 +314,7 @@ def verify_gjw(max_n: int = 6) -> dict | None:
                     return {
                         "check": "mahonian",
                         "board": str(board),
-                        "lhs": str(sum(T, QPoly())),
+                        "lhs": str(QPoly(unpack(sum(packed), width))),
                         "rhs": str(mahonian),
                     }
                 for x in range(n + 1):
@@ -333,11 +333,8 @@ def verify_gjw(max_n: int = 6) -> dict | None:
                             "check": "product-identity",
                             "board": str(board),
                             "x": x,
-                            "lhs": str(prod((q_int(f) for f in factors),
-                                            start=QPoly((1,)))),
-                            "rhs": str(sum((q_binom(x + k, n) * T[k]
-                                            for k in range(n - x, n + 1)),
-                                           QPoly())),
+                            "lhs": str(QPoly(unpack(lhs, width))),
+                            "rhs": str(QPoly(unpack(rhs, width))),
                         }
                 solved = board.q_hit_numbers()
                 if solved != T:
@@ -595,10 +592,14 @@ def verify_genfun(max_n: int = 5) -> dict | None:
     fundamental_sums turns a tally by descent set into the monomial
     basis by one subset-sum transform.  The Kostka numbers of the lemma
     and of triangularity come from one table per n, filled by the cell
-    walk tableau.kostka.  The RSK checks insert every p of S_n and give
-    it back by inverse insertion, keeping no pair.  The
-    truncated-fundamental check still walks the standard fillings and
-    tallies the descent sets of their destandardizations."""
+    walk tableau.kostka.  Triangularity needs no separate check that the
+    coefficient of M_nu in s_nu is 1: it requires that coefficient to
+    equal K[nu, nu], and a K[nu, nu] other than 1 has already failed the
+    Kostka lemma or the monomial check, since gen_fn(n)[nu] is never
+    zero.  The RSK checks insert every p of S_n and give it back by
+    inverse insertion, keeping no pair.  The truncated-fundamental check
+    still walks the standard fillings (enumerate_syt) and tallies the
+    descent sets of their destandardizations."""
     for n in range(1, max_n + 1):
         shapes = list(partitions(n))
         with_q = gen_fn(n, with_q=True)
@@ -681,10 +682,6 @@ def verify_genfun(max_n: int = 5) -> dict | None:
                         "shape": str(nu), "weight": str(lam),
                         "lhs": got, "rhs": want,
                     }
-            if sch.coefficient(nu.parts) != 1:
-                return {
-                    "check": "triangularity-leading", "shape": str(nu),
-                }
 
         for shape in shapes:
             # q-hook formula: sum of q^maj = q^n(shape) [n]! / prod [h(u)]

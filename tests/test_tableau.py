@@ -57,12 +57,18 @@ def test_ssyt_enumeration_matches_oracle():
 
 
 def test_ssyt_enumeration_is_in_reading_word_order():
-    # increasing bottom-to-top reading word, as enumerate_ssyt promises
+    # increasing bottom-to-top reading word, as enumerate_ssyt and
+    # enumerate_syt promise
+    def words(tableaux):
+        return [tuple(v for row in t.rows for v in row) for t in tableaux]
+
     for lam in [Partition(()), *shapes_upto(5)]:
         for m in range(6):
-            words = [tuple(v for row in t.rows for v in row) for t in enumerate_ssyt(lam, m)]
-            assert words == sorted(set(words)), (lam, m)
-            assert len(words) == len(oracles.ssyt_brute(lam.parts, m))
+            listed = words(enumerate_ssyt(lam, m))
+            assert listed == sorted(set(listed)), (lam, m)
+            assert len(listed) == len(oracles.ssyt_brute(lam.parts, m))
+        listed = words(enumerate_syt(lam))
+        assert listed == sorted(set(listed)), lam
     with pytest.raises(ValueError, match="m must be nonnegative"):
         enumerate_ssyt(Partition((2,)), -1)
 
@@ -78,6 +84,13 @@ def test_syt_enumeration_examples():
     }
     assert len(enumerate_syt(Partition((6,)))) == 1
     assert len(enumerate_syt(Partition((2, 2, 1)))) == 5
+
+
+def test_syt_enumeration_matches_the_oracle():
+    for n in range(8):
+        for lam in partitions(n):
+            got = {t.rows for t in enumerate_syt(lam)}
+            assert got == set(oracles.syt_brute(lam.parts)), lam
 
 
 def test_syt_counts_match_hook_length_formula():

@@ -1,13 +1,19 @@
+import inspect
 import json
+import re
 from math import factorial
 
 import pytest
 
+import qyt.symfun
+import qyt.tableau
 import qyt.verify
+from qyt import _kernels
 from qyt.board import FerrersBoard
 from qyt.partition import Partition, partitions
+from qyt.qpoly import QPoly, QTPoly
+from qyt.symfun import MonomialMap
 from qyt.tableau import Tableau, enumerate_syt, qyt_count_exact
-from qyt.qpoly import QTPoly
 from qyt.verify import (
     SUITES,
     SuiteReport,
@@ -77,188 +83,6 @@ def test_suites_bind_their_arguments_like_plain_functions():
     assert verify_polya(4).bounds == {"max_n": 4, "max_m": 5}
 
 
-def test_gjw_reports_product_route_disagreement(monkeypatch):
-    from qyt.board import FerrersBoard
-    from qyt.qpoly import QPoly
-
-    solve = FerrersBoard.q_hit_numbers
-
-    def off_by_q(self):
-        T = solve(self)
-        return T[:-1] + [T[-1] + QPoly((0, 1))]
-
-    monkeypatch.setattr(FerrersBoard, "q_hit_numbers", off_by_q)
-    report = verify_gjw(max_n=2)
-    assert report.status == "fail"
-    assert report.counterexample["check"] == "product-route"
-    assert report.counterexample["board"] == "n=1; heights=0"
-    assert report.counterexample["lhs"] == ["1", "q"]
-    assert report.counterexample["rhs"] == ["1", "0"]
-
-
-def test_gjw_catches_a_weight_moved_in_the_census(monkeypatch):
-    from qyt import _kernels
-
-    census = _kernels.q_hit_census
-
-    def faulty(n, heights):
-        counts = census(n, heights)
-        if tuple(heights) == (2, 2, 2):  # the board of shape 3
-            k = next(k for k, row in enumerate(counts) if any(row[:-1]))
-            w = next(w for w, c in enumerate(counts[k][:-1]) if c)
-            counts[k][w] -= 1
-            counts[k][w + 1] += 1
-        return counts
-
-    monkeypatch.setattr(_kernels, "q_hit_census", faulty)
-    report = verify_gjw(max_n=3)
-    assert report.status == "fail"
-    assert report.counterexample["board"] == "n=3; heights=2,2,2"
-
-
-@pytest.mark.parametrize("sign", [-1, 1])
-def test_gjw_catches_counts_that_cancel_at_the_honest_width(monkeypatch, sign):
-    # An honest census of board 2,2,2 needs W = bits(5 * 4 * 3) + 1 = 7
-    # bits per slot.  Moving 2^W out of (into) slot w = 0 and one unit
-    # into (out of) w = 1 leaves every value at q = 2^W unchanged, so a
-    # fixed width would miss both faults: a negative count (sign -1) and
-    # a count of 2^W or more (sign +1).
-    from math import prod
-
-    from qyt import _kernels
-
-    heights = (2, 2, 2)
-    width = prod(3 + h - i + 1 for i, h in enumerate(heights, 1)).bit_length() + 1
-    assert width == 7
-    census = _kernels.q_hit_census
-
-    def faulty(n, hs):
-        counts = census(n, hs)
-        if tuple(hs) == heights:
-            counts[2][0] += sign * 2**width
-            counts[2][1] -= sign
-        return counts
-
-    monkeypatch.setattr(_kernels, "q_hit_census", faulty)
-    report = verify_gjw(max_n=3)
-    assert report.status == "fail"
-    assert report.counterexample["check"] in ("mahonian", "product-identity")
-    assert report.counterexample["board"] == "n=3; heights=2,2,2"
-
-
-def _move_one_filling(monkeypatch, dd, dm):
-    """Make the (des, maj) dynamic program report one standard filling of
-    shape 2,1 at (des + dd, maj + dm), under every name verify reaches it
-    by: its own binding, the tableau module's, which qyt_counts reads, and
-    the symfun module's, which gen_fn reads."""
-    from collections import Counter
-
-    import qyt.symfun
-    import qyt.tableau
-    import qyt.verify
-
-    true_counts = qyt.tableau.des_maj_counts
-
-    def faulty(shape):
-        tally = true_counts(shape)
-        if Partition(shape) != Partition((2, 1)):
-            return tally
-        moved = Counter(dict(tally))
-        (d, mj), _ = tally[0]
-        moved[(d, mj)] -= 1
-        moved[(d + dd, mj + dm)] += 1
-        return tuple(sorted((k, c) for k, c in moved.items() if c))
-
-    monkeypatch.setattr(qyt.tableau, "des_maj_counts", faulty)
-    monkeypatch.setattr(qyt.verify, "des_maj_counts", faulty)
-    monkeypatch.setattr(qyt.symfun, "des_maj_counts", faulty)
-
-
-@pytest.mark.parametrize(
-    "suite,kwargs",
-    [
-        (verify_summation, {"max_n": 3}),
-        (verify_hit, {"max_n": 3}),
-        (verify_lattice, {"max_n": 3, "points": 10}),
-        (verify_jack, {"max_n": 3}),
-    ],
-)
-def test_suites_catch_a_descent_moved_in_the_dp(monkeypatch, suite, kwargs):
-    _move_one_filling(monkeypatch, dd=1, dm=0)
-    report = suite(**kwargs)
-    assert report.status == "fail"
-    assert report.counterexample["shape"] == "2,1"
-
-
-@pytest.mark.parametrize("suite", [verify_maj_hit, verify_charge_hit])
-def test_suites_catch_a_maj_moved_in_the_dp(monkeypatch, suite):
-    _move_one_filling(monkeypatch, dd=0, dm=1)
-    report = suite(max_n=3)
-    assert report.status == "fail"
-    assert report.counterexample["check"] == "refinement"
-    assert report.counterexample["shape"] == "2,1"
-
-
-@pytest.mark.parametrize("dd,dm", [(1, 0), (0, 1)])
-def test_genfun_checks_gen_fn_against_the_permutation_side(monkeypatch, dd, dm):
-    _move_one_filling(monkeypatch, dd=dd, dm=dm)
-    report = verify_genfun(max_n=3)
-    assert report.status == "fail"
-    assert report.counterexample == {"check": "fundamental", "n": 3}
-
-
-def test_genfun_catches_a_raised_schur_coefficient(monkeypatch):
-    import qyt.verify
-
-    true_schur = qyt.verify.schur_truncated
-
-    def faulty(shape, n_vars):
-        out = true_schur(shape, n_vars)
-        if Partition(shape) == Partition((2, 1)):
-            out.add_term((1, 1, 1), 1)
-        return out
-
-    monkeypatch.setattr(qyt.verify, "schur_truncated", faulty)
-    report = verify_genfun(max_n=3)
-    assert report.status == "fail"
-    assert report.counterexample["n"] == 3
-
-
-def test_genfun_checks_q1_against_the_path_counts(monkeypatch):
-    import qyt.verify
-
-    true_counts = qyt.verify.qyt_counts_via_pnk
-    monkeypatch.setattr(qyt.verify, "qyt_counts_via_pnk",
-                        lambda shape: true_counts(shape)[1:] + [0])
-    report = verify_genfun(max_n=3)
-    assert report.status == "fail"
-    assert report.counterexample == {"check": "q1-specialization", "shape": "1"}
-
-
-@pytest.mark.parametrize("suite,check", [
-    (verify_lattice, "theorem"),
-    (verify_jack, "path-route"),
-])
-def test_suites_catch_a_path_count_moved_up_one_k(monkeypatch, suite, check):
-    import qyt.verify
-
-    true_counts = qyt.verify.qyt_counts_via_pnk
-
-    def faulty(shape):
-        counts = true_counts(shape)
-        if Partition(shape) == Partition((2, 1)):
-            k = next(k for k, c in enumerate(counts) if c)
-            counts[k] -= 1
-            counts[k + 1] += 1
-        return counts
-
-    monkeypatch.setattr(qyt.verify, "qyt_counts_via_pnk", faulty)
-    report = suite(max_n=3)
-    assert report.status == "fail"
-    assert report.counterexample["check"] == check
-    assert report.counterexample["shape"] == "2,1"
-
-
 def _count_calls(monkeypatch, module, name):
     calls = []
     true_fn = getattr(module, name)
@@ -283,8 +107,6 @@ def test_lattice_builds_the_elementary_values_once_per_shape(monkeypatch):
 
 
 def test_foulkes_reads_the_des_maj_tally_at_most_once_per_shape(monkeypatch):
-    import qyt.verify
-
     calls = _count_calls(monkeypatch, qyt.verify, "des_maj_counts")
     report = verify_foulkes(max_n=9)
     assert report.passed, report.counterexample
@@ -292,8 +114,6 @@ def test_foulkes_reads_the_des_maj_tally_at_most_once_per_shape(monkeypatch):
 
 
 def test_jack_reads_the_des_maj_tally_at_most_once_per_shape(monkeypatch):
-    import qyt.tableau
-
     calls = _count_calls(monkeypatch, qyt.tableau, "des_maj_counts")
     report = verify_jack(max_n=9)
     assert report.passed, report.counterexample
@@ -320,116 +140,6 @@ def test_inverse_descent_tally_matches_an_s_n_sweep():
         assert _inverse_descent_tally(n) == want, n
 
 
-def test_genfun_catches_a_maj_moved_in_one_content(monkeypatch):
-    import qyt.verify
-
-    true_tally = qyt.verify._content_tally
-
-    def faulty(parts):
-        tally = true_tally(parts)
-        if parts == (2, 1):
-            (mj, d), _ = sorted(tally.coeffs.items())[0]
-            tally = tally - QTPoly.term(mj, d) + QTPoly.term(mj + 1, d)
-        return tally
-
-    monkeypatch.setattr(qyt.verify, "_content_tally", faulty)
-    report = verify_genfun(max_n=4)
-    assert report.status == "fail"
-    assert report.counterexample == {"check": "monomial", "n": 3}
-
-
-@pytest.mark.parametrize("dd,dm", [(1, 0), (0, 1)])
-def test_genfun_catches_an_entry_moved_in_the_placed_set_tally(monkeypatch, dd, dm):
-    import qyt.verify
-
-    true_tally = qyt.verify._inverse_descent_tally
-
-    def faulty(n):
-        tally = true_tally(n)
-        if n == 4:
-            mask = max(tally)
-            (mj, d), _ = sorted(tally[mask].coeffs.items())[0]
-            tally[mask] = (tally[mask] - QTPoly.term(mj, d)
-                           + QTPoly.term(mj + dm, d + dd))
-        return tally
-
-    monkeypatch.setattr(qyt.verify, "_inverse_descent_tally", faulty)
-    report = verify_genfun(max_n=5)
-    assert report.status == "fail"
-    assert report.counterexample == {"check": "fundamental", "n": 4}
-
-
-@pytest.mark.parametrize("nu,lam,check,shape", [
-    ((2, 1), (1, 1, 1), "kostka-lemma", "1,1,1"),   # read by the lemma
-    ((1, 1, 1), (2, 1), "triangularity", "1,1,1"),  # nu does not dominate lam
-])
-def test_genfun_catches_a_raised_kostka_number(monkeypatch, nu, lam, check, shape):
-    import qyt.verify
-
-    true_kostka = qyt.verify.kostka
-
-    def faulty(shape, weight):
-        k = true_kostka(shape, weight)
-        return k + 1 if (shape.parts, weight.parts) == (nu, lam) else k
-
-    monkeypatch.setattr(qyt.verify, "kostka", faulty)
-    report = verify_genfun(max_n=4)
-    assert report.status == "fail"
-    assert report.counterexample["check"] == check
-    assert report.counterexample["shape"] == shape
-
-
-def test_genfun_catches_an_insertion_with_mismatched_shapes(monkeypatch):
-    import qyt.verify
-
-    true_insert = qyt.verify.row_insert
-
-    def faulty(word):
-        P, Q = true_insert(word)
-        if tuple(word) == (2, 1, 3):
-            Q = ((1, 2, 3),)
-        return P, Q
-
-    monkeypatch.setattr(qyt.verify, "row_insert", faulty)
-    report = verify_genfun(max_n=4)
-    assert report.status == "fail"
-    assert report.counterexample == {"check": "rsk-shapes", "perm": [2, 1, 3]}
-
-
-def test_genfun_catches_an_insertion_that_merges_two_permutations(monkeypatch):
-    import qyt.verify
-
-    true_insert = qyt.verify.row_insert
-
-    def faulty(word):
-        # 132 and 312 share P = 12/3 but not Q; send 312 to 132's pair
-        return true_insert((1, 3, 2) if tuple(word) == (3, 1, 2) else word)
-
-    monkeypatch.setattr(qyt.verify, "row_insert", faulty)
-    report = verify_genfun(max_n=4)
-    assert report.status == "fail"
-    assert report.counterexample == {"check": "rsk-bijection", "perm": [3, 1, 2]}
-
-
-@pytest.mark.parametrize("word, recording", [
-    ((2, 1, 3), ((1, 1), (3,))),  # a label repeated, one missing
-    ((2, 1), ((2,), (1,))),  # labels 1..n, but not a standard filling
-])
-def test_genfun_reports_a_recording_that_cannot_be_inverted(monkeypatch, word, recording):
-    import qyt.verify
-
-    true_insert = qyt.verify.row_insert
-
-    def faulty(w):
-        P, Q = true_insert(w)
-        return P, (recording if tuple(w) == word else Q)
-
-    monkeypatch.setattr(qyt.verify, "row_insert", faulty)
-    report = verify_genfun(max_n=4)
-    assert report.status == "fail"
-    assert report.counterexample == {"check": "rsk-bijection", "perm": list(word)}
-
-
 def _when(match, change):
     """A fault for a function or method: `change(result, *args)` in place
     of the true result on the calls whose arguments satisfy `match`."""
@@ -441,9 +151,12 @@ def _when(match, change):
     return make
 
 
-def _bumped(table, k, m):
+def _added(table, changes):
+    """A copy of the table of rows `table` with changes[k, m] added to
+    entry (k, m)."""
     out = [row[:] for row in table]
-    out[k][m] += 1
+    for (k, m), d in changes.items():
+        out[k][m] += d
     return out
 
 
@@ -454,24 +167,64 @@ def _always(*args):
 _P21 = Partition((2, 1))
 
 
-# One row per named check that no other test here makes fail.  Each row
-# injects one fault through one module seam and names the check that
-# must report it, with the shape, board or instance when the
-# counterexample names one.  A row's bounds keep every check that runs
-# before its target from meeting the fault: the lattice rows at
-# max_n = 1 sample only n = 1 in path-vs-ebasis, and points = 0 skips
+def _p21(shape, *args):
+    return Partition(shape) == _P21
+
+
+def _board_222(n, heights):
+    return tuple(heights) == (2, 2, 2)  # the raised board of shape 2,1
+
+
+def _recording(word, Q):
+    """row_insert gives `word` the recording Q."""
+    return _when(lambda w: tuple(w) == word, lambda out, w: (out[0], Q))
+
+
+# T_n + q on every board
+_T_N_OFF_BY_Q = _when(_always, lambda T, board: T[:-1] + [T[-1] + QPoly((0, 1))])
+# The (des, maj) tally of shape 2,1 is ((1, 1), 1), ((1, 2), 1); these
+# move the filling at (1, 1) up one descent or one maj.
+_DES_MOVED = _when(_p21, lambda out, shape: (((1, 2), 1), ((2, 1), 1)))
+_MAJ_MOVED = _when(_p21, lambda out, shape: (((1, 2), 2),))
+# The path counts of shape 2,1 are [0, 2, 0, 0]; move one up one k.
+_PATH_MOVED = _when(_p21, lambda out, shape: [0, 1, 1, 0])
+_HOOK_COUNT_RAISED = _when(_p21, lambda out, shape: out + 1)
+
+# Every fault that a test injects into a suite is a row here: one fault
+# through one module seam, and the fields of the counterexample it must
+# give, the check's name among them when the suite names its checks.
+# Every named check of every suite has a row
+# (test_every_named_check_has_a_row).  A row's bounds keep every check
+# that runs before its target from meeting the fault: the lattice rows
+# at max_n = 1 sample only n = 1 in path-vs-ebasis, and points = 0 skips
 # the sampled checks altogether.
 MUTATIONS = [
     pytest.param(
-        verify_genfun, {"max_n": 3}, qyt.verify, "enumerate_syt",
-        _when(lambda shape: shape == _P21, lambda out, shape: out[:-1]),
-        {"check": "truncated-fundamental", "shape": "2,1", "vars": 2},
-        id="truncated-fundamental"),
+        verify_hit, {"max_n": 3}, qyt.tableau, "des_maj_counts", _DES_MOVED,
+        {"shape": "2,1"},
+        id="hit-descent-moved"),
     pytest.param(
-        verify_genfun, {"max_n": 3}, qyt.verify, "q_fact",
-        _when(lambda n: n == 3, lambda out, n: out.shift(1)),
-        {"check": "t1-specialization", "shape": "3"},
-        id="t1-specialization"),
+        verify_maj_hit, {"max_n": 2}, FerrersBoard, "q_hit_numbers", _T_N_OFF_BY_Q,
+        {"check": "mahonian", "board": "n=1; heights=1", "lhs": "1 + q", "rhs": "1"},
+        id="maj-hit-mahonian"),
+    pytest.param(
+        verify_maj_hit, {"max_n": 3}, qyt.verify, "des_maj_counts", _MAJ_MOVED,
+        {"check": "refinement", "shape": "2,1"},
+        id="maj-hit-maj-moved"),
+    pytest.param(
+        # a filling with n descents, which no k < n of the refinement reads
+        verify_maj_hit, {"max_n": 3}, qyt.verify, "des_maj_counts",
+        _when(_p21, lambda out, shape: (*out, ((3, 0), 1))),
+        {"check": "hook-length-q-analogue", "shape": "2,1"},
+        id="hook-length-q-analogue"),
+    pytest.param(
+        verify_charge_hit, {"max_n": 3}, qyt.verify, "des_maj_counts", _MAJ_MOVED,
+        {"check": "refinement", "shape": "2,1"},
+        id="charge-hit-maj-moved"),
+    pytest.param(
+        verify_summation, {"max_n": 3}, qyt.tableau, "des_maj_counts", _DES_MOVED,
+        {"shape": "2,1"},
+        id="summation-descent-moved"),
     pytest.param(
         verify_lattice, {"max_n": 3}, qyt.verify, "a_coeffs",
         _when(lambda n, k: (n, k) == (2, 1), lambda out, n, k: (*out[:-1], out[-1] + 1)),
@@ -479,17 +232,17 @@ MUTATIONS = [
         id="closed-forms"),
     pytest.param(
         verify_lattice, {"max_n": 3}, qyt.verify, "a_table",
-        _when(lambda n: n == 4, lambda out, n: _bumped(out, 1, 1)),
+        _when(lambda n: n == 4, lambda out, n: _added(out, {(1, 1): 1})),
         {"check": "triangle-rows", "n": 4},
         id="triangle-rows"),
     pytest.param(
         verify_lattice, {"max_n": 3}, qyt.verify, "a_table",
-        _when(lambda n: n == 2, lambda out, n: _bumped(out, 0, 0)),
+        _when(lambda n: n == 2, lambda out, n: _added(out, {(0, 0): 1})),
         {"check": "eulerian-base", "n": 2, "k": 0},
         id="eulerian-base"),
     pytest.param(
         verify_lattice, {"max_n": 3}, qyt.verify, "a_table",
-        _when(lambda n: n == 2, lambda out, n: _bumped(out, 2, 1)),
+        _when(lambda n: n == 2, lambda out, n: _added(out, {(2, 1): 1})),
         {"check": "row-sums", "n": 2, "m": 1},
         id="row-sums"),
     pytest.param(
@@ -513,38 +266,166 @@ MUTATIONS = [
         {"check": "recursion"},
         id="recursion"),
     pytest.param(
+        verify_lattice, {"max_n": 3, "points": 10}, qyt.tableau, "des_maj_counts",
+        _DES_MOVED,
+        {"shape": "2,1"},
+        id="lattice-descent-moved"),
+    pytest.param(
+        verify_lattice, {"max_n": 3}, qyt.verify, "qyt_counts_via_pnk", _PATH_MOVED,
+        {"check": "theorem", "shape": "2,1"},
+        id="theorem"),
+    pytest.param(
         verify_lattice, {"max_n": 3, "points": 0}, Partition, "hook_length_count",
-        _when(lambda shape: shape == _P21, lambda out, shape: out + 1),
+        _HOOK_COUNT_RAISED,
         {"check": "hook-recovery", "shape": "2,1"},
         id="hook-recovery"),
+    pytest.param(
+        verify_genfun, {"max_n": 3}, qyt.symfun, "des_maj_counts", _DES_MOVED,
+        {"check": "fundamental", "n": 3},
+        id="fundamental-descent-moved"),
+    pytest.param(
+        verify_genfun, {"max_n": 3}, qyt.symfun, "des_maj_counts", _MAJ_MOVED,
+        {"check": "fundamental", "n": 3},
+        id="fundamental-maj-moved"),
+    pytest.param(
+        # mask 7 holds 4321 alone, at q^6 t^3
+        verify_genfun, {"max_n": 5}, qyt.verify, "_inverse_descent_tally",
+        _when(lambda n: n == 4, lambda out, n: {**out, 7: QTPoly.term(6, 4)}),
+        {"check": "fundamental", "n": 4},
+        id="fundamental-placed-descent-moved"),
+    pytest.param(
+        verify_genfun, {"max_n": 5}, qyt.verify, "_inverse_descent_tally",
+        _when(lambda n: n == 4, lambda out, n: {**out, 7: QTPoly.term(7, 3)}),
+        {"check": "fundamental", "n": 4},
+        id="fundamental-placed-maj-moved"),
+    pytest.param(
+        verify_genfun, {"max_n": 3}, qyt.verify, "schur_truncated",
+        _when(_p21, lambda out, shape, n_vars: out + MonomialMap({(1, 1, 1): 1})),
+        {"n": 3},
+        id="schur-coefficient-raised"),
+    pytest.param(
+        # the word of content 2,1 at q^0 t^0 moved to q^1 t^0
+        verify_genfun, {"max_n": 4}, qyt.verify, "_content_tally",
+        _when(lambda parts: parts == (2, 1),
+              lambda out, parts: out - QTPoly.term(0, 0) + QTPoly.term(1, 0)),
+        {"check": "monomial", "n": 3},
+        id="monomial"),
+    pytest.param(
+        # K[2,1; 1,1,1], which the lemma reads
+        verify_genfun, {"max_n": 4}, qyt.verify, "kostka",
+        _when(lambda nu, lam: (nu.parts, lam.parts) == ((2, 1), (1, 1, 1)),
+              lambda out, nu, lam: out + 1),
+        {"check": "kostka-lemma", "shape": "1,1,1"},
+        id="kostka-lemma"),
+    pytest.param(
+        # K[1,1,1; 2,1], where 1,1,1 does not dominate 2,1
+        verify_genfun, {"max_n": 4}, qyt.verify, "kostka",
+        _when(lambda nu, lam: (nu.parts, lam.parts) == ((1, 1, 1), (2, 1)),
+              lambda out, nu, lam: out + 1),
+        {"check": "triangularity", "shape": "1,1,1"},
+        id="triangularity"),
+    pytest.param(
+        verify_genfun, {"max_n": 4}, qyt.verify, "row_insert",
+        _recording((2, 1, 3), ((1, 2, 3),)),
+        {"check": "rsk-shapes", "perm": [2, 1, 3]},
+        id="rsk-shapes"),
+    pytest.param(
+        # 132 and 312 share P = 12/3 but not Q; give 312 the Q of 132
+        verify_genfun, {"max_n": 4}, qyt.verify, "row_insert",
+        _recording((3, 1, 2), ((1, 2), (3,))),
+        {"check": "rsk-bijection", "perm": [3, 1, 2]},
+        id="rsk-bijection-merge"),
+    pytest.param(
+        # a label repeated, one missing
+        verify_genfun, {"max_n": 4}, qyt.verify, "row_insert",
+        _recording((2, 1, 3), ((1, 1), (3,))),
+        {"check": "rsk-bijection", "perm": [2, 1, 3]},
+        id="rsk-bijection-repeated-label"),
+    pytest.param(
+        # labels 1..n, but not a standard filling
+        verify_genfun, {"max_n": 4}, qyt.verify, "row_insert",
+        _recording((2, 1), ((2,), (1,))),
+        {"check": "rsk-bijection", "perm": [2, 1]},
+        id="rsk-bijection-not-standard"),
+    pytest.param(
+        verify_genfun, {"max_n": 3}, Partition, "hook_length_count", _HOOK_COUNT_RAISED,
+        {"check": "rsk-bijection", "n": 3, "squares_sum": 11},
+        id="rsk-bijection-count"),
+    pytest.param(
+        verify_genfun, {"max_n": 3}, qyt.verify, "enumerate_syt",
+        _when(_p21, lambda out, shape: out[:-1]),
+        {"check": "truncated-fundamental", "shape": "2,1", "vars": 2},
+        id="truncated-fundamental"),
+    pytest.param(
+        verify_genfun, {"max_n": 3}, qyt.verify, "q_fact",
+        _when(lambda n: n == 3, lambda out, n: out.shift(1)),
+        {"check": "t1-specialization", "shape": "3"},
+        id="t1-specialization"),
+    pytest.param(
+        verify_genfun, {"max_n": 3}, qyt.verify, "qyt_counts_via_pnk",
+        _when(_always, lambda out, shape: out[1:] + [0]),
+        {"check": "q1-specialization", "shape": "1"},
+        id="q1-specialization"),
     pytest.param(
         verify_gjw, {"max_n": 3}, FerrersBoard, "complement_rotated",
         _when(_always, lambda out, board: board),
         {"check": "complement", "shape": "1"},
         id="complement"),
     pytest.param(
-        # a filling with n descents, which no k < n of the refinement reads
-        verify_maj_hit, {"max_n": 3}, qyt.verify, "des_maj_counts",
-        _when(lambda shape: shape == _P21, lambda out, shape: (*out, ((3, 0), 1))),
-        {"check": "hook-length-q-analogue", "shape": "2,1"},
-        id="hook-length-q-analogue"),
+        verify_gjw, {"max_n": 3}, _kernels, "q_hit_census",
+        _when(_board_222, lambda out, n, heights: _added(out, {(2, 0): -1, (2, 1): 1})),
+        {"board": "n=3; heights=2,2,2"},
+        id="gjw-weight-moved"),
+    # An honest census of board 2,2,2 needs W = bits(5 * 4 * 3) + 1 = 7
+    # bits per slot.  Moving 2^W out of (into) slot w = 0 and one unit
+    # into (out of) w = 1 leaves every value at q = 2^W unchanged, so a
+    # fixed width would miss both faults: a negative count (sign -1) and
+    # a count of 2^W or more (sign +1).
+    pytest.param(
+        verify_gjw, {"max_n": 3}, _kernels, "q_hit_census",
+        _when(_board_222, lambda out, n, heights: _added(out, {(2, 0): -2**7, (2, 1): 1})),
+        {"check": "mahonian", "board": "n=3; heights=2,2,2", "lhs": "-127 + 3q + 2q^2 + q^3"},
+        id="mahonian-negative-count"),
+    pytest.param(
+        verify_gjw, {"max_n": 3}, _kernels, "q_hit_census",
+        _when(_board_222, lambda out, n, heights: _added(out, {(2, 0): 2**7, (2, 1): -1})),
+        {"check": "mahonian", "board": "n=3; heights=2,2,2", "lhs": "129 + q + 2q^2 + q^3"},
+        id="mahonian-oversized-count"),
+    pytest.param(
+        verify_gjw, {"max_n": 3}, _kernels, "q_hit_census",
+        _when(_board_222, lambda out, n, heights: [out[0], out[2], out[1], *out[3:]]),
+        {"check": "product-identity", "board": "n=3; heights=2,2,2", "x": 1,
+         "lhs": "1 + 2q + 2q^2 + q^3", "rhs": "0"},
+        id="product-identity"),
+    pytest.param(
+        verify_gjw, {"max_n": 2}, FerrersBoard, "q_hit_numbers", _T_N_OFF_BY_Q,
+        {"check": "product-route", "board": "n=1; heights=0",
+         "lhs": ["1", "q"], "rhs": ["1", "0"]},
+        id="product-route"),
+    pytest.param(
+        verify_foulkes, {"max_n": 3}, qyt.verify, "_descent_tally",
+        _when(_p21, lambda out, shape: {d + 1: c for d, c in out.items()}),
+        {"shape": "2,1"},
+        id="foulkes"),
+    pytest.param(
+        verify_polya, {"max_n": 3, "max_m": 3}, qyt.verify, "qyt_counts",
+        _when(_p21, lambda out, shape: [0, *out[:-1]]),
+        {"n": 3, "m": 2},
+        id="polya"),
+    pytest.param(
+        verify_jack, {"max_n": 3}, qyt.tableau, "des_maj_counts", _DES_MOVED,
+        {"shape": "2,1"},
+        id="jack-descent-moved"),
+    pytest.param(
+        verify_jack, {"max_n": 3}, qyt.verify, "qyt_counts_via_pnk", _PATH_MOVED,
+        {"check": "path-route", "shape": "2,1"},
+        id="path-route"),
     pytest.param(
         verify_jack, {"max_n": 3}, FerrersBoard, "hit_numbers",
         _when(lambda board: board == FerrersBoard.from_partition(_P21),
               lambda out, board: [h + 1 for h in out]),
         {"check": "hit-route", "shape": "2,1", "k": 0},
         id="hit-route"),
-    pytest.param(
-        verify_foulkes, {"max_n": 3}, qyt.verify, "_descent_tally",
-        _when(lambda shape: shape == _P21,
-              lambda out, shape: {d + 1: c for d, c in out.items()}),
-        {"shape": "2,1"},
-        id="foulkes"),
-    pytest.param(
-        verify_polya, {"max_n": 3, "max_m": 3}, qyt.verify, "qyt_counts",
-        _when(lambda shape: shape == _P21, lambda out, shape: [0, *out[:-1]]),
-        {"n": 3, "m": 2},
-        id="polya"),
 ]
 
 
@@ -557,10 +438,23 @@ def test_each_check_fails_under_a_fault(monkeypatch, suite, kwargs, owner, name,
     assert {key: report.counterexample.get(key) for key in expected} == expected
 
 
+def test_every_named_check_has_a_row():
+    rows: dict = {}  # suite -> the checks its rows name (None for no name)
+    for row in MUTATIONS:
+        suite, *_, expected = row.values
+        rows.setdefault(suite, set()).add(expected.get("check"))
+    missing = []
+    for name, suite in SUITES.items():
+        source = inspect.getsource(suite.__wrapped__)
+        checks = set(re.findall(r'"check": "([^"]+)"', source))
+        missing += [(name, check) for check in sorted(checks - rows.get(suite, set()))]
+        if suite not in rows:
+            missing.append((name, None))
+    assert missing == []
+
+
 def test_genfun_lists_no_words_and_builds_each_kostka_number_once(monkeypatch):
     import qyt.perm
-    import qyt.symfun
-    import qyt.verify
 
     listed = []
     true_multiset_perms = qyt.perm.multiset_perms
