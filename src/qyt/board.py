@@ -13,8 +13,10 @@ identity (Garsia-Remmel's q-form)
 
 solved for T_n, T_{n-1}, ..., T_0 at x = 0, 1, ..., n.  The same solve
 gives h_k at q = 1 and T_k at q = 2^W, where every polynomial is one
-packed integer (qpoly.pack) and [f] is (Q^f - 1) / (Q - 1); T_0..T_n are
-unpacked once at the end.  The route that does not assume the identity
+packed integer (qpoly.pack); T_0..T_n are unpacked once at the end.
+The solve reads the q-integers and the Gaussian binomials [a choose n]
+at q = 2^W from qpoly.q_table_at, which builds them by shifts and adds,
+so no step divides.  The route that does not assume the identity
 is q_hit_census, a dynamic program over the rows occupied column by
 column (no sweep over S_n); the gjw suite checks the identity against
 it.  Neither route caps the board size: the solve takes polynomial time
@@ -23,37 +25,49 @@ and the census visits 2^n row sets.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import _kernels
 from .partition import Partition
-from .qpoly import QPoly, pack, q_binom, q_int_at, unpack
+from .qpoly import QPoly, q_table_at, unpack
 
-def _solve_product_identity(heights, factor: Callable, binom: Callable) -> list:
-    """T_0..T_n from prod_i factor(x + h_i - i + 1) == sum_k binom(x + k, n) T_k.
+
+def _solve_product_identity(heights, ints: Sequence, binoms: Sequence) -> list:
+    """T_0..T_n from prod_i [x + h_i - i + 1] == sum_k [x + k choose n] T_k,
+    given ints[f] = [f] for f = 0..2n and binoms[a] = [a choose n] for
+    a = 0..2n, at q = 1 or at one q = 2^W.
 
     At x the terms with x + k < n vanish, so the only new unknown is
-    T_{n-x}, whose coefficient binom(n, n) is 1: each step needs only
+    T_{n-x}, whose coefficient [n choose n] is 1: each step needs only
     products and differences.  The factors start at x + h_1 >= 0 and drop
     by at most 1 per column, so the first factor that is not positive is
-    0 and ends the product.
+    [0] = 0 and ends the product.
     """
     n = len(heights)
-    one = factor(1)
-    T = [one] * (n + 1)
+    T = [1] * (n + 1)
     for x in range(n + 1):
-        value = one
+        value = 1
         for i, h in enumerate(heights, 1):
             f = x + h - i + 1
-            value = value * factor(f)
+            value *= ints[f]
             if f == 0:
                 break
         for k in range(n - x + 1, n + 1):
-            value = value - binom(x + k, n) * T[k]
+            value -= binoms[x + k] * T[k]
         T[n - x] = value
     return T
+
+
+@lru_cache(maxsize=1)
+def _q_hit_table(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The slot width of the q-hit solve on boards of size n, with the
+    q-integers and Gaussian binomials at q = 2^width.  A sweep meets the
+    boards of one size in a row, so one table is kept."""
+    width = factorial(n).bit_length() + 1
+    ints, binoms = q_table_at(n, width)
+    return width, tuple(ints), tuple(binoms)
 
 
 class FerrersBoard:
@@ -130,7 +144,9 @@ class FerrersBoard:
     def hit_numbers(self) -> list[int]:
         """h_0..h_n, where h_k counts the permutations with exactly k hits,
         by the product identity at q = 1."""
-        return _solve_product_identity(self.heights, int, comb)
+        n = self.n
+        return _solve_product_identity(
+            self.heights, range(2 * n + 1), [comb(a, n) for a in range(2 * n + 1)])
 
     def q_hit_numbers(self) -> list[QPoly]:
         """T_0..T_n, where T_k collects q^(q-weight) over the permutations
@@ -140,12 +156,8 @@ class FerrersBoard:
         T_k has nonnegative coefficients summing to h_k <= n!, so a width
         of bits(n!) plus a sign bit lets unpack read T_k back.
         """
-        width = factorial(self.n).bit_length() + 1
-        T = _solve_product_identity(
-            self.heights,
-            partial(q_int_at, q=1 << width),
-            lambda a, b: pack(q_binom(a, b).coeffs, width),
-        )
+        width, ints, binoms = _q_hit_table(self.n)
+        T = _solve_product_identity(self.heights, ints, binoms)
         return [QPoly(unpack(t, width)) for t in T]
 
     def q_hit_census(self) -> list[QPoly]:

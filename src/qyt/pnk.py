@@ -74,27 +74,55 @@ def elementary_values(xs: Sequence[int], upto: int) -> list[int]:
     return es
 
 
-@lru_cache(maxsize=None)
-def _coeff_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """rows[k][m] = a(n, k, m) for k, m in 0..n.
+class _Levels:
+    """One level of the table a(n, k, m), built forward from the empty
+    path (P_{0,0} = 1) one level at a time.
 
-    Built level by level from the empty path (P_{0,0} = 1), keeping only
-    the previous level: row k of level n is the Eulerian number A(n, k)
-    followed by a(n-1, k, m-1) - a(n-1, k-1, m-1) for m = 1..n, with
-    a(n-1, ., .) read as 0 outside 0..n-1.  The Eulerian row advances in
-    the same loop by A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1).
+    Row k of level n is the Eulerian number A(n, k) followed by
+    a(n-1, k, m-1) - a(n-1, k-1, m-1) for m = 1..n, with a(n-1, ., .)
+    read as 0 outside 0..n-1.  The Eulerian row advances in the same
+    loop by A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1).
     """
+
+    __slots__ = ("n", "rows", "euler")
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.rows: tuple[tuple[int, ...], ...] = ((1,),)
+        self.euler = [1]  # A(0, 0)
+
+    def advance(self, n: int) -> tuple[tuple[int, ...], ...]:
+        """Build forward to level n >= self.n, keep it, and return its rows."""
+        rows, euler = self.rows, self.euler
+        for level in range(self.n + 1, n + 1):
+            e = [0, *euler, 0]
+            euler = [(k + 1) * e[k + 1] + (level - k) * e[k] for k in range(level + 1)]
+            zero = (0,) * level
+            padded = [zero, *rows, zero]
+            rows = [(euler[k], *map(sub, padded[k + 1], padded[k])) for k in range(level + 1)]
+        self.n, self.rows, self.euler = n, tuple(rows), euler
+        return self.rows
+
+
+#: The largest level built in this process.  A sweep n = 1, 2, ... extends
+#: it one level per call and holds one level, not every level below it.
+_LARGEST = _Levels()
+
+
+@lru_cache(maxsize=16)
+def _rebuilt(n: int) -> tuple[tuple[int, ...], ...]:
+    """A level below the largest one, built afresh; the last few are kept
+    for suites that revisit small levels (lattice samples n <= 7)."""
+    return _Levels().advance(n)
+
+
+def _coeff_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """rows[k][m] = a(n, k, m) for k, m in 0..n."""
     if n < 1:
         raise ValueError("coefficients are defined for n >= 1")
-    rows = [(1,)]
-    euler = [1]  # A(0, 0)
-    for level in range(1, n + 1):
-        e = [0, *euler, 0]
-        euler = [(k + 1) * e[k + 1] + (level - k) * e[k] for k in range(level + 1)]
-        zero = (0,) * level
-        padded = [zero, *rows, zero]
-        rows = [(euler[k], *map(sub, padded[k + 1], padded[k])) for k in range(level + 1)]
-    return tuple(rows)
+    if n < _LARGEST.n:
+        return _rebuilt(n)
+    return _LARGEST.advance(n)
 
 
 def a_coeffs(n: int, k: int) -> tuple[int, ...]:

@@ -1,9 +1,14 @@
 """Exact integer polynomials in q, bivariate (q, t) polynomials, and the
 q-integers, q-factorials, and Gaussian binomial coefficients.
 
-Coefficients are Python ints, so overflow cannot happen.  The only
-division anywhere is exact polynomial division, which fails loudly when
-the quotient would leave the integer ring.
+Coefficients are Python ints, so overflow cannot happen.  Division is
+left only where the quotient is exact: QPoly.exact_div, polynomial
+division that fails loudly when the quotient would leave the integer
+ring; q_int_at and q_binom_at, which divide integers at an integer q;
+and unpack, which divides 2^(W*slots) - 1 by 2^W - 1 for its offset.
+q_binom is read back from q_binom_at, and q_table_at builds the
+q-integers and a column of Gaussian binomials at q = 2^W by shifts and
+adds alone.
 
 Products go through Kronecker substitution: a polynomial evaluated at
 q = 2^W is one Python int whose W-bit slots hold its coefficients
@@ -15,7 +20,7 @@ long as every coefficient of the result fits a W-bit signed slot.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from math import comb
 from typing import Iterable, Sequence
 
 
@@ -241,6 +246,26 @@ def q_binom_at(a: int, b: int, q: int) -> int:
     return num // den
 
 
+def q_table_at(n: int, width: int) -> tuple[list[int], list[int]]:
+    """The q-integers [0]..[2n+1] and the Gaussian binomials
+    [a choose n] for a = 0..2n (0 for a < n), at q = 2^width.
+
+    Only shifts and adds: [f+1] = q [f] + 1, and the binomials advance a
+    row [a choose 0..n] at a time by the q-Pascal rule
+    [a choose b] = [a-1 choose b-1] + q^b [a-1 choose b].
+    """
+    ints = [0]
+    for _ in range(2 * n + 1):
+        ints.append((ints[-1] << width) + 1)
+    row = [1] + [0] * n  # [0 choose b] for b = 0..n
+    binoms = [row[n]]
+    for a in range(1, 2 * n + 1):
+        for b in range(min(a, n), 0, -1):
+            row[b] = row[b - 1] + (row[b] << (width * b))
+        binoms.append(row[n])
+    return ints, binoms
+
+
 def q_fact(k: int) -> QPoly:
     """[k]! = [1][2]...[k]."""
     out = QPoly((1,))
@@ -249,12 +274,14 @@ def q_fact(k: int) -> QPoly:
     return out
 
 
-@lru_cache(maxsize=None)
 def q_binom(a: int, b: int) -> QPoly:
-    """Gaussian binomial, via exact division of q-factorials."""
+    """Gaussian binomial [a choose b], read back from its value at
+    q = 2^W: its coefficients are nonnegative and sum to C(a, b), so
+    W = bits(C(a, b)) plus a sign bit holds each one."""
     if not 0 <= b <= a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
-    return q_fact(a).exact_div(q_fact(b) * q_fact(a - b))
+    width = comb(a, b).bit_length() + 1
+    return QPoly(unpack(q_binom_at(a, b, 1 << width), width))
 
 
 class QTPoly:

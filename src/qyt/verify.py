@@ -40,11 +40,11 @@ from .qpoly import (
     QPoly,
     QTPoly,
     pack,
-    q_binom,
     q_binom_at,
     q_fact,
     q_int,
     q_int_at,
+    q_table_at,
     unpack,
 )
 from .symfun import (
@@ -143,13 +143,35 @@ def verify_hit(max_n: int = 7) -> dict | None:
 
 def _gen_by_runs(shape: Partition, stat: str) -> dict[int, QPoly]:
     """k -> sum of q^stat over fillings with k descents (k + 1 runs),
-    where stat is "maj" or "charge" (charge = n * des - maj)."""
+    where stat is "maj" or "charge" (charge = n * des - maj).  Each sum
+    is filled as one dense coefficient list."""
     n = shape.size
-    out: dict[int, QPoly] = {}
+    rows: dict[int, list[int]] = {}
     for (d, mj), c in des_maj_counts(shape):
         e = mj if stat == "maj" else n * d - mj
-        out[d] = out.get(d, QPoly()) + QPoly.term(e, c)
-    return out
+        if e < 0:
+            raise ValueError("degree must be nonnegative")
+        row = rows.setdefault(d, [])
+        row += [0] * (e + 1 - len(row))
+        row[e] += c
+    return {d: QPoly(row) for d, row in rows.items()}
+
+
+def _refinement_width(n: int, T: list[QPoly], gens: dict[int, QPoly], hooks) -> int:
+    """A slot width W at which maj-hit and charge-hit may compare their
+    sides packed at q = 2^W instead of as polynomials.
+
+    As for _gjw_width, equal packed ints mean equal polynomials when the
+    coefficients of both sides are below 2^(W-1) in absolute value.  The
+    bounds are read off T and the tallies as they are: a product of a
+    tally with the hook polynomial sums to at most |gens|_1 * prod(hooks)
+    in absolute value, a sum or a shift of the T_k to at most
+    sum_k |T_k|_1, and [n]! to n!.  Shifts by q^e move slots but do not
+    change them.
+    """
+    t = sum(sum(map(abs, p.coeffs)) for p in T)
+    g = sum(sum(map(abs, p.coeffs)) for p in gens.values()) * prod(hooks)
+    return max(factorial(n), t, g).bit_length() + 1
 
 
 @_suite("maj-hit")
@@ -161,39 +183,46 @@ def verify_maj_hit(max_n: int = 6) -> dict | None:
     where B+1 is the board of the shape with every column raised once.
     Also checks that the T_k sum to [n]! (Mahonian) and the summed
     corollary (sum over all standard fillings of q^maj) * prod [h] =
-    q^n(shape) [n]!.
+    q^n(shape) [n]!.  Both sides are compared packed at q = 2^W (see
+    _refinement_width), and a counterexample reports the packed values
+    compared, read back as polynomials.
     """
     for n in range(1, max_n + 1):
         mahonian = q_fact(n)
         for shape in partitions(n):
-            hooks_poly = prod((q_int(h) for h in shape.hooks()), start=QPoly((1,)))
             board = FerrersBoard.from_partition(shape).plus_one()
             T = board.q_hit_numbers()
-            if sum(T, QPoly()) != mahonian:
+            gens = _gen_by_runs(shape, "maj")
+            hooks = shape.hooks()
+            width = _refinement_width(n, T, gens, hooks)
+            hooks_at = prod(q_int_at(h, 1 << width) for h in hooks)
+            packed = [pack(t.coeffs, width) for t in T]
+            mahonian_at = pack(mahonian.coeffs, width)
+            if sum(packed) != mahonian_at:
                 return {
                     "check": "mahonian",
                     "board": str(board),
-                    "lhs": str(sum(T, QPoly())),
+                    "lhs": str(QPoly(unpack(sum(packed), width))),
                     "rhs": str(mahonian),
                 }
-            gens = _gen_by_runs(shape, "maj")
+            shift = shape.n_stat() * width
             for k in range(n):
-                lhs = gens.get(k, QPoly()) * hooks_poly
-                rhs = T[n - k].shift(shape.n_stat())
+                lhs = pack(gens.get(k, QPoly()).coeffs, width) * hooks_at
+                rhs = packed[n - k] << shift
                 if lhs != rhs:
                     return {
                         "check": "refinement",
                         "shape": str(shape),
                         "k": k,
-                        "lhs": str(lhs),
-                        "rhs": str(rhs),
+                        "lhs": str(QPoly(unpack(lhs, width))),
+                        "rhs": str(QPoly(unpack(rhs, width))),
                     }
-            total = sum(gens.values(), QPoly())
-            if total * hooks_poly != mahonian.shift(shape.n_stat()):
+            lhs = sum(pack(g.coeffs, width) for g in gens.values()) * hooks_at
+            if lhs != mahonian_at << shift:
                 return {
                     "check": "hook-length-q-analogue",
                     "shape": str(shape),
-                    "lhs": str(total * hooks_poly),
+                    "lhs": str(QPoly(unpack(lhs, width))),
                     "rhs": str(mahonian.shift(shape.n_stat())),
                 }
 
@@ -203,25 +232,29 @@ def verify_charge_hit(max_n: int = 6) -> dict | None:
     """Charge refinement, cross-multiplied:
 
     (sum_{QYT_{=k+1}} q^ch) * prod [h(u)] * q^C(n,2)
-        ==  q^(nk + n(conjugate)) * T_k(board of the conjugate).
+        ==  q^(nk + n(conjugate)) * T_k(board of the conjugate),
+
+    compared packed as in maj-hit.
     """
     for n in range(1, max_n + 1):
         half = comb(n, 2)
         for shape in partitions(n):
-            hooks_poly = prod((q_int(h) for h in shape.hooks()), start=QPoly((1,)))
             conj = shape.conjugate()
             T = FerrersBoard.from_partition(conj).q_hit_numbers()
             gens = _gen_by_runs(shape, "charge")
+            hooks = shape.hooks()
+            width = _refinement_width(n, T, gens, hooks)
+            hooks_at = prod(q_int_at(h, 1 << width) for h in hooks)
             for k in range(n):
-                lhs = (gens.get(k, QPoly()) * hooks_poly).shift(half)
-                rhs = T[k].shift(n * k + conj.n_stat())
+                lhs = pack(gens.get(k, QPoly()).coeffs, width) * hooks_at << (half * width)
+                rhs = pack(T[k].coeffs, width) << ((n * k + conj.n_stat()) * width)
                 if lhs != rhs:
                     return {
                         "check": "refinement",
                         "shape": str(shape),
                         "k": k,
-                        "lhs": str(lhs),
-                        "rhs": str(rhs),
+                        "lhs": str(QPoly(unpack(lhs, width))),
+                        "rhs": str(QPoly(unpack(rhs, width))),
                     }
 
 
@@ -290,10 +323,15 @@ def verify_gjw(max_n: int = 6) -> dict | None:
     board's own q-hit numbers are solved from this identity and would
     satisfy it by construction.  The "product-route" check compares the
     two.  The Mahonian and product-identity checks compare both sides
-    packed at q = 2^W (see _gjw_width), and a counterexample reports the
-    packed values they compared, read back as polynomials.
+    packed at q = 2^W (see _gjw_width), reading the q-integers and the
+    Gaussian binomials at that W from one qpoly.q_table_at per (n, W), and
+    a counterexample reports the packed values they compared, read back
+    as polynomials.  A board met again (the raised board of one shape can
+    be the board of another) has passed every check already, so each
+    distinct board is checked, and its census taken, once.
     """
-    binoms: dict[tuple[int, int, int], int] = {}  # (a, n, width) -> [a choose n] packed
+    tables: dict[tuple[int, int], tuple[list[int], list[int]]] = {}  # (n, width) -> table
+    seen: set[tuple[int, ...]] = set()  # heights of the boards checked
     for n in range(1, max_n + 1):
         mahonian = q_fact(n)
         for shape in partitions(n):
@@ -307,8 +345,14 @@ def verify_gjw(max_n: int = 6) -> dict | None:
                     "rhs": str(expected),
                 }
             for board in (base, base.plus_one()):
+                if board.heights in seen:
+                    continue
+                seen.add(board.heights)
                 T = board.q_hit_census()
                 width = _gjw_width(board, T)
+                if (n, width) not in tables:
+                    tables[n, width] = q_table_at(n, width)
+                ints, binoms = tables[n, width]
                 packed = [pack(t.coeffs, width) for t in T]
                 if sum(packed) != pack(mahonian.coeffs, width):
                     return {
@@ -321,13 +365,8 @@ def verify_gjw(max_n: int = 6) -> dict | None:
                     factors = [x + h - i + 1 for i, h in enumerate(board.heights, 1)]
                     if any(f < 0 for f in factors):
                         continue
-                    lhs = prod(q_int_at(f, 1 << width) for f in factors)
-                    rhs = 0
-                    for k in range(n - x, n + 1):
-                        key = (x + k, n, width)
-                        if key not in binoms:
-                            binoms[key] = pack(q_binom(x + k, n).coeffs, width)
-                        rhs += binoms[key] * packed[k]
+                    lhs = prod(ints[f] for f in factors)
+                    rhs = sum(binoms[x + k] * packed[k] for k in range(n - x, n + 1))
                     if lhs != rhs:
                         return {
                             "check": "product-identity",

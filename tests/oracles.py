@@ -8,7 +8,7 @@ these oracles.
 """
 
 from collections import Counter
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 
 def ssyt_brute(parts, m):
@@ -175,4 +175,18 @@ def inverse_descent_brute(n):
         inv = frozenset(j for j in range(1, n) if where[j + 1] < where[j])
         ds = [i for i in range(1, n) if p[i - 1] > p[i]]
         out.setdefault(inv, Counter())[(sum(ds), len(ds))] += 1
+    return out
+
+
+def q_binom_brute(a, b):
+    """Coefficients of the Gaussian binomial [a choose b], lowest degree
+    first: the 0/1 words of length a with b ones, counted by inversions
+    (a one before a zero).  The one at position p (0-based), the j-th of
+    the ones, has a - 1 - p letters after it, b - 1 - j of them ones, so
+    the word has sum_j (a - 1 - p_j - (b - 1 - j)) inversions, that is
+    b(a - 1) - C(b, 2) - sum_j p_j."""
+    out = [0] * (b * (a - b) + 1)
+    top = b * (a - 1) - b * (b - 1) // 2
+    for ones in combinations(range(a), b):
+        out[top - sum(ones)] += 1
     return out

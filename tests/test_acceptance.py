@@ -9,6 +9,7 @@ import time
 from qyt.board import FerrersBoard
 from qyt.partition import Partition, partitions
 from qyt.pnk import a_coeffs
+from qyt.qpoly import QPoly, q_fact
 from qyt.symfun import schur_truncated
 from qyt.tableau import enumerate_ssyt, enumerate_syt, kostka, qyt_count_exact
 from qyt.verify import (
@@ -190,3 +191,14 @@ def test_criterion_14_kostka_table_at_ten():
         assert all(table[nu, column] == nu.hook_length_count() for nu in shapes)
 
     _criterion(14, "Kostka table over the partitions of 10", 1.0, body)
+
+
+def test_criterion_15_q_hit_numbers_at_twenty_one():
+    def body():
+        board = FerrersBoard.from_partition(Partition((6, 5, 4, 3, 2, 1))).plus_one()
+        assert board.n == 21
+        T = board.q_hit_numbers()
+        assert sum(T, QPoly()) == q_fact(21)
+        assert [t.at_one() for t in T] == board.hit_numbers()
+
+    _criterion(15, "q-hit numbers of the raised board of 6,5,4,3,2,1", 0.1, body)

@@ -2,6 +2,7 @@ from itertools import permutations
 from math import comb, factorial
 
 import sys
+import time
 
 import pytest
 
@@ -89,6 +90,24 @@ def test_tables_agree_in_any_order():
     for n in (12, 3, 11, 1, 7, 7, 2, 12):
         assert a_table(n) == ascending[n], n
         assert a_coeffs(n, n // 2) == tuple(ascending[n][n // 2])
+
+
+def test_table_sweep_extends_one_level_at_a_time(monkeypatch):
+    # a sweep from a process with no level built extends the largest
+    # level by one per call, instead of starting each n from level 0
+    import qyt.pnk
+
+    monkeypatch.setattr(qyt.pnk, "_LARGEST", qyt.pnk._Levels())
+    swept = {}
+    started = time.perf_counter()
+    for n in range(1, 121):
+        swept[n] = a_table(n)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 0.5, elapsed
+    for n in (1, 7, 60, 120):
+        fresh = [list(row) for row in qyt.pnk._Levels().advance(n)]
+        assert swept[n] == fresh, n
+        assert a_table(n) == fresh, n
 
 
 def test_triangle_rows_for_fixed_difference():

@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
@@ -13,6 +13,7 @@ from qyt.qpoly import (
     q_binom_at,
     q_fact,
     q_int,
+    q_table_at,
     unpack,
 )
 
@@ -183,9 +184,27 @@ def test_qtpoly_str():
 
 
 def test_q_binom_at_evaluates_the_gaussian_binomial():
+    # against the inversion count, since q_binom is read from q_binom_at
     for a in range(10):
         for b in range(a + 1):
             for q in (2, 3, 1 << 7):
-                assert q_binom_at(a, b, q) == q_binom(a, b)(q)
+                assert q_binom_at(a, b, q) == QPoly(oracles.q_binom_brute(a, b))(q)
     with pytest.raises(ValueError):
         q_binom_at(2, 3, 2)
+
+
+def test_q_binom_matches_the_inversion_count():
+    for a in range(13):
+        for b in range(a + 1):
+            assert q_binom(a, b) == QPoly(oracles.q_binom_brute(a, b)), (a, b)
+
+
+def test_q_table_at_matches_the_inversion_count():
+    for n in range(11):
+        for width in (factorial(n).bit_length() + 1, 64):
+            ints, binoms = q_table_at(n, width)
+            assert ints == [pack((1,) * f, width) for f in range(2 * n + 2)]
+            assert binoms == [
+                pack(oracles.q_binom_brute(a, n), width) if a >= n else 0
+                for a in range(2 * n + 1)
+            ], (n, width)
