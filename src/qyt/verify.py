@@ -6,9 +6,14 @@ order (n ascending, shapes lexicographically decreasing), with both
 sides fully evaluated.  Identities with q-integer denominators are
 checked in cross-multiplied form, so only ring operations are needed.
 
-A suite is written as a body that takes its bounds and returns its
-first counterexample, or None; `_suite` makes it into the suite, which
-reports the bounds, rejects a max_* bound below 1 and times the body.
+A suite is written as a body: a generator that takes its bounds and
+yields (check, fields, lhs, rhs) for every instance, check being None
+in the suites that name no checks (hit, summation, foulkes, polya).
+`_suite` makes it into the suite.  It reports the bounds, rejects a
+max_* bound below 1, times the body, compares the two sides of each
+instance and stops at the first that differ, without resuming the
+body; that instance is the counterexample, {"check", **fields, "lhs",
+"rhs"}, each value shown by `_shown`.
 
 The counting-level application identities live here too: signatures and
 ribbons, Foulkes multiplicities, the Polya dimension identity, and the
@@ -22,7 +27,7 @@ import random
 import time
 from itertools import permutations as _all_perms
 from math import comb, factorial, prod
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .board import FerrersBoard
 from .partition import Partition, as_partition, partitions
@@ -67,6 +72,10 @@ from .tableau import (
 )
 
 
+#: One instance of a check: (check name or None, fields, lhs, rhs).
+_Instance = tuple[str | None, dict, object, object]
+
+
 class SuiteReport(NamedTuple):
     """Outcome of one suite run."""
 
@@ -84,16 +93,30 @@ class SuiteReport(NamedTuple):
         return self._asdict()
 
 
-def _suite(name: str) -> Callable[[Callable[..., dict | None]], Callable[..., SuiteReport]]:
+def _shown(x):
+    """A side or a field as a counterexample shows it: ints and None as
+    they are, lists and tuples element by element, anything else as its
+    str()."""
+    if x is None or isinstance(x, int):
+        return x
+    if isinstance(x, (list, tuple)):
+        return [_shown(v) for v in x]
+    return str(x)
+
+
+def _suite(name: str) -> Callable[[Callable[..., Iterator[_Instance]]], Callable[..., SuiteReport]]:
     """Make a check body into the suite `name`.
 
-    The body takes the suite's bounds, each with a default, and returns
-    its first counterexample, or None when every instance passes.  The
-    suite reports every bound in signature order, defaults included,
-    rejects a max_* bound below 1, under which it would check nothing,
-    and times the body, which gets the caller's arguments as they are.
+    The body takes the suite's bounds, each with a default, and yields
+    (check, fields, lhs, rhs) for every instance.  The suite reports
+    every bound in signature order, defaults included, rejects a max_*
+    bound below 1, under which it would check nothing, and times the
+    body, which gets the caller's arguments as they are.  It stops at
+    the first instance whose sides differ, leaving the body suspended
+    there, and reports it as the counterexample: the check (left out
+    when None), the fields, then lhs and rhs, each value shown.
     """
-    def decorate(body: Callable[..., dict | None]) -> Callable[..., SuiteReport]:
+    def decorate(body: Callable[..., Iterator[_Instance]]) -> Callable[..., SuiteReport]:
         params = body.__code__.co_varnames[:body.__code__.co_argcount]
         defaults = dict(zip(params, body.__defaults__))
 
@@ -104,7 +127,13 @@ def _suite(name: str) -> Callable[[Callable[..., dict | None]], Callable[..., Su
                 if key.startswith("max_") and bounds[key] < 1:
                     raise ValueError(f"{key} must be at least 1, got {bounds[key]}")
             started = time.perf_counter()
-            counterexample = body(*args, **kwargs)
+            counterexample = None
+            for check, fields, lhs, rhs in body(*args, **kwargs):
+                if lhs != rhs:
+                    counterexample = {} if check is None else {"check": check}
+                    for key, value in (*fields.items(), ("lhs", lhs), ("rhs", rhs)):
+                        counterexample[key] = _shown(value)
+                    break
             return SuiteReport(
                 suite=name,
                 bounds=bounds,
@@ -123,7 +152,7 @@ def _suite(name: str) -> Callable[[Callable[..., dict | None]], Callable[..., Su
 
 
 @_suite("hit")
-def verify_hit(max_n: int = 7) -> dict | None:
+def verify_hit(max_n: int = 7) -> Iterator[_Instance]:
     """QYT_{=k+1}(shape) * hook product == h_k of the conjugate board."""
     for n in range(1, max_n + 1):
         for shape in partitions(n):
@@ -131,14 +160,7 @@ def verify_hit(max_n: int = 7) -> dict | None:
             counts = qyt_counts(shape)
             hit = FerrersBoard.from_partition(shape.conjugate()).hit_numbers()
             for k in range(n):
-                lhs = counts[k + 1] * hooks
-                if lhs != hit[k]:
-                    return {
-                        "shape": str(shape),
-                        "k": k,
-                        "lhs": lhs,
-                        "rhs": hit[k],
-                    }
+                yield None, {"shape": shape, "k": k}, counts[k + 1] * hooks, hit[k]
 
 
 def _gen_by_runs(shape: Partition, stat: str) -> dict[int, QPoly]:
@@ -157,25 +179,49 @@ def _gen_by_runs(shape: Partition, stat: str) -> dict[int, QPoly]:
     return {d: QPoly(row) for d, row in rows.items()}
 
 
-def _refinement_width(n: int, T: list[QPoly], gens: dict[int, QPoly], hooks) -> int:
-    """A slot width W at which maj-hit and charge-hit may compare their
-    sides packed at q = 2^W instead of as polynomials.
+def _width(*bounds: int) -> int:
+    """A slot width W at which two sides may be compared packed at
+    q = 2^W instead of as polynomials, given bounds on the sum of the
+    absolute values of the coefficients of either side.
 
-    As for _gjw_width, equal packed ints mean equal polynomials when the
-    coefficients of both sides are below 2^(W-1) in absolute value.  The
-    bounds are read off T and the tallies as they are: a product of a
-    tally with the hook polynomial sums to at most |gens|_1 * prod(hooks)
-    in absolute value, a sum or a shift of the T_k to at most
-    sum_k |T_k|_1, and [n]! to n!.  Shifts by q^e move slots but do not
-    change them.
+    If the coefficients of both sides are below 2^(W-1) in absolute
+    value, those of their difference D are below 2^W, and D(2^W) = 0
+    forces d_0 = 0 (2^W divides it), then d_1 = 0, and so on: equal
+    packed ints mean equal polynomials.  So W is a sign bit plus the bits
+    of the largest bound.  Shifts by q^e move slots but do not change
+    them.  Callers read their bounds off the sides' inputs as they are,
+    so that a faulty input with negative or oversized counts widens the
+    slots instead of slipping through them.
     """
-    t = sum(sum(map(abs, p.coeffs)) for p in T)
-    g = sum(sum(map(abs, p.coeffs)) for p in gens.values()) * prod(hooks)
-    return max(factorial(n), t, g).bit_length() + 1
+    return max(bounds).bit_length() + 1
+
+
+def _l1(p: QPoly) -> int:
+    """The sum of the absolute values of p's coefficients."""
+    return sum(map(abs, p.coeffs))
+
+
+class _Packed:
+    """A polynomial side packed at q = 2^width: equal to another when
+    value and width are, shown as the polynomial read back."""
+
+    __slots__ = ("value", "width")
+
+    def __init__(self, value: int, width: int) -> None:
+        self.value = value
+        self.width = width
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Packed):
+            return NotImplemented
+        return (self.value, self.width) == (other.value, other.width)
+
+    def __str__(self) -> str:
+        return str(QPoly(unpack(self.value, self.width)))
 
 
 @_suite("maj-hit")
-def verify_maj_hit(max_n: int = 6) -> dict | None:
+def verify_maj_hit(max_n: int = 6) -> Iterator[_Instance]:
     """Major-index refinement, cross-multiplied:
 
     (sum_{QYT_{=k+1}} q^maj) * prod [h(u)]  ==  q^n(shape) * T_{n-k}(B+1),
@@ -184,8 +230,10 @@ def verify_maj_hit(max_n: int = 6) -> dict | None:
     Also checks that the T_k sum to [n]! (Mahonian) and the summed
     corollary (sum over all standard fillings of q^maj) * prod [h] =
     q^n(shape) [n]!.  Both sides are compared packed at q = 2^W (see
-    _refinement_width), and a counterexample reports the packed values
-    compared, read back as polynomials.
+    _width).  The bounds are read off T and the tallies as they are: a
+    product of a tally with the hook polynomial sums to at most
+    |gens|_1 * prod(hooks) in absolute value, a sum or a shift of the T_k
+    to at most sum_k |T_k|_1, and [n]! to n!.
     """
     for n in range(1, max_n + 1):
         mahonian = q_fact(n)
@@ -194,47 +242,31 @@ def verify_maj_hit(max_n: int = 6) -> dict | None:
             T = board.q_hit_numbers()
             gens = _gen_by_runs(shape, "maj")
             hooks = shape.hooks()
-            width = _refinement_width(n, T, gens, hooks)
+            width = _width(factorial(n), sum(map(_l1, T)),
+                           sum(map(_l1, gens.values())) * prod(hooks))
             hooks_at = prod(q_int_at(h, 1 << width) for h in hooks)
             packed = [pack(t.coeffs, width) for t in T]
             mahonian_at = pack(mahonian.coeffs, width)
-            if sum(packed) != mahonian_at:
-                return {
-                    "check": "mahonian",
-                    "board": str(board),
-                    "lhs": str(QPoly(unpack(sum(packed), width))),
-                    "rhs": str(mahonian),
-                }
+            yield ("mahonian", {"board": board},
+                   _Packed(sum(packed), width), _Packed(mahonian_at, width))
             shift = shape.n_stat() * width
             for k in range(n):
                 lhs = pack(gens.get(k, QPoly()).coeffs, width) * hooks_at
-                rhs = packed[n - k] << shift
-                if lhs != rhs:
-                    return {
-                        "check": "refinement",
-                        "shape": str(shape),
-                        "k": k,
-                        "lhs": str(QPoly(unpack(lhs, width))),
-                        "rhs": str(QPoly(unpack(rhs, width))),
-                    }
+                yield ("refinement", {"shape": shape, "k": k},
+                       _Packed(lhs, width), _Packed(packed[n - k] << shift, width))
             lhs = sum(pack(g.coeffs, width) for g in gens.values()) * hooks_at
-            if lhs != mahonian_at << shift:
-                return {
-                    "check": "hook-length-q-analogue",
-                    "shape": str(shape),
-                    "lhs": str(QPoly(unpack(lhs, width))),
-                    "rhs": str(mahonian.shift(shape.n_stat())),
-                }
+            yield ("hook-length-q-analogue", {"shape": shape},
+                   _Packed(lhs, width), _Packed(mahonian_at << shift, width))
 
 
 @_suite("charge-hit")
-def verify_charge_hit(max_n: int = 6) -> dict | None:
+def verify_charge_hit(max_n: int = 6) -> Iterator[_Instance]:
     """Charge refinement, cross-multiplied:
 
     (sum_{QYT_{=k+1}} q^ch) * prod [h(u)] * q^C(n,2)
         ==  q^(nk + n(conjugate)) * T_k(board of the conjugate),
 
-    compared packed as in maj-hit.
+    compared packed at the width of maj-hit.
     """
     for n in range(1, max_n + 1):
         half = comb(n, 2)
@@ -243,23 +275,17 @@ def verify_charge_hit(max_n: int = 6) -> dict | None:
             T = FerrersBoard.from_partition(conj).q_hit_numbers()
             gens = _gen_by_runs(shape, "charge")
             hooks = shape.hooks()
-            width = _refinement_width(n, T, gens, hooks)
+            width = _width(factorial(n), sum(map(_l1, T)),
+                           sum(map(_l1, gens.values())) * prod(hooks))
             hooks_at = prod(q_int_at(h, 1 << width) for h in hooks)
             for k in range(n):
                 lhs = pack(gens.get(k, QPoly()).coeffs, width) * hooks_at << (half * width)
                 rhs = pack(T[k].coeffs, width) << ((n * k + conj.n_stat()) * width)
-                if lhs != rhs:
-                    return {
-                        "check": "refinement",
-                        "shape": str(shape),
-                        "k": k,
-                        "lhs": str(QPoly(unpack(lhs, width))),
-                        "rhs": str(QPoly(unpack(rhs, width))),
-                    }
+                yield "refinement", {"shape": shape, "k": k}, _Packed(lhs, width), _Packed(rhs, width)
 
 
 @_suite("summation")
-def verify_summation(max_n: int = 8) -> dict | None:
+def verify_summation(max_n: int = 8) -> Iterator[_Instance]:
     """Alternating summation:
 
     QYT_{=k+1}(shape) == sum_m C(n+1, k-m) (-1)^(k-m) SSYT_{m+1}(shape).
@@ -273,46 +299,15 @@ def verify_summation(max_n: int = 8) -> dict | None:
                     comb(n + 1, k - m) * (-1) ** (k - m) * ssyt[m]
                     for m in range(k + 1)
                 )
-                if counts[k + 1] != rhs:
-                    return {
-                        "shape": str(shape),
-                        "k": k,
-                        "lhs": counts[k + 1],
-                        "rhs": rhs,
-                    }
+                yield None, {"shape": shape, "k": k}, counts[k + 1], rhs
 
 
 # ---------------------------------------------------------------------------
 # Goldman-Joichi-White product identity and the board complement
 
 
-def _gjw_width(board: FerrersBoard, T: list[QPoly]) -> int:
-    """A slot width W at which the gjw checks on `board` may compare the
-    two sides packed at q = 2^W instead of as polynomials.
-
-    If the coefficients of both sides are below 2^(W-1) in absolute
-    value, those of their difference D are below 2^W, and D(2^W) = 0
-    forces d_0 = 0 (2^W divides it), then d_1 = 0, and so on: equal
-    packed ints mean equal polynomials.  So W is a sign bit plus the bits
-    of a bound on the sum of absolute coefficients of either side of any
-    check.  The bound is read off the census as it is, so it holds for a
-    faulty census with negative or oversized counts too.  The factors
-    are nonnegative and grow with x, so x = n bounds every x: the product
-    side sums to at most prod_i (n + h_i - i + 1), which is at least n!
-    (the Mahonian side), and the binomial side to at most
-    sum_k C(n + k, n) |T_k|_1, which is at least the census side of the
-    Mahonian check.
-    """
-    n = board.n
-    product = prod(n + h - i + 1 for i, h in enumerate(board.heights, 1))
-    binomial = sum(
-        comb(n + k, n) * sum(map(abs, t.coeffs)) for k, t in enumerate(T)
-    )
-    return max(product, binomial).bit_length() + 1
-
-
 @_suite("gjw")
-def verify_gjw(max_n: int = 6) -> dict | None:
+def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
     """On every board built from a shape of size <= max_n (raised or not):
     the complement of the raised board is the conjugate's board up to
     rotation; the q-hit numbers are Mahonian; and the Goldman-Joichi-White
@@ -323,12 +318,16 @@ def verify_gjw(max_n: int = 6) -> dict | None:
     board's own q-hit numbers are solved from this identity and would
     satisfy it by construction.  The "product-route" check compares the
     two.  The Mahonian and product-identity checks compare both sides
-    packed at q = 2^W (see _gjw_width), reading the q-integers and the
-    Gaussian binomials at that W from one qpoly.q_table_at per (n, W), and
-    a counterexample reports the packed values they compared, read back
-    as polynomials.  A board met again (the raised board of one shape can
-    be the board of another) has passed every check already, so each
-    distinct board is checked, and its census taken, once.
+    packed at q = 2^W (see _width), reading the q-integers and the
+    Gaussian binomials at that W from one qpoly.q_table_at per (n, W).
+    The bounds are read off the census: the factors are nonnegative and
+    grow with x, so x = n bounds every x.  The product side sums to at
+    most prod_i (n + h_i - i + 1), which is at least n! (the Mahonian
+    side), and the binomial side to at most sum_k C(n + k, n) |T_k|_1,
+    which is at least the census side of the Mahonian check.  A board
+    met again (the raised board of one shape can be the board of
+    another) has passed every check already, so each distinct board is
+    checked, and its census taken, once.
     """
     tables: dict[tuple[int, int], tuple[list[int], list[int]]] = {}  # (n, width) -> table
     seen: set[tuple[int, ...]] = set()  # heights of the boards checked
@@ -336,53 +335,31 @@ def verify_gjw(max_n: int = 6) -> dict | None:
         mahonian = q_fact(n)
         for shape in partitions(n):
             base = FerrersBoard.from_partition(shape)
-            expected = FerrersBoard.from_partition(shape.conjugate())
-            if base.plus_one().complement_rotated() != expected:
-                return {
-                    "check": "complement",
-                    "shape": str(shape),
-                    "lhs": str(base.plus_one().complement_rotated()),
-                    "rhs": str(expected),
-                }
+            yield ("complement", {"shape": shape}, base.plus_one().complement_rotated(),
+                   FerrersBoard.from_partition(shape.conjugate()))
             for board in (base, base.plus_one()):
                 if board.heights in seen:
                     continue
                 seen.add(board.heights)
                 T = board.q_hit_census()
-                width = _gjw_width(board, T)
+                width = _width(
+                    prod(n + h - i + 1 for i, h in enumerate(board.heights, 1)),
+                    sum(comb(n + k, n) * _l1(t) for k, t in enumerate(T)))
                 if (n, width) not in tables:
                     tables[n, width] = q_table_at(n, width)
                 ints, binoms = tables[n, width]
                 packed = [pack(t.coeffs, width) for t in T]
-                if sum(packed) != pack(mahonian.coeffs, width):
-                    return {
-                        "check": "mahonian",
-                        "board": str(board),
-                        "lhs": str(QPoly(unpack(sum(packed), width))),
-                        "rhs": str(mahonian),
-                    }
+                yield ("mahonian", {"board": board}, _Packed(sum(packed), width),
+                       _Packed(pack(mahonian.coeffs, width), width))
                 for x in range(n + 1):
                     factors = [x + h - i + 1 for i, h in enumerate(board.heights, 1)]
                     if any(f < 0 for f in factors):
                         continue
                     lhs = prod(ints[f] for f in factors)
                     rhs = sum(binoms[x + k] * packed[k] for k in range(n - x, n + 1))
-                    if lhs != rhs:
-                        return {
-                            "check": "product-identity",
-                            "board": str(board),
-                            "x": x,
-                            "lhs": str(QPoly(unpack(lhs, width))),
-                            "rhs": str(QPoly(unpack(rhs, width))),
-                        }
-                solved = board.q_hit_numbers()
-                if solved != T:
-                    return {
-                        "check": "product-route",
-                        "board": str(board),
-                        "lhs": [str(p) for p in solved],
-                        "rhs": [str(p) for p in T],
-                    }
+                    yield ("product-identity", {"board": board, "x": x},
+                           _Packed(lhs, width), _Packed(rhs, width))
+                yield "product-route", {"board": board}, board.q_hit_numbers(), T
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +393,8 @@ _TRIANGLE_ROWS = {
 
 
 @_suite("lattice")
-def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) -> dict | None:
+def verify_lattice(max_n: int = 7, points: int = 200,
+                   seed: int = DEFAULT_SEED) -> Iterator[_Instance]:
     """The lattice-path route to QYT counting, plus the supporting facts
     about the e-basis coefficients a(n, k, m): the n <= 3 closed forms,
     the fixed n-m = 3 triangle rows, the Eulerian constant terms, the
@@ -425,55 +403,31 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
     rng = random.Random(seed)
 
     for (n, k), expected in sorted(_SMALL_PNK_COEFFS.items()):
-        got = a_coeffs(n, k)
-        if got != expected:
-            return {
-                "check": "closed-forms", "n": n, "k": k,
-                "lhs": list(got), "rhs": list(expected),
-            }
+        yield "closed-forms", {"n": n, "k": k}, a_coeffs(n, k), expected
 
     for n, expected in sorted(_TRIANGLE_ROWS.items()):
         table = a_table(n)
-        got = tuple(table[k][n - 3] for k in range(n))
-        if got != expected:
-            return {
-                "check": "triangle-rows", "n": n,
-                "lhs": list(got), "rhs": list(expected),
-            }
+        yield "triangle-rows", {"n": n}, tuple(table[k][n - 3] for k in range(n)), expected
 
     for n in range(1, max_n + 1):
         table = a_table(n)
         for k in range(n):
             # the Eulerian number by its closed form, not its recurrence
             want = sum((-1) ** j * comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 2))
-            if table[k][0] != want:
-                return {
-                    "check": "eulerian-base", "n": n, "k": k,
-                    "lhs": table[k][0], "rhs": want,
-                }
+            yield "eulerian-base", {"n": n, "k": k}, table[k][0], want
 
     for n in range(1, max_n + 1):
         table = a_table(n)
         for m in range(n + 1):
             total = sum(table[k][m] for k in range(n + 1))
-            want = factorial(n) if m == 0 else 0
-            if total != want:
-                return {
-                    "check": "row-sums", "n": n, "m": m,
-                    "lhs": total, "rhs": want,
-                }
+            yield "row-sums", {"n": n, "m": m}, total, factorial(n) if m == 0 else 0
 
     for _ in range(points):
         n = rng.randint(1, min(max_n, 7))
         k = rng.randint(0, n)
         xs = tuple(rng.randint(-5, 5) for _ in range(n))
-        by_paths = pnk_eval_paths(n, k, xs)
-        by_basis = pnk_eval_ebasis(n, k, xs)
-        if by_paths != by_basis:
-            return {
-                "check": "path-vs-ebasis", "n": n, "k": k, "x": list(xs),
-                "lhs": by_paths, "rhs": by_basis,
-            }
+        yield ("path-vs-ebasis", {"n": n, "k": k, "x": xs},
+               pnk_eval_paths(n, k, xs), pnk_eval_ebasis(n, k, xs))
 
     for _ in range(points):
         n = rng.randint(2, 6)
@@ -481,22 +435,16 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
         xs = [rng.randint(-5, 5) for _ in range(n)]
         shuffled = xs[:]
         rng.shuffle(shuffled)
-        if pnk_eval_paths(n, k, xs) != pnk_eval_paths(n, k, shuffled):
-            return {
-                "check": "symmetry", "n": n, "k": k,
-                "x": xs, "shuffled": shuffled,
-            }
+        yield ("symmetry", {"n": n, "k": k, "x": xs, "shuffled": shuffled},
+               pnk_eval_paths(n, k, xs), pnk_eval_paths(n, k, shuffled))
 
     for n in range(1, 5):
         xs = tuple(rng.randint(-5, 5) for _ in range(n))
         for k in range(n + 1):
             base = pnk_eval_paths(n, k, xs)
             for reordered in _all_perms(xs):
-                if pnk_eval_paths(n, k, reordered) != base:
-                    return {
-                        "check": "symmetry-exhaustive", "n": n, "k": k,
-                        "x": list(xs), "reordered": list(reordered),
-                    }
+                yield ("symmetry-exhaustive", {"n": n, "k": k, "x": xs, "reordered": reordered},
+                       pnk_eval_paths(n, k, reordered), base)
 
     for _ in range(points):
         n = rng.randint(2, 6)
@@ -508,32 +456,16 @@ def verify_lattice(max_n: int = 7, points: int = 200, seed: int = DEFAULT_SEED) 
             return pnk_eval_ebasis(n - 1, kk, head) if 0 <= kk <= n - 1 else 0
 
         rhs = (xs[-1] + k + 1) * sub(k) + (n - k - xs[-1]) * sub(k - 1)
-        lhs = pnk_eval_ebasis(n, k, xs)
-        if lhs != rhs:
-            return {
-                "check": "recursion", "n": n, "k": k, "x": list(xs),
-                "lhs": lhs, "rhs": rhs,
-            }
+        yield "recursion", {"n": n, "k": k, "x": xs}, pnk_eval_ebasis(n, k, xs), rhs
 
     for n in range(1, max_n + 1):
         for shape in partitions(n):
             counts = qyt_counts(shape)
             by_paths = qyt_counts_via_pnk(shape)
             for k in range(n + 1):
-                got = by_paths[k]
                 want = counts[k + 1] if k + 1 <= n else 0
-                if got != want:
-                    return {
-                        "check": "theorem", "shape": str(shape), "k": k,
-                        "lhs": got, "rhs": want,
-                    }
-            total = sum(by_paths)
-            syt = shape.hook_length_count()
-            if total != syt:
-                return {
-                    "check": "hook-recovery", "shape": str(shape),
-                    "lhs": total, "rhs": syt,
-                }
+                yield "theorem", {"shape": shape, "k": k}, by_paths[k], want
+            yield "hook-recovery", {"shape": shape}, sum(by_paths), shape.hook_length_count()
 
 
 # ---------------------------------------------------------------------------
@@ -614,15 +546,24 @@ def _content_tally(parts: tuple[int, ...]) -> QTPoly:
     return QTPoly(terms)
 
 
+def _by_composition(lhs: MonomialMap, rhs: MonomialMap) -> Iterator[tuple]:
+    """(alpha, coefficient of M_alpha in lhs, in rhs) for every
+    composition alpha that either side holds, ordered by (length,
+    alpha): the first that differs has the fewest parts."""
+    for alpha in sorted(lhs.data.keys() | rhs.data.keys(), key=lambda a: (len(a), a)):
+        yield alpha, lhs.coefficient(alpha), rhs.coefficient(alpha)
+
+
 @_suite("genfun")
-def verify_genfun(max_n: int = 5) -> dict | None:
+def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
     """Both expansions of the q,t Schur generating function, the Kostka
     lemma behind the monomial one, RSK sanity, the fundamental
     expansion of each Schur function from its quasi-Yamanouchi fillings,
     monomial triangularity against Kostka numbers, the t = 1 specialization
     against the q-hook formula and the q = 1 one against the path
     counts.  Expansions keep every composition of n, which is lossless
-    in degree n.
+    in degree n; the fundamental, monomial and truncated-fundamental
+    checks compare them one composition at a time, fewest parts first.
 
     Each side is built from a tally, not by listing words.  The
     fundamental side tallies S_n by (Des(p^-1), maj, des) with the
@@ -643,56 +584,41 @@ def verify_genfun(max_n: int = 5) -> dict | None:
         shapes = list(partitions(n))
         with_q = gen_fn(n, with_q=True)
         schur = {shape: schur_truncated(shape, n) for shape in shapes}
-        rhs = sum((sch.scale(with_q[s]) for s, sch in schur.items()),
-                  MonomialMap())
+        expansion = sum((sch.scale(with_q[s]) for s, sch in schur.items()),
+                        MonomialMap())
 
-        if fundamental_sums(_inverse_descent_tally(n), n) != rhs:
-            return {
-                "check": "fundamental", "n": n,
-            }
+        fundamental = fundamental_sums(_inverse_descent_tally(n), n)
+        for alpha, lhs, rhs in _by_composition(fundamental, expansion):
+            yield "fundamental", {"n": n, "composition": alpha}, lhs, rhs
 
         words = {s: _content_tally(s.parts) for s in shapes}
-        lhs = sum((monomial_truncated(s, n).scale(c) for s, c in words.items()),
-                  MonomialMap())
-        if lhs != rhs:
-            return {
-                "check": "monomial", "n": n,
-            }
+        monomial = sum((monomial_truncated(s, n).scale(c) for s, c in words.items()),
+                       MonomialMap())
+        for alpha, lhs, rhs in _by_composition(monomial, expansion):
+            yield "monomial", {"n": n, "composition": alpha}, lhs, rhs
 
         K = {(nu, lam): kostka(nu, lam) for nu in shapes for lam in shapes}
-        for shape, lhs_poly in words.items():
-            rhs_poly = QTPoly()
+        for shape, lhs in words.items():
+            rhs = QTPoly()
             for nu in shapes:
                 if nu.dominates(shape):
-                    rhs_poly = rhs_poly + K[nu, shape] * with_q[nu]
-            if lhs_poly != rhs_poly:
-                return {
-                    "check": "kostka-lemma", "shape": str(shape),
-                    "lhs": str(lhs_poly), "rhs": str(rhs_poly),
-                }
+                    rhs = rhs + K[nu, shape] * with_q[nu]
+            yield "kostka-lemma", {"shape": shape}, lhs, rhs
 
         # Inverse insertion giving back every p shows that p -> (P, Q)
         # is injective; the pairs of standard fillings of one shape
         # number sum f_shape^2, so it is onto when that sum is n!.
         for p in perms(n):
             P, Q = row_insert(p)
-            if tuple(map(len, P)) != tuple(map(len, Q)):
-                return {
-                    "check": "rsk-shapes", "perm": list(p),
-                }
+            fields = {"perm": p}
+            yield "rsk-shapes", fields, tuple(map(len, P)), tuple(map(len, Q))
             try:
                 back = row_uninsert(P, Q)
             except (KeyError, IndexError):  # Q is not a standard filling
                 back = None
-            if back != p:
-                return {
-                    "check": "rsk-bijection", "perm": list(p),
-                }
+            yield "rsk-bijection", fields, back, p
         squares_sum = sum(shape.hook_length_count() ** 2 for shape in shapes)
-        if squares_sum != factorial(n):
-            return {
-                "check": "rsk-bijection", "n": n, "squares_sum": squares_sum,
-            }
+        yield "rsk-bijection", {"n": n}, squares_sum, factorial(n)
 
         for shape in shapes:
             tally: dict[int, int] = {}  # descent mask -> fillings
@@ -700,41 +626,26 @@ def verify_genfun(max_n: int = 5) -> dict | None:
                 strict = composition_descents(t.destandardize().weight())
                 mask = sum(1 << (j - 1) for j in strict)
                 tally[mask] = tally.get(mask, 0) + 1
-            sums = fundamental_sums(tally, n)
-            if sums != schur[shape]:
-                # the fewest variables in which the two sides differ
-                differs = next(
-                    n_vars for n_vars in range(1, n + 1)
-                    if sums.truncate(n_vars) != schur[shape].truncate(n_vars))
-                return {
-                    "check": "truncated-fundamental", "shape": str(shape),
-                    "vars": differs,
-                }
+            # vars: the fewest variables in which the two sides differ there
+            for alpha, lhs, rhs in _by_composition(fundamental_sums(tally, n), schur[shape]):
+                yield ("truncated-fundamental",
+                       {"shape": shape, "composition": alpha, "vars": len(alpha)}, lhs, rhs)
 
         for nu, sch in schur.items():
             for lam in shapes:
+                fields = {"shape": nu, "weight": lam}
                 got = sch.coefficient(lam.parts)
-                want = K[nu, lam]
-                if got != want or (want and not nu.dominates(lam)):
-                    return {
-                        "check": "triangularity",
-                        "shape": str(nu), "weight": str(lam),
-                        "lhs": got, "rhs": want,
-                    }
+                yield "triangularity", fields, got, K[nu, lam]
+                if not nu.dominates(lam):  # K vanishes off the dominance order
+                    yield "triangularity", fields, got, 0
 
         for shape in shapes:
             # q-hook formula: sum of q^maj = q^n(shape) [n]! / prod [h(u)]
             hooks_poly = prod((q_int(h) for h in shape.hooks()), start=QPoly((1,)))
             q_hook = q_fact(n).shift(shape.n_stat()).exact_div(hooks_poly)
-            if with_q[shape].at_t1() != q_hook:
-                return {
-                    "check": "t1-specialization", "shape": str(shape),
-                }
+            yield "t1-specialization", {"shape": shape}, with_q[shape].at_t1(), q_hook
             path_counts = QPoly(qyt_counts_via_pnk(shape)[:n])
-            if with_q[shape].at_q1() != path_counts:
-                return {
-                    "check": "q1-specialization", "shape": str(shape),
-                }
+            yield "q1-specialization", {"shape": shape}, with_q[shape].at_q1(), path_counts
 
 
 # ---------------------------------------------------------------------------
@@ -780,13 +691,18 @@ def _descent_tally(shape: Partition) -> dict[int, int]:
 
 def polya_dimension_check(n: int, m: int) -> bool:
     """m**n == sum_k C(m+k, n) sum_shapes QYT_{=n-k}(shape) SYT(shape)."""
+    return _polya_sum(n, m) == m**n
+
+
+def _polya_sum(n: int, m: int) -> int:
+    """The right-hand side of polya_dimension_check."""
     total = 0
     for shape in partitions(n):
         counts = qyt_counts(shape)
         total += shape.hook_length_count() * sum(
             comb(m + k, n) * counts[n - k] for k in range(n)
         )
-    return total == m**n
+    return total
 
 
 def jack_coefficient(shape, k: int) -> int:
@@ -797,7 +713,7 @@ def jack_coefficient(shape, k: int) -> int:
 
 
 @_suite("foulkes")
-def verify_foulkes(max_n: int = 7) -> dict | None:
+def verify_foulkes(max_n: int = 7) -> Iterator[_Instance]:
     """foulkes_multiplicity(n, k, shape) == QYT_{=n-k}(shape) everywhere;
     each shape's descent tally is read once for all k."""
     for n in range(1, max_n + 1):
@@ -805,25 +721,19 @@ def verify_foulkes(max_n: int = 7) -> dict | None:
             census = qyt_counts(shape)
             by_des = _descent_tally(shape)
             for k in range(n):
-                got = by_des.get(n - 1 - k, 0)
-                want = census[n - k]
-                if got != want:
-                    return {
-                        "shape": str(shape), "k": k,
-                        "lhs": got, "rhs": want,
-                    }
+                yield None, {"shape": shape, "k": k}, by_des.get(n - 1 - k, 0), census[n - k]
 
 
 @_suite("polya")
-def verify_polya(max_n: int = 6, max_m: int = 5) -> dict | None:
+def verify_polya(max_n: int = 6, max_m: int = 5) -> Iterator[_Instance]:
+    """polya_dimension_check(n, m) for every n, m up to the bounds."""
     for n in range(1, max_n + 1):
         for m in range(1, max_m + 1):
-            if not polya_dimension_check(n, m):
-                return {"n": n, "m": m}
+            yield None, {"n": n, "m": m}, _polya_sum(n, m), m**n
 
 
 @_suite("jack")
-def verify_jack(max_n: int = 6) -> dict | None:
+def verify_jack(max_n: int = 6) -> Iterator[_Instance]:
     """The labeled coefficients against the two independent routes: the
     lattice-path count of the conjugate shape and the hit numbers.  Each
     shape's quasi-Yamanouchi counts are read once for all k."""
@@ -835,19 +745,10 @@ def verify_jack(max_n: int = 6) -> dict | None:
             conj_hooks = conj.hook_product()
             hit = FerrersBoard.from_partition(shape).hit_numbers()
             for k in range(n):
+                fields = {"shape": shape, "k": k}
                 got = factorial(n) * counts[k + 1]  # jack_coefficient(shape, k)
-                by_paths = factorial(n) * path_counts[k]
-                if got != by_paths:
-                    return {
-                        "check": "path-route", "shape": str(shape), "k": k,
-                        "lhs": got, "rhs": by_paths,
-                    }
-                if got * conj_hooks != factorial(n) * hit[k]:
-                    return {
-                        "check": "hit-route", "shape": str(shape), "k": k,
-                        "lhs": got * conj_hooks,
-                        "rhs": factorial(n) * hit[k],
-                    }
+                yield "path-route", fields, got, factorial(n) * path_counts[k]
+                yield "hit-route", fields, got * conj_hooks, factorial(n) * hit[k]
 
 
 #: CLI-facing registry of suites.

@@ -1,6 +1,4 @@
-import inspect
 import json
-import re
 from math import factorial
 
 import pytest
@@ -193,6 +191,8 @@ _HOOK_COUNT_RAISED = _when(_p21, lambda out, shape: out + 1)
 # Every fault that a test injects into a suite is a row here: one fault
 # through one module seam, and the fields of the counterexample it must
 # give, the check's name among them when the suite names its checks.
+# Every counterexample carries both sides, and a check name exactly
+# when its suite names its checks.
 # Every named check of every suite has a row
 # (test_every_named_check_has_a_row).  A row's bounds keep every check
 # that runs before its target from meeting the fault: the lattice rows
@@ -349,7 +349,7 @@ MUTATIONS = [
         id="rsk-bijection-not-standard"),
     pytest.param(
         verify_genfun, {"max_n": 3}, Partition, "hook_length_count", _HOOK_COUNT_RAISED,
-        {"check": "rsk-bijection", "n": 3, "squares_sum": 11},
+        {"check": "rsk-bijection", "n": 3, "lhs": 11, "rhs": 6},
         id="rsk-bijection-count"),
     pytest.param(
         verify_genfun, {"max_n": 3}, qyt.verify, "enumerate_syt",
@@ -436,6 +436,11 @@ def test_each_check_fails_under_a_fault(monkeypatch, suite, kwargs, owner, name,
     report = suite(**kwargs)
     assert report.status == "fail"
     assert {key: report.counterexample.get(key) for key in expected} == expected
+    assert {"lhs", "rhs"} <= report.counterexample.keys()
+    assert ("check" in report.counterexample) == (suite not in _UNNAMED)
+
+
+_UNNAMED = {verify_hit, verify_summation, verify_foulkes, verify_polya}
 
 
 def test_every_named_check_has_a_row():
@@ -443,14 +448,57 @@ def test_every_named_check_has_a_row():
     for row in MUTATIONS:
         suite, *_, expected = row.values
         rows.setdefault(suite, set()).add(expected.get("check"))
-    missing = []
-    for name, suite in SUITES.items():
-        source = inspect.getsource(suite.__wrapped__)
-        checks = set(re.findall(r'"check": "([^"]+)"', source))
-        missing += [(name, check) for check in sorted(checks - rows.get(suite, set()))]
-        if suite not in rows:
-            missing.append((name, None))
+    # the checks each body yields at its default bounds, None for no name
+    yielded = {suite: {check for check, *_ in suite.__wrapped__()}
+               for suite in SUITES.values()}
+    assert set().union(*yielded.values()) - {None} == {
+        "closed-forms", "complement", "eulerian-base", "fundamental",
+        "hit-route", "hook-length-q-analogue", "hook-recovery",
+        "kostka-lemma", "mahonian", "monomial", "path-route",
+        "path-vs-ebasis", "product-identity", "product-route",
+        "q1-specialization", "recursion", "refinement", "row-sums",
+        "rsk-bijection", "rsk-shapes", "symmetry", "symmetry-exhaustive",
+        "t1-specialization", "theorem", "triangle-rows", "triangularity",
+        "truncated-fundamental",
+    }
+    assert {suite for suite, checks in yielded.items() if checks == {None}} == _UNNAMED
+    missing = [(name, check) for name, suite in SUITES.items()
+               for check in sorted(yielded[suite] - rows.get(suite, set()), key=str)]
     assert missing == []
+
+
+def test_the_runner_stops_at_the_first_differing_sides():
+    from qyt.qpoly import pack
+    from qyt.verify import _Packed, _suite
+
+    packed = _Packed(pack((-127, 3, 2, 1), 8), 8)
+    assert packed == _Packed(packed.value, 8)
+    assert packed != _Packed(packed.value, 9)
+
+    @_suite("toy")
+    def toy(max_n: int = 3, check: str | None = "toy-check"):
+        yield check, {"n": 1}, QPoly((1, 1)), QPoly((1, 1))
+        yield check, {"shape": _P21, "x": (1, -2), "k": 0}, QPoly((1, 1)), packed
+        raise AssertionError("the body was resumed after differing sides")
+
+    report = toy(2)
+    assert report.status == "fail"
+    assert report.counterexample == {
+        "check": "toy-check", "shape": "2,1", "x": [1, -2], "k": 0,
+        "lhs": "1 + q", "rhs": "-127 + 3q + 2q^2 + q^3"}
+    assert list(report.bounds.items()) == [("max_n", 2), ("check", "toy-check")]
+    report = toy(check=None)
+    assert list(report.counterexample) == ["shape", "x", "k", "lhs", "rhs"]
+    assert report.bounds == {"max_n": 3, "check": None}
+    with pytest.raises(ValueError, match="^max_n must be at least 1, got 0$"):
+        toy(0)
+
+    @_suite("toy")
+    def passing(max_n: int = 3):
+        yield None, {"n": max_n}, None, None
+        yield "sides", {}, [1, (2, 3)], [1, (2, 3)]
+
+    assert passing(1)[:4] == ("toy", {"max_n": 1}, "pass", None)
 
 
 def test_genfun_lists_no_words_and_builds_each_kostka_number_once(monkeypatch):
