@@ -48,17 +48,21 @@ def unpack(value: int, width: int) -> list[int]:
     term, so it has between d*width and (d+1)*width - 1 bits, which fixes
     d.  Adding the offset 2^(width-1) to every slot makes every slot a
     digit in 0..2^width - 1 with no borrow between slots; the digits are
-    read off and the offset is taken away again.  The list ends at the
-    leading coefficient ([0] for the value 0).
+    read off and the offset is taken away again, a block of 256 slots at
+    a time so that the cost is linear in the slot count.  The list ends
+    at the leading coefficient ([0] for the value 0).
     """
     slots = abs(value).bit_length() // width + 1
     half = 1 << (width - 1)
     value += ((1 << (width * slots)) - 1) // ((1 << width) - 1) * half
     mask = (1 << width) - 1
+    data = value.to_bytes((width * slots + 7) // 8, "little")
     out = []
-    for _ in range(slots):
-        out.append((value & mask) - half)
-        value >>= width
+    for start in range(0, len(data), 32 * width):  # 256 slots
+        block = int.from_bytes(data[start:start + 32 * width], "little")
+        for _ in range(min(256, slots - len(out))):
+            out.append((block & mask) - half)
+            block >>= width
     return out
 
 

@@ -25,8 +25,8 @@ from typing import Iterable, Sequence
 
 from .partition import Partition, as_partition, partitions
 from .perm import is_permutation, multiset_perms
-from .qpoly import QTPoly
-from .tableau import Tableau, des_maj_counts
+from .qpoly import QTPoly, unpack
+from .tableau import Tableau, descent_tallies, maj_width
 
 
 class MonomialMap:
@@ -306,11 +306,16 @@ def gen_fn(n: int, with_q: bool = True) -> dict[Partition, QTPoly]:
     """Schur generating function of the quasi-Yamanouchi fillings of
     size n, as {shape: coefficient of s_shape} over every partition of n
     in partitions(n) order: the coefficient collects q^maj t^des over the
-    shape's fillings.  With with_q=False the q-grading is dropped, so a
-    filling with largest entry k contributes t^(k-1)."""
+    shape's fillings, read from one walk of Young's lattice.  With
+    with_q=False the q-grading is dropped, so a filling with largest
+    entry k contributes t^(k-1), and the walk counts at width 0."""
+    shapes = list(partitions(n))
+    width = maj_width(shapes) if with_q else 0
+    tallies = descent_tallies(width, shapes)
     return {
         shape: QTPoly(
-            ((mj if with_q else 0, d), c) for (d, mj), c in des_maj_counts(shape)
+            ((mj, d), c) for d, row in enumerate(tallies[shape.parts])
+            for mj, c in enumerate(unpack(row, width) if with_q else [row])
         )
-        for shape in partitions(n)
+        for shape in shapes
     }

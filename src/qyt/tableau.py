@@ -11,15 +11,15 @@ relabelling the i-th run of a standard filling to i (destandardization)
 is a bijection onto the quasi-Yamanouchi fillings of the same shape, and
 a filling with k runs lands on one with largest entry k.
 
-The descent statistics of the standard fillings of a shape are counted
-without building any filling, by one dynamic program over Young's
-lattice (`des_maj_counts`).  Its state is a sub-shape together with the
-row of its largest entry n; removing n from row r leaves the largest
-entry n - 1 at the end of some row r', and n - 1 is a descent exactly
-when r > r'.  The tallies are cached by the parts of the sub-shape, so
-every shape of a sweep shares them.  `enumerate_syt` serves only to
-list the fillings themselves, and the enumeration check of the
-`genfun` suite, which walks them on purpose.
+The descent statistics of the standard fillings are counted without
+building any filling, by one level-by-level walk up Young's lattice
+(`descent_levels`) that keeps only the level below.  For each shape it
+holds a list by des of sum q^maj evaluated at q = 2^W, so a descent is
+a shift.  W = 0 gives the counts by des that the counting suites read;
+W = bits(f) + 1, f the most standard fillings of a top, keeps each maj
+in its own slot for `des_maj_counts` and `gen_fn`.  A suite walks the
+lattice once, a single shape its own order ideal; nothing is cached.
+`enumerate_syt` serves only to list the fillings themselves.
 
 Every filling comes from one cell walk, `_ssyt_rows`, which fills the
 cells in reading order under a budget of uses per value:
@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .partition import Partition, as_partition
+from .qpoly import unpack
 
 
 class Tableau:
@@ -282,12 +283,6 @@ def enumerate_qyt_at_most(shape, m: int) -> list[Tableau]:
     ]
 
 
-#: parts -> for each row r, the (des, maj) tally of the standard fillings
-#: whose largest entry ends row r (empty unless r is a corner).  Filled on
-#: demand and shared by every shape; the dicts are never mutated once in.
-_TOP_TALLIES: dict[tuple[int, ...], tuple[dict[tuple[int, int], int], ...]] = {}
-
-
 def _corners(parts: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(r, parts with the last cell of row r removed) for each corner row r."""
     for r, p in enumerate(parts):
@@ -295,60 +290,71 @@ def _corners(parts: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
             yield r, parts[:r] + ((p - 1,) if p > 1 else ()) + parts[r + 1:]
 
 
-def _des_maj_by_top(parts: tuple[int, ...]) -> tuple[dict[tuple[int, int], int], ...]:
-    """_TOP_TALLIES[parts], after computing, level by level from the
-    bottom, every sub-shape it needs that is not in yet."""
-    levels = [{parts}]
-    while levels[-1]:
-        levels.append({
-            rest
-            for mu in levels[-1] if mu not in _TOP_TALLIES
-            for _, rest in _corners(mu)
-        })
-    for level in reversed(levels):
-        for mu in level:
-            if mu in _TOP_TALLIES:
-                continue
-            if not mu:
-                # the empty filling, as if its largest entry ended row 0
-                _TOP_TALLIES[mu] = ({(0, 0): 1},)
-                continue
-            n = sum(mu)
-            out: list[dict[tuple[int, int], int]] = [{} for _ in mu]
+def descent_levels(width: int, tops) -> Iterator[dict[tuple[int, ...], list[int]]]:
+    """The walk of Young's lattice below `tops`, shapes of one size N:
+    for n = 1..N, {parts: tally} over the sub-shapes of size n, where
+    tally[d] = sum of q^maj over the standard fillings with d descents,
+    at q = 2^width, for d = 0..n-1.  At width 0 these are counts.
+
+    The state is a sub-shape together with the row r of its largest
+    entry n, and each level is built from the one below, which is then
+    dropped.  Removing n from row r leaves n - 1 at the end of some row
+    r', and n - 1 is a descent exactly when r > r': the tally moves up
+    one descent and its maj grows by n - 1, a shift by (n - 1) * width.
+    """
+    ideal = [{as_partition(shape).parts for shape in tops}]
+    while any(ideal[-1]):
+        ideal.append({rest for mu in ideal[-1] for _, rest in _corners(mu)})
+    # the empty filling, as if its largest entry ended row 0
+    below: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {(): [(0, [1])]}
+    for n, shapes in enumerate(reversed(ideal[:-1]), 1):
+        shift = (n - 1) * width
+        level = {}
+        for mu in shapes:
+            level[mu] = by_top = []
             for r, rest in _corners(mu):
-                tally = out[r]
-                for row, sub in enumerate(_TOP_TALLIES[rest]):
-                    # n - 1 is a descent exactly when n lands in a higher row
-                    dd, dm = (1, n - 1) if r > row else (0, 0)
-                    for (d, mj), c in sub.items():
-                        key = (d + dd, mj + dm)
-                        tally[key] = tally.get(key, 0) + c
-            _TOP_TALLIES[mu] = tuple(out)
-    return _TOP_TALLIES[parts]
+                tally = [0] * n
+                for row, sub in below[rest]:
+                    up, s = (1, shift) if r > row else (0, 0)
+                    for d, v in enumerate(sub, up):
+                        tally[d] += v << s
+                by_top.append((r, tally))
+        below = level
+        yield {mu: [sum(col) for col in zip(*(t for _, t in by_top))]
+               for mu, by_top in level.items()}
+
+
+def descent_tallies(width: int, tops) -> dict[tuple[int, ...], list[int]]:
+    """The last level of descent_levels(width, tops), keeping no other."""
+    level = {(): [1]}  # the empty shape's, which no level holds
+    for level in descent_levels(width, tops):
+        pass
+    return level
+
+
+def maj_width(shapes) -> int:
+    """A width at which descent_levels keeps every maj apart: bits(f) + 1
+    for f the most standard fillings of any of `shapes`.  f only grows
+    up Young's lattice, so it bounds every count below them too."""
+    return max(as_partition(shape).hook_length_count() for shape in shapes).bit_length() + 1
 
 
 def des_maj_counts(shape) -> tuple[tuple[tuple[int, int], int], ...]:
     """((des, maj), count) over the standard fillings of `shape`, sorted,
-    from the Young's-lattice dynamic program; the empty shape has its
-    one filling at (0, 0).  Charge is n * des - maj."""
-    total: dict[tuple[int, int], int] = {}
-    for tally in _des_maj_by_top(as_partition(shape).parts):
-        for key, c in tally.items():
-            total[key] = total.get(key, 0) + c
-    return tuple(sorted(total.items()))
+    from the walk of its order ideal at the maj width; the empty shape
+    has its one filling at (0, 0).  Charge is n * des - maj."""
+    width = maj_width([shape])
+    tally = descent_tallies(width, [shape])[as_partition(shape).parts]
+    return tuple(((d, mj), c) for d, row in enumerate(tally)
+                 for mj, c in enumerate(unpack(row, width)) if c)
 
 
 def qyt_counts(shape) -> list[int]:
     """counts[m] = |QYT with largest entry exactly m| for m = 0..n: a
     standard filling with d descents destandardizes to one with largest
-    entry d + 1."""
-    shape = as_partition(shape)
-    if shape.size == 0:
-        return [1]
-    counts = [0] * (shape.size + 1)
-    for (d, _), c in des_maj_counts(shape):
-        counts[d + 1] += c
-    return counts
+    entry d + 1, and the walk at width 0 counts the fillings by d."""
+    parts = as_partition(shape).parts
+    return [0, *descent_tallies(0, [parts])[parts]] if parts else [1]
 
 
 def qyt_count_exact(shape, m: int) -> int:

@@ -13,7 +13,9 @@ in the suites that name no checks (hit, summation, foulkes, polya).
 max_* bound below 1, times the body, compares the two sides of each
 instance and stops at the first that differ, without resuming the
 body; that instance is the counterexample, {"check", **fields, "lhs",
-"rhs"}, each value shown by `_shown`.
+"rhs"}, each value shown by `_shown`.  Every suite that reads descent
+statistics, genfun aside, walks Young's lattice once per run
+(tableau.descent_levels) and reads each level as n reaches it.
 
 The counting-level application identities live here too: signatures and
 ribbons, Foulkes multiplicities, the Polya dimension identity, and the
@@ -30,7 +32,7 @@ from math import comb, factorial, prod
 from typing import Callable, Iterator, NamedTuple
 
 from .board import FerrersBoard
-from .partition import Partition, as_partition, partitions
+from .partition import as_partition, partitions
 from .perm import descent_set as word_descents
 from .perm import perms
 from .pnk import (
@@ -64,11 +66,12 @@ from .symfun import (
 )
 from .tableau import (
     Tableau,
-    des_maj_counts,
+    descent_levels,
+    descent_tallies,
     enumerate_syt,
     kostka,
+    maj_width,
     qyt_count_exact,
-    qyt_counts,
 )
 
 
@@ -154,29 +157,13 @@ def _suite(name: str) -> Callable[[Callable[..., Iterator[_Instance]]], Callable
 @_suite("hit")
 def verify_hit(max_n: int = 7) -> Iterator[_Instance]:
     """QYT_{=k+1}(shape) * hook product == h_k of the conjugate board."""
-    for n in range(1, max_n + 1):
+    for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
         for shape in partitions(n):
             hooks = shape.hook_product()
-            counts = qyt_counts(shape)
+            counts = tallies[shape.parts]
             hit = FerrersBoard.from_partition(shape.conjugate()).hit_numbers()
             for k in range(n):
-                yield None, {"shape": shape, "k": k}, counts[k + 1] * hooks, hit[k]
-
-
-def _gen_by_runs(shape: Partition, stat: str) -> dict[int, QPoly]:
-    """k -> sum of q^stat over fillings with k descents (k + 1 runs),
-    where stat is "maj" or "charge" (charge = n * des - maj).  Each sum
-    is filled as one dense coefficient list."""
-    n = shape.size
-    rows: dict[int, list[int]] = {}
-    for (d, mj), c in des_maj_counts(shape):
-        e = mj if stat == "maj" else n * d - mj
-        if e < 0:
-            raise ValueError("degree must be nonnegative")
-        row = rows.setdefault(d, [])
-        row += [0] * (e + 1 - len(row))
-        row[e] += c
-    return {d: QPoly(row) for d, row in rows.items()}
+                yield None, {"shape": shape, "k": k}, counts[k] * hooks, hit[k]
 
 
 def _width(*bounds: int) -> int:
@@ -233,17 +220,19 @@ def verify_maj_hit(max_n: int = 6) -> Iterator[_Instance]:
     _width).  The bounds are read off T and the tallies as they are: a
     product of a tally with the hook polynomial sums to at most
     |gens|_1 * prod(hooks) in absolute value, a sum or a shift of the T_k
-    to at most sum_k |T_k|_1, and [n]! to n!.
+    to at most sum_k |T_k|_1, and [n]! to n!.  The sums of q^maj come
+    from one walk of Young's lattice at the maj width (tableau.maj_width).
     """
-    for n in range(1, max_n + 1):
+    tally_width = maj_width(partitions(max_n))
+    for n, tallies in enumerate(descent_levels(tally_width, partitions(max_n)), 1):
         mahonian = q_fact(n)
         for shape in partitions(n):
             board = FerrersBoard.from_partition(shape).plus_one()
             T = board.q_hit_numbers()
-            gens = _gen_by_runs(shape, "maj")
+            gens = [QPoly(unpack(row, tally_width)) for row in tallies[shape.parts]]
             hooks = shape.hooks()
             width = _width(factorial(n), sum(map(_l1, T)),
-                           sum(map(_l1, gens.values())) * prod(hooks))
+                           sum(map(_l1, gens)) * prod(hooks))
             hooks_at = prod(q_int_at(h, 1 << width) for h in hooks)
             packed = [pack(t.coeffs, width) for t in T]
             mahonian_at = pack(mahonian.coeffs, width)
@@ -251,10 +240,10 @@ def verify_maj_hit(max_n: int = 6) -> Iterator[_Instance]:
                    _Packed(sum(packed), width), _Packed(mahonian_at, width))
             shift = shape.n_stat() * width
             for k in range(n):
-                lhs = pack(gens.get(k, QPoly()).coeffs, width) * hooks_at
+                lhs = pack(gens[k].coeffs, width) * hooks_at
                 yield ("refinement", {"shape": shape, "k": k},
                        _Packed(lhs, width), _Packed(packed[n - k] << shift, width))
-            lhs = sum(pack(g.coeffs, width) for g in gens.values()) * hooks_at
+            lhs = sum(pack(g.coeffs, width) for g in gens) * hooks_at
             yield ("hook-length-q-analogue", {"shape": shape},
                    _Packed(lhs, width), _Packed(mahonian_at << shift, width))
 
@@ -268,18 +257,21 @@ def verify_charge_hit(max_n: int = 6) -> Iterator[_Instance]:
 
     compared packed at the width of maj-hit.
     """
-    for n in range(1, max_n + 1):
+    tally_width = maj_width(partitions(max_n))
+    for n, tallies in enumerate(descent_levels(tally_width, partitions(max_n)), 1):
         half = comb(n, 2)
         for shape in partitions(n):
             conj = shape.conjugate()
             T = FerrersBoard.from_partition(conj).q_hit_numbers()
-            gens = _gen_by_runs(shape, "charge")
+            # sum of q^charge, charge = n * k - maj, over the fillings with k descents
+            majs = [unpack(row, tally_width) for row in tallies[shape.parts]]
+            gens = [QPoly(c[::-1]).shift(n * k + 1 - len(c)) for k, c in enumerate(majs)]
             hooks = shape.hooks()
             width = _width(factorial(n), sum(map(_l1, T)),
-                           sum(map(_l1, gens.values())) * prod(hooks))
+                           sum(map(_l1, gens)) * prod(hooks))
             hooks_at = prod(q_int_at(h, 1 << width) for h in hooks)
             for k in range(n):
-                lhs = pack(gens.get(k, QPoly()).coeffs, width) * hooks_at << (half * width)
+                lhs = pack(gens[k].coeffs, width) * hooks_at << (half * width)
                 rhs = pack(T[k].coeffs, width) << ((n * k + conj.n_stat()) * width)
                 yield "refinement", {"shape": shape, "k": k}, _Packed(lhs, width), _Packed(rhs, width)
 
@@ -290,16 +282,16 @@ def verify_summation(max_n: int = 8) -> Iterator[_Instance]:
 
     QYT_{=k+1}(shape) == sum_m C(n+1, k-m) (-1)^(k-m) SSYT_{m+1}(shape).
     """
-    for n in range(1, max_n + 1):
+    for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
         for shape in partitions(n):
-            counts = qyt_counts(shape)
+            counts = tallies[shape.parts]
             ssyt = shape.hook_content_counts(n)
             for k in range(n):
                 rhs = sum(
                     comb(n + 1, k - m) * (-1) ** (k - m) * ssyt[m]
                     for m in range(k + 1)
                 )
-                yield None, {"shape": shape, "k": k}, counts[k + 1], rhs
+                yield None, {"shape": shape, "k": k}, counts[k], rhs
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +450,12 @@ def verify_lattice(max_n: int = 7, points: int = 200,
         rhs = (xs[-1] + k + 1) * sub(k) + (n - k - xs[-1]) * sub(k - 1)
         yield "recursion", {"n": n, "k": k, "x": xs}, pnk_eval_ebasis(n, k, xs), rhs
 
-    for n in range(1, max_n + 1):
+    for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
         for shape in partitions(n):
-            counts = qyt_counts(shape)
+            counts = tallies[shape.parts]
             by_paths = qyt_counts_via_pnk(shape)
             for k in range(n + 1):
-                want = counts[k + 1] if k + 1 <= n else 0
+                want = counts[k] if k < n else 0
                 yield "theorem", {"shape": shape, "k": k}, by_paths[k], want
             yield "hook-recovery", {"shape": shape}, sum(by_paths), shape.hook_length_count()
 
@@ -675,32 +667,22 @@ def foulkes_multiplicity(n: int, k: int, shape) -> int:
     shape = as_partition(shape)
     if shape.size != n:
         raise ValueError("shape size must equal n")
-    if not 0 <= k <= n - 1:
-        return 0
-    return _descent_tally(shape).get(n - 1 - k, 0)
-
-
-def _descent_tally(shape: Partition) -> dict[int, int]:
-    """des -> number of standard fillings of `shape` with that many
-    descents, from one read of the (des, maj) tally."""
-    out: dict[int, int] = {}
-    for (d, _), c in des_maj_counts(shape):
-        out[d] = out.get(d, 0) + c
-    return out
+    return qyt_count_exact(shape, n - k)
 
 
 def polya_dimension_check(n: int, m: int) -> bool:
     """m**n == sum_k C(m+k, n) sum_shapes QYT_{=n-k}(shape) SYT(shape)."""
-    return _polya_sum(n, m) == m**n
+    return _polya_sum(n, m, descent_tallies(0, partitions(n))) == m**n
 
 
-def _polya_sum(n: int, m: int) -> int:
-    """The right-hand side of polya_dimension_check."""
+def _polya_sum(n: int, m: int, tallies: dict[tuple[int, ...], list[int]]) -> int:
+    """The right-hand side of polya_dimension_check, from the tallies at
+    width 0 of the partitions of n."""
     total = 0
     for shape in partitions(n):
-        counts = qyt_counts(shape)
+        counts = tallies[shape.parts]
         total += shape.hook_length_count() * sum(
-            comb(m + k, n) * counts[n - k] for k in range(n)
+            comb(m + k, n) * counts[n - k - 1] for k in range(n)
         )
     return total
 
@@ -714,22 +696,23 @@ def jack_coefficient(shape, k: int) -> int:
 
 @_suite("foulkes")
 def verify_foulkes(max_n: int = 7) -> Iterator[_Instance]:
-    """foulkes_multiplicity(n, k, shape) == QYT_{=n-k}(shape) everywhere;
-    each shape's descent tally is read once for all k."""
-    for n in range(1, max_n + 1):
+    """foulkes_multiplicity(n, k, shape), the standard fillings with
+    n - 1 - k descents counted by the walk of Young's lattice, ==
+    QYT_{=n-k}(shape) by the lattice-path route (qyt_counts_via_pnk)."""
+    for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
         for shape in partitions(n):
-            census = qyt_counts(shape)
-            by_des = _descent_tally(shape)
+            by_des = tallies[shape.parts]
+            by_paths = qyt_counts_via_pnk(shape)
             for k in range(n):
-                yield None, {"shape": shape, "k": k}, by_des.get(n - 1 - k, 0), census[n - k]
+                yield None, {"shape": shape, "k": k}, by_des[n - 1 - k], by_paths[n - 1 - k]
 
 
 @_suite("polya")
 def verify_polya(max_n: int = 6, max_m: int = 5) -> Iterator[_Instance]:
     """polya_dimension_check(n, m) for every n, m up to the bounds."""
-    for n in range(1, max_n + 1):
+    for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
         for m in range(1, max_m + 1):
-            yield None, {"n": n, "m": m}, _polya_sum(n, m), m**n
+            yield None, {"n": n, "m": m}, _polya_sum(n, m, tallies), m**n
 
 
 @_suite("jack")
@@ -737,16 +720,16 @@ def verify_jack(max_n: int = 6) -> Iterator[_Instance]:
     """The labeled coefficients against the two independent routes: the
     lattice-path count of the conjugate shape and the hit numbers.  Each
     shape's quasi-Yamanouchi counts are read once for all k."""
-    for n in range(1, max_n + 1):
+    for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
         for shape in partitions(n):
             conj = shape.conjugate()
-            counts = qyt_counts(conj)
+            counts = tallies[conj.parts]
             path_counts = qyt_counts_via_pnk(conj)
             conj_hooks = conj.hook_product()
             hit = FerrersBoard.from_partition(shape).hit_numbers()
             for k in range(n):
                 fields = {"shape": shape, "k": k}
-                got = factorial(n) * counts[k + 1]  # jack_coefficient(shape, k)
+                got = factorial(n) * counts[k]  # jack_coefficient(shape, k)
                 yield "path-route", fields, got, factorial(n) * path_counts[k]
                 yield "hit-route", fields, got * conj_hooks, factorial(n) * hit[k]
 

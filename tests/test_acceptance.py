@@ -202,3 +202,12 @@ def test_criterion_15_q_hit_numbers_at_twenty_one():
         assert [t.at_one() for t in T] == board.hit_numbers()
 
     _criterion(15, "q-hit numbers of the raised board of 6,5,4,3,2,1", 0.1, body)
+
+
+def test_criterion_16_counting_suites_at_twenty():
+    def body():
+        for report in (verify_hit(max_n=20), verify_summation(max_n=20),
+                       verify_foulkes(max_n=18)):
+            assert report.passed, report.counterexample
+
+    _criterion(16, "hit and summation up to 20, Foulkes up to 18", 2.5, body)

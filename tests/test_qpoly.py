@@ -1,3 +1,4 @@
+import random
 from math import comb, factorial
 
 import pytest
@@ -100,6 +101,19 @@ def test_pack_unpack_round_trips_at_the_smallest_width():
     assert unpack(pack((-3, 0, 7, -8), 5), 5) == [-3, 0, 7, -8]
     # one bit fewer and the top slot reads as a borrow
     assert unpack(pack((7,), 3), 3) != [7]
+
+
+def test_unpack_reads_long_values_block_by_block():
+    # about 10^5 signed slots in all, across many blocks of 256 slots;
+    # the value is packed a thousand slots at a time and those packed at
+    # 1000 * width, since pack itself is quadratic in the slot count
+    rng = random.Random(18)
+    for width, slots, lead in [(2, 60_000, -1), (9, 30_000, 255), (40, 10_000, -(2**39) + 1)]:
+        bound = 2 ** (width - 1)
+        coeffs = [rng.randrange(-bound + 1, bound) for _ in range(slots - 1)] + [lead]
+        value = pack([pack(coeffs[i:i + 1000], width) for i in range(0, slots, 1000)],
+                     1000 * width)
+        assert unpack(value, width) == coeffs, width
 
 
 @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=8))

@@ -9,6 +9,7 @@ from qyt.symfun import gen_fn
 from qyt.tableau import (
     Tableau,
     des_maj_counts,
+    descent_levels,
     enumerate_qyt_at_most,
     enumerate_qyt_exact,
     enumerate_ssyt,
@@ -168,6 +169,19 @@ def test_des_maj_counts_match_oracle():
                 dset = oracles.descents_of_standard(rows)
                 tally[(len(dset), sum(dset))] += 1
             assert des_maj_counts(lam) == tuple(sorted(tally.items()))
+
+
+def test_descent_counts_are_the_des_marginal_of_the_maj_tallies():
+    # the walk at width 0, once over every shape of size 1..12, against
+    # each shape's own walk at its maj width
+    for n, tallies in enumerate(descent_levels(0, partitions(12)), 1):
+        assert tallies.keys() == {lam.parts for lam in partitions(n)}
+        for lam in partitions(n):
+            marginal = [0] * n
+            for (d, _), c in des_maj_counts(lam):
+                marginal[d] += c
+            assert tallies[lam.parts] == marginal, lam
+    assert n == 12
 
 
 @pytest.mark.parametrize("with_q", [True, False])

@@ -104,18 +104,25 @@ def test_lattice_builds_the_elementary_values_once_per_shape(monkeypatch):
     assert len(calls) == shapes
 
 
-def test_foulkes_reads_the_des_maj_tally_at_most_once_per_shape(monkeypatch):
-    calls = _count_calls(monkeypatch, qyt.verify, "des_maj_counts")
-    report = verify_foulkes(max_n=9)
+@pytest.mark.parametrize("suite,kwargs", [
+    pytest.param(verify_hit, {}, id="hit"),
+    pytest.param(verify_maj_hit, {}, id="maj-hit"),
+    pytest.param(verify_charge_hit, {}, id="charge-hit"),
+    pytest.param(verify_summation, {}, id="summation"),
+    pytest.param(verify_lattice, {"points": 0}, id="lattice"),
+    pytest.param(verify_foulkes, {}, id="foulkes"),
+    pytest.param(verify_polya, {}, id="polya"),
+    pytest.param(verify_jack, {}, id="jack"),
+])
+def test_each_counting_suite_walks_the_lattice_once(monkeypatch, suite, kwargs):
+    # the walk is counted wherever a module binds it: a call through
+    # tableau (qyt_counts, des_maj_counts, descent_tallies) passes its
+    # module global, a call from the suite body verify's
+    through_tableau = _count_calls(monkeypatch, qyt.tableau, "descent_levels")
+    through_verify = _count_calls(monkeypatch, qyt.verify, "descent_levels")
+    report = suite(max_n=8, **kwargs)
     assert report.passed, report.counterexample
-    assert len(calls) <= sum(1 for n in range(1, 10) for _ in partitions(n))
-
-
-def test_jack_reads_the_des_maj_tally_at_most_once_per_shape(monkeypatch):
-    calls = _count_calls(monkeypatch, qyt.tableau, "des_maj_counts")
-    report = verify_jack(max_n=9)
-    assert report.passed, report.counterexample
-    assert len(calls) <= sum(1 for n in range(1, 10) for _ in partitions(n))
+    assert len(through_tableau) + len(through_verify) == 1
 
 
 def test_content_tally_matches_the_word_listing():
@@ -180,10 +187,32 @@ def _recording(word, Q):
 
 # T_n + q on every board
 _T_N_OFF_BY_Q = _when(_always, lambda T, board: T[:-1] + [T[-1] + QPoly((0, 1))])
+
+
+def _walked(pairs):
+    """A fault for the walk of Young's lattice (tableau.descent_levels):
+    the tally of shape 2,1 in the level it is yielded in replaced by
+    these ((des, maj), count) pairs, packed at the walk's width (at
+    width 0 the maj drops out)."""
+    def make(true):
+        def faulty(width, tops):
+            for level in true(width, tops):
+                if _P21.parts in level:
+                    tally = [0] * max(3, 1 + max(d for (d, _), _ in pairs))
+                    for (d, mj), c in pairs:
+                        tally[d] += c << (mj * width)
+                    level = {**level, _P21.parts: tally}
+                yield level
+        return faulty
+    return make
+
+
 # The (des, maj) tally of shape 2,1 is ((1, 1), 1), ((1, 2), 1); these
-# move the filling at (1, 1) up one descent or one maj.
-_DES_MOVED = _when(_p21, lambda out, shape: (((1, 2), 1), ((2, 1), 1)))
-_MAJ_MOVED = _when(_p21, lambda out, shape: (((1, 2), 2),))
+# move the filling at (1, 1) up one descent or one maj, or both
+# fillings up one descent.
+_DES_MOVED = _walked((((1, 2), 1), ((2, 1), 1)))
+_MAJ_MOVED = _walked((((1, 2), 2),))
+_BOTH_DES_RAISED = _walked((((2, 1), 1), ((2, 2), 1)))
 # The path counts of shape 2,1 are [0, 2, 0, 0]; move one up one k.
 _PATH_MOVED = _when(_p21, lambda out, shape: [0, 1, 1, 0])
 _HOOK_COUNT_RAISED = _when(_p21, lambda out, shape: out + 1)
@@ -200,7 +229,7 @@ _HOOK_COUNT_RAISED = _when(_p21, lambda out, shape: out + 1)
 # the sampled checks altogether.
 MUTATIONS = [
     pytest.param(
-        verify_hit, {"max_n": 3}, qyt.tableau, "des_maj_counts", _DES_MOVED,
+        verify_hit, {"max_n": 3}, qyt.verify, "descent_levels", _DES_MOVED,
         {"shape": "2,1"},
         id="hit-descent-moved"),
     pytest.param(
@@ -208,21 +237,21 @@ MUTATIONS = [
         {"check": "mahonian", "board": "n=1; heights=1", "lhs": "1 + q", "rhs": "1"},
         id="maj-hit-mahonian"),
     pytest.param(
-        verify_maj_hit, {"max_n": 3}, qyt.verify, "des_maj_counts", _MAJ_MOVED,
+        verify_maj_hit, {"max_n": 3}, qyt.verify, "descent_levels", _MAJ_MOVED,
         {"check": "refinement", "shape": "2,1"},
         id="maj-hit-maj-moved"),
     pytest.param(
         # a filling with n descents, which no k < n of the refinement reads
-        verify_maj_hit, {"max_n": 3}, qyt.verify, "des_maj_counts",
-        _when(_p21, lambda out, shape: (*out, ((3, 0), 1))),
+        verify_maj_hit, {"max_n": 3}, qyt.verify, "descent_levels",
+        _walked((((1, 1), 1), ((1, 2), 1), ((3, 0), 1))),
         {"check": "hook-length-q-analogue", "shape": "2,1"},
         id="hook-length-q-analogue"),
     pytest.param(
-        verify_charge_hit, {"max_n": 3}, qyt.verify, "des_maj_counts", _MAJ_MOVED,
+        verify_charge_hit, {"max_n": 3}, qyt.verify, "descent_levels", _MAJ_MOVED,
         {"check": "refinement", "shape": "2,1"},
         id="charge-hit-maj-moved"),
     pytest.param(
-        verify_summation, {"max_n": 3}, qyt.tableau, "des_maj_counts", _DES_MOVED,
+        verify_summation, {"max_n": 3}, qyt.verify, "descent_levels", _DES_MOVED,
         {"shape": "2,1"},
         id="summation-descent-moved"),
     pytest.param(
@@ -266,7 +295,7 @@ MUTATIONS = [
         {"check": "recursion"},
         id="recursion"),
     pytest.param(
-        verify_lattice, {"max_n": 3, "points": 10}, qyt.tableau, "des_maj_counts",
+        verify_lattice, {"max_n": 3, "points": 10}, qyt.verify, "descent_levels",
         _DES_MOVED,
         {"shape": "2,1"},
         id="lattice-descent-moved"),
@@ -280,11 +309,11 @@ MUTATIONS = [
         {"check": "hook-recovery", "shape": "2,1"},
         id="hook-recovery"),
     pytest.param(
-        verify_genfun, {"max_n": 3}, qyt.symfun, "des_maj_counts", _DES_MOVED,
+        verify_genfun, {"max_n": 3}, qyt.tableau, "descent_levels", _DES_MOVED,
         {"check": "fundamental", "n": 3},
         id="fundamental-descent-moved"),
     pytest.param(
-        verify_genfun, {"max_n": 3}, qyt.symfun, "des_maj_counts", _MAJ_MOVED,
+        verify_genfun, {"max_n": 3}, qyt.tableau, "descent_levels", _MAJ_MOVED,
         {"check": "fundamental", "n": 3},
         id="fundamental-maj-moved"),
     pytest.param(
@@ -403,17 +432,20 @@ MUTATIONS = [
          "lhs": ["1", "q"], "rhs": ["1", "0"]},
         id="product-route"),
     pytest.param(
-        verify_foulkes, {"max_n": 3}, qyt.verify, "_descent_tally",
-        _when(_p21, lambda out, shape: {d + 1: c for d, c in out.items()}),
+        verify_foulkes, {"max_n": 3}, qyt.verify, "descent_levels", _BOTH_DES_RAISED,
         {"shape": "2,1"},
         id="foulkes"),
     pytest.param(
-        verify_polya, {"max_n": 3, "max_m": 3}, qyt.verify, "qyt_counts",
-        _when(_p21, lambda out, shape: [0, *out[:-1]]),
+        verify_foulkes, {"max_n": 3}, qyt.verify, "qyt_counts_via_pnk", _PATH_MOVED,
+        {"shape": "2,1"},
+        id="foulkes-path-moved"),
+    pytest.param(
+        verify_polya, {"max_n": 3, "max_m": 3}, qyt.verify, "descent_levels",
+        _BOTH_DES_RAISED,
         {"n": 3, "m": 2},
         id="polya"),
     pytest.param(
-        verify_jack, {"max_n": 3}, qyt.tableau, "des_maj_counts", _DES_MOVED,
+        verify_jack, {"max_n": 3}, qyt.verify, "descent_levels", _DES_MOVED,
         {"shape": "2,1"},
         id="jack-descent-moved"),
     pytest.param(
