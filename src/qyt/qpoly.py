@@ -32,8 +32,14 @@ def pack(coeffs: Sequence[int], width: int) -> int:
     """sum_i coeffs[i] * 2^(width*i): the polynomial at q = 2^width.
 
     Any integer coefficients are allowed; unpack inverts this when each
-    one lies strictly between -2^(width-1) and 2^(width-1).
+    one lies strictly between -2^(width-1) and 2^(width-1).  Up to 64
+    slots go by Horner's rule; a longer list packs its two halves and
+    joins them with one shift, so that no step shifts the whole growing
+    value once per slot.
     """
+    if len(coeffs) > 64:
+        half = len(coeffs) // 2
+        return pack(coeffs[:half], width) + (pack(coeffs[half:], width) << (width * half))
     value = 0
     for c in reversed(coeffs):
         value = (value << width) + c

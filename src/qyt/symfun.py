@@ -200,7 +200,8 @@ def fundamental_sums(coeffs: dict[int, object], n: int) -> MonomialMap:
     a bitmask (bit j-1 for j).  F_D is the sum of M_T over the T
     containing D, so the coefficient of M_T is the sum of coeffs[D] over
     the D inside T: one subset-sum transform over the 2^(n-1) masks,
-    adding each bit in turn."""
+    adding each bit in turn.  The composition of T is that of T without
+    its least element j, with the first part split into j and the rest."""
     size = 1 << max(n - 1, 0)
     sums = [0] * size
     for mask, c in coeffs.items():
@@ -211,10 +212,14 @@ def fundamental_sums(coeffs: dict[int, object], n: int) -> MonomialMap:
             if mask & bit:
                 sums[mask] = sums[mask] + sums[mask ^ bit]
         bit <<= 1
+    alphas = [(n,) if n else ()]
+    for mask in range(1, size):
+        low = mask & -mask
+        j = low.bit_length()
+        rest = alphas[mask ^ low]
+        alphas.append((j, rest[0] - j, *rest[1:]))
     out = MonomialMap()
-    for mask, c in enumerate(sums):
-        cuts = [0, *(j for j in range(1, n) if mask >> (j - 1) & 1), n]
-        out.add_term(tuple(b - a for a, b in zip(cuts, cuts[1:]) if b > a), c)
+    out.data = {alpha: c for alpha, c in zip(alphas, sums) if c}
     return out
 
 

@@ -17,7 +17,8 @@ building any filling, by one level-by-level walk up Young's lattice
 holds a list by des of sum q^maj evaluated at q = 2^W, so a descent is
 a shift.  W = 0 gives the counts by des that the counting suites read;
 W = bits(f) + 1, f the most standard fillings of a top, keeps each maj
-in its own slot for `des_maj_counts` and `gen_fn`.  A suite walks the
+in its own slot for `des_maj_counts` and `gen_fn`; the genfun suite
+walks at the wider W of its comparisons.  A suite walks the
 lattice once, a single shape its own order ideal; nothing is cached.
 `enumerate_syt` serves only to list the fillings themselves.
 

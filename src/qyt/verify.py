@@ -55,10 +55,7 @@ from .qpoly import (
     unpack,
 )
 from .symfun import (
-    MonomialMap,
-    composition_descents,
     fundamental_sums,
-    gen_fn,
     monomial_truncated,
     row_insert,
     row_uninsert,
@@ -178,7 +175,15 @@ def _width(*bounds: int) -> int:
     of the largest bound.  Shifts by q^e move slots but do not change
     them.  Callers read their bounds off the sides' inputs as they are,
     so that a faulty input with negative or oversized counts widens the
-    slots instead of slipping through them.
+    slots instead of slipping through them.  An input that is itself
+    packed at W is read at W: it holds the polynomial it reads back as.
+
+    Two variables go the same way at t = q^S: if every q-degree is below
+    S, slot d * S + e holds the coefficient of q^e t^d and no other, so
+    S is one more than the largest q-degree of the inputs, read off each
+    packed row as its bit length over W (a row's leading slot d gives it
+    between d * W and (d + 1) * W - 1 bits), and sums and int multiples
+    of the rows add no degree.
     """
     return max(bounds).bit_length() + 1
 
@@ -189,22 +194,33 @@ def _l1(p: QPoly) -> int:
 
 
 class _Packed:
-    """A polynomial side packed at q = 2^width: equal to another when
-    value and width are, shown as the polynomial read back."""
+    """A polynomial side packed at q = 2^width, and at t = q^stride when
+    it has a stride: equal to another when value, width and stride are,
+    shown as the polynomial read back, a QPoly in q, or with a stride a
+    QTPoly whose slot d * stride + e holds the coefficient of q^e t^d."""
 
-    __slots__ = ("value", "width")
+    __slots__ = ("value", "width", "stride")
 
-    def __init__(self, value: int, width: int) -> None:
+    def __init__(self, value: int, width: int, stride: int | None = None) -> None:
         self.value = value
         self.width = width
+        self.stride = stride
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, _Packed):
             return NotImplemented
-        return (self.value, self.width) == (other.value, other.width)
+        return ((self.value, self.width, self.stride)
+                == (other.value, other.width, other.stride))
+
+    def read(self) -> QPoly | QTPoly:
+        coeffs = unpack(self.value, self.width)
+        if self.stride is None:
+            return QPoly(coeffs)
+        return QTPoly(((s % self.stride, s // self.stride), c)
+                      for s, c in enumerate(coeffs) if c)
 
     def __str__(self) -> str:
-        return str(QPoly(unpack(self.value, self.width)))
+        return str(self.read())
 
 
 @_suite("maj-hit")
@@ -464,9 +480,11 @@ def verify_lattice(max_n: int = 7, points: int = 200,
 # generating functions
 
 
-def _inverse_descent_tally(n: int) -> dict[int, QTPoly]:
-    """Des(p^-1) as a bitmask (bit j-1 for j) -> sum of q^maj(p) t^des(p)
-    over the permutations p of S_n with that inverse descent set.
+def _inverse_descent_tally(n: int, width: int) -> dict[int, list[int]]:
+    """Des(p^-1) as a bitmask (bit j-1 for j) -> tally[d] = sum of q^maj(p)
+    at q = 2^width over the permutations p of S_n with that inverse
+    descent set and d descents, for d = 0..n-1, at a width above
+    bits(n!).
 
     The values are placed left to right, p(1) first.  The state is the
     set of values already placed and the last of them; it carries a
@@ -475,12 +493,13 @@ def _inverse_descent_tally(n: int) -> dict[int, QTPoly]:
     puts y - 1 in it exactly when y - 1 is still unplaced; and placing y
     after a larger value x at position i makes i a descent of p.
 
-    As in the census (_kernels.q_hit_census), each tally is one packed
-    int whose slot des * (maxmaj + 1) + maj, of width bits(n!) + 1, holds
-    a count, so a step is one shift and one add; no count exceeds n!.
+    As in the census (_kernels.q_hit_census), each tally is one int, the
+    sum of q^maj t^des at q = 2^width and t = q^(maxmaj + 1), so a step
+    is one shift and one add.  No count exceeds n! < 2^width and none is
+    negative, so no slot carries into the next, and the rows by des are
+    cut out of it at the end.
     """
     maxmaj = n * (n - 1) // 2
-    width = factorial(n).bit_length() + 1
     descent = (maxmaj + 1) * width
     layer: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
     for i in range(n):
@@ -501,17 +520,16 @@ def _inverse_descent_tally(n: int) -> dict[int, QTPoly]:
     for tally in layer.values():
         for mask, packed in tally.items():
             total[mask] = total.get(mask, 0) + packed
-    return {
-        mask: QTPoly(((s % (maxmaj + 1), s // (maxmaj + 1)), c)
-                     for s, c in enumerate(unpack(packed, width)) if c)
-        for mask, packed in total.items()
-    }
+    row = (1 << descent) - 1
+    return {mask: [packed >> (d * descent) & row for d in range(n)]
+            for mask, packed in total.items()}
 
 
-def _content_tally(parts: tuple[int, ...]) -> QTPoly:
-    """sum of q^maj t^des over the words in which the value i appears
-    parts[i-1] times, by MacMahon's closed form (Combinatory Analysis,
-    1915): with n = sum(parts),
+def _content_tally(parts: tuple[int, ...], width: int) -> list[int]:
+    """tally[d] = sum of q^maj at q = 2^width over the words with d
+    descents in which the value i appears parts[i-1] times, for
+    d = 0..n-1 with n = sum(parts), at a width above bits(n!).  By
+    MacMahon's closed form (Combinatory Analysis, 1915),
 
         sum_w t^des q^maj  =  prod_{i=0..n} (1 - t q^i)
                               * sum_{k>=0} t^k prod_j [parts_j + k choose parts_j].
@@ -519,31 +537,60 @@ def _content_tally(parts: tuple[int, ...]) -> QTPoly:
     By the q-binomial theorem the product is sum_j (-1)^j q^C(j,2)
     [n+1 choose j] t^j, so the coefficient of t^d is
     sum_{k<=d} (-1)^(d-k) q^C(d-k,2) [n+1 choose d-k] P_k with
-    P_k = prod_j [parts_j + k choose parts_j].  It is evaluated at
-    q = 2^W: evaluation is a ring map, so only the result has to fit a
-    slot, and each of its coefficients is at most the multinomial
-    coefficient, at most n! < 2^(W-1) for W = bits(n!) + 1.
+    P_k = prod_j [parts_j + k choose parts_j].  Evaluation at q = 2^W is
+    a ring map, so only the result has to fit a slot, and each of its
+    coefficients is at most the multinomial coefficient, at most n!.
     """
     n = sum(parts)
-    width = factorial(n).bit_length() + 1
     q = 1 << width
     P = [prod(q_binom_at(a + k, a, q) for a in parts) for k in range(n)]
     E = [(-1) ** j * q ** comb(j, 2) * q_binom_at(n + 1, j, q) for j in range(n)]
-    terms = {}
-    for d in range(n):
-        value = sum(E[d - k] * P[k] for k in range(d + 1))
-        for mj, c in enumerate(unpack(value, width)):
-            if c:
-                terms[(mj, d)] = c
-    return QTPoly(terms)
+    return [sum(E[d - k] * P[k] for k in range(d + 1)) for d in range(n)]
 
 
-def _by_composition(lhs: MonomialMap, rhs: MonomialMap) -> Iterator[tuple]:
+def _weighted(maps: dict, values: dict) -> dict[tuple[int, ...], int]:
+    """sum_s maps[s] * values[s] by composition, each maps[s] a dict from
+    compositions to int coefficients and each values[s] an int."""
+    out: dict[tuple[int, ...], int] = {}
+    for s, coeffs in maps.items():
+        value = values[s]
+        for alpha, c in coeffs.items():
+            out[alpha] = out.get(alpha, 0) + c * value
+    return out
+
+
+def _weighted_bound(maps: dict, totals: dict) -> int:
+    """A bound on the sum of the absolute values of the coefficients of
+    any one composition's value in _weighted(maps, values), given that
+    those of values[s] sum to at most totals[s]."""
+    return max(_weighted({s: {a: abs(c) for a, c in coeffs.items()}
+                          for s, coeffs in maps.items()}, totals).values(), default=0)
+
+
+def _coefficient(value: int, width: int, stride: int):
+    """The coefficient of M_alpha that an expansion holds as `value`,
+    packed at (2^width, 2^(width*stride)): 0 when absent, as a
+    MonomialMap keeps no zero, else the packed side."""
+    return _Packed(value, width, stride) if value else 0
+
+
+def _by_composition(lhs: dict, rhs: dict) -> Iterator[tuple]:
     """(alpha, coefficient of M_alpha in lhs, in rhs) for every
     composition alpha that either side holds, ordered by (length,
     alpha): the first that differs has the fewest parts."""
-    for alpha in sorted(lhs.data.keys() | rhs.data.keys(), key=lambda a: (len(a), a)):
-        yield alpha, lhs.coefficient(alpha), rhs.coefficient(alpha)
+    for alpha in sorted(lhs.keys() | rhs.keys(), key=lambda a: (len(a), a)):
+        yield alpha, lhs.get(alpha, 0), rhs.get(alpha, 0)
+
+
+def _descent_mask(rows: tuple[tuple[int, ...], ...], n: int) -> int:
+    """The descent set of a standard filling of size n as a bitmask (bit
+    i-1 for i): i is a descent when i + 1 sits in a higher row.  These are
+    the partial sums of the weight of its destandardization."""
+    row_of = [0] * (n + 1)
+    for j, row in enumerate(rows):
+        for v in row:
+            row_of[v] = j
+    return sum(1 << (i - 1) for i in range(1, n) if row_of[i + 1] > row_of[i])
 
 
 @_suite("genfun")
@@ -559,43 +606,74 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
 
     Each side is built from a tally, not by listing words.  The
     fundamental side tallies S_n by (Des(p^-1), maj, des) with the
-    placed-set program (_inverse_descent_tally) and the monomial side
-    each partition content by MacMahon's closed form (_content_tally);
+    placed-set program (_inverse_descent_tally), the monomial side each
+    partition content by MacMahon's closed form (_content_tally), and
+    the Schur side is the walk of Young's lattice (descent_tallies);
     fundamental_sums turns a tally by descent set into the monomial
-    basis by one subset-sum transform.  The Kostka numbers of the lemma
-    and of triangularity come from one table per n, filled by the cell
-    walk tableau.kostka.  Triangularity needs no separate check that the
-    coefficient of M_nu in s_nu is 1: it requires that coefficient to
-    equal K[nu, nu], and a K[nu, nu] other than 1 has already failed the
-    Kostka lemma or the monomial check, since gen_fn(n)[nu] is never
-    zero.  The RSK checks insert every p of S_n and give it back by
-    inverse insertion, keeping no pair.  The truncated-fundamental check
-    still walks the standard fillings (enumerate_syt) and tallies the
-    descent sets of their destandardizations."""
+    basis by one subset-sum transform.  Each of these tallies is a list
+    by des of rows at q = 2^W.  They are joined into one int at
+    t = q^S and every (q, t) side is built from those ints by integer
+    products and sums, compared as _Packed and read back as a QTPoly
+    only when shown.  S is one more than the largest q-degree of any row
+    (its bit length over W), so that no row spills into the next power
+    of t.  W is _width of bounds on the sides: the tallies count n! or
+    fewer objects, weighted by the Kostka numbers, the Schur and
+    monomial coefficients and [n]! as they are.  The t = 1 side of each
+    shape is the sum of its rows, against q^n(shape) [n]! / prod [h(u)]
+    at q = 2^W, an exact integer division; a remainder means no
+    polynomial quotient, and the polynomial division raises.
+
+    The Kostka numbers of the lemma and of triangularity come from one
+    table per n, filled by the cell walk tableau.kostka.  Triangularity
+    needs no separate check that the coefficient of M_nu in s_nu is 1:
+    it requires that coefficient to equal K[nu, nu], and a K[nu, nu]
+    other than 1 has already failed the Kostka lemma or the monomial
+    check, since the walk's tally of nu is never zero.  The RSK checks
+    insert every p of S_n and give it back by inverse insertion,
+    keeping no pair.  The truncated-fundamental check still walks the
+    standard fillings (enumerate_syt) and tallies their descent sets,
+    read off their rows."""
     for n in range(1, max_n + 1):
         shapes = list(partitions(n))
-        with_q = gen_fn(n, with_q=True)
-        schur = {shape: schur_truncated(shape, n) for shape in shapes}
-        expansion = sum((sch.scale(with_q[s]) for s, sch in schur.items()),
-                        MonomialMap())
-
-        fundamental = fundamental_sums(_inverse_descent_tally(n), n)
-        for alpha, lhs, rhs in _by_composition(fundamental, expansion):
-            yield "fundamental", {"n": n, "composition": alpha}, lhs, rhs
-
-        words = {s: _content_tally(s.parts) for s in shapes}
-        monomial = sum((monomial_truncated(s, n).scale(c) for s, c in words.items()),
-                       MonomialMap())
-        for alpha, lhs, rhs in _by_composition(monomial, expansion):
-            yield "monomial", {"n": n, "composition": alpha}, lhs, rhs
-
+        # composition -> coefficient of M_composition
+        schur = {shape: schur_truncated(shape, n).data for shape in shapes}
+        monomials = {shape: monomial_truncated(shape, n).data for shape in shapes}
         K = {(nu, lam): kostka(nu, lam) for nu in shapes for lam in shapes}
-        for shape, lhs in words.items():
-            rhs = QTPoly()
-            for nu in shapes:
-                if nu.dominates(shape):
-                    rhs = rhs + K[nu, shape] * with_q[nu]
-            yield "kostka-lemma", {"shape": shape}, lhs, rhs
+        dominant = {(nu, lam) for nu, lam in K if nu.dominates(lam)}
+        mahonian = q_fact(n)
+        # the most objects each tally counts: fillings, words, S_n
+        fillings = {shape: shape.hook_length_count() for shape in shapes}
+        words = {shape: factorial(n) // prod(map(factorial, shape.parts)) for shape in shapes}
+        width = _width(
+            factorial(n), _l1(mahonian),
+            _weighted_bound(schur, fillings), _weighted_bound(monomials, words),
+            max(sum(abs(K[nu, lam]) * fillings[nu] for nu in shapes) for lam in shapes))
+        walk = descent_tallies(width, shapes)
+        placed = _inverse_descent_tally(n, width)
+        contents = {shape: _content_tally(shape.parts, width) for shape in shapes}
+        stride = 1 + max(abs(row).bit_length() // width
+                         for tallies in (walk.values(), placed.values(), contents.values())
+                         for rows in tallies for row in rows)
+        step = width * stride  # t = 2^step
+        schur_at = {shape: pack(walk[shape.parts], step) for shape in shapes}
+        expansion = _weighted(schur, schur_at)
+
+        fundamental = fundamental_sums(
+            {mask: pack(rows, step) for mask, rows in placed.items()}, n)
+        for alpha, lhs, rhs in _by_composition(fundamental.data, expansion):
+            yield ("fundamental", {"n": n, "composition": alpha},
+                   _coefficient(lhs, width, stride), _coefficient(rhs, width, stride))
+
+        words_at = {shape: pack(rows, step) for shape, rows in contents.items()}
+        monomial = _weighted(monomials, words_at)
+        for alpha, lhs, rhs in _by_composition(monomial, expansion):
+            yield ("monomial", {"n": n, "composition": alpha},
+                   _coefficient(lhs, width, stride), _coefficient(rhs, width, stride))
+
+        for shape in shapes:
+            rhs = sum(K[nu, shape] * schur_at[nu] for nu in shapes if (nu, shape) in dominant)
+            yield ("kostka-lemma", {"shape": shape},
+                   _Packed(words_at[shape], width, stride), _Packed(rhs, width, stride))
 
         # Inverse insertion giving back every p shows that p -> (P, Q)
         # is injective; the pairs of standard fillings of one shape
@@ -609,35 +687,42 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
             except (KeyError, IndexError):  # Q is not a standard filling
                 back = None
             yield "rsk-bijection", fields, back, p
-        squares_sum = sum(shape.hook_length_count() ** 2 for shape in shapes)
+        squares_sum = sum(f * f for f in fillings.values())
         yield "rsk-bijection", {"n": n}, squares_sum, factorial(n)
 
         for shape in shapes:
             tally: dict[int, int] = {}  # descent mask -> fillings
             for t in enumerate_syt(shape):
-                strict = composition_descents(t.destandardize().weight())
-                mask = sum(1 << (j - 1) for j in strict)
+                mask = _descent_mask(t.rows, n)
                 tally[mask] = tally.get(mask, 0) + 1
             # vars: the fewest variables in which the two sides differ there
-            for alpha, lhs, rhs in _by_composition(fundamental_sums(tally, n), schur[shape]):
+            for alpha, lhs, rhs in _by_composition(fundamental_sums(tally, n).data, schur[shape]):
                 yield ("truncated-fundamental",
                        {"shape": shape, "composition": alpha, "vars": len(alpha)}, lhs, rhs)
 
         for nu, sch in schur.items():
             for lam in shapes:
                 fields = {"shape": nu, "weight": lam}
-                got = sch.coefficient(lam.parts)
+                got = sch.get(lam.parts, 0)
                 yield "triangularity", fields, got, K[nu, lam]
-                if not nu.dominates(lam):  # K vanishes off the dominance order
+                if (nu, lam) not in dominant:  # K vanishes off the dominance order
                     yield "triangularity", fields, got, 0
 
+        mahonian_at = pack(mahonian.coeffs, width)
         for shape in shapes:
+            rows = walk[shape.parts]
             # q-hook formula: sum of q^maj = q^n(shape) [n]! / prod [h(u)]
-            hooks_poly = prod((q_int(h) for h in shape.hooks()), start=QPoly((1,)))
-            q_hook = q_fact(n).shift(shape.n_stat()).exact_div(hooks_poly)
-            yield "t1-specialization", {"shape": shape}, with_q[shape].at_t1(), q_hook
+            hooks = shape.hooks()
+            q_hook, rest = divmod(mahonian_at << (shape.n_stat() * width),
+                                  prod(q_int_at(h, 1 << width) for h in hooks))
+            if rest:  # no polynomial quotient, so the polynomial division raises
+                mahonian.shift(shape.n_stat()).exact_div(
+                    prod((q_int(h) for h in hooks), start=QPoly((1,))))
+            yield ("t1-specialization", {"shape": shape},
+                   _Packed(sum(rows), width), _Packed(q_hook, width))
+            at_q1 = QPoly(sum(unpack(row, width)) for row in rows)
             path_counts = QPoly(qyt_counts_via_pnk(shape)[:n])
-            yield "q1-specialization", {"shape": shape}, with_q[shape].at_q1(), path_counts
+            yield "q1-specialization", {"shape": shape}, at_q1, path_counts
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 from math import comb, factorial
 
 import pytest
@@ -106,7 +107,7 @@ def test_pack_unpack_round_trips_at_the_smallest_width():
 def test_unpack_reads_long_values_block_by_block():
     # about 10^5 signed slots in all, across many blocks of 256 slots;
     # the value is packed a thousand slots at a time and those packed at
-    # 1000 * width, since pack itself is quadratic in the slot count
+    # 1000 * width, so pack also meets slots far wider than their values
     rng = random.Random(18)
     for width, slots, lead in [(2, 60_000, -1), (9, 30_000, 255), (40, 10_000, -(2**39) + 1)]:
         bound = 2 ** (width - 1)
@@ -114,6 +115,22 @@ def test_unpack_reads_long_values_block_by_block():
         value = pack([pack(coeffs[i:i + 1000], width) for i in range(0, slots, 1000)],
                      1000 * width)
         assert unpack(value, width) == coeffs, width
+
+
+def test_pack_is_linear_in_the_slot_count():
+    # 100 000 signed slots at each width, the leading one at either end
+    # of its range, packed in one call: by Horner's rule alone this took
+    # seconds at width 9
+    rng = random.Random(19)
+    cases = []
+    for width, lead in [(2, -1), (9, 255), (40, -(2**39) + 1)]:
+        bound = 2 ** (width - 1)
+        coeffs = [rng.randrange(-bound + 1, bound) for _ in range(99_999)] + [lead]
+        cases.append((width, coeffs))
+    started = time.perf_counter()
+    for width, coeffs in cases:
+        assert unpack(pack(coeffs, width), width) == coeffs, width
+    assert time.perf_counter() - started < 0.5
 
 
 @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=8))

@@ -242,6 +242,21 @@ def test_stats_agree_through_standardization():
             assert q.charge() == t.charge()
 
 
+def test_destandardized_weight_marks_the_descents():
+    # the partial sums of the weight of the destandardized filling are the
+    # descent set, so the genfun suite's truncated-fundamental check may
+    # read that set off the standard filling's rows (verify._descent_mask)
+    from qyt.symfun import composition_descents
+    from qyt.verify import _descent_mask
+
+    for lam in shapes_upto(8):
+        n = lam.size
+        for t in enumerate_syt(lam):
+            dset = t.descent_set()
+            assert composition_descents(t.destandardize().weight()) == dset
+            assert _descent_mask(t.rows, n) == sum(1 << (i - 1) for i in dset)
+
+
 def test_charge_is_comajor():
     for lam in shapes_upto(6):
         n = lam.size

@@ -1,4 +1,5 @@
 import json
+import re
 from math import factorial
 
 import pytest
@@ -9,7 +10,7 @@ import qyt.verify
 from qyt import _kernels
 from qyt.board import FerrersBoard
 from qyt.partition import Partition, partitions
-from qyt.qpoly import QPoly, QTPoly
+from qyt.qpoly import QPoly, QTPoly, unpack
 from qyt.symfun import MonomialMap
 from qyt.tableau import Tableau, enumerate_syt, qyt_count_exact
 from qyt.verify import (
@@ -125,13 +126,32 @@ def test_each_counting_suite_walks_the_lattice_once(monkeypatch, suite, kwargs):
     assert len(through_tableau) + len(through_verify) == 1
 
 
+def _read_rows(rows, width):
+    """The (q, t) polynomial of a tally by des whose rows are packed at
+    q = 2^width."""
+    return QTPoly(((e, d), c) for d, row in enumerate(rows)
+                  for e, c in enumerate(unpack(row, width)) if c)
+
+
+def _compositions(n):
+    for mask in range(1 << (n - 1)):
+        cuts = [0, *(j for j in range(1, n) if mask >> (j - 1) & 1), n]
+        yield tuple(b - a for a, b in zip(cuts, cuts[1:]))
+
+
 def test_content_tally_matches_the_word_listing():
     from qyt.verify import _content_tally
 
+    # every content, not only the partitions the suite reads, at the
+    # least width the tally allows and at a wider one
     for n in range(1, 8):
-        for shape in partitions(n):
-            want = QTPoly(oracles.word_stats_brute(shape.parts))
-            assert _content_tally(shape.parts) == want, shape
+        least = factorial(n).bit_length() + 1
+        for content in _compositions(n):
+            want = QTPoly(oracles.word_stats_brute(content))
+            for width in (least, least + 7):
+                rows = _content_tally(content, width)
+                assert len(rows) == n
+                assert _read_rows(rows, width) == want, (content, width)
 
 
 def test_inverse_descent_tally_matches_an_s_n_sweep():
@@ -142,7 +162,35 @@ def test_inverse_descent_tally_matches_an_s_n_sweep():
             sum(1 << (j - 1) for j in inv): QTPoly(c)
             for inv, c in oracles.inverse_descent_brute(n).items()
         }
-        assert _inverse_descent_tally(n) == want, n
+        least = factorial(n).bit_length() + 1
+        for width in (least, least + 7):
+            tally = _inverse_descent_tally(n, width)
+            assert all(len(rows) == n for rows in tally.values())
+            got = {mask: _read_rows(rows, width) for mask, rows in tally.items()}
+            assert got == want, (n, width)
+
+
+def test_gen_fn_is_the_read_back_of_the_suites_packed_walk():
+    from math import comb
+
+    from qyt.qpoly import pack
+    from qyt.symfun import gen_fn
+    from qyt.tableau import descent_tallies
+    from qyt.verify import _Packed
+
+    # the suite's width and stride on honest inputs: W = bits(n!) + 1,
+    # and the stride read off the rows is one more than C(n, 2)
+    for n in range(1, 9):
+        shapes = list(partitions(n))
+        width = factorial(n).bit_length() + 1
+        walk = descent_tallies(width, shapes)
+        stride = 1 + max(abs(row).bit_length() // width
+                         for rows in walk.values() for row in rows)
+        assert stride == comb(n, 2) + 1
+        want = gen_fn(n)
+        for shape in shapes:
+            packed = _Packed(pack(walk[shape.parts], width * stride), width, stride)
+            assert packed.read() == want[shape], shape
 
 
 def _when(match, change):
@@ -317,14 +365,17 @@ MUTATIONS = [
         {"check": "fundamental", "n": 3},
         id="fundamental-maj-moved"),
     pytest.param(
-        # mask 7 holds 4321 alone, at q^6 t^3
+        # mask 7 holds 4321 alone, at q^6 t^3; the tally's rows are by des
+        # at the suite's width (test_placed_faults_keep_their_slots)
         verify_genfun, {"max_n": 5}, qyt.verify, "_inverse_descent_tally",
-        _when(lambda n: n == 4, lambda out, n: {**out, 7: QTPoly.term(6, 4)}),
+        _when(lambda n, width: n == 4,
+              lambda out, n, width: {**out, 7: [0, 0, 0, 0, 1 << 6 * width]}),
         {"check": "fundamental", "n": 4},
         id="fundamental-placed-descent-moved"),
     pytest.param(
         verify_genfun, {"max_n": 5}, qyt.verify, "_inverse_descent_tally",
-        _when(lambda n: n == 4, lambda out, n: {**out, 7: QTPoly.term(7, 3)}),
+        _when(lambda n, width: n == 4,
+              lambda out, n, width: {**out, 7: [0, 0, 0, 1 << 7 * width]}),
         {"check": "fundamental", "n": 4},
         id="fundamental-placed-maj-moved"),
     pytest.param(
@@ -335,8 +386,8 @@ MUTATIONS = [
     pytest.param(
         # the word of content 2,1 at q^0 t^0 moved to q^1 t^0
         verify_genfun, {"max_n": 4}, qyt.verify, "_content_tally",
-        _when(lambda parts: parts == (2, 1),
-              lambda out, parts: out - QTPoly.term(0, 0) + QTPoly.term(1, 0)),
+        _when(lambda parts, width: parts == (2, 1),
+              lambda out, parts, width: [out[0] - 1 + (1 << width), *out[1:]]),
         {"check": "monomial", "n": 3},
         id="monomial"),
     pytest.param(
@@ -499,6 +550,37 @@ def test_every_named_check_has_a_row():
     assert missing == []
 
 
+@pytest.mark.parametrize("rows,term", [
+    pytest.param(lambda w: [0, 0, 0, 0, 1 << 6 * w], "q^6 t^4", id="des-above-n-1"),
+    pytest.param(lambda w: [0, 0, 0, 1 << 7 * w], "q^7 t^3", id="maj-above-C(n,2)"),
+])
+def test_placed_faults_keep_their_slots(monkeypatch, rows, term):
+    # a des or a maj above any honest one is read back where it was put,
+    # not in the slot of another power of t: the stride is read off the
+    # rows as they are
+    true = qyt.verify._inverse_descent_tally
+    monkeypatch.setattr(qyt.verify, "_inverse_descent_tally",
+                        lambda n, width: {**true(n, width), 7: rows(width)}
+                        if n == 4 else true(n, width))
+    shared = "1 + 3 q t + 5 q^2 t + 3 q^3 t + 3 q^3 t^2 + 5 q^4 t^2 + 3 q^5 t^2"
+    assert verify_genfun(5).counterexample == {
+        "check": "fundamental", "n": 4, "composition": [1, 1, 1, 1],
+        "lhs": f"{shared} + {term}", "rhs": f"{shared} + q^6 t^3"}
+
+
+def test_an_inexact_hook_quotient_raises(monkeypatch):
+    # [3]! + 1 is not divisible by the hook product of any shape of 3;
+    # the q-hook side of the t = 1 check divides at q = 2^W, and a
+    # remainder there raises as the polynomial division does
+    from qyt.qpoly import InexactDivisionError
+
+    monkeypatch.setattr(qyt.verify, "q_fact", _when(lambda n: n == 3, lambda out, n: out + 1)(
+        qyt.verify.q_fact))
+    message = "(2 + 2q + 2q^2 + q^3) is not divisible by (1 + 2q + 2q^2 + q^3)"
+    with pytest.raises(InexactDivisionError, match=f"^{re.escape(message)}$"):
+        verify_genfun(3)
+
+
 def test_the_runner_stops_at_the_first_differing_sides():
     from qyt.qpoly import pack
     from qyt.verify import _Packed, _suite
@@ -555,6 +637,22 @@ def test_genfun_lists_no_words_and_builds_each_kostka_number_once(monkeypatch):
     assert len(listed) == sum(2 ** (n - 1) for n in range(1, 7))
     assert perm_calls == [(n,) for n in range(1, 7)]
     assert len(kostka_calls) == len(set(kostka_calls))
+
+
+def test_genfun_compares_packed_ints(monkeypatch):
+    # every (q, t) side is built and compared as an int: no polynomial
+    # product, sum or division, and no filling is destandardized
+    calls = []
+    for owner, names in [(QTPoly, ("__mul__", "__rmul__", "__add__", "__radd__")),
+                         (QPoly, ("exact_div",)), (Tableau, ("destandardize",))]:
+        for name in names:
+            def counted(*args, _name=f"{owner.__name__}.{name}", _true=getattr(owner, name)):
+                calls.append(_name)
+                return _true(*args)
+            monkeypatch.setattr(owner, name, counted)
+    report = verify_genfun(max_n=6)
+    assert report.passed, report.counterexample
+    assert calls == []
 
 
 def test_report_shape():
