@@ -20,7 +20,6 @@ from .pnk import (
 )
 from .qpoly import InexactDivisionError, QPoly, QTPoly, q_binom, q_fact, q_int
 from .symfun import (
-    MonomialMap,
     fundamental_truncated,
     gen_fn,
     monomial_truncated,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FerrersBoard",
     "InexactDivisionError",
-    "MonomialMap",
     "Partition",
     "QPoly",
     "QTPoly",

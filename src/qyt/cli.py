@@ -19,7 +19,7 @@ from .board import FerrersBoard
 from .partition import Partition
 from .perm import format_word, is_permutation, parse_word
 from .pnk import DEFAULT_SEED, a_table
-from .symfun import gen_fn, rsk, rsk_multiset, schur_truncated
+from .symfun import expand_monomials, gen_fn, rsk, rsk_multiset, schur_truncated
 from .tableau import qyt_count_exact, qyt_counts
 
 #: Largest board size n that `board --hits` and `board --q-hits` accept
@@ -200,7 +200,7 @@ def _cmd_expand(args) -> int:
         if args.shape is None:
             raise ValueError("expand schur requires --shape")
         n_vars = args.vars if args.vars is not None else args.shape.size
-        terms = schur_truncated(args.shape, n_vars).expand(n_vars)
+        terms = expand_monomials(schur_truncated(args.shape, n_vars), n_vars)
         _emit(args,
               lambda: {
                   "shape": str(args.shape),

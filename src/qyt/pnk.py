@@ -13,7 +13,6 @@ as the reference evaluation route.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from itertools import combinations
 from operator import mul, sub
@@ -190,15 +189,3 @@ def qyt_count_via_pnk(shape, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return qyt_counts_via_pnk(shape)[k]
-
-
-def seeded_points(
-    n: int,
-    count: int,
-    lo: int = -5,
-    hi: int = 5,
-    seed: int = DEFAULT_SEED,
-) -> list[tuple[int, ...]]:
-    """Deterministic pseudo-random integer vectors for identity testing."""
-    rng = random.Random(seed)
-    return [tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(count)]

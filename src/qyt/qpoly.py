@@ -1,6 +1,10 @@
 """Exact integer polynomials in q, bivariate (q, t) polynomials, and the
 q-integers, q-factorials, and Gaussian binomial coefficients.
 
+A (q, t) polynomial (QTPoly) is only built, compared and printed: it is
+what a (q, t) value computed packed at q = 2^W, t = q^S reads back as,
+and it has no arithmetic of its own.
+
 Coefficients are Python ints, so overflow cannot happen.  Division is
 left only where the quotient is exact: QPoly.exact_div, polynomial
 division that fails loudly when the quotient would leave the integer
@@ -295,7 +299,8 @@ def q_binom(a: int, b: int) -> QPoly:
 
 
 class QTPoly:
-    """Integer polynomial in q and t, stored sparsely by (q-deg, t-deg)."""
+    """Integer polynomial in q and t, stored sparsely by (q-deg, t-deg):
+    built, compared with another QTPoly, hashed and printed."""
 
     __slots__ = ("coeffs",)
 
@@ -320,85 +325,12 @@ class QTPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __add__(self, other):
-        other = _coerce_qt(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            new = out.get(k, 0) + c
-            if new:
-                out[k] = new
-            else:
-                out.pop(k, None)
-        res = QTPoly()
-        res.coeffs = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QTPoly":
-        res = QTPoly()
-        res.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other):
-        other = _coerce_qt(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_qt(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_qt(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (qa, ta), ca in self.coeffs.items():
-            for (qb, tb), cb in other.coeffs.items():
-                k = (qa + qb, ta + tb)
-                new = out.get(k, 0) + ca * cb
-                if new:
-                    out[k] = new
-                else:
-                    out.pop(k, None)
-        res = QTPoly()
-        res.coeffs = out
-        return res
-
-    __rmul__ = __mul__
-
-    def at_t1(self) -> QPoly:
-        """Specialize t = 1, leaving a polynomial in q."""
-        top = max((qd for qd, _ in self.coeffs), default=-1)
-        out = [0] * (top + 1)
-        for (qd, _), c in self.coeffs.items():
-            out[qd] += c
-        return QPoly(out)
-
-    def at_q1(self) -> QPoly:
-        """Specialize q = 1, leaving a polynomial in t."""
-        top = max((td for _, td in self.coeffs), default=-1)
-        out = [0] * (top + 1)
-        for (_, td), c in self.coeffs.items():
-            out[td] += c
-        return QPoly(out)
-
-    def at_one(self) -> int:
-        return sum(self.coeffs.values())
-
     def triples(self) -> list[list[int]]:
         """Nonzero [q-degree, t-degree, coefficient] triples, sorted."""
         return [[qd, td, self.coeffs[(qd, td)]] for qd, td in sorted(self.coeffs)]
 
     def __eq__(self, other) -> bool:
-        other = _coerce_qt(other)
-        if other is NotImplemented:
+        if not isinstance(other, QTPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -428,12 +360,3 @@ class QTPoly:
                 chunks.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(chunks)
 
-
-def _coerce_qt(x):
-    if isinstance(x, QTPoly):
-        return x
-    if isinstance(x, int):
-        return QTPoly({(0, 0): x})
-    if isinstance(x, QPoly):
-        return QTPoly({(d, 0): c for d, c in enumerate(x.coeffs)})
-    return NotImplemented

@@ -3,10 +3,11 @@ the Schur generating function of quasi-Yamanouchi fillings.
 
 A quasisymmetric function of degree n is fixed by its coefficients on
 the monomial quasisymmetric functions M_alpha, alpha a composition of n
-(Gessel 1984).  `MonomialMap` keys them by alpha, so it names no
-variable count and has at most 2^(n-1) keys.  Restricting to x_1..x_N
-keeps the compositions with at most N parts (`MonomialMap.truncate`);
-`MonomialMap.expand` lists the monomials in N variables themselves.
+(Gessel 1984).  Every expansion here is a plain dict from alpha, a
+tuple of positive parts, to the nonzero coefficient of M_alpha, so it
+names no variable count and has at most 2^(n-1) keys.  Restricting to
+x_1..x_N keeps the compositions with at most N parts;
+`expand_monomials` lists the monomials in N variables themselves.
 
 The coefficients of a Schur polynomial in that basis are Kostka numbers,
 counted by a dynamic program over Young's lattice that adds one
@@ -29,88 +30,25 @@ from .qpoly import QTPoly, unpack
 from .tableau import Tableau, descent_tallies, maj_width
 
 
-class MonomialMap:
-    """Quasisymmetric function in the monomial basis: a finite map from
-    compositions alpha (tuples of positive parts) to the coefficient of
-    M_alpha.
-
-    Coefficients may be plain ints or QTPoly values; zero coefficients
-    are never stored, and equality compares the two kinds interchangeably.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data=None) -> None:
-        self.data: dict[tuple[int, ...], object] = {}
-        if data:
-            items = data.items() if isinstance(data, dict) else data
-            for alpha, c in items:
-                self.add_term(alpha, c)
-
-    def add_term(self, alpha: Sequence[int], coeff) -> None:
-        alpha = tuple(alpha)
-        cur = self.data.get(alpha)
-        new = coeff if cur is None else cur + coeff
-        if not new:
-            self.data.pop(alpha, None)
-        else:
-            self.data[alpha] = new
-
-    def coefficient(self, alpha: Sequence[int]):
-        return self.data.get(tuple(alpha), 0)
-
-    def __add__(self, other):
-        if not isinstance(other, MonomialMap):
-            return NotImplemented
-        out = MonomialMap(self.data)
-        for alpha, c in other.data.items():
-            out.add_term(alpha, c)
-        return out
-
-    def scale(self, coeff) -> "MonomialMap":
-        """Multiply every coefficient by `coeff` (int or QTPoly)."""
-        return MonomialMap((alpha, c * coeff) for alpha, c in self.data.items())
-
-    def truncate(self, n_vars: int) -> "MonomialMap":
-        """Restriction to x_1..x_N: the compositions with at most N parts."""
-        return MonomialMap(
-            (alpha, c) for alpha, c in self.data.items() if len(alpha) <= n_vars
-        )
-
-    def expand(self, n_vars: int) -> list[tuple[tuple[int, ...], object]]:
-        """(exponents, coefficient) of every monomial in x_1..x_N, in
-        lexicographic exponent order.  M_alpha puts the parts of alpha,
-        in order, on each set of len(alpha) of the N variables."""
-        out = []
-        for alpha, c in self.data.items():
-            for places in combinations(range(n_vars), len(alpha)):
-                exps = [0] * n_vars
-                for i, a in zip(places, alpha):
-                    exps[i] = a
-                out.append((tuple(exps), c))
-        out.sort()  # exponent vectors are distinct, so ties never reach c
-        return out
-
-    def terms(self) -> list[tuple[tuple[int, ...], object]]:
-        """(composition, coefficient) pairs in lexicographic order."""
-        return [(alpha, self.data[alpha]) for alpha in sorted(self.data)]
-
-    def __bool__(self) -> bool:
-        return bool(self.data)
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MonomialMap):
-            return NotImplemented
-        return self.data == other.data
-
-    def __repr__(self) -> str:
-        return f"MonomialMap({self.data!r})"
+def expand_monomials(
+    coeffs: dict[tuple[int, ...], int], n_vars: int,
+) -> list[tuple[tuple[int, ...], int]]:
+    """(exponents, coefficient) of every monomial in x_1..x_N of the
+    expansion `coeffs`, in lexicographic exponent order.  M_alpha puts
+    the parts of alpha, in order, on each set of len(alpha) of the N
+    variables."""
+    out = []
+    for alpha, c in coeffs.items():
+        for places in combinations(range(n_vars), len(alpha)):
+            exps = [0] * n_vars
+            for i, a in zip(places, alpha):
+                exps[i] = a
+            out.append((tuple(exps), c))
+    out.sort()  # exponent vectors are distinct, so ties never reach c
+    return out
 
 
-def schur_truncated(shape, n_vars: int) -> MonomialMap:
+def schur_truncated(shape, n_vars: int) -> dict[tuple[int, ...], int]:
     """Schur polynomial of `shape` in x_1..x_N: the coefficient of M_alpha
     is the Kostka number K_{shape, alpha}, for every composition alpha of
     the size with at most N parts.
@@ -160,24 +98,26 @@ def schur_truncated(shape, n_vars: int) -> MonomialMap:
                     nxt[mu] = nxt.get(mu, 0) + c
             if nxt:
                 stack.append((alpha + (a,), nxt, size + a))
-    return MonomialMap(counts)
+    return counts
 
 
-def monomial_truncated(shape, n_vars: int) -> MonomialMap:
+def monomial_truncated(shape, n_vars: int) -> dict[tuple[int, ...], int]:
     """Monomial symmetric polynomial of `shape` in x_1..x_N: M_alpha for
     each distinct rearrangement alpha of the parts, if there are at most
     N of them."""
     parts = as_partition(shape).parts
     if len(parts) > n_vars:
-        return MonomialMap()
+        return {}
     values = sorted(set(parts))
-    return MonomialMap(
-        (tuple(values[i - 1] for i in word), 1)
+    return {
+        tuple(values[i - 1] for i in word): 1
         for word in multiset_perms([parts.count(v) for v in values])
-    )
+    }
 
 
-def fundamental_truncated(strict_at: Iterable[int], n: int, n_vars: int) -> MonomialMap:
+def fundamental_truncated(
+    strict_at: Iterable[int], n: int, n_vars: int,
+) -> dict[tuple[int, ...], int]:
     """Fundamental quasisymmetric polynomial F_S in x_1..x_N: the sum of
     M_T over the subsets T of [n-1] containing S, each T read as the
     composition of n with partial sums T; the compositions with more than
@@ -186,22 +126,25 @@ def fundamental_truncated(strict_at: Iterable[int], n: int, n_vars: int) -> Mono
     if any(j < 1 or j > n - 1 for j in sigma):
         raise ValueError("strict positions must lie in 1..n-1")
     free = [j for j in range(1, n) if j not in sigma]
-    out = MonomialMap()
+    out = {}
     for extra in range(len(free) + 1):
         for added in combinations(free, extra):
             cuts = [0, *sorted(sigma.union(added)), n]
             # b > a except at n = 0, whose only composition is ()
-            out.add_term(tuple(b - a for a, b in zip(cuts, cuts[1:]) if b > a), 1)
-    return out.truncate(n_vars)
+            alpha = tuple(b - a for a, b in zip(cuts, cuts[1:]) if b > a)
+            if len(alpha) <= n_vars:
+                out[alpha] = 1
+    return out
 
 
-def fundamental_sums(coeffs: dict[int, object], n: int) -> MonomialMap:
+def fundamental_sums(coeffs: dict[int, int], n: int) -> dict[tuple[int, ...], int]:
     """sum_D coeffs[D] F_D in degree n, each D a subset of [n-1] given as
-    a bitmask (bit j-1 for j).  F_D is the sum of M_T over the T
-    containing D, so the coefficient of M_T is the sum of coeffs[D] over
-    the D inside T: one subset-sum transform over the 2^(n-1) masks,
-    adding each bit in turn.  The composition of T is that of T without
-    its least element j, with the first part split into j and the rest."""
+    a bitmask (bit j-1 for j), as a dict from compositions to nonzero
+    coefficients.  F_D is the sum of M_T over the T containing D, so the
+    coefficient of M_T is the sum of coeffs[D] over the D inside T: one
+    subset-sum transform over the 2^(n-1) masks, adding each bit in
+    turn.  The composition of T is that of T without its least element
+    j, with the first part split into j and the rest."""
     size = 1 << max(n - 1, 0)
     sums = [0] * size
     for mask, c in coeffs.items():
@@ -218,22 +161,7 @@ def fundamental_sums(coeffs: dict[int, object], n: int) -> MonomialMap:
         j = low.bit_length()
         rest = alphas[mask ^ low]
         alphas.append((j, rest[0] - j, *rest[1:]))
-    out = MonomialMap()
-    out.data = {alpha: c for alpha, c in zip(alphas, sums) if c}
-    return out
-
-
-def composition_descents(weight: Sequence[int]) -> set[int]:
-    """Partial sums of a composition with positive parts, final sum
-    excluded: the subset of [n-1] the composition corresponds to."""
-    out: set[int] = set()
-    total = 0
-    for part in tuple(weight)[:-1]:
-        if part <= 0:
-            raise ValueError("composition parts must be positive")
-        total += part
-        out.add(total)
-    return out
+    return {alpha: c for alpha, c in zip(alphas, sums) if c}
 
 
 def rsk(perm: Sequence[int]) -> tuple[Tableau, Tableau]:

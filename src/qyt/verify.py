@@ -29,7 +29,7 @@ import random
 import time
 from itertools import permutations as _all_perms
 from math import comb, factorial, prod
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .board import FerrersBoard
 from .partition import as_partition, partitions
@@ -63,9 +63,9 @@ from .symfun import (
 )
 from .tableau import (
     Tableau,
+    _ssyt_rows,
     descent_levels,
     descent_tallies,
-    enumerate_syt,
     kostka,
     maj_width,
     qyt_count_exact,
@@ -569,8 +569,8 @@ def _weighted_bound(maps: dict, totals: dict) -> int:
 
 def _coefficient(value: int, width: int, stride: int):
     """The coefficient of M_alpha that an expansion holds as `value`,
-    packed at (2^width, 2^(width*stride)): 0 when absent, as a
-    MonomialMap keeps no zero, else the packed side."""
+    packed at (2^width, 2^(width*stride)): 0 when absent, as an
+    expansion keeps no zero coefficient, else the packed side."""
     return _Packed(value, width, stride) if value else 0
 
 
@@ -582,7 +582,7 @@ def _by_composition(lhs: dict, rhs: dict) -> Iterator[tuple]:
         yield alpha, lhs.get(alpha, 0), rhs.get(alpha, 0)
 
 
-def _descent_mask(rows: tuple[tuple[int, ...], ...], n: int) -> int:
+def _descent_mask(rows: Sequence[Sequence[int]], n: int) -> int:
     """The descent set of a standard filling of size n as a bitmask (bit
     i-1 for i): i is a descent when i + 1 sits in a higher row.  These are
     the partial sums of the weight of its destandardization."""
@@ -631,13 +631,14 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
     check, since the walk's tally of nu is never zero.  The RSK checks
     insert every p of S_n and give it back by inverse insertion,
     keeping no pair.  The truncated-fundamental check still walks the
-    standard fillings (enumerate_syt) and tallies their descent sets,
-    read off their rows."""
+    standard fillings, as the rows of the cell walk that enumerate_syt
+    wraps (tableau._ssyt_rows) with no Tableau built, and tallies their
+    descent sets, read off those rows."""
     for n in range(1, max_n + 1):
         shapes = list(partitions(n))
         # composition -> coefficient of M_composition
-        schur = {shape: schur_truncated(shape, n).data for shape in shapes}
-        monomials = {shape: monomial_truncated(shape, n).data for shape in shapes}
+        schur = {shape: schur_truncated(shape, n) for shape in shapes}
+        monomials = {shape: monomial_truncated(shape, n) for shape in shapes}
         K = {(nu, lam): kostka(nu, lam) for nu in shapes for lam in shapes}
         dominant = {(nu, lam) for nu, lam in K if nu.dominates(lam)}
         mahonian = q_fact(n)
@@ -660,7 +661,7 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
 
         fundamental = fundamental_sums(
             {mask: pack(rows, step) for mask, rows in placed.items()}, n)
-        for alpha, lhs, rhs in _by_composition(fundamental.data, expansion):
+        for alpha, lhs, rhs in _by_composition(fundamental, expansion):
             yield ("fundamental", {"n": n, "composition": alpha},
                    _coefficient(lhs, width, stride), _coefficient(rhs, width, stride))
 
@@ -692,11 +693,12 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
 
         for shape in shapes:
             tally: dict[int, int] = {}  # descent mask -> fillings
-            for t in enumerate_syt(shape):
-                mask = _descent_mask(t.rows, n)
+            # the walk refills its rows in place, each read before the next
+            for rows in _ssyt_rows(shape.parts, (1,) * n):
+                mask = _descent_mask(rows, n)
                 tally[mask] = tally.get(mask, 0) + 1
             # vars: the fewest variables in which the two sides differ there
-            for alpha, lhs, rhs in _by_composition(fundamental_sums(tally, n).data, schur[shape]):
+            for alpha, lhs, rhs in _by_composition(fundamental_sums(tally, n), schur[shape]):
                 yield ("truncated-fundamental",
                        {"shape": shape, "composition": alpha, "vars": len(alpha)}, lhs, rhs)
 

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 from math import comb, factorial
 
@@ -8,6 +9,7 @@ import pytest
 
 from qyt.partition import Partition, partitions
 from qyt.pnk import (
+    DEFAULT_SEED,
     EAST,
     NORTH,
     a_coeffs,
@@ -19,12 +21,23 @@ from qyt.pnk import (
     pnk_eval_paths,
     qyt_count_via_pnk,
     qyt_counts_via_pnk,
-    seeded_points,
 )
 from qyt.perm import eulerian
 from qyt.tableau import qyt_count_exact, qyt_counts
 
 import oracles
+
+
+def seeded_points(
+    n: int,
+    count: int,
+    lo: int = -5,
+    hi: int = 5,
+    seed: int = DEFAULT_SEED,
+) -> list[tuple[int, ...]]:
+    """Deterministic pseudo-random integer vectors for identity testing."""
+    rng = random.Random(seed)
+    return [tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(count)]
 
 
 def test_path_count():

@@ -191,21 +191,18 @@ def test_str_and_pairs():
     assert str(QPoly()) == "0"
 
 
-def test_qtpoly_arithmetic():
-    a = QTPoly.term(1, 0) + QTPoly.term(0, 1)  # q + t
-    b = QTPoly.term(1, 1, 2)  # 2qt
-    assert a * b == QTPoly({(2, 1): 2, (1, 2): 2})
-    assert a - a == QTPoly()
-    assert 3 * QTPoly.term(0, 0) == 3
-    assert (a * 0) == 0
-
-
-def test_qtpoly_specializations():
+def test_qtpoly_triples_and_equality():
     p = QTPoly({(3, 2): 1, (1, 2): 2, (0, 0): 5})
-    assert p.at_t1() == QPoly((5, 2, 0, 1))
-    assert p.at_q1() == QPoly((5, 0, 3))
-    assert p.at_one() == 8
     assert p.triples() == [[0, 0, 5], [1, 2, 2], [3, 2, 1]]
+    # repeated terms add up on construction, and a zero sum is dropped
+    assert QTPoly([((1, 2), 2), ((0, 0), 5), ((1, 2), -2)]) == QTPoly.term(0, 0, 5)
+    assert not QTPoly([((1, 1), 1), ((1, 1), -1)])
+    assert hash(QTPoly(dict(p.coeffs))) == hash(p)
+    # a QTPoly equals only a QTPoly with the same terms
+    assert QTPoly.term(1, 0) != QTPoly.term(0, 1)
+    assert QTPoly.term(0, 0, 3) != 3
+    with pytest.raises(ValueError):
+        QTPoly({(-1, 0): 1})
 
 
 def test_qtpoly_str():

@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -189,10 +189,8 @@ def test_gen_fn_matches_enumeration(with_q):
     for n in range(1, 8):
         expansion = gen_fn(n, with_q=with_q)
         for lam in partitions(n):
-            want = QTPoly()
-            for t in enumerate_syt(lam):
-                want = want + QTPoly.term(t.maj() if with_q else 0, t.des())
-            assert expansion[lam] == want
+            tally = Counter((t.maj() if with_q else 0, t.des()) for t in enumerate_syt(lam))
+            assert expansion[lam] == QTPoly(tally)
 
 
 def test_qyt_counts_match_oracle():
@@ -246,14 +244,13 @@ def test_destandardized_weight_marks_the_descents():
     # the partial sums of the weight of the destandardized filling are the
     # descent set, so the genfun suite's truncated-fundamental check may
     # read that set off the standard filling's rows (verify._descent_mask)
-    from qyt.symfun import composition_descents
     from qyt.verify import _descent_mask
 
     for lam in shapes_upto(8):
         n = lam.size
         for t in enumerate_syt(lam):
             dset = t.descent_set()
-            assert composition_descents(t.destandardize().weight()) == dset
+            assert set(accumulate(t.destandardize().weight()[:-1])) == dset
             assert _descent_mask(t.rows, n) == sum(1 << (i - 1) for i in dset)
 
 
