@@ -13,7 +13,8 @@ identity (Garsia-Remmel's q-form)
 
 solved for T_n, T_{n-1}, ..., T_0 at x = 0, 1, ..., n.  The same solve
 gives h_k at q = 1 and T_k at q = 2^W, where every polynomial is one
-packed integer (qpoly.pack); T_0..T_n are unpacked once at the end.
+packed integer (qpoly.pack), and returns T_0..T_n packed, to be read
+back with qpoly.unpack where they are shown.
 The solve reads the q-integers and the Gaussian binomials [a choose n]
 at q = 2^W from qpoly.q_table_at, which builds them by shifts and adds,
 so no step divides.  The route that does not assume the identity
@@ -31,7 +32,7 @@ from typing import Sequence
 
 from . import _kernels
 from .partition import Partition
-from .qpoly import QPoly, q_table_at, unpack
+from .qpoly import q_table_at
 
 
 def _solve_product_identity(heights, ints: Sequence, binoms: Sequence) -> list:
@@ -148,26 +149,26 @@ class FerrersBoard:
         return _solve_product_identity(
             self.heights, range(2 * n + 1), [comb(a, n) for a in range(2 * n + 1)])
 
-    def q_hit_numbers(self) -> list[QPoly]:
-        """T_0..T_n, where T_k collects q^(q-weight) over the permutations
-        with exactly k hits, by the product identity at q = 2^width.
+    def q_hit_numbers(self) -> tuple[int, list[int]]:
+        """(width, [T_0(2^width), ..., T_n(2^width)]), where T_k collects
+        q^(q-weight) over the permutations with exactly k hits, by the
+        product identity at q = 2^width.
 
         The solve is ring arithmetic, so it yields T_k(2^width) exactly.
-        T_k has nonnegative coefficients summing to h_k <= n!, so a width
-        of bits(n!) plus a sign bit lets unpack read T_k back.
+        T_k has nonnegative coefficients summing to h_k <= n!, so at a
+        width of bits(n!) plus a sign bit unpack(T_k(2^width), width)
+        reads T_k back.
         """
         width, ints, binoms = _q_hit_table(self.n)
-        T = _solve_product_identity(self.heights, ints, binoms)
-        return [QPoly(unpack(t, width)) for t in T]
+        return width, _solve_product_identity(self.heights, ints, binoms)
 
-    def q_hit_census(self) -> list[QPoly]:
-        """T_0..T_n by the census of _kernels.q_hit_census, a dynamic
-        program over the sets of rows the first columns occupy: it visits
-        2^n row sets, not the n! permutations, and does not assume the
-        product identity, so only the gjw suite, which tests that
-        identity, should use it."""
-        rows = _kernels.q_hit_census(self.n, self.heights)
-        return [QPoly(row) for row in rows]
+    def q_hit_census(self) -> list[list[int]]:
+        """The coefficient lists of T_0..T_n, by the census of
+        _kernels.q_hit_census, a dynamic program over the sets of rows the
+        first columns occupy: it visits 2^n row sets, not the n!
+        permutations, and does not assume the product identity, so only
+        the gjw suite, which tests that identity, should use it."""
+        return _kernels.q_hit_census(self.n, self.heights)
 
     def _check_perm(self, perm) -> None:
         if len(perm) != self.n or sorted(perm) != list(range(1, self.n + 1)):

@@ -19,6 +19,7 @@ from .board import FerrersBoard
 from .partition import Partition
 from .perm import format_word, is_permutation, parse_word
 from .pnk import DEFAULT_SEED, a_table
+from .qpoly import QPoly, unpack
 from .symfun import expand_monomials, gen_fn, rsk, rsk_multiset, schur_truncated
 from .tableau import qyt_count_exact, qyt_counts
 
@@ -103,7 +104,8 @@ def _cmd_board(args) -> int:
               ["k", "count"],
               lambda: [[k, v] for k, v in enumerate(numbers)])
     elif args.q_hits:
-        polys = board.q_hit_numbers()
+        width, values = board.q_hit_numbers()
+        polys = [QPoly(unpack(v, width)) for v in values]
         _emit(args, lambda: {**payload, "q_hit_numbers": [p.pairs() for p in polys]},
               lambda: "\n".join(f"T_{k} = {p}" for k, p in enumerate(polys)),
               ["k", "q_degree", "coeff"],

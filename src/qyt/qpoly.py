@@ -1,30 +1,30 @@
 """Exact integer polynomials in q, bivariate (q, t) polynomials, and the
 q-integers, q-factorials, and Gaussian binomial coefficients.
 
-A (q, t) polynomial (QTPoly) is only built, compared and printed: it is
-what a (q, t) value computed packed at q = 2^W, t = q^S reads back as,
-and it has no arithmetic of its own.
+Polynomials are computed as values: a polynomial evaluated at q = 2^W
+is one Python int whose W-bit slots hold its coefficients (pack), so a
+product of polynomials is one big-integer product, read back slot by
+slot (unpack).  Evaluation at 2^W is a ring homomorphism, so any ring
+expression can be evaluated packed and unpacked once, as long as every
+coefficient of the result fits a W-bit signed slot.
+
+A polynomial in q (QPoly) and one in q and t (QTPoly) are only built,
+compared, hashed and printed: each is what a value packed at q = 2^W,
+and at t = q^S for QTPoly, reads back as, and neither has arithmetic
+of its own.
 
 Coefficients are Python ints, so overflow cannot happen.  Division is
-left only where the quotient is exact: QPoly.exact_div, polynomial
-division that fails loudly when the quotient would leave the integer
-ring; q_int_at and q_binom_at, which divide integers at an integer q;
-and unpack, which divides 2^(W*slots) - 1 by 2^W - 1 for its offset.
-q_binom is read back from q_binom_at, and q_table_at builds the
+left only where the quotient is exact: q_int_at and q_binom_at, which
+divide integers at an integer q, and unpack, which divides
+2^(W*slots) - 1 by 2^W - 1 for its offset.  q_fact and q_binom are
+read back from q_fact_at and q_binom_at, and q_table_at builds the
 q-integers and a column of Gaussian binomials at q = 2^W by shifts and
 adds alone.
-
-Products go through Kronecker substitution: a polynomial evaluated at
-q = 2^W is one Python int whose W-bit slots hold its coefficients
-(pack), so a product of polynomials is one big-integer product, read
-back slot by slot (unpack).  Evaluation at 2^W is a ring homomorphism,
-so any ring expression can be evaluated packed and unpacked once, as
-long as every coefficient of the result fits a W-bit signed slot.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 
@@ -76,16 +76,9 @@ def unpack(value: int, width: int) -> list[int]:
     return out
 
 
-def _coerce(x):
-    if isinstance(x, QPoly):
-        return x
-    if isinstance(x, int):
-        return QPoly((x,))
-    return NotImplemented
-
-
 class QPoly:
-    """Integer-coefficient polynomial in q, stored densely by degree."""
+    """Integer-coefficient polynomial in q, stored densely by degree:
+    built, compared with another QPoly, hashed and printed."""
 
     __slots__ = ("coeffs",)
 
@@ -95,118 +88,15 @@ class QPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def term(cls, degree: int, coeff: int = 1) -> "QPoly":
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        return cls((0,) * degree + (coeff,))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return QPoly()
-        # scaling by a constant is cheaper than a pack, a multiply and an unpack
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) == 1:
-            c = a[0]
-            return QPoly([c * x for x in b])
-        # each product coefficient is at most |a|_1 * |b|_1 in absolute
-        # value, so it fits a slot of that many bits plus a sign bit
-        width = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() + 1
-        return QPoly(unpack(pack(a, width) * pack(b, width), width))
-
-    __rmul__ = __mul__
-
-    def shift(self, d: int) -> "QPoly":
-        """Multiply by q**d."""
-        if d < 0:
-            raise ValueError("shift must be nonnegative")
-        if not self.coeffs:
-            return self
-        return QPoly((0,) * d + self.coeffs)
-
-    def __call__(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def at_one(self) -> int:
-        return sum(self.coeffs)
-
-    def exact_div(self, den) -> "QPoly":
-        """Quotient self / den; raises InexactDivisionError unless the
-        division is exact over the integers."""
-        den = _coerce(den)
-        if den is NotImplemented:
-            raise TypeError("can only divide by QPoly or int")
-        if not den:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        out = [0] * max(len(rem) - len(den.coeffs) + 1, 0)
-        lead = den.coeffs[-1]
-        while len(rem) >= len(den.coeffs):
-            c, r = divmod(rem[-1], lead)
-            if r:
-                raise InexactDivisionError(f"({self}) is not divisible by ({den})")
-            pos = len(rem) - len(den.coeffs)
-            out[pos] = c
-            for i, b in enumerate(den.coeffs):
-                rem[pos + i] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        if rem:
-            raise InexactDivisionError(f"({self}) is not divisible by ({den})")
-        return QPoly(out)
 
     def pairs(self) -> list[list[int]]:
         """Nonzero [degree, coefficient] pairs by ascending degree."""
         return [[d, c] for d, c in enumerate(self.coeffs) if c]
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, QPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -280,12 +170,19 @@ def q_table_at(n: int, width: int) -> tuple[list[int], list[int]]:
     return ints, binoms
 
 
+def q_fact_at(k: int, q: int) -> int:
+    """[k]! = [1][2]...[k] evaluated at an integer q >= 2."""
+    return prod(q_int_at(i, q) for i in range(1, k + 1))
+
+
 def q_fact(k: int) -> QPoly:
-    """[k]! = [1][2]...[k]."""
-    out = QPoly((1,))
-    for i in range(1, k + 1):
-        out = out * q_int(i)
-    return out
+    """[k]!, read back from its value at q = 2^W: its coefficients are
+    nonnegative and sum to k!, so W = bits(k!) plus a sign bit holds
+    each one."""
+    if k < 0:
+        raise ValueError("q-factorial of a negative integer")
+    width = factorial(k).bit_length() + 1
+    return QPoly(unpack(q_fact_at(k, 1 << width), width))
 
 
 def q_binom(a: int, b: int) -> QPoly:

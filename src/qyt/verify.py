@@ -44,12 +44,12 @@ from .pnk import (
     qyt_counts_via_pnk,
 )
 from .qpoly import (
+    InexactDivisionError,
     QPoly,
     QTPoly,
     pack,
     q_binom_at,
-    q_fact,
-    q_int,
+    q_fact_at,
     q_int_at,
     q_table_at,
     unpack,
@@ -177,6 +177,8 @@ def _width(*bounds: int) -> int:
     so that a faulty input with negative or oversized counts widens the
     slots instead of slipping through them.  An input that is itself
     packed at W is read at W: it holds the polynomial it reads back as.
+    An input packed at another width is unpacked once, for its bound,
+    and packed again at W only when W differs from its own width.
 
     Two variables go the same way at t = q^S: if every q-degree is below
     S, slot d * S + e holds the coefficient of q^e t^d and no other, so
@@ -186,11 +188,6 @@ def _width(*bounds: int) -> int:
     of the rows add no degree.
     """
     return max(bounds).bit_length() + 1
-
-
-def _l1(p: QPoly) -> int:
-    """The sum of the absolute values of p's coefficients."""
-    return sum(map(abs, p.coeffs))
 
 
 class _Packed:
@@ -223,6 +220,17 @@ class _Packed:
         return str(self.read())
 
 
+def _at_width(values: list[int], rows: list[list[int]], own: int, width: int) -> list[int]:
+    """values, packed at q = 2^own, at q = 2^width instead, given the
+    coefficient lists `rows` they read back as."""
+    return values if width == own else [pack(row, width) for row in rows]
+
+
+def _total(rows: list[list[int]]) -> int:
+    """The sum of the absolute values of every coefficient in `rows`."""
+    return sum(abs(c) for row in rows for c in row)
+
+
 @_suite("maj-hit")
 def verify_maj_hit(max_n: int = 6) -> Iterator[_Instance]:
     """Major-index refinement, cross-multiplied:
@@ -237,31 +245,33 @@ def verify_maj_hit(max_n: int = 6) -> Iterator[_Instance]:
     product of a tally with the hook polynomial sums to at most
     |gens|_1 * prod(hooks) in absolute value, a sum or a shift of the T_k
     to at most sum_k |T_k|_1, and [n]! to n!.  The sums of q^maj come
-    from one walk of Young's lattice at the maj width (tableau.maj_width).
+    from one walk of Young's lattice at the maj width (tableau.maj_width)
+    and the T_k from the board's solve, packed at its own width, which
+    is W on honest inputs; each row and each T_k is unpacked once, for
+    the bounds.  [n]! and the hook products are taken at q = 2^W.
     """
     tally_width = maj_width(partitions(max_n))
     for n, tallies in enumerate(descent_levels(tally_width, partitions(max_n)), 1):
-        mahonian = q_fact(n)
         for shape in partitions(n):
             board = FerrersBoard.from_partition(shape).plus_one()
-            T = board.q_hit_numbers()
-            gens = [QPoly(unpack(row, tally_width)) for row in tallies[shape.parts]]
+            solve_width, T = board.q_hit_numbers()
+            T_rows = [unpack(t, solve_width) for t in T]
+            gens = [unpack(row, tally_width) for row in tallies[shape.parts]]
             hooks = shape.hooks()
-            width = _width(factorial(n), sum(map(_l1, T)),
-                           sum(map(_l1, gens)) * prod(hooks))
-            hooks_at = prod(q_int_at(h, 1 << width) for h in hooks)
-            packed = [pack(t.coeffs, width) for t in T]
-            mahonian_at = pack(mahonian.coeffs, width)
+            width = _width(factorial(n), _total(T_rows), _total(gens) * prod(hooks))
+            q = 1 << width
+            hooks_at = prod(q_int_at(h, q) for h in hooks)
+            packed = _at_width(T, T_rows, solve_width, width)
+            mahonian_at = q_fact_at(n, q)
             yield ("mahonian", {"board": board},
                    _Packed(sum(packed), width), _Packed(mahonian_at, width))
             shift = shape.n_stat() * width
+            lhs = [pack(g, width) * hooks_at for g in gens]
             for k in range(n):
-                lhs = pack(gens[k].coeffs, width) * hooks_at
                 yield ("refinement", {"shape": shape, "k": k},
-                       _Packed(lhs, width), _Packed(packed[n - k] << shift, width))
-            lhs = sum(pack(g.coeffs, width) for g in gens) * hooks_at
+                       _Packed(lhs[k], width), _Packed(packed[n - k] << shift, width))
             yield ("hook-length-q-analogue", {"shape": shape},
-                   _Packed(lhs, width), _Packed(mahonian_at << shift, width))
+                   _Packed(sum(lhs), width), _Packed(mahonian_at << shift, width))
 
 
 @_suite("charge-hit")
@@ -271,24 +281,29 @@ def verify_charge_hit(max_n: int = 6) -> Iterator[_Instance]:
     (sum_{QYT_{=k+1}} q^ch) * prod [h(u)] * q^C(n,2)
         ==  q^(nk + n(conjugate)) * T_k(board of the conjugate),
 
-    compared packed at the width of maj-hit.
+    compared packed as in maj-hit.  Charge is n * k - maj, so the row of
+    the fillings with k descents, read back with d its top maj and
+    reversed, is q^(d - nk) times the sum of q^charge.  Both sides are
+    multiplied by q^(e - nk), with e the larger of d and n * k, so that
+    no side is divided by a power of q even when a maj exceeds n * k.
     """
     tally_width = maj_width(partitions(max_n))
     for n, tallies in enumerate(descent_levels(tally_width, partitions(max_n)), 1):
         half = comb(n, 2)
         for shape in partitions(n):
             conj = shape.conjugate()
-            T = FerrersBoard.from_partition(conj).q_hit_numbers()
-            # sum of q^charge, charge = n * k - maj, over the fillings with k descents
+            solve_width, T = FerrersBoard.from_partition(conj).q_hit_numbers()
+            T_rows = [unpack(t, solve_width) for t in T]
             majs = [unpack(row, tally_width) for row in tallies[shape.parts]]
-            gens = [QPoly(c[::-1]).shift(n * k + 1 - len(c)) for k, c in enumerate(majs)]
             hooks = shape.hooks()
-            width = _width(factorial(n), sum(map(_l1, T)),
-                           sum(map(_l1, gens)) * prod(hooks))
+            width = _width(factorial(n), _total(T_rows), _total(majs) * prod(hooks))
             hooks_at = prod(q_int_at(h, 1 << width) for h in hooks)
+            packed = _at_width(T, T_rows, solve_width, width)
             for k in range(n):
-                lhs = pack(gens[k].coeffs, width) * hooks_at << (half * width)
-                rhs = pack(T[k].coeffs, width) << ((n * k + conj.n_stat()) * width)
+                c = majs[k]
+                top = max(len(c) - 1, n * k)
+                lhs = pack(c[::-1], width) * hooks_at << ((top + 1 - len(c) + half) * width)
+                rhs = packed[k] << ((top + conj.n_stat()) * width)
                 yield "refinement", {"shape": shape, "k": k}, _Packed(lhs, width), _Packed(rhs, width)
 
 
@@ -325,9 +340,11 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
     T_k comes from the census here (FerrersBoard.q_hit_census), since the
     board's own q-hit numbers are solved from this identity and would
     satisfy it by construction.  The "product-route" check compares the
-    two.  The Mahonian and product-identity checks compare both sides
-    packed at q = 2^W (see _width), reading the q-integers and the
-    Gaussian binomials at that W from one qpoly.q_table_at per (n, W).
+    two, packed at the width of their own bounds, which on an honest
+    board is the solve's.  The Mahonian and product-identity checks
+    compare both sides packed at q = 2^W (see _width), reading [n]!, the
+    q-integers and the Gaussian binomials at that W from one
+    qpoly.q_table_at per (n, W).
     The bounds are read off the census: the factors are nonnegative and
     grow with x, so x = n bounds every x.  The product side sums to at
     most prod_i (n + h_i - i + 1), which is at least n! (the Mahonian
@@ -340,7 +357,6 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
     tables: dict[tuple[int, int], tuple[list[int], list[int]]] = {}  # (n, width) -> table
     seen: set[tuple[int, ...]] = set()  # heights of the boards checked
     for n in range(1, max_n + 1):
-        mahonian = q_fact(n)
         for shape in partitions(n):
             base = FerrersBoard.from_partition(shape)
             yield ("complement", {"shape": shape}, base.plus_one().complement_rotated(),
@@ -352,13 +368,13 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
                 T = board.q_hit_census()
                 width = _width(
                     prod(n + h - i + 1 for i, h in enumerate(board.heights, 1)),
-                    sum(comb(n + k, n) * _l1(t) for k, t in enumerate(T)))
+                    sum(comb(n + k, n) * sum(map(abs, row)) for k, row in enumerate(T)))
                 if (n, width) not in tables:
                     tables[n, width] = q_table_at(n, width)
                 ints, binoms = tables[n, width]
-                packed = [pack(t.coeffs, width) for t in T]
+                packed = [pack(row, width) for row in T]
                 yield ("mahonian", {"board": board}, _Packed(sum(packed), width),
-                       _Packed(pack(mahonian.coeffs, width), width))
+                       _Packed(prod(ints[1:n + 1]), width))
                 for x in range(n + 1):
                     factors = [x + h - i + 1 for i, h in enumerate(board.heights, 1)]
                     if any(f < 0 for f in factors):
@@ -367,7 +383,13 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
                     rhs = sum(binoms[x + k] * packed[k] for k in range(n - x, n + 1))
                     yield ("product-identity", {"board": board, "x": x},
                            _Packed(lhs, width), _Packed(rhs, width))
-                yield "product-route", {"board": board}, board.q_hit_numbers(), T
+                solve_width, solved = board.q_hit_numbers()
+                solved_rows = [unpack(t, solve_width) for t in solved]
+                route = _width(_total(solved_rows), _total(T))
+                solved = _at_width(solved, solved_rows, solve_width, route)
+                yield ("product-route", {"board": board},
+                       [_Packed(v, route) for v in solved],
+                       [_Packed(pack(row, route), route) for row in T])
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +639,12 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
     only when shown.  S is one more than the largest q-degree of any row
     (its bit length over W), so that no row spills into the next power
     of t.  W is _width of bounds on the sides: the tallies count n! or
-    fewer objects, weighted by the Kostka numbers, the Schur and
-    monomial coefficients and [n]! as they are.  The t = 1 side of each
-    shape is the sum of its rows, against q^n(shape) [n]! / prod [h(u)]
-    at q = 2^W, an exact integer division; a remainder means no
-    polynomial quotient, and the polynomial division raises.
+    fewer objects, weighted by the Kostka numbers and the Schur and
+    monomial coefficients as they are, and [n]! sums to n!.  The t = 1
+    side of each shape is the sum of its rows, against
+    q^n(shape) [n]! / prod [h(u)] at q = 2^W, an exact integer division;
+    a remainder means no polynomial quotient, and the suite raises
+    InexactDivisionError, showing both polynomials read back.
 
     The Kostka numbers of the lemma and of triangularity come from one
     table per n, filled by the cell walk tableau.kostka.  Triangularity
@@ -641,12 +664,11 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
         monomials = {shape: monomial_truncated(shape, n) for shape in shapes}
         K = {(nu, lam): kostka(nu, lam) for nu in shapes for lam in shapes}
         dominant = {(nu, lam) for nu, lam in K if nu.dominates(lam)}
-        mahonian = q_fact(n)
         # the most objects each tally counts: fillings, words, S_n
         fillings = {shape: shape.hook_length_count() for shape in shapes}
         words = {shape: factorial(n) // prod(map(factorial, shape.parts)) for shape in shapes}
         width = _width(
-            factorial(n), _l1(mahonian),
+            factorial(n),
             _weighted_bound(schur, fillings), _weighted_bound(monomials, words),
             max(sum(abs(K[nu, lam]) * fillings[nu] for nu in shapes) for lam in shapes))
         walk = descent_tallies(width, shapes)
@@ -710,21 +732,20 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
                 if (nu, lam) not in dominant:  # K vanishes off the dominance order
                     yield "triangularity", fields, got, 0
 
-        mahonian_at = pack(mahonian.coeffs, width)
+        mahonian_at = q_fact_at(n, 1 << width)
         for shape in shapes:
             rows = walk[shape.parts]
             # q-hook formula: sum of q^maj = q^n(shape) [n]! / prod [h(u)]
-            hooks = shape.hooks()
-            q_hook, rest = divmod(mahonian_at << (shape.n_stat() * width),
-                                  prod(q_int_at(h, 1 << width) for h in hooks))
-            if rest:  # no polynomial quotient, so the polynomial division raises
-                mahonian.shift(shape.n_stat()).exact_div(
-                    prod((q_int(h) for h in hooks), start=QPoly((1,))))
+            num = mahonian_at << (shape.n_stat() * width)
+            den = prod(q_int_at(h, 1 << width) for h in shape.hooks())
+            q_hook, rest = divmod(num, den)
+            if rest:  # no polynomial quotient
+                raise InexactDivisionError(
+                    f"({_Packed(num, width)}) is not divisible by ({_Packed(den, width)})")
             yield ("t1-specialization", {"shape": shape},
                    _Packed(sum(rows), width), _Packed(q_hook, width))
-            at_q1 = QPoly(sum(unpack(row, width)) for row in rows)
-            path_counts = QPoly(qyt_counts_via_pnk(shape)[:n])
-            yield "q1-specialization", {"shape": shape}, at_q1, path_counts
+            at_q1 = [sum(unpack(row, width)) for row in rows]
+            yield "q1-specialization", {"shape": shape}, at_q1, qyt_counts_via_pnk(shape)[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ INVOCATIONS = [
     ("board", "--shape", "3,2", "--plus-one"),
     *_each_format("board", "--shape", "2,2,1", "--hits"),
     *_each_format("board", "--shape", "3,2", "--q-hits"),
+    ("board", "--shape", "3,3,2,1", "--plus-one", "--q-hits", "--format", "json"),
+    ("board", "--shape", "3,3,2,1", "--plus-one", "--q-hits", "--format", "csv"),
     *_each_format("table", "a-coeffs", "--n", "6"),
     *_each_format("rsk", "45312"),
     *_each_format("rsk", "1,2,1,3,2"),
@@ -87,6 +89,10 @@ GOLDEN = {
         "3de2cbf52c6daf66c976ff22955ecbf7734396bf699225f0b59d7a1401c07e98",
     "board --shape 3,2 --q-hits --format csv":
         "fe5c5d5902cacb8241bd8de965d2175cec9fb126d002b71a1f1f9ca292195d0c",
+    "board --shape 3,3,2,1 --plus-one --q-hits --format json":
+        "27c4d74bbd355cf3bf6ef6991d9a8522ac2acd60c3ebc5666e8e7d50c5de28c1",
+    "board --shape 3,3,2,1 --plus-one --q-hits --format csv":
+        "1eda98ccb0f1abd8932c952cb253b9e05535cd749de8e5edb1a2e4fa26557a36",
     "table a-coeffs --n 6 --format text":
         "e2ef74c2baf1b7b516d9cb71eabadc57a79b95b4ecc33d7fdfef5b45aa7dfa50",
     "table a-coeffs --n 6 --format json":

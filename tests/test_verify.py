@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+import qyt.qpoly
 import qyt.symfun
 import qyt.tableau
 import qyt.verify
@@ -232,8 +233,9 @@ def _recording(word, Q):
     return _when(lambda w: tuple(w) == word, lambda out, w: (out[0], Q))
 
 
-# T_n + q on every board
-_T_N_OFF_BY_Q = _when(_always, lambda T, board: T[:-1] + [T[-1] + QPoly((0, 1))])
+# T_n + q on every board, at the width the solve packs T at
+_T_N_OFF_BY_Q = _when(_always, lambda out, board: (
+    out[0], [*out[1][:-1], out[1][-1] + (1 << out[0])]))
 
 
 def _walked(pairs):
@@ -297,6 +299,13 @@ MUTATIONS = [
         verify_charge_hit, {"max_n": 3}, qyt.verify, "descent_levels", _MAJ_MOVED,
         {"check": "refinement", "shape": "2,1"},
         id="charge-hit-maj-moved"),
+    pytest.param(
+        # a filling with no descent at maj 1: its charge n * 0 - 1 is
+        # negative, which the suite reports instead of raising
+        verify_charge_hit, {"max_n": 3}, qyt.verify, "descent_levels",
+        _walked((((0, 1), 1), ((1, 1), 1), ((1, 2), 1))),
+        {"check": "refinement", "shape": "2,1", "k": 0},
+        id="charge-hit-maj-above-nk"),
     pytest.param(
         verify_summation, {"max_n": 3}, qyt.verify, "descent_levels", _DES_MOVED,
         {"shape": "2,1"},
@@ -439,8 +448,9 @@ MUTATIONS = [
         {"check": "truncated-fundamental", "shape": "2,1", "vars": 2},
         id="truncated-fundamental"),
     pytest.param(
-        verify_genfun, {"max_n": 3}, qyt.verify, "q_fact",
-        _when(lambda n: n == 3, lambda out, n: out.shift(1)),
+        # q [3]! at q = 2^W
+        verify_genfun, {"max_n": 3}, qyt.verify, "q_fact_at",
+        _when(lambda n, q: n == 3, lambda out, n, q: out * q),
         {"check": "t1-specialization", "shape": "3"},
         id="t1-specialization"),
     pytest.param(
@@ -573,11 +583,11 @@ def test_placed_faults_keep_their_slots(monkeypatch, rows, term):
 def test_an_inexact_hook_quotient_raises(monkeypatch):
     # [3]! + 1 is not divisible by the hook product of any shape of 3;
     # the q-hook side of the t = 1 check divides at q = 2^W, and a
-    # remainder there raises as the polynomial division does
+    # remainder there raises, showing both polynomials read back
     from qyt.qpoly import InexactDivisionError
 
-    monkeypatch.setattr(qyt.verify, "q_fact", _when(lambda n: n == 3, lambda out, n: out + 1)(
-        qyt.verify.q_fact))
+    monkeypatch.setattr(qyt.verify, "q_fact_at", _when(
+        lambda n, q: n == 3, lambda out, n, q: out + 1)(qyt.verify.q_fact_at))
     message = "(2 + 2q + 2q^2 + q^3) is not divisible by (1 + 2q + 2q^2 + q^3)"
     with pytest.raises(InexactDivisionError, match=f"^{re.escape(message)}$"):
         verify_genfun(3)
@@ -641,21 +651,52 @@ def test_genfun_lists_no_words_and_builds_each_kostka_number_once(monkeypatch):
     assert len(kostka_calls) == len(set(kostka_calls))
 
 
-def test_genfun_compares_packed_ints(monkeypatch):
-    # every (q, t) side is built and compared as an int: QTPoly has no
-    # arithmetic, no polynomial is divided, and no Tableau is built, so
-    # none is destandardized
-    assert not [name for name in ("__mul__", "__rmul__", "__add__", "__radd__",
-                                  "__sub__", "__rsub__", "__neg__")
-                if hasattr(QTPoly, name)]
+def _counted(monkeypatch, pairs):
+    """The list each call of owner.name, for the (owner, names) pairs,
+    appends its "Owner.name" to."""
     calls = []
-    for owner, names in [(QPoly, ("exact_div",)), (Tableau, ("__init__", "destandardize"))]:
+    for owner, names in pairs:
         for name in names:
             def counted(*args, _name=f"{owner.__name__}.{name}", _true=getattr(owner, name)):
                 calls.append(_name)
                 return _true(*args)
             monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_genfun_compares_packed_ints(monkeypatch):
+    # every (q, t) side is built and compared as an int: QTPoly has no
+    # arithmetic, no polynomial is built or divided, and no Tableau is
+    # built, so none is destandardized
+    assert not [name for name in ("__mul__", "__rmul__", "__add__", "__radd__",
+                                  "__sub__", "__rsub__", "__neg__")
+                if hasattr(QTPoly, name)]
+    calls = _counted(monkeypatch, [(QPoly, ("__init__",)),
+                                   (Tableau, ("__init__", "destandardize"))])
     report = verify_genfun(max_n=6)
+    assert report.passed, report.counterexample
+    assert calls == []
+
+
+def test_qpoly_is_a_read_back_value():
+    # QPoly has no arithmetic: it is built, compared with another QPoly,
+    # hashed, printed and listed as pairs
+    assert not [name for name in ("term", "degree", "shift", "at_one", "exact_div",
+                                  "__call__", "__mul__", "__rmul__", "__add__",
+                                  "__radd__", "__sub__", "__rsub__", "__neg__")
+                if hasattr(QPoly((1, 1)), name)]
+    assert not hasattr(qyt.qpoly, "_coerce") and not hasattr(qyt.verify, "_l1")
+    assert QPoly((3,)) != 3 and QPoly((3,)) == QPoly((3, 0))
+    assert hash(QPoly((1, 2))) == hash(QPoly([1, 2, 0]))
+
+
+@pytest.mark.parametrize("suite", [verify_maj_hit, verify_charge_hit, verify_gjw],
+                         ids=["maj-hit", "charge-hit", "gjw"])
+def test_q_hit_suites_build_no_qpoly(monkeypatch, suite):
+    # a passing run compares packed ints end to end; a QPoly is built
+    # only to show a counterexample
+    calls = _counted(monkeypatch, [(QPoly, ("__init__",))])
+    report = suite(max_n=6)
     assert report.passed, report.counterexample
     assert calls == []
 
@@ -684,15 +725,16 @@ def test_maj_refinement_hand_computed_instance():
     # circle weights distribute as [3]!.  With n(2,1) = 1 the identity
     # reads (q + q^2)(1 + q + q^2) == q * [3]!.
     from qyt.board import FerrersBoard
-    from qyt.qpoly import QPoly, q_fact
+    from qyt.qpoly import q_fact
 
     board = FerrersBoard.from_partition(Partition((2, 1))).plus_one()
     assert board.heights == (2, 2, 2)
-    T = board.q_hit_numbers()
-    assert T[2] == q_fact(3)
-    lhs = QPoly((0, 1, 1)) * QPoly((1, 1, 1))
-    assert lhs == T[2].shift(1)
-    assert lhs == QPoly((0, 1, 2, 2, 1))
+    width, T = board.q_hit_numbers()
+    T2 = unpack(T[2], width)
+    assert QPoly(T2) == q_fact(3)
+    lhs = oracles.poly_mul_brute((0, 1, 1), (1, 1, 1))
+    assert lhs == [0, *T2]
+    assert lhs == [0, 1, 2, 2, 1]
 
 
 def test_charge_refinement_hand_computed_instance():
@@ -701,14 +743,15 @@ def test_charge_refinement_hand_computed_instance():
     # and with n(conjugate) = 1, C(3,2) = 3 the identity reads
     # (q + q^2)(1 + q + q^2) q^3 == q^(3+1) [3]!.
     from qyt.board import FerrersBoard
-    from qyt.qpoly import QPoly, q_fact
+    from qyt.qpoly import q_fact
 
     board = FerrersBoard.from_partition(Partition((2, 1)))
     assert board.heights == (1, 1, 1)
-    T = board.q_hit_numbers()
-    assert T[1] == q_fact(3)
-    lhs = (QPoly((0, 1, 1)) * QPoly((1, 1, 1))).shift(3)
-    assert lhs == T[1].shift(3 * 1 + 1)
+    width, T = board.q_hit_numbers()
+    T1 = unpack(T[1], width)
+    assert QPoly(T1) == q_fact(3)
+    lhs = [0] * 3 + oracles.poly_mul_brute((0, 1, 1), (1, 1, 1))
+    assert lhs == [0] * (3 * 1 + 1) + T1
 
 
 def test_signature_of_words_and_tableaux():
