@@ -18,10 +18,12 @@ back with qpoly.unpack where they are shown.
 The solve reads the q-integers and the Gaussian binomials [a choose n]
 at q = 2^W from qpoly.q_table_at, which builds them by shifts and adds,
 so no step divides.  The route that does not assume the identity
-is q_hit_census, a dynamic program over the rows occupied column by
-column (no sweep over S_n); the gjw suite checks the identity against
-it.  Neither route caps the board size: the solve takes polynomial time
-and the census visits 2^n row sets.
+is the census of _kernels.q_hit_census, a dynamic program over the rows
+occupied column by column (no sweep over S_n); the gjw suite checks the
+identity against it, taking the census of every board of a size in one
+walk that shares the layers of common first columns.  Neither route
+caps the board size: the solve takes polynomial time and the census
+visits 2^n row sets per board.
 """
 
 from __future__ import annotations
@@ -164,11 +166,13 @@ class FerrersBoard:
 
     def q_hit_census(self) -> list[list[int]]:
         """The coefficient lists of T_0..T_n, by the census of
-        _kernels.q_hit_census, a dynamic program over the sets of rows the
-        first columns occupy: it visits 2^n row sets, not the n!
-        permutations, and does not assume the product identity, so only
-        the gjw suite, which tests that identity, should use it."""
-        return _kernels.q_hit_census(self.n, self.heights)
+        _kernels.q_hit_census on this board alone, a dynamic program over
+        the sets of rows the first columns occupy: it visits 2^n row sets,
+        not the n! permutations, and does not assume the product
+        identity.  The gjw suite, which tests that identity, asks the
+        kernel for every board of a size at once, so that boards with
+        common first columns share their layers."""
+        return _kernels.q_hit_census(self.n, [self.heights])[0]
 
     def _check_perm(self, perm) -> None:
         if len(perm) != self.n or sorted(perm) != list(range(1, self.n + 1)):

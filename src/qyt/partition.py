@@ -128,10 +128,12 @@ class Partition:
         """Number of semistandard fillings with entries at most m.
 
         Evaluated as prod (m + c(u)) divided once by prod h(u); a nonzero
-        remainder signals an implementation bug and raises.
+        remainder signals an implementation bug and raises.  At m = 0 the
+        corner's content 0 makes it 0, and the empty shape's empty
+        product 1.
         """
-        if m < 1:
-            raise ValueError("m must be a positive integer")
+        if m < 0:
+            raise ValueError("m must be nonnegative")
         return self._hook_content_quotients((m,))[0]
 
     def hook_content_counts(self, upto: int) -> list[int]:

@@ -31,6 +31,7 @@ from itertools import permutations as _all_perms
 from math import comb, factorial, prod
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+from . import _kernels
 from .board import FerrersBoard
 from .partition import as_partition, partitions
 from .perm import descent_set as word_descents
@@ -337,44 +338,48 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
     identity  prod_i [x + h_i - i + 1] == sum_k [x+k choose n] T_k  holds
     for every x in 0..n whose factors are all nonnegative.
 
-    T_k comes from the census here (FerrersBoard.q_hit_census), since the
+    T_k comes from the census here (_kernels.q_hit_census), since the
     board's own q-hit numbers are solved from this identity and would
-    satisfy it by construction.  The "product-route" check compares the
-    two, packed at the width of their own bounds, which on an honest
-    board is the solve's.  The Mahonian and product-identity checks
-    compare both sides packed at q = 2^W (see _width), reading [n]!, the
-    q-integers and the Gaussian binomials at that W from one
-    qpoly.q_table_at per (n, W).
-    The bounds are read off the census: the factors are nonnegative and
-    grow with x, so x = n bounds every x.  The product side sums to at
-    most prod_i (n + h_i - i + 1), which is at least n! (the Mahonian
-    side), and the binomial side to at most sum_k C(n + k, n) |T_k|_1,
-    which is at least the census side of the Mahonian check.  A board
-    met again (the raised board of one shape can be the board of
-    another) has passed every check already, so each distinct board is
-    checked, and its census taken, once.
+    satisfy it by construction.  The census of every distinct board of
+    size n, base or raised (the raised board of one shape can be the
+    board of another), is taken in one walk, which shares the layers of
+    common first columns, and each board is checked once.  The
+    "product-route" check compares the solve with the census at the
+    width the solve packs T_k at, which holds T_k as it reads back there
+    (see _width), unless the census does not fit it; only then is the
+    solve read back and both packed at the width of their own bounds.
+    The Mahonian and product-identity checks compare both sides packed
+    at q = 2^W, one W per n, reading [n]!, the q-integers and the
+    Gaussian binomials from one qpoly.q_table_at per n.
+    W is read off the censuses of size n as they are, the widest bound
+    of any board: the factors are nonnegative and grow with x, so x = n
+    bounds every x.  The product side sums to at most
+    prod_i (n + h_i - i + 1), which is at least n! (the Mahonian side),
+    and the binomial side to at most sum_k C(n + k, n) |T_k|_1, which is
+    at least the census side of the Mahonian check.
     """
-    tables: dict[tuple[int, int], tuple[list[int], list[int]]] = {}  # (n, width) -> table
-    seen: set[tuple[int, ...]] = set()  # heights of the boards checked
     for n in range(1, max_n + 1):
-        for shape in partitions(n):
-            base = FerrersBoard.from_partition(shape)
+        shapes = list(partitions(n))
+        bases = [FerrersBoard.from_partition(shape) for shape in shapes]
+        boards = list(dict.fromkeys(
+            board.heights for base in bases for board in (base, base.plus_one())))
+        censuses = dict(zip(boards, _kernels.q_hit_census(n, boards)))
+        totals = {heights: [sum(map(abs, row)) for row in T] for heights, T in censuses.items()}
+        width = _width(*(
+            max(prod(n + h - i + 1 for i, h in enumerate(heights, 1)),
+                sum(comb(n + k, n) * total for k, total in enumerate(totals[heights])))
+            for heights in boards))
+        ints, binoms = q_table_at(n, width)
+        mahonian = _Packed(prod(ints[1:n + 1]), width)
+        for shape, base in zip(shapes, bases):
             yield ("complement", {"shape": shape}, base.plus_one().complement_rotated(),
                    FerrersBoard.from_partition(shape.conjugate()))
             for board in (base, base.plus_one()):
-                if board.heights in seen:
+                T = censuses.pop(board.heights, None)
+                if T is None:  # checked already
                     continue
-                seen.add(board.heights)
-                T = board.q_hit_census()
-                width = _width(
-                    prod(n + h - i + 1 for i, h in enumerate(board.heights, 1)),
-                    sum(comb(n + k, n) * sum(map(abs, row)) for k, row in enumerate(T)))
-                if (n, width) not in tables:
-                    tables[n, width] = q_table_at(n, width)
-                ints, binoms = tables[n, width]
                 packed = [pack(row, width) for row in T]
-                yield ("mahonian", {"board": board}, _Packed(sum(packed), width),
-                       _Packed(prod(ints[1:n + 1]), width))
+                yield ("mahonian", {"board": board}, _Packed(sum(packed), width), mahonian)
                 for x in range(n + 1):
                     factors = [x + h - i + 1 for i, h in enumerate(board.heights, 1)]
                     if any(f < 0 for f in factors):
@@ -383,10 +388,12 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
                     rhs = sum(binoms[x + k] * packed[k] for k in range(n - x, n + 1))
                     yield ("product-identity", {"board": board, "x": x},
                            _Packed(lhs, width), _Packed(rhs, width))
-                solve_width, solved = board.q_hit_numbers()
-                solved_rows = [unpack(t, solve_width) for t in solved]
-                route = _width(_total(solved_rows), _total(T))
-                solved = _at_width(solved, solved_rows, solve_width, route)
+                route, solved = board.q_hit_numbers()
+                total = sum(totals[board.heights])
+                if _width(total) > route:
+                    solved_rows = [unpack(t, route) for t in solved]
+                    route = _width(_total(solved_rows), total)
+                    solved = [pack(row, route) for row in solved_rows]
                 yield ("product-route", {"board": board},
                        [_Packed(v, route) for v in solved],
                        [_Packed(pack(row, route), route) for row in T])

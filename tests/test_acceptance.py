@@ -211,3 +211,11 @@ def test_criterion_16_counting_suites_at_twenty():
             assert report.passed, report.counterexample
 
     _criterion(16, "hit and summation up to 20, Foulkes up to 18", 2.5, body)
+
+
+def test_criterion_17_gjw_at_eleven():
+    def body():
+        report = verify_gjw(max_n=11)
+        assert report.passed, report.counterexample
+
+    _criterion(17, "product identity on the shared census, shapes up to 11", 1.0, body)

@@ -143,7 +143,7 @@ def test_q_hit_numbers_specialize_and_sum():
 
 
 def _assert_product_route_matches_census(board):
-    census = _kernels.q_hit_census(board.n, board.heights)
+    [census] = _kernels.q_hit_census(board.n, [board.heights])
     assert _q_hits(board) == [QPoly(row) for row in census]
     assert board.hit_numbers() == oracles.hit_numbers_brute(board.heights)
 

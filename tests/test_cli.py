@@ -31,6 +31,16 @@ def test_count_examples(capsys):
     assert code == 0 and out.strip() == "5"
 
 
+def test_count_ssyt_zero_has_no_fillings(capsys):
+    # no entry at most 0 can fill a cell, so SSYT_0 of a nonempty shape
+    # is empty, as enumeration has it
+    code, out = run(capsys, "count", "--shape", "3,2", "--ssyt", "0")
+    assert code == 0 and out.strip() == "0"
+    code = main(["count", "--shape", "3,2", "--ssyt", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: m must be nonnegative\n"
+
+
 def test_count_json(capsys):
     code, out = run(capsys, "count", "--shape", "2,2,1", "--exact-entry", "3",
                     "--format", "json")

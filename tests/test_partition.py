@@ -144,13 +144,13 @@ def test_hook_content_count_matches_enumeration():
     from qyt.tableau import enumerate_ssyt
 
     for lam in all_partitions_upto(6):
-        for m in range(1, 7):
+        for m in range(7):
             assert lam.hook_content_count(m) == len(enumerate_ssyt(lam, m))
 
 
 def test_hook_content_count_matches_oracle():
     for lam in all_partitions_upto(6):
-        for m in range(1, 7):
+        for m in range(7):
             want = len(oracles.ssyt_brute(lam.parts, m))
             assert lam.hook_content_count(m) == want
             if m < len(lam):  # a column taller than m cannot be filled
@@ -159,12 +159,14 @@ def test_hook_content_count_matches_oracle():
 
 def test_hook_content_row_matches_single_counts_and_oracle():
     for lam in all_partitions_upto(6):
-        row = lam.hook_content_counts(6)
-        assert row == [lam.hook_content_count(m) for m in range(1, 7)]
-        assert row == [len(oracles.ssyt_brute(lam.parts, m)) for m in range(1, 7)]
+        row = [lam.hook_content_count(0), *lam.hook_content_counts(6)]
+        assert row == [lam.hook_content_count(m) for m in range(7)]
+        assert row == [len(oracles.ssyt_brute(lam.parts, m)) for m in range(7)]
     assert Partition((2, 2)).hook_content_counts(0) == []
     with pytest.raises(ValueError):
         Partition((2, 2)).hook_content_counts(-1)
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        Partition((2, 2)).hook_content_count(-1)
 
 
 @pytest.mark.parametrize("text", ["3,,2", ",", "3,x", "3,2,", "-1", "3, ,2"])

@@ -224,8 +224,17 @@ def _p21(shape, *args):
     return Partition(shape) == _P21
 
 
-def _board_222(n, heights):
-    return tuple(heights) == (2, 2, 2)  # the raised board of shape 2,1
+def _on_board_222(change):
+    """A fault for the census of a list of boards (_kernels.q_hit_census):
+    change(rows) in place of the true rows of board 2,2,2, the raised
+    board of shape 2,1, and every other board's rows as they are."""
+    def make(true):
+        def faulty(n, boards):
+            boards = [tuple(heights) for heights in boards]
+            return [change(rows) if heights == (2, 2, 2) else rows
+                    for heights, rows in zip(boards, true(n, boards))]
+        return faulty
+    return make
 
 
 def _recording(word, Q):
@@ -465,27 +474,38 @@ MUTATIONS = [
         id="complement"),
     pytest.param(
         verify_gjw, {"max_n": 3}, _kernels, "q_hit_census",
-        _when(_board_222, lambda out, n, heights: _added(out, {(2, 0): -1, (2, 1): 1})),
+        _on_board_222(lambda out: _added(out, {(2, 0): -1, (2, 1): 1})),
         {"board": "n=3; heights=2,2,2"},
         id="gjw-weight-moved"),
-    # An honest census of board 2,2,2 needs W = bits(5 * 4 * 3) + 1 = 7
-    # bits per slot.  Moving 2^W out of (into) slot w = 0 and one unit
-    # into (out of) w = 1 leaves every value at q = 2^W unchanged, so a
-    # fixed width would miss both faults: a negative count (sign -1) and
-    # a count of 2^W or more (sign +1).
+    # An honest census of board 2,2,2 alone needs W = bits(5 * 4 * 3) + 1
+    # = 7 bits per slot, and the boards of size 3 together W = 8, for
+    # board 3,3,3 (6 * 5 * 4).  Moving 2^7 or 2^8 out of (into) slot
+    # w = 0 and one unit into (out of) w = 1 leaves every value at q = 2^7
+    # or 2^8 unchanged, so a fixed width would miss these faults: a
+    # negative count (sign -1) and a count of 2^W or more (sign +1).
     pytest.param(
         verify_gjw, {"max_n": 3}, _kernels, "q_hit_census",
-        _when(_board_222, lambda out, n, heights: _added(out, {(2, 0): -2**7, (2, 1): 1})),
+        _on_board_222(lambda out: _added(out, {(2, 0): -2**7, (2, 1): 1})),
         {"check": "mahonian", "board": "n=3; heights=2,2,2", "lhs": "-127 + 3q + 2q^2 + q^3"},
         id="mahonian-negative-count"),
     pytest.param(
         verify_gjw, {"max_n": 3}, _kernels, "q_hit_census",
-        _when(_board_222, lambda out, n, heights: _added(out, {(2, 0): 2**7, (2, 1): -1})),
+        _on_board_222(lambda out: _added(out, {(2, 0): 2**7, (2, 1): -1})),
         {"check": "mahonian", "board": "n=3; heights=2,2,2", "lhs": "129 + q + 2q^2 + q^3"},
         id="mahonian-oversized-count"),
     pytest.param(
         verify_gjw, {"max_n": 3}, _kernels, "q_hit_census",
-        _when(_board_222, lambda out, n, heights: [out[0], out[2], out[1], *out[3:]]),
+        _on_board_222(lambda out: _added(out, {(2, 0): -2**8, (2, 1): 1})),
+        {"check": "mahonian", "board": "n=3; heights=2,2,2", "lhs": "-255 + 3q + 2q^2 + q^3"},
+        id="mahonian-negative-count-at-the-size-width"),
+    pytest.param(
+        verify_gjw, {"max_n": 3}, _kernels, "q_hit_census",
+        _on_board_222(lambda out: _added(out, {(2, 0): 2**8, (2, 1): -1})),
+        {"check": "mahonian", "board": "n=3; heights=2,2,2", "lhs": "257 + q + 2q^2 + q^3"},
+        id="mahonian-oversized-count-at-the-size-width"),
+    pytest.param(
+        verify_gjw, {"max_n": 3}, _kernels, "q_hit_census",
+        _on_board_222(lambda out: [out[0], out[2], out[1], *out[3:]]),
         {"check": "product-identity", "board": "n=3; heights=2,2,2", "x": 1,
          "lhs": "1 + 2q + 2q^2 + q^3", "rhs": "0"},
         id="product-identity"),
