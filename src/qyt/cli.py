@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from typing import Callable
+from itertools import chain, islice
+from typing import Callable, Iterator
 
 from . import verify as verify_mod
 from .board import FerrersBoard
@@ -56,6 +57,21 @@ def _emit(args, payload: Callable[[], object], text: Callable[[], str],
         print(_csv_text(header, rows()))
     else:
         print(text())
+
+
+#: Items per write in `_write_joined`.
+_CHUNK = 4096
+
+
+def _write_joined(head: str, items: Iterator[str], sep: str, foot: str) -> None:
+    """Write head + sep.join(items) + foot to stdout, `_CHUNK` items per
+    write.  The output is never held as one string, nor written an item
+    at a time: with stdout unbuffered, each write is a system call."""
+    write = sys.stdout.write
+    write(head + sep.join(islice(items, _CHUNK)))
+    while chunk := list(islice(items, _CHUNK)):
+        write(sep + sep.join(chunk))
+    write(foot)
 
 
 def _shape(text: str) -> Partition:
@@ -202,16 +218,20 @@ def _cmd_expand(args) -> int:
         if args.shape is None:
             raise ValueError("expand schur requires --shape")
         n_vars = args.vars if args.vars is not None else args.shape.size
-        terms = expand_monomials(schur_truncated(args.shape, n_vars), n_vars)
-        _emit(args,
-              lambda: {
-                  "shape": str(args.shape),
-                  "vars": n_vars,
-                  "terms": [{"exponents": list(exps), "coeff": c} for exps, c in terms],
-              },
-              lambda: "\n".join(f"{','.join(str(e) for e in exps)}: {c}" for exps, c in terms),
-              ["exponents", "coeff"],
-              lambda: [[" ".join(str(e) for e in exps), c] for exps, c in terms])
+        coeffs = schur_truncated(args.shape, n_vars)
+        # the shape is digits and commas and every value an int, so the
+        # JSON is written as text with nothing to escape
+        if args.format == "json":
+            terms = (f'{{"coeff": {c}, "exponents": [{exps}]}}'
+                     for exps, c in expand_monomials(coeffs, n_vars, ", "))
+            _write_joined(f'{{"shape": "{args.shape}", "terms": [', terms, ", ",
+                          f'], "vars": {n_vars}}}\n')
+        elif args.format == "csv":
+            rows = (f"{exps},{c}" for exps, c in expand_monomials(coeffs, n_vars, " "))
+            _write_joined("", chain(["exponents,coeff"], rows), "\n", "\n")
+        else:
+            lines = (f"{exps}: {c}" for exps, c in expand_monomials(coeffs, n_vars))
+            _write_joined("", lines, "\n", "\n")
         return 0
     if args.n is None:
         raise ValueError("expand genfun requires --n")

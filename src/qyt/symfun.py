@@ -7,7 +7,9 @@ the monomial quasisymmetric functions M_alpha, alpha a composition of n
 tuple of positive parts, to the nonzero coefficient of M_alpha, so it
 names no variable count and has at most 2^(n-1) keys.  Restricting to
 x_1..x_N keeps the compositions with at most N parts;
-`expand_monomials` lists the monomials in N variables themselves.
+`expand_monomials` yields the monomials in N variables themselves, in
+lexicographic exponent order, from one walk of a trie of the
+compositions that sorts nothing and holds no list of terms.
 
 The coefficients of a Schur polynomial in that basis are Kostka numbers,
 counted by a dynamic program over Young's lattice that adds one
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .partition import Partition, as_partition, partitions
 from .perm import is_permutation, multiset_perms
@@ -31,21 +33,75 @@ from .tableau import Tableau, descent_tallies, maj_width
 
 
 def expand_monomials(
-    coeffs: dict[tuple[int, ...], int], n_vars: int,
-) -> list[tuple[tuple[int, ...], int]]:
-    """(exponents, coefficient) of every monomial in x_1..x_N of the
-    expansion `coeffs`, in lexicographic exponent order.  M_alpha puts
-    the parts of alpha, in order, on each set of len(alpha) of the N
-    variables."""
-    out = []
+    coeffs: dict[tuple[int, ...], int], n_vars: int, sep: str = ",",
+) -> Iterator[tuple[str, int]]:
+    """Yield (exponents, coefficient) for every monomial in x_1..x_N of
+    the expansion `coeffs`, in lexicographic exponent order, with the N
+    exponents written out as text joined by `sep`.  M_alpha puts the
+    parts of alpha, in order, on each set of len(alpha) of the N
+    variables.
+
+    One walk of a trie of the compositions: at each position the
+    exponent is 0 or the next part, and the walk tries 0 first and then
+    the trie's children in increasing order, so the terms come out
+    sorted with no sort.  A child is entered only if its shortest
+    composition fits in the positions left.  The exponent prefix is
+    carried as text, one concatenation per trie edge taken.  Besides
+    the trie, the walk holds only the siblings still to visit on its
+    current path, however many terms it yields."""
+    # node: [coefficient or None, fewest parts below it, {part: node}],
+    # and then its walk form
+    root: list = [None, 0, {}]
+    nodes = [root]
     for alpha, c in coeffs.items():
-        for places in combinations(range(n_vars), len(alpha)):
-            exps = [0] * n_vars
-            for i, a in zip(places, alpha):
-                exps[i] = a
-            out.append((tuple(exps), c))
-    out.sort()  # exponent vectors are distinct, so ties never reach c
-    return out
+        if len(alpha) > n_vars:
+            continue
+        node = root
+        for depth, a in enumerate(alpha, 1):
+            kid = node[2].get(a)
+            if kid is None:
+                kid = node[2][a] = [None, len(alpha) - depth, {}]
+                nodes.append(kid)
+            kid[1] = min(kid[1], len(alpha) - depth)
+            node = kid
+        node[0] = c
+    zero, parts = "0" + sep, {a for node in nodes for a in node[2]}
+    # part a after k zeros, at the start or after an earlier exponent
+    first = {a: [zero * k + str(a) for k in range(n_vars)] for a in parts}
+    later = {a: [sep + zero * k + str(a) for k in range(n_vars)] for a in parts}
+    tails = [(sep + "0") * r for r in range(n_vars + 1)]
+    for node in reversed(nodes):  # children before their parents
+        # (c, fewest parts below any child, children by decreasing part,
+        # a childless one as None and its coefficient): pushing children
+        # in that order pops them in increasing order
+        c, _, kids = node
+        node.append((c, min((kid[1] for kid in kids.values()), default=n_vars), [
+            (kid[1], a, kid[3] if kid[2] else None, kid[0])
+            for a, kid in sorted(kids.items(), reverse=True)
+        ]))
+
+    if root[0] is not None:
+        yield sep.join(["0"] * n_vars), root[0]
+    stack = [((None, *root[3][1:]), 0, "")]
+    push = stack.append
+    while stack:
+        entry = stack.pop()
+        if len(entry) == 2:  # a childless node's term, built when pushed
+            yield entry
+            continue
+        (c, low, kids), i, prefix = entry
+        if c is not None:
+            yield prefix + tails[n_vars - i], c
+        edges = later if i else first
+        # the next part at j means 0 at i..j-1, so a later j is smaller
+        # in lexicographic order: push j in increasing order
+        for j in range(i, n_vars - low):
+            for need, a, kid, kid_c in kids:
+                if need < n_vars - j:
+                    if kid is None:
+                        push((f"{prefix}{edges[a][j - i]}{tails[n_vars - 1 - j]}", kid_c))
+                    else:
+                        push((kid, j + 1, prefix + edges[a][j - i]))
 
 
 def schur_truncated(shape, n_vars: int) -> dict[tuple[int, ...], int]:

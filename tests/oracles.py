@@ -190,3 +190,19 @@ def q_binom_brute(a, b):
     for ones in combinations(range(a), b):
         out[top - sum(ones)] += 1
     return out
+
+
+def monomials_brute(coeffs, n_vars):
+    """(exponents, coefficient) of every monomial in x_1..x_N of a
+    quasisymmetric expansion {composition: coefficient}, built one
+    placement at a time and sorted: M_alpha puts the parts of alpha, in
+    order, on each set of len(alpha) of the N variables."""
+    out = []
+    for alpha, c in coeffs.items():
+        for places in combinations(range(n_vars), len(alpha)):
+            exps = [0] * n_vars
+            for i, a in zip(places, alpha):
+                exps[i] = a
+            out.append((tuple(exps), c))
+    out.sort()  # exponent vectors are distinct, so ties never reach c
+    return out

@@ -4,9 +4,13 @@ line with its wall-clock time and asserting the time budget.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import contextlib
+import hashlib
 import time
+import tracemalloc
 
 from qyt.board import FerrersBoard
+from qyt.cli import main
 from qyt.partition import Partition, partitions
 from qyt.pnk import a_coeffs
 from qyt.qpoly import QPoly, q_fact, unpack
@@ -219,3 +223,41 @@ def test_criterion_17_gjw_at_eleven():
         assert report.passed, report.counterexample
 
     _criterion(17, "product identity on the shared census, shapes up to 11", 1.0, body)
+
+
+class _HashSink:
+    """A stdout that hashes what it is sent and keeps none of it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _expand_schur_twelve():
+    sink = _HashSink()
+    with contextlib.redirect_stdout(sink):
+        assert main(["expand", "schur", "--shape", "3,3,3,1", "--vars", "12",
+                     "--format", "json"]) == 0
+    # 13.7 MB of JSON, 209352 terms
+    assert sink.digest.hexdigest() == (
+        "0e149d07f01f2b2033898c577703d28d98b370c8cdb42b6372ac76566b7bfcf0")
+
+
+def test_criterion_18_schur_expansion_in_twelve_variables():
+    _criterion(18, "expand schur 3,3,3,1 in 12 variables as JSON", 1.0, _expand_schur_twelve)
+    # tracemalloc, not RSS: the test process's RSS keeps the high-water
+    # mark of everything that ran in it before
+    tracemalloc.start()
+    try:
+        _expand_schur_twelve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"criterion 18: traced peak {peak / 2**20:.2f} MiB (budget 4 MiB)")
+    assert peak <= 4 * 2**20

@@ -9,9 +9,14 @@ import sys
 import pytest
 
 import qyt
-from qyt import verify
+from qyt import cli, verify
 from qyt.cli import main
+from qyt.symfun import schur_truncated
 from qyt.verify import SuiteReport
+
+import oracles
+
+FORMATS = ("text", "json", "csv")
 
 
 def run(capsys, *argv):
@@ -154,14 +159,19 @@ def test_board_caps_the_size_of_its_statistics(capsys, stat):
 
 
 def test_import_leaves_out_unused_stdlib_modules():
+    # expand schur writes its json and csv as text straight from the walk
     script = ("import sys; before = set(sys.modules); import qyt.cli; "
-              "print(' '.join(sorted(set(sys.modules) - before)))")
+              "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr); "
+              "[qyt.cli.main(['expand', 'schur', '--shape', '2,2', '--vars', '3', "
+              "'--format', fmt]) for fmt in ('json', 'csv')]; "
+              "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)")
     src = os.path.dirname(os.path.dirname(qyt.__file__))  # the qyt under test
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
-    added = set(proc.stdout.split())
-    assert "qyt.cli" in added
-    assert added.isdisjoint({"dataclasses", "inspect", "json", "csv", "ast", "dis", "tokenize"})
+    on_import, after_expand = (set(line.split()) for line in proc.stderr.splitlines())
+    assert "qyt.cli" in on_import
+    assert on_import.isdisjoint({"dataclasses", "inspect", "json", "csv", "ast", "dis", "tokenize"})
+    assert after_expand.isdisjoint({"json", "csv"})
 
 
 def test_table_a_coeffs(capsys):
@@ -199,6 +209,38 @@ def test_expand_schur(capsys):
     blob = json.loads(out)
     assert len(blob["terms"]) == 6
     assert all(entry["coeff"] == 1 for entry in blob["terms"])
+
+
+def _schur_outputs(shape, n_vars):
+    """What `expand schur` prints in text, json and csv, built from the
+    sorted listing with the json and csv modules."""
+    terms = oracles.monomials_brute(schur_truncated(shape, n_vars), n_vars)
+    blob = {"shape": shape, "vars": n_vars,
+            "terms": [{"exponents": list(exps), "coeff": c} for exps, c in terms]}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["exponents", "coeff"])
+    writer.writerows([" ".join(map(str, exps)), c] for exps, c in terms)
+    return {
+        "text": "\n".join(f"{','.join(map(str, exps))}: {c}" for exps, c in terms) + "\n",
+        "json": json.dumps(blob, sort_keys=True) + "\n",
+        "csv": buf.getvalue(),
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 4096])
+@pytest.mark.parametrize("shape, n_vars", [
+    ("2,2", 3), ("3,2,1", 5), ("3,3,3,1", 2), ("3,3,3,1", 0), ("1", 1), ("", 0), ("", 2),
+])
+def test_expand_schur_matches_the_sorted_listing(capsys, monkeypatch, chunk, shape, n_vars):
+    # small chunks put chunk boundaries inside these short outputs
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    want = _schur_outputs(shape, n_vars)
+    for fmt in FORMATS:
+        code, out = run(capsys, "expand", "schur", "--shape", shape, "--vars", str(n_vars),
+                        "--format", fmt)
+        assert code == 0
+        assert out == want[fmt], (fmt, out)
 
 
 def test_expand_genfun(capsys):

@@ -39,6 +39,8 @@ INVOCATIONS = [
     *_each_format("rsk", "1,2,1,3,2"),
     *_each_format("expand", "schur", "--shape", "2,2", "--vars", "3"),
     ("expand", "schur", "--shape", "3,1,1"),
+    *_each_format("expand", "schur", "--shape", "3,3,3,1", "--vars", "2"),
+    *_each_format("expand", "schur", "--shape", "3,3,3,1", "--vars", "8"),
     *_each_format("expand", "genfun", "--n", "6"),
     *_each_format("expand", "genfun", "--n", "6", "--no-q"),
     ("verify", "hit", "--max-n", "5"),
@@ -119,6 +121,18 @@ GOLDEN = {
         "3560397c4468e657d122dc534b6f471dfc9b3c16301b41fa8f3ed579c87ffc20",
     "expand schur --shape 3,1,1":
         "328aefd4fa5f8c2fecc731af3ef3ae18210d13888a502bbbdfbfd41d87e3fbf0",
+    "expand schur --shape 3,3,3,1 --vars 2 --format text":
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    "expand schur --shape 3,3,3,1 --vars 2 --format json":
+        "e6d0025b664394aff747bf98bf55f3ba6d5879e12a8f959e17061f5921fc4f09",
+    "expand schur --shape 3,3,3,1 --vars 2 --format csv":
+        "1940020c9b7fcef96b9384f00615fbc810030fb451b2824f8c6de0948175aa4c",
+    "expand schur --shape 3,3,3,1 --vars 8 --format text":
+        "93f4bfea2f19480f19c6673131249977d1c6e433de4242b38d07ec56d03d8fa6",
+    "expand schur --shape 3,3,3,1 --vars 8 --format json":
+        "628c38ac017a5a961ade0d246a3641adcae8b622f03a79bb78b10c492f533e16",
+    "expand schur --shape 3,3,3,1 --vars 8 --format csv":
+        "91100745b2ef8d5438a96a06f8efc64fc7d1905b0c6bcf51294cab4434928249",
     "expand genfun --n 6 --format text":
         "e261f8f1e31fe0b4a1571de255a24665ae29bc2a23facb0c0f0736ee8c39720a",
     "expand genfun --n 6 --format json":

@@ -26,10 +26,16 @@ from qyt.tableau import Tableau, _ssyt_rows, enumerate_syt, kostka
 import oracles
 
 
+def _terms(coeffs, n_vars):
+    """expand_monomials with each exponent text read back as a tuple."""
+    return [(tuple(int(e) for e in exps.split(",")) if exps else (), c)
+            for exps, c in expand_monomials(coeffs, n_vars)]
+
+
 def test_schur_truncated_small_cases():
     s22 = schur_truncated(Partition((2, 2)), 3)
     assert s22 == {(2, 2): 1, (2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): 1}
-    assert dict(expand_monomials(s22, 3)) == {
+    assert dict(_terms(s22, 3)) == {
         (2, 2, 0): 1,
         (2, 1, 1): 1,
         (1, 2, 1): 1,
@@ -39,7 +45,7 @@ def test_schur_truncated_small_cases():
     }
     s1 = schur_truncated(Partition((1,)), 4)
     assert s1 == {(1,): 1}
-    assert dict(expand_monomials(s1, 4)) == {
+    assert dict(_terms(s1, 4)) == {
         (1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1
     }
     s21 = schur_truncated(Partition((2, 1)), 2)
@@ -69,7 +75,7 @@ def test_fundamental_sums_is_the_sum_of_fundamentals():
 def test_fundamental_small_cases():
     f_empty = fundamental_truncated((), 2, 2)
     assert f_empty == {(2,): 1, (1, 1): 1}
-    assert dict(expand_monomials(f_empty, 2)) == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
+    assert dict(_terms(f_empty, 2)) == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
     f_one = fundamental_truncated((1,), 2, 2)
     assert f_one == {(1, 1): 1}
     assert fundamental_truncated((1,), 3, 9) == {(1, 2): 1, (1, 1, 1): 1}
@@ -83,8 +89,8 @@ def test_fundamental_small_cases():
 def test_monomial_small_cases():
     m21 = monomial_truncated(Partition((2, 1)), 3)
     assert m21 == {(2, 1): 1, (1, 2): 1}
-    assert len(expand_monomials(m21, 3)) == 6
-    assert all(sorted(e, reverse=True) == [2, 1, 0] for e, _ in expand_monomials(m21, 3))
+    assert len(_terms(m21, 3)) == 6
+    assert all(sorted(e, reverse=True) == [2, 1, 0] for e, _ in _terms(m21, 3))
     m211 = monomial_truncated(Partition((2, 1, 1)), 3)
     assert m211 == {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): 1}
     assert monomial_truncated(Partition((1, 1, 1)), 2) == {}
@@ -93,8 +99,29 @@ def test_monomial_small_cases():
 
 def test_expand_monomials():
     e = {(2,): 1, (1, 1): 3}
-    assert expand_monomials(e, 2) == [((0, 2), 1), ((1, 1), 3), ((2, 0), 1)]
-    assert expand_monomials(e, 0) == []
+    assert list(expand_monomials(e, 2)) == [("0,2", 1), ("1,1", 3), ("2,0", 1)]
+    assert list(expand_monomials(e, 3, ", ")) == [
+        ("0, 0, 2", 1), ("0, 1, 1", 3), ("0, 2, 0", 1), ("1, 0, 1", 3),
+        ("1, 1, 0", 3), ("2, 0, 0", 1)]
+    assert list(expand_monomials(e, 0)) == []
+    assert list(expand_monomials({(): 4}, 0)) == [("", 4)]
+    assert list(expand_monomials({(): 4}, 2, " ")) == [("0 0", 4)]
+
+
+def test_expand_monomials_matches_the_sorted_listing():
+    # the walk against building every monomial and sorting, as ordered lists
+    for n in range(8):
+        for lam in partitions(n):
+            for n_vars in range(n + 2):
+                coeffs = schur_truncated(lam, n_vars)
+                assert _terms(coeffs, n_vars) == oracles.monomials_brute(coeffs, n_vars)
+    # compositions of different sizes, one the prefix of another, and
+    # zero and negative coefficients, which the walk lists like any other;
+    # reversed, a longer composition reaches a trie node before a shorter one
+    mixed = {(): 5, (1,): 0, (1, 1): 3, (2, 1): -4, (3,): 1, (1, 1, 1, 1): 2, (1, 3, 1): 6}
+    for coeffs in (mixed, dict(reversed(mixed.items()))):
+        for n_vars in range(7):
+            assert _terms(coeffs, n_vars) == oracles.monomials_brute(coeffs, n_vars)
 
 
 def _exponent_counts(fillings, n_vars):
@@ -113,7 +140,7 @@ def test_schur_expansion_matches_brute_force_fillings():
     for n in range(7):
         for lam in partitions(n):
             for n_vars in range(n + 2):
-                got = dict(expand_monomials(schur_truncated(lam, n_vars), n_vars))
+                got = dict(_terms(schur_truncated(lam, n_vars), n_vars))
                 assert got == _exponent_counts(oracles.ssyt_brute(lam.parts, n_vars), n_vars)
 
 
@@ -173,7 +200,7 @@ def test_fundamental_truncation_matches_brute_force_words():
                     ]
                     want = _exponent_counts([(w,) for w in words], n_vars)
                     truncated = {alpha: c for alpha, c in full.items() if len(alpha) <= n_vars}
-                    assert dict(expand_monomials(truncated, n_vars)) == want
+                    assert dict(_terms(truncated, n_vars)) == want
                     assert fundamental_truncated(sigma, n, n_vars) == truncated
 
 
