@@ -5,95 +5,50 @@ enumeration and statistics, Ferrers-board hit numbers and their
 q-refinement, weighted-lattice-path polynomials, truncated
 symmetric-function expansions, and exhaustive verification suites for
 the identities tying them together.
+
+`import qyt` loads none of the submodules.  `_EXPORTS` maps each
+submodule to the public names it defines; the first use of a name, or of
+a submodule as `qyt.<module>`, imports that submodule (PEP 562) and binds
+the name here, so later uses are plain attribute reads.  `__all__` and
+`dir(qyt)` are read from the same table.  Every CLI command is a fresh
+process, and most commands need only a few of the modules.
 """
 
-from .board import FerrersBoard
-from .partition import Partition, partitions
-from .perm import descent_set, des, eulerian, inverse, maj, multiset_perms, perms
-from .pnk import (
-    a_coeffs,
-    a_table,
-    pnk_eval_ebasis,
-    pnk_eval_paths,
-    qyt_count_via_pnk,
-    qyt_counts_via_pnk,
-)
-from .qpoly import InexactDivisionError, QPoly, QTPoly, q_binom, q_fact, q_int
-from .symfun import (
-    fundamental_truncated,
-    gen_fn,
-    monomial_truncated,
-    rsk,
-    rsk_multiset,
-    schur_truncated,
-)
-from .tableau import (
-    Tableau,
-    des_maj_counts,
-    enumerate_qyt_at_most,
-    enumerate_qyt_exact,
-    enumerate_ssyt,
-    enumerate_syt,
-    kostka,
-    qyt_count_exact,
-    qyt_counts,
-)
-from .verify import (
-    SUITES,
-    SuiteReport,
-    foulkes_multiplicity,
-    jack_coefficient,
-    polya_dimension_check,
-    ribbon_rows,
-    signature_of,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FerrersBoard",
-    "InexactDivisionError",
-    "Partition",
-    "QPoly",
-    "QTPoly",
-    "SuiteReport",
-    "SUITES",
-    "Tableau",
-    "a_coeffs",
-    "a_table",
-    "des",
-    "des_maj_counts",
-    "descent_set",
-    "enumerate_qyt_at_most",
-    "enumerate_qyt_exact",
-    "enumerate_ssyt",
-    "enumerate_syt",
-    "eulerian",
-    "foulkes_multiplicity",
-    "fundamental_truncated",
-    "gen_fn",
-    "inverse",
-    "jack_coefficient",
-    "kostka",
-    "maj",
-    "monomial_truncated",
-    "multiset_perms",
-    "partitions",
-    "perms",
-    "pnk_eval_ebasis",
-    "pnk_eval_paths",
-    "polya_dimension_check",
-    "q_binom",
-    "q_fact",
-    "q_int",
-    "qyt_count_exact",
-    "qyt_count_via_pnk",
-    "qyt_counts",
-    "qyt_counts_via_pnk",
-    "ribbon_rows",
-    "rsk",
-    "rsk_multiset",
-    "schur_truncated",
-    "signature_of",
-    "verify",
-]
+#: The public names, by the submodule that defines them.
+_EXPORTS = {
+    "board": ("FerrersBoard",),
+    "partition": ("Partition", "partitions"),
+    "perm": ("descent_set", "des", "eulerian", "inverse", "maj", "multiset_perms", "perms"),
+    "pnk": ("a_coeffs", "a_table", "pnk_eval_ebasis", "pnk_eval_paths",
+            "qyt_count_via_pnk", "qyt_counts_via_pnk"),
+    "qpoly": ("InexactDivisionError", "QPoly", "QTPoly", "q_binom", "q_fact", "q_int"),
+    "symfun": ("fundamental_truncated", "gen_fn", "monomial_truncated", "rsk",
+               "rsk_multiset", "schur_truncated"),
+    "tableau": ("Tableau", "des_maj_counts", "enumerate_qyt_at_most", "enumerate_qyt_exact",
+                "enumerate_ssyt", "enumerate_syt", "kostka", "qyt_count_exact", "qyt_counts"),
+    "verify": ("SUITES", "SuiteReport", "foulkes_multiplicity", "jack_coefficient",
+               "polya_dimension_check", "ribbon_rows", "signature_of"),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# `verify` itself is exported too, so `from qyt import *` binds the suites' module.
+__all__ = [*_HOME, "verify"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # importing a submodule binds it in this namespace
+        return _import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

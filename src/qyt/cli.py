@@ -15,22 +15,15 @@ import sys
 from itertools import chain, islice
 from typing import Callable, Iterator
 
-from . import verify as verify_mod
-from .board import FerrersBoard
-from .partition import Partition
-from .perm import format_word, is_permutation, parse_word
-from .pnk import DEFAULT_SEED, a_table
-from .qpoly import QPoly, unpack
-from .symfun import expand_monomials, gen_fn, rsk, rsk_multiset, schur_truncated
-from .tableau import qyt_count_exact, qyt_counts
-
 #: Largest board size n that `board --hits` and `board --q-hits` accept
 #: unless --limit raises it.  The library itself takes any size.
 BOARD_SIZE_CAP = 9
 
 
-# json and csv are imported only where a JSON, CSV or counterexample line
-# is written: every command is a fresh process, and most print text only.
+# Every command is a fresh process, so this module imports only the
+# standard library: each command imports the qyt modules it uses, and json
+# and csv are imported only where a JSON, CSV or counterexample line is
+# written.
 def _json_text(blob) -> str:
     import json
 
@@ -74,7 +67,9 @@ def _write_joined(head: str, items: Iterator[str], sep: str, foot: str) -> None:
     write(foot)
 
 
-def _shape(text: str) -> Partition:
+def _shape(text: str):
+    from .partition import Partition
+
     try:
         return Partition.parse(text)
     except ValueError as exc:
@@ -82,6 +77,8 @@ def _shape(text: str) -> Partition:
 
 
 def _cmd_count(args) -> int:
+    from .tableau import qyt_count_exact, qyt_counts
+
     shape = args.shape
     if args.exact_entry is not None:
         mode, arg = "exact-entry", args.exact_entry
@@ -104,6 +101,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_board(args) -> int:
+    from .board import FerrersBoard
+
     board = FerrersBoard.from_partition(args.shape)
     if args.plus_one:
         board = board.plus_one()
@@ -120,6 +119,8 @@ def _cmd_board(args) -> int:
               ["k", "count"],
               lambda: [[k, v] for k, v in enumerate(numbers)])
     elif args.q_hits:
+        from .qpoly import QPoly, unpack
+
         width, values = board.q_hit_numbers()
         polys = [QPoly(unpack(v, width)) for v in values]
         _emit(args, lambda: {**payload, "q_hit_numbers": [p.pairs() for p in polys]},
@@ -135,10 +136,12 @@ def _cmd_board(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
+    from .verify import SUITES
+
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     bounds = {} if args.max_n is None else {"max_n": args.max_n}
     seed = {} if args.seed is None else {"seed": args.seed}
-    reports = [verify_mod.SUITES[name](**bounds, **(seed if name == "lattice" else {}))
+    reports = [SUITES[name](**bounds, **(seed if name == "lattice" else {}))
                for name in names]
 
     def text() -> str:
@@ -166,6 +169,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .pnk import a_table
+
     table = a_table(args.n)
 
     def text() -> str:
@@ -181,6 +186,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_rsk(args) -> int:
+    from .perm import format_word, is_permutation, parse_word
+    from .symfun import rsk, rsk_multiset
+
     word = parse_word(args.word)
     if not word or min(word) < 1:
         raise ValueError(f"not a word over positive integers: {args.word!r}")
@@ -215,6 +223,8 @@ def _cmd_rsk(args) -> int:
 
 def _cmd_expand(args) -> int:
     if args.what == "schur":
+        from .symfun import expand_monomials, schur_truncated
+
         if args.shape is None:
             raise ValueError("expand schur requires --shape")
         n_vars = args.vars if args.vars is not None else args.shape.size
@@ -233,6 +243,8 @@ def _cmd_expand(args) -> int:
             lines = (f"{exps}: {c}" for exps, c in expand_monomials(coeffs, n_vars))
             _write_joined("", lines, "\n", "\n")
         return 0
+    from .symfun import gen_fn
+
     if args.n is None:
         raise ValueError("expand genfun requires --n")
     expansion = gen_fn(args.n, with_q=not args.no_q)
@@ -251,17 +263,7 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qyt",
-        description="Exact counting and verification for quasi-Yamanouchi tableaux.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-    p = sub.add_parser("count", help="count tableaux of a shape")
+def _configure_count(p) -> None:
     p.add_argument("--shape", type=_shape, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--exact-entry", type=int, metavar="K",
@@ -271,10 +273,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--ssyt", type=int, metavar="M",
                        help="semistandard fillings with entries at most M")
     group.add_argument("--syt", action="store_true", help="standard fillings")
-    add_format(p)
-    p.set_defaults(run=_cmd_count)
 
-    p = sub.add_parser("board", help="board heights and hit statistics")
+
+def _configure_board(p) -> None:
     p.add_argument("--shape", type=_shape, required=True)
     p.add_argument("--plus-one", action="store_true",
                    help="raise every column by one")
@@ -283,44 +284,70 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--q-hits", action="store_true", help="q-hit numbers T_0..T_n")
     p.add_argument("--limit", type=int, default=None,
                    help=f"raise the cap on the board size n (default {BOARD_SIZE_CAP})")
-    add_format(p)
-    p.set_defaults(run=_cmd_board)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(verify_mod.SUITES) + ["all"])
+
+def _configure_verify(p) -> None:
+    from .pnk import DEFAULT_SEED
+    from .verify import SUITES
+
+    p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--max-n", type=int, default=None,
                    help="override the suite bound")
     p.add_argument("--seed", type=int, default=None,
                    help=f"seed for sampled evaluation points (default {DEFAULT_SEED})")
-    add_format(p)
-    p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser("table", help="coefficient tables")
+
+def _configure_table(p) -> None:
     p.add_argument("what", choices=("a-coeffs",))
     p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(run=_cmd_table)
 
-    p = sub.add_parser("rsk", help="row-insert a word")
+
+def _configure_rsk(p) -> None:
     p.add_argument("word", help='permutation or multiset word, e.g. "45312" or "1,1,2"')
-    add_format(p)
-    p.set_defaults(run=_cmd_rsk)
 
-    p = sub.add_parser("expand", help="truncated expansions")
+
+def _configure_expand(p) -> None:
     p.add_argument("what", choices=("schur", "genfun"))
     p.add_argument("--shape", type=_shape, default=None, help="shape for schur")
     p.add_argument("--vars", type=int, default=None, help="number of variables")
     p.add_argument("--n", type=int, default=None, help="degree for genfun")
     p.add_argument("--no-q", action="store_true", help="drop the q-grading")
-    add_format(p)
-    p.set_defaults(run=_cmd_expand)
 
+
+#: (name, help, configure, run) for each command, in `qyt --help` order.
+_COMMANDS = (
+    ("count", "count tableaux of a shape", _configure_count, _cmd_count),
+    ("board", "board heights and hit statistics", _configure_board, _cmd_board),
+    ("verify", "run a verification suite", _configure_verify, _cmd_verify),
+    ("table", "coefficient tables", _configure_table, _cmd_table),
+    ("rsk", "row-insert a word", _configure_rsk, _cmd_rsk),
+    ("expand", "truncated expansions", _configure_expand, _cmd_expand),
+)
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv.  Every command is listed, with its help, but
+    only the invoked one gets its arguments: the first token that does
+    not start with "-", since the top-level parser has no option that
+    takes a value."""
+    parser = argparse.ArgumentParser(
+        prog="qyt",
+        description="Exact counting and verification for quasi-Yamanouchi tableaux.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, help_text, configure, run in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if name == invoked:
+            configure(p)
+            p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+            p.set_defaults(run=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.run(args)
     except (ValueError, ArithmeticError) as exc:

@@ -304,7 +304,7 @@ def gen_fn(n: int, with_q: bool = True) -> dict[Partition, QTPoly]:
     return {
         shape: QTPoly(
             ((mj, d), c) for d, row in enumerate(tallies[shape.parts])
-            for mj, c in enumerate(unpack(row, width) if with_q else [row])
+            for mj, c in enumerate(unpack(row, width) if with_q else [row]) if c
         )
         for shape in shapes
     }

@@ -29,6 +29,7 @@ import random
 import time
 from itertools import permutations as _all_perms
 from math import comb, factorial, prod
+from operator import mul
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import _kernels
@@ -313,16 +314,17 @@ def verify_summation(max_n: int = 8) -> Iterator[_Instance]:
     """Alternating summation:
 
     QYT_{=k+1}(shape) == sum_m C(n+1, k-m) (-1)^(k-m) SSYT_{m+1}(shape).
+
+    The signed binomials (-1)^j C(n+1, j) are one row per n; the sum for
+    k pairs that row, read back from j = k, with SSYT_1..SSYT_{k+1}.
     """
     for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
+        signed = [(-1) ** j * comb(n + 1, j) for j in range(n)]
         for shape in partitions(n):
             counts = tallies[shape.parts]
             ssyt = shape.hook_content_counts(n)
             for k in range(n):
-                rhs = sum(
-                    comb(n + 1, k - m) * (-1) ** (k - m) * ssyt[m]
-                    for m in range(k + 1)
-                )
+                rhs = sum(map(mul, signed[k::-1], ssyt))
                 yield None, {"shape": shape, "k": k}, counts[k], rhs
 
 
@@ -360,9 +362,9 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
     """
     for n in range(1, max_n + 1):
         shapes = list(partitions(n))
-        bases = [FerrersBoard.from_partition(shape) for shape in shapes]
-        boards = list(dict.fromkeys(
-            board.heights for base in bases for board in (base, base.plus_one())))
+        pairs = [(base, base.plus_one())
+                 for base in map(FerrersBoard.from_partition, shapes)]
+        boards = list(dict.fromkeys(board.heights for pair in pairs for board in pair))
         censuses = dict(zip(boards, _kernels.q_hit_census(n, boards)))
         totals = {heights: [sum(map(abs, row)) for row in T] for heights, T in censuses.items()}
         width = _width(*(
@@ -371,10 +373,10 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
             for heights in boards))
         ints, binoms = q_table_at(n, width)
         mahonian = _Packed(prod(ints[1:n + 1]), width)
-        for shape, base in zip(shapes, bases):
-            yield ("complement", {"shape": shape}, base.plus_one().complement_rotated(),
+        for shape, (base, raised) in zip(shapes, pairs):
+            yield ("complement", {"shape": shape}, raised.complement_rotated(),
                    FerrersBoard.from_partition(shape.conjugate()))
-            for board in (base, base.plus_one()):
+            for board in (base, raised):
                 T = censuses.pop(board.heights, None)
                 if T is None:  # checked already
                     continue

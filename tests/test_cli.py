@@ -174,6 +174,32 @@ def test_import_leaves_out_unused_stdlib_modules():
     assert after_expand.isdisjoint({"json", "csv"})
 
 
+def _modules_loaded(script: str) -> set[str]:
+    """The qyt modules in sys.modules after running script in a fresh
+    interpreter on the qyt under test."""
+    script += ("\nimport sys\n"
+               "print(' '.join(m for m in sys.modules if m.startswith('qyt')), file=sys.stderr)")
+    src = os.path.dirname(os.path.dirname(qyt.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    return set(proc.stderr.split())
+
+
+def test_import_qyt_loads_no_submodule():
+    assert _modules_loaded("import qyt") == {"qyt"}
+    # a name loads its own module and what that module imports
+    assert _modules_loaded("import qyt; qyt.Partition") == {"qyt", "qyt.partition"}
+
+
+def test_help_and_board_leave_out_the_unused_layers():
+    loaded = _modules_loaded(
+        "from qyt.cli import main\n"
+        "try:\n    main(['--help'])\nexcept SystemExit:\n    pass\n"
+        "main(['board', '--shape', '3,2'])")
+    assert "qyt.board" in loaded
+    assert loaded.isdisjoint({"qyt.verify", "qyt.symfun", "qyt.pnk", "qyt.tableau"})
+
+
 def test_table_a_coeffs(capsys):
     code, out = run(capsys, "table", "a-coeffs", "--n", "6", "--format", "json")
     assert code == 0

@@ -198,6 +198,35 @@ def test_output_matches_the_recorded_hash(capsys, argv):
     assert _digest(capsys, argv) == GOLDEN[" ".join(argv)]
 
 
+#: `qyt --help` and each command's `--help` at 80 columns.
+HELP_GOLDEN = {
+    "--help":
+        "c81964f9f2d9df8d0223a0a7b18a7569cc64699787731f4ea8d4b39e05e4b83c",
+    "count --help":
+        "f56c6f782c7d79d7e78054fcd7a3509a30923cf0a0059abeb7c8ea9c40e03cff",
+    "board --help":
+        "895405cb5dc8f14878618f70a32772fbd254edf95259107f4378e50aeaed857b",
+    "verify --help":
+        "972183706293f4f737b1401d03633f489d96892bda463b577198815dc11f9297",
+    "table --help":
+        "ab743a52d9506384e49f99dc0a1a5a09291d027a416662e6edb421001033d836",
+    "rsk --help":
+        "716dc2174516b2ba3e8111c5c76430d4105b805d33479ed85ab90ddb72f66ef7",
+    "expand --help":
+        "9dfe2d168c680e6426c846bc4cadf9781bd056bfe46297da4f1c7ffcaf64cd16",
+}
+
+
+@pytest.mark.parametrize("argv", HELP_GOLDEN)
+def test_help_matches_the_recorded_hash(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_GOLDEN[argv]
+
+
 def test_timings_are_masked():
     assert _masked("hit: pass (max_n=5; 12 ms)") == "hit: pass (max_n=5; # ms)"
     assert _masked('{"ms": 3, "suite": "hit"}') == '{"ms": #, "suite": "hit"}'
