@@ -25,7 +25,7 @@ _EXPORTS = {
     "perm": ("descent_set", "des", "eulerian", "inverse", "maj", "multiset_perms", "perms"),
     "pnk": ("a_coeffs", "a_table", "pnk_eval_ebasis", "pnk_eval_paths",
             "qyt_count_via_pnk", "qyt_counts_via_pnk"),
-    "qpoly": ("InexactDivisionError", "QPoly", "QTPoly", "q_binom", "q_fact", "q_int"),
+    "qpoly": ("QPoly", "QTPoly", "q_binom", "q_fact", "q_int"),
     "symfun": ("fundamental_truncated", "gen_fn", "monomial_truncated", "rsk",
                "rsk_multiset", "schur_truncated"),
     "tableau": ("Tableau", "des_maj_counts", "enumerate_qyt_at_most", "enumerate_qyt_exact",

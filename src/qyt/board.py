@@ -32,9 +32,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from . import _kernels
 from .partition import Partition
-from .qpoly import q_table_at
 
 
 def _solve_product_identity(heights, ints: Sequence, binoms: Sequence) -> list:
@@ -68,6 +66,8 @@ def _q_hit_table(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The slot width of the q-hit solve on boards of size n, with the
     q-integers and Gaussian binomials at q = 2^width.  A sweep meets the
     boards of one size in a row, so one table is kept."""
+    from .qpoly import q_table_at
+
     width = factorial(n).bit_length() + 1
     ints, binoms = q_table_at(n, width)
     return width, tuple(ints), tuple(binoms)
@@ -172,6 +172,8 @@ class FerrersBoard:
         identity.  The gjw suite, which tests that identity, asks the
         kernel for every board of a size at once, so that boards with
         common first columns share their layers."""
+        from . import _kernels
+
         return _kernels.q_hit_census(self.n, [self.heights])[0]
 
     def _check_perm(self, perm) -> None:

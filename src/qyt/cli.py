@@ -138,6 +138,8 @@ def _cmd_board(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import SUITES
 
+    if args.seed is not None and args.suite not in ("lattice", "all"):
+        raise ValueError("--seed applies only to the lattice suite")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     bounds = {} if args.max_n is None else {"max_n": args.max_n}
     seed = {} if args.seed is None else {"seed": args.seed}

@@ -28,10 +28,6 @@ from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 
-class InexactDivisionError(ArithmeticError):
-    """A polynomial quotient would not be exact over the integers."""
-
-
 def pack(coeffs: Sequence[int], width: int) -> int:
     """sum_i coeffs[i] * 2^(width*i): the polynomial at q = 2^width.
 

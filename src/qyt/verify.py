@@ -4,7 +4,9 @@ Each suite sweeps one identity over every instance up to its bound and
 reports either a pass or the first counterexample met in iteration
 order (n ascending, shapes lexicographically decreasing), with both
 sides fully evaluated.  Identities with q-integer denominators are
-checked in cross-multiplied form, so only ring operations are needed.
+checked in cross-multiplied form, so only ring operations are needed:
+every q-check compares two ring values packed at one width, its
+suite's W for that instance (see _width), and nothing is divided.
 
 A suite is written as a body: a generator that takes its bounds and
 yields (check, fields, lhs, rhs) for every instance, check being None
@@ -33,7 +35,7 @@ from operator import mul
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import _kernels
-from .board import FerrersBoard
+from .board import FerrersBoard, _solve_product_identity
 from .partition import as_partition, partitions
 from .perm import descent_set as word_descents
 from .perm import perms
@@ -46,7 +48,6 @@ from .pnk import (
     qyt_counts_via_pnk,
 )
 from .qpoly import (
-    InexactDivisionError,
     QPoly,
     QTPoly,
     pack,
@@ -222,15 +223,25 @@ class _Packed:
         return str(self.read())
 
 
-def _at_width(values: list[int], rows: list[list[int]], own: int, width: int) -> list[int]:
-    """values, packed at q = 2^own, at q = 2^width instead, given the
-    coefficient lists `rows` they read back as."""
-    return values if width == own else [pack(row, width) for row in rows]
-
-
-def _total(rows: list[list[int]]) -> int:
-    """The sum of the absolute values of every coefficient in `rows`."""
-    return sum(abs(c) for row in rows for c in row)
+def _hit_sides(board: FerrersBoard, shape, tally: list[int],
+               tally_width: int) -> tuple[int, list[int], list[list[int]], int]:
+    """(W, T_0..T_n of `board` packed at q = 2^W, the walk's `tally` of
+    `shape` read back from tally_width as rows, prod [h(u)] at q = 2^W):
+    the set-up of maj-hit and charge-hit.  W (see _width) is read off T and
+    the rows as they are: a row times the hook polynomial sums to at
+    most |rows|_1 * prod(hooks) in absolute value, a sum or a shift of
+    the T_k to at most sum_k |T_k|_1, and [n]! to n!.  T comes from the
+    board's solve at its own width, which is W on honest inputs, and is
+    packed again from its rows only when W differs."""
+    solve_width, T = board.q_hit_numbers()
+    T_rows = [unpack(t, solve_width) for t in T]
+    rows = [unpack(row, tally_width) for row in tally]
+    hooks = shape.hooks()
+    width = _width(factorial(shape.size), sum(abs(c) for row in T_rows for c in row),
+                   sum(abs(c) for row in rows for c in row) * prod(hooks))
+    if width != solve_width:
+        T = [pack(row, width) for row in T_rows]
+    return width, T, rows, prod(q_int_at(h, 1 << width) for h in hooks)
 
 
 @_suite("maj-hit")
@@ -242,36 +253,24 @@ def verify_maj_hit(max_n: int = 6) -> Iterator[_Instance]:
     where B+1 is the board of the shape with every column raised once.
     Also checks that the T_k sum to [n]! (Mahonian) and the summed
     corollary (sum over all standard fillings of q^maj) * prod [h] =
-    q^n(shape) [n]!.  Both sides are compared packed at q = 2^W (see
-    _width).  The bounds are read off T and the tallies as they are: a
-    product of a tally with the hook polynomial sums to at most
-    |gens|_1 * prod(hooks) in absolute value, a sum or a shift of the T_k
-    to at most sum_k |T_k|_1, and [n]! to n!.  The sums of q^maj come
+    q^n(shape) [n]!.  Both sides are compared packed at q = 2^W, with W,
+    T_k and the hook product from _hit_sides.  The sums of q^maj come
     from one walk of Young's lattice at the maj width (tableau.maj_width)
-    and the T_k from the board's solve, packed at its own width, which
-    is W on honest inputs; each row and each T_k is unpacked once, for
-    the bounds.  [n]! and the hook products are taken at q = 2^W.
+    and the T_k from the board's solve.
     """
     tally_width = maj_width(partitions(max_n))
     for n, tallies in enumerate(descent_levels(tally_width, partitions(max_n)), 1):
         for shape in partitions(n):
             board = FerrersBoard.from_partition(shape).plus_one()
-            solve_width, T = board.q_hit_numbers()
-            T_rows = [unpack(t, solve_width) for t in T]
-            gens = [unpack(row, tally_width) for row in tallies[shape.parts]]
-            hooks = shape.hooks()
-            width = _width(factorial(n), _total(T_rows), _total(gens) * prod(hooks))
-            q = 1 << width
-            hooks_at = prod(q_int_at(h, q) for h in hooks)
-            packed = _at_width(T, T_rows, solve_width, width)
-            mahonian_at = q_fact_at(n, q)
+            width, T, gens, hooks_at = _hit_sides(board, shape, tallies[shape.parts], tally_width)
+            mahonian_at = q_fact_at(n, 1 << width)
             yield ("mahonian", {"board": board},
-                   _Packed(sum(packed), width), _Packed(mahonian_at, width))
+                   _Packed(sum(T), width), _Packed(mahonian_at, width))
             shift = shape.n_stat() * width
             lhs = [pack(g, width) * hooks_at for g in gens]
             for k in range(n):
                 yield ("refinement", {"shape": shape, "k": k},
-                       _Packed(lhs[k], width), _Packed(packed[n - k] << shift, width))
+                       _Packed(lhs[k], width), _Packed(T[n - k] << shift, width))
             yield ("hook-length-q-analogue", {"shape": shape},
                    _Packed(sum(lhs), width), _Packed(mahonian_at << shift, width))
 
@@ -283,29 +282,25 @@ def verify_charge_hit(max_n: int = 6) -> Iterator[_Instance]:
     (sum_{QYT_{=k+1}} q^ch) * prod [h(u)] * q^C(n,2)
         ==  q^(nk + n(conjugate)) * T_k(board of the conjugate),
 
-    compared packed as in maj-hit.  Charge is n * k - maj, so the row of
-    the fillings with k descents, read back with d its top maj and
-    reversed, is q^(d - nk) times the sum of q^charge.  Both sides are
-    multiplied by q^(e - nk), with e the larger of d and n * k, so that
-    no side is divided by a power of q even when a maj exceeds n * k.
+    compared packed as in maj-hit (see _hit_sides).  Charge is
+    n * k - maj, so the row of the fillings with k descents, read back
+    with d its top maj and reversed, is q^(d - nk) times the sum of
+    q^charge.  Both sides are multiplied by q^(e - nk), with e the
+    larger of d and n * k, so that no side is divided by a power of q
+    even when a maj exceeds n * k.
     """
     tally_width = maj_width(partitions(max_n))
     for n, tallies in enumerate(descent_levels(tally_width, partitions(max_n)), 1):
         half = comb(n, 2)
         for shape in partitions(n):
             conj = shape.conjugate()
-            solve_width, T = FerrersBoard.from_partition(conj).q_hit_numbers()
-            T_rows = [unpack(t, solve_width) for t in T]
-            majs = [unpack(row, tally_width) for row in tallies[shape.parts]]
-            hooks = shape.hooks()
-            width = _width(factorial(n), _total(T_rows), _total(majs) * prod(hooks))
-            hooks_at = prod(q_int_at(h, 1 << width) for h in hooks)
-            packed = _at_width(T, T_rows, solve_width, width)
+            width, T, majs, hooks_at = _hit_sides(
+                FerrersBoard.from_partition(conj), shape, tallies[shape.parts], tally_width)
             for k in range(n):
                 c = majs[k]
                 top = max(len(c) - 1, n * k)
                 lhs = pack(c[::-1], width) * hooks_at << ((top + 1 - len(c) + half) * width)
-                rhs = packed[k] << ((top + conj.n_stat()) * width)
+                rhs = T[k] << ((top + conj.n_stat()) * width)
                 yield "refinement", {"shape": shape, "k": k}, _Packed(lhs, width), _Packed(rhs, width)
 
 
@@ -345,37 +340,36 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
     satisfy it by construction.  The census of every distinct board of
     size n, base or raised (the raised board of one shape can be the
     board of another), is taken in one walk, which shares the layers of
-    common first columns, and each board is checked once.  The
-    "product-route" check compares the solve with the census at the
-    width the solve packs T_k at, which holds T_k as it reads back there
-    (see _width), unless the census does not fit it; only then is the
-    solve read back and both packed at the width of their own bounds.
-    The Mahonian and product-identity checks compare both sides packed
-    at q = 2^W, one W per n, reading [n]!, the q-integers and the
-    Gaussian binomials from one qpoly.q_table_at per n.
+    common first columns, and each board is checked once.
+    Every check of a board compares both sides packed at q = 2^W, one W
+    per n, and nothing is divided: each census row is packed once, at W,
+    and [n]!, the q-integers and the Gaussian binomials come from one
+    qpoly.q_table_at per n.  The "product-route" check solves the
+    identity on that same table (board._solve_product_identity) and
+    compares the solve with the packed census rows, which hold the
+    census as it reads back at W, since W is read off the census.
     W is read off the censuses of size n as they are, the widest bound
     of any board: the factors are nonnegative and grow with x, so x = n
     bounds every x.  The product side sums to at most
     prod_i (n + h_i - i + 1), which is at least n! (the Mahonian side),
     and the binomial side to at most sum_k C(n + k, n) |T_k|_1, which is
-    at least the census side of the Mahonian check.
+    at least the census side of the Mahonian check and |T_k|_1 for each k.
     """
     for n in range(1, max_n + 1):
-        shapes = list(partitions(n))
-        pairs = [(base, base.plus_one())
-                 for base in map(FerrersBoard.from_partition, shapes)]
+        bases = {shape: FerrersBoard.from_partition(shape) for shape in partitions(n)}
+        pairs = [(base, base.plus_one()) for base in bases.values()]
         boards = list(dict.fromkeys(board.heights for pair in pairs for board in pair))
         censuses = dict(zip(boards, _kernels.q_hit_census(n, boards)))
-        totals = {heights: [sum(map(abs, row)) for row in T] for heights, T in censuses.items()}
         width = _width(*(
             max(prod(n + h - i + 1 for i, h in enumerate(heights, 1)),
-                sum(comb(n + k, n) * total for k, total in enumerate(totals[heights])))
+                sum(comb(n + k, n) * sum(map(abs, row))
+                    for k, row in enumerate(censuses[heights])))
             for heights in boards))
         ints, binoms = q_table_at(n, width)
         mahonian = _Packed(prod(ints[1:n + 1]), width)
-        for shape, (base, raised) in zip(shapes, pairs):
+        for shape, (base, raised) in zip(bases, pairs):
             yield ("complement", {"shape": shape}, raised.complement_rotated(),
-                   FerrersBoard.from_partition(shape.conjugate()))
+                   bases[shape.conjugate()])
             for board in (base, raised):
                 T = censuses.pop(board.heights, None)
                 if T is None:  # checked already
@@ -390,15 +384,10 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
                     rhs = sum(binoms[x + k] * packed[k] for k in range(n - x, n + 1))
                     yield ("product-identity", {"board": board, "x": x},
                            _Packed(lhs, width), _Packed(rhs, width))
-                route, solved = board.q_hit_numbers()
-                total = sum(totals[board.heights])
-                if _width(total) > route:
-                    solved_rows = [unpack(t, route) for t in solved]
-                    route = _width(_total(solved_rows), total)
-                    solved = [pack(row, route) for row in solved_rows]
+                solved = _solve_product_identity(board.heights, ints, binoms)
                 yield ("product-route", {"board": board},
-                       [_Packed(v, route) for v in solved],
-                       [_Packed(pack(row, route), route) for row in T])
+                       [_Packed(v, width) for v in solved],
+                       [_Packed(v, width) for v in packed])
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +639,11 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
     of t.  W is _width of bounds on the sides: the tallies count n! or
     fewer objects, weighted by the Kostka numbers and the Schur and
     monomial coefficients as they are, and [n]! sums to n!.  The t = 1
-    side of each shape is the sum of its rows, against
-    q^n(shape) [n]! / prod [h(u)] at q = 2^W, an exact integer division;
-    a remainder means no polynomial quotient, and the suite raises
-    InexactDivisionError, showing both polynomials read back.
+    check is the q-hook formula cross-multiplied, nothing divided: the
+    sum of a shape's rows times prod [h(u)] against q^n(shape) [n]!,
+    both summing to n! when honest.  prod [h(u)] at q = 2^W is a nonzero
+    integer, so the check passes exactly when the sum of the rows is the
+    q-hook quotient at q = 2^W.
 
     The Kostka numbers of the lemma and of triangularity come from one
     table per n, filled by the cell walk tableau.kostka.  Triangularity
@@ -744,15 +734,11 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
         mahonian_at = q_fact_at(n, 1 << width)
         for shape in shapes:
             rows = walk[shape.parts]
-            # q-hook formula: sum of q^maj = q^n(shape) [n]! / prod [h(u)]
-            num = mahonian_at << (shape.n_stat() * width)
-            den = prod(q_int_at(h, 1 << width) for h in shape.hooks())
-            q_hook, rest = divmod(num, den)
-            if rest:  # no polynomial quotient
-                raise InexactDivisionError(
-                    f"({_Packed(num, width)}) is not divisible by ({_Packed(den, width)})")
+            # q-hook formula: sum of q^maj * prod [h(u)] = q^n(shape) [n]!
+            hooks_at = prod(q_int_at(h, 1 << width) for h in shape.hooks())
             yield ("t1-specialization", {"shape": shape},
-                   _Packed(sum(rows), width), _Packed(q_hook, width))
+                   _Packed(sum(rows) * hooks_at, width),
+                   _Packed(mahonian_at << (shape.n_stat() * width), width))
             at_q1 = [sum(unpack(row, width)) for row in rows]
             yield "q1-specialization", {"shape": shape}, at_q1, qyt_counts_via_pnk(shape)[:n]
 

@@ -130,6 +130,31 @@ def test_verify_all_passes_the_seed_to_lattice_only(capsys):
     assert [name for name, b in bounds.items() if "seed" in b] == ["lattice"]
 
 
+@pytest.mark.parametrize("suite", ["hit", "genfun"])
+def test_verify_rejects_a_seed_the_suite_does_not_take(capsys, suite):
+    code = main(["verify", suite, "--seed", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --seed applies only to the lattice suite\n"
+
+
+def test_verify_all_reports_every_suite_when_one_identity_fails(capsys, monkeypatch):
+    # [3]! + 1 breaks the Mahonian check of maj-hit and the q-hook
+    # formula of genfun; each is a counterexample, and the other suites
+    # still run and pass
+    true = verify.q_fact_at
+    monkeypatch.setattr(verify, "q_fact_at", lambda n, q: true(n, q) + (n == 3))
+    code, out = run(capsys, "verify", "all", "--max-n", "3")
+    assert code == 1
+    reports = [line for line in out.splitlines() if not line.startswith("{")]
+    assert [line.split(" (")[0] for line in reports] == [
+        f"{name}: {'fail' if name in ('maj-hit', 'genfun') else 'pass'}"
+        for name in verify.SUITES]
+    failures = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+    assert [blob["check"] for blob in failures] == ["mahonian", "t1-specialization"]
+
+
 def test_suites_run_past_the_board_cap(capsys):
     code, out = run(capsys, "verify", "hit", "--max-n", "10")
     assert code == 0 and out.startswith("hit: pass (max_n=10; ")
@@ -197,7 +222,8 @@ def test_help_and_board_leave_out_the_unused_layers():
         "try:\n    main(['--help'])\nexcept SystemExit:\n    pass\n"
         "main(['board', '--shape', '3,2'])")
     assert "qyt.board" in loaded
-    assert loaded.isdisjoint({"qyt.verify", "qyt.symfun", "qyt.pnk", "qyt.tableau"})
+    assert loaded.isdisjoint({"qyt.verify", "qyt.symfun", "qyt.pnk", "qyt.tableau",
+                              "qyt._kernels", "qyt.qpoly"})
 
 
 def test_table_a_coeffs(capsys):

@@ -1,5 +1,4 @@
 import json
-import re
 from math import factorial
 
 import pytest
@@ -510,7 +509,9 @@ MUTATIONS = [
          "lhs": "1 + 2q + 2q^2 + q^3", "rhs": "0"},
         id="product-identity"),
     pytest.param(
-        verify_gjw, {"max_n": 2}, FerrersBoard, "q_hit_numbers", _T_N_OFF_BY_Q,
+        # T_n + q on every board, at the q of the suite's table: ints[2] = q + 1
+        verify_gjw, {"max_n": 2}, qyt.verify, "_solve_product_identity",
+        _when(_always, lambda out, heights, ints, binoms: [*out[:-1], out[-1] + ints[2] - 1]),
         {"check": "product-route", "board": "n=1; heights=0",
          "lhs": ["1", "q"], "rhs": ["1", "0"]},
         id="product-route"),
@@ -600,17 +601,15 @@ def test_placed_faults_keep_their_slots(monkeypatch, rows, term):
         "lhs": f"{shared} + {term}", "rhs": f"{shared} + q^6 t^3"}
 
 
-def test_an_inexact_hook_quotient_raises(monkeypatch):
+def test_an_inexact_hook_quotient_is_a_counterexample(monkeypatch):
     # [3]! + 1 is not divisible by the hook product of any shape of 3;
-    # the q-hook side of the t = 1 check divides at q = 2^W, and a
-    # remainder there raises, showing both polynomials read back
-    from qyt.qpoly import InexactDivisionError
-
+    # the t = 1 check compares cross-multiplied, so nothing is divided
+    # and the shape is reported with both sides read back
     monkeypatch.setattr(qyt.verify, "q_fact_at", _when(
         lambda n, q: n == 3, lambda out, n, q: out + 1)(qyt.verify.q_fact_at))
-    message = "(2 + 2q + 2q^2 + q^3) is not divisible by (1 + 2q + 2q^2 + q^3)"
-    with pytest.raises(InexactDivisionError, match=f"^{re.escape(message)}$"):
-        verify_genfun(3)
+    assert verify_genfun(3).counterexample == {
+        "check": "t1-specialization", "shape": "3",
+        "lhs": "1 + 2q + 2q^2 + q^3", "rhs": "2 + 2q + 2q^2 + q^3"}
 
 
 def test_the_runner_stops_at_the_first_differing_sides():
