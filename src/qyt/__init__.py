@@ -25,9 +25,9 @@ _EXPORTS = {
     "perm": ("descent_set", "des", "eulerian", "inverse", "maj", "multiset_perms", "perms"),
     "pnk": ("a_coeffs", "a_table", "pnk_eval_ebasis", "pnk_eval_paths",
             "qyt_count_via_pnk", "qyt_counts_via_pnk"),
-    "qpoly": ("QPoly", "QTPoly", "q_binom", "q_fact", "q_int"),
+    "qpoly": ("Packed",),
     "symfun": ("fundamental_truncated", "gen_fn", "monomial_truncated", "rsk",
-               "rsk_multiset", "schur_truncated"),
+               "schur_truncated"),
     "tableau": ("Tableau", "des_maj_counts", "enumerate_qyt_at_most", "enumerate_qyt_exact",
                 "enumerate_ssyt", "enumerate_syt", "kostka", "qyt_count_exact", "qyt_counts"),
     "verify": ("SUITES", "SuiteReport", "foulkes_multiplicity", "jack_coefficient",

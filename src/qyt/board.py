@@ -14,7 +14,7 @@ identity (Garsia-Remmel's q-form)
 solved for T_n, T_{n-1}, ..., T_0 at x = 0, 1, ..., n.  The same solve
 gives h_k at q = 1 and T_k at q = 2^W, where every polynomial is one
 packed integer (qpoly.pack), and returns T_0..T_n packed, to be read
-back with qpoly.unpack where they are shown.
+back (qpoly.Packed) where they are shown.
 The solve reads the q-integers and the Gaussian binomials [a choose n]
 at q = 2^W from qpoly.q_table_at, which builds them by shifts and adds,
 so no step divides.  The route that does not assume the identity
@@ -69,8 +69,8 @@ def _q_hit_table(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     from .qpoly import q_table_at
 
     width = factorial(n).bit_length() + 1
-    ints, binoms = q_table_at(n, width)
-    return width, tuple(ints), tuple(binoms)
+    ints, rows = q_table_at(n, width)
+    return width, tuple(ints), tuple(row[n] for row in rows)
 
 
 class FerrersBoard:

@@ -119,10 +119,10 @@ def _cmd_board(args) -> int:
               ["k", "count"],
               lambda: [[k, v] for k, v in enumerate(numbers)])
     elif args.q_hits:
-        from .qpoly import QPoly, unpack
+        from .qpoly import Packed
 
         width, values = board.q_hit_numbers()
-        polys = [QPoly(unpack(v, width)) for v in values]
+        polys = [Packed(v, width) for v in values]
         _emit(args, lambda: {**payload, "q_hit_numbers": [p.pairs() for p in polys]},
               lambda: "\n".join(f"T_{k} = {p}" for k, p in enumerate(polys)),
               ["k", "q_degree", "coeff"],
@@ -188,16 +188,13 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_rsk(args) -> int:
-    from .perm import format_word, is_permutation, parse_word
-    from .symfun import rsk, rsk_multiset
+    from .perm import format_word, parse_word
+    from .symfun import rsk
 
     word = parse_word(args.word)
     if not word or min(word) < 1:
         raise ValueError(f"not a word over positive integers: {args.word!r}")
-    if is_permutation(word):
-        P, Q = rsk(word)
-    else:
-        P, Q = rsk_multiset(word)
+    P, Q = rsk(word)
     shape = P.shape
     des_q = sorted(Q.descent_set())
     des_p = sorted(P.descent_set())

@@ -1,31 +1,31 @@
-"""Exact integer polynomials in q, bivariate (q, t) polynomials, and the
-q-integers, q-factorials, and Gaussian binomial coefficients.
+"""Exact integer polynomials in q, and in q and t, packed into single
+ints, with the q-integers, q-factorials and Gaussian binomials at an
+integer q.
 
 Polynomials are computed as values: a polynomial evaluated at q = 2^W
 is one Python int whose W-bit slots hold its coefficients (pack), so a
 product of polynomials is one big-integer product, read back slot by
 slot (unpack).  Evaluation at 2^W is a ring homomorphism, so any ring
 expression can be evaluated packed and unpacked once, as long as every
-coefficient of the result fits a W-bit signed slot.
+coefficient of the result fits a W-bit signed slot.  A polynomial in q
+and t is packed at t = q^S as well, S above every q-degree.
 
-A polynomial in q (QPoly) and one in q and t (QTPoly) are only built,
-compared, hashed and printed: each is what a value packed at q = 2^W,
-and at t = q^S for QTPoly, reads back as, and neither has arithmetic
-of its own.
+Packed is such a value with its width, and its stride S when it has a
+t: it is only compared, listed and printed, and has no arithmetic of
+its own.
 
 Coefficients are Python ints, so overflow cannot happen.  Division is
-left only where the quotient is exact: q_int_at and q_binom_at, which
-divide integers at an integer q, and unpack, which divides
-2^(W*slots) - 1 by 2^W - 1 for its offset.  q_fact and q_binom are
-read back from q_fact_at and q_binom_at, and q_table_at builds the
-q-integers and a column of Gaussian binomials at q = 2^W by shifts and
-adds alone.
+left only where the quotient is exact: q_int_at, which divides
+q^k - 1 by q - 1 at an integer q, and unpack, which divides
+2^(W*slots) - 1 by 2^W - 1 for its offset.  q_table_at builds the
+q-integers and the Gaussian binomials at q = 2^W by shifts and adds
+alone.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial, prod
-from typing import Iterable, Sequence
+from math import prod
+from typing import Sequence
 
 
 def pack(coeffs: Sequence[int], width: int) -> int:
@@ -72,60 +72,62 @@ def unpack(value: int, width: int) -> list[int]:
     return out
 
 
-class QPoly:
-    """Integer-coefficient polynomial in q, stored densely by degree:
-    built, compared with another QPoly, hashed and printed."""
+def _power(var: str, degree: int) -> str:
+    """var^degree as a factor of a printed term: "" for degree 0."""
+    return "" if degree == 0 else var if degree == 1 else f"{var}^{degree}"
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+class Packed:
+    """A polynomial packed at q = 2^width, and at t = q^stride when it has
+    a stride, so that slot d * stride + e holds the coefficient of q^e t^d.
+    Equal to another when value, width and stride are; listed and printed
+    as the coefficients its slots read back as (unpack), which must each
+    fit a signed slot of the width."""
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+    __slots__ = ("value", "width", "stride")
+
+    def __init__(self, value: int, width: int, stride: int | None = None) -> None:
+        self.value = value
+        self.width = width
+        self.stride = stride
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Packed):
+            return NotImplemented
+        return ((self.value, self.width, self.stride)
+                == (other.value, other.width, other.stride))
 
     def pairs(self) -> list[list[int]]:
         """Nonzero [degree, coefficient] pairs by ascending degree."""
-        return [[d, c] for d, c in enumerate(self.coeffs) if c]
+        return [[d, c] for d, c in enumerate(unpack(self.value, self.width)) if c]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"QPoly({list(self.coeffs)!r})"
+    def triples(self) -> list[list[int]]:
+        """Nonzero [q-degree, t-degree, coefficient] triples, sorted."""
+        stride = self.stride
+        return sorted([s % stride, s // stride, c]
+                      for s, c in enumerate(unpack(self.value, self.width)) if c)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
+        """Terms by ascending degree, by q-degree then t-degree with a
+        stride: "1 - 2q^2 + q^3" in q, "2 t + q^2 t^3" in q and t."""
+        if self.stride is None:
+            gap, terms = "", [(_power("q", d), c) for d, c in self.pairs()]
+        else:
+            gap, terms = " ", [(f"{_power('q', qd)} {_power('t', td)}".strip(), c)
+                               for qd, td, c in self.triples()]
         chunks = []
-        for d, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if d == 0:
+        for atoms, c in terms:
+            if not atoms:
                 body = str(abs(c))
+            elif abs(c) == 1:
+                body = atoms
             else:
-                var = "q" if d == 1 else f"q^{d}"
-                body = var if abs(c) == 1 else f"{abs(c)}{var}"
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
+                body = f"{abs(c)}{gap}{atoms}"
+            if chunks:
                 chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
-
-
-def q_int(k: int) -> QPoly:
-    """[k] = 1 + q + ... + q^(k-1); [0] is the zero polynomial."""
-    if k < 0:
-        raise ValueError("q-integer of a negative integer")
-    return QPoly((1,) * k)
+            else:
+                chunks.append(body if c > 0 else f"-{body}")
+        return " ".join(chunks) or "0"
 
 
 def q_int_at(k: int, q: int) -> int:
@@ -133,123 +135,25 @@ def q_int_at(k: int, q: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
-def q_binom_at(a: int, b: int, q: int) -> int:
-    """[a choose b] evaluated at an integer q >= 2, as
-    prod_{i=1..b} (q^(a-b+i) - 1) / (q^i - 1); the quotient is exact
-    because the Gaussian binomial has integer coefficients."""
-    if not 0 <= b <= a:
-        raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
-    num = den = 1
-    for i in range(1, b + 1):
-        num *= q ** (a - b + i) - 1
-        den *= q**i - 1
-    return num // den
-
-
-def q_table_at(n: int, width: int) -> tuple[list[int], list[int]]:
+def q_table_at(n: int, width: int) -> tuple[list[int], list[list[int]]]:
     """The q-integers [0]..[2n+1] and the Gaussian binomials
-    [a choose n] for a = 0..2n (0 for a < n), at q = 2^width.
+    rows[a][b] = [a choose b] for a = 0..2n and b = 0..n (0 for b > a),
+    at q = 2^width.
 
-    Only shifts and adds: [f+1] = q [f] + 1, and the binomials advance a
-    row [a choose 0..n] at a time by the q-Pascal rule
+    Only shifts and adds: [f+1] = q [f] + 1, and each row of binomials
+    comes from the one before by the q-Pascal rule
     [a choose b] = [a-1 choose b-1] + q^b [a-1 choose b].
     """
     ints = [0]
     for _ in range(2 * n + 1):
         ints.append((ints[-1] << width) + 1)
-    row = [1] + [0] * n  # [0 choose b] for b = 0..n
-    binoms = [row[n]]
-    for a in range(1, 2 * n + 1):
-        for b in range(min(a, n), 0, -1):
-            row[b] = row[b - 1] + (row[b] << (width * b))
-        binoms.append(row[n])
-    return ints, binoms
+    rows = [[1] + [0] * n]  # [0 choose b] for b = 0..n
+    for _ in range(2 * n):
+        row = rows[-1]
+        rows.append([1] + [row[b - 1] + (row[b] << (width * b)) for b in range(1, n + 1)])
+    return ints, rows
 
 
 def q_fact_at(k: int, q: int) -> int:
     """[k]! = [1][2]...[k] evaluated at an integer q >= 2."""
     return prod(q_int_at(i, q) for i in range(1, k + 1))
-
-
-def q_fact(k: int) -> QPoly:
-    """[k]!, read back from its value at q = 2^W: its coefficients are
-    nonnegative and sum to k!, so W = bits(k!) plus a sign bit holds
-    each one."""
-    if k < 0:
-        raise ValueError("q-factorial of a negative integer")
-    width = factorial(k).bit_length() + 1
-    return QPoly(unpack(q_fact_at(k, 1 << width), width))
-
-
-def q_binom(a: int, b: int) -> QPoly:
-    """Gaussian binomial [a choose b], read back from its value at
-    q = 2^W: its coefficients are nonnegative and sum to C(a, b), so
-    W = bits(C(a, b)) plus a sign bit holds each one."""
-    if not 0 <= b <= a:
-        raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
-    width = comb(a, b).bit_length() + 1
-    return QPoly(unpack(q_binom_at(a, b, 1 << width), width))
-
-
-class QTPoly:
-    """Integer polynomial in q and t, stored sparsely by (q-deg, t-deg):
-    built, compared with another QTPoly, hashed and printed."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, terms=None) -> None:
-        data: dict[tuple[int, int], int] = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (qd, td), c in items:
-                if qd < 0 or td < 0:
-                    raise ValueError("degrees must be nonnegative")
-                new = data.get((qd, td), 0) + int(c)
-                if new:
-                    data[(qd, td)] = new
-                else:
-                    data.pop((qd, td), None)
-        self.coeffs = data
-
-    @classmethod
-    def term(cls, qdeg: int, tdeg: int, coeff: int = 1) -> "QTPoly":
-        return cls({(qdeg, tdeg): coeff})
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def triples(self) -> list[list[int]]:
-        """Nonzero [q-degree, t-degree, coefficient] triples, sorted."""
-        return [[qd, td, self.coeffs[(qd, td)]] for qd, td in sorted(self.coeffs)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QTPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self) -> str:
-        return f"QTPoly({self.coeffs!r})"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for (qd, td) in sorted(self.coeffs):
-            c = self.coeffs[(qd, td)]
-            atoms = []
-            if qd:
-                atoms.append("q" if qd == 1 else f"q^{qd}")
-            if td:
-                atoms.append("t" if td == 1 else f"t^{td}")
-            body = " ".join(atoms) if atoms else str(abs(c))
-            if atoms and abs(c) != 1:
-                body = f"{abs(c)} {body}"
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
-

@@ -16,8 +16,9 @@ counted by a dynamic program over Young's lattice that adds one
 horizontal strip per part (`schur_truncated`); no filling is built.
 
 `gen_fn` returns the Schur generating function as a plain dict from
-partitions to `QTPoly` coefficients.  `row_insert` and its inverse
-`row_uninsert` work on plain row tuples.
+partitions to coefficients packed at q = 2^W and t = q^S
+(`qpoly.Packed`).  `rsk` inserts any word of positive integers;
+`row_insert` and its inverse `row_uninsert` work on plain row tuples.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .partition import Partition, as_partition, partitions
-from .perm import is_permutation, multiset_perms
-from .qpoly import QTPoly, unpack
+from .perm import multiset_perms
+from .qpoly import Packed, pack
 from .tableau import Tableau, descent_tallies, maj_width
 
 
@@ -220,25 +221,15 @@ def fundamental_sums(coeffs: dict[int, int], n: int) -> dict[tuple[int, ...], in
     return {alpha: c for alpha, c in zip(alphas, sums) if c}
 
 
-def rsk(perm: Sequence[int]) -> tuple[Tableau, Tableau]:
-    """Row-insert a permutation.  Returns (P, Q) with P the insertion and
-    Q the recording tableau; Des(Q) = Des(perm) and Des(P) = Des(perm^-1).
-    """
-    if not is_permutation(perm):
-        raise ValueError(f"not a permutation: {tuple(perm)}")
-    insertion, recording = row_insert(perm)
-    return Tableau(insertion), Tableau(recording)
-
-
-def rsk_multiset(word: Sequence[int]) -> tuple[Tableau, Tableau]:
-    """Row-insert a multiset word.  Returns (P, Q) with P the standard
-    recording tableau, whose descents sit exactly at the word's descents,
-    and Q the semistandard insertion tableau, whose weight is the word's
-    content."""
+def rsk(word: Sequence[int]) -> tuple[Tableau, Tableau]:
+    """Row-insert a word of positive integers.  Returns (P, Q) with P the
+    insertion tableau, semistandard of weight the word's content, and Q
+    the standard recording tableau, whose descents sit exactly at the
+    word's descents.  For a permutation Des(P) = Des(perm^-1) as well."""
     if any(v < 1 for v in word):
         raise ValueError("word values must be positive")
     insertion, recording = row_insert(word)
-    return Tableau(recording), Tableau(insertion)
+    return Tableau(insertion), Tableau(recording)
 
 
 def row_insert(
@@ -291,20 +282,23 @@ def row_uninsert(
     return tuple(reversed(word))
 
 
-def gen_fn(n: int, with_q: bool = True) -> dict[Partition, QTPoly]:
+def gen_fn(n: int, with_q: bool = True) -> dict[Partition, Packed]:
     """Schur generating function of the quasi-Yamanouchi fillings of
     size n, as {shape: coefficient of s_shape} over every partition of n
     in partitions(n) order: the coefficient collects q^maj t^des over the
-    shape's fillings, read from one walk of Young's lattice.  With
-    with_q=False the q-grading is dropped, so a filling with largest
-    entry k contributes t^(k-1), and the walk counts at width 0."""
+    shape's fillings, read from one walk of Young's lattice, and packed
+    at q = 2^W and t = q^S.  W = tableau.maj_width holds every count,
+    and S is one more than the shape's largest maj, read off its rows:
+    a row whose leading slot is m has between m * W and (m + 1) * W - 1
+    bits.  With with_q=False the q-grading is dropped, so a filling with
+    largest entry k contributes t^(k-1): the walk counts at width 0, each
+    count is below 2^(W-1), and S is 1."""
     shapes = list(partitions(n))
-    width = maj_width(shapes) if with_q else 0
-    tallies = descent_tallies(width, shapes)
-    return {
-        shape: QTPoly(
-            ((mj, d), c) for d, row in enumerate(tallies[shape.parts])
-            for mj, c in enumerate(unpack(row, width) if with_q else [row]) if c
-        )
-        for shape in shapes
-    }
+    width = maj_width(shapes)
+    tallies = descent_tallies(width if with_q else 0, shapes)
+    out = {}
+    for shape in shapes:
+        rows = tallies[shape.parts]
+        stride = 1 + max(row.bit_length() // width for row in rows)
+        out[shape] = Packed(pack(rows, width * stride), width, stride)
+    return out

@@ -47,16 +47,7 @@ from .pnk import (
     pnk_eval_paths,
     qyt_counts_via_pnk,
 )
-from .qpoly import (
-    QPoly,
-    QTPoly,
-    pack,
-    q_binom_at,
-    q_fact_at,
-    q_int_at,
-    q_table_at,
-    unpack,
-)
+from .qpoly import Packed, pack, q_fact_at, q_int_at, q_table_at, unpack
 from .symfun import (
     fundamental_sums,
     monomial_truncated,
@@ -193,36 +184,6 @@ def _width(*bounds: int) -> int:
     return max(bounds).bit_length() + 1
 
 
-class _Packed:
-    """A polynomial side packed at q = 2^width, and at t = q^stride when
-    it has a stride: equal to another when value, width and stride are,
-    shown as the polynomial read back, a QPoly in q, or with a stride a
-    QTPoly whose slot d * stride + e holds the coefficient of q^e t^d."""
-
-    __slots__ = ("value", "width", "stride")
-
-    def __init__(self, value: int, width: int, stride: int | None = None) -> None:
-        self.value = value
-        self.width = width
-        self.stride = stride
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, _Packed):
-            return NotImplemented
-        return ((self.value, self.width, self.stride)
-                == (other.value, other.width, other.stride))
-
-    def read(self) -> QPoly | QTPoly:
-        coeffs = unpack(self.value, self.width)
-        if self.stride is None:
-            return QPoly(coeffs)
-        return QTPoly(((s % self.stride, s // self.stride), c)
-                      for s, c in enumerate(coeffs) if c)
-
-    def __str__(self) -> str:
-        return str(self.read())
-
-
 def _hit_sides(board: FerrersBoard, shape, tally: list[int],
                tally_width: int) -> tuple[int, list[int], list[list[int]], int]:
     """(W, T_0..T_n of `board` packed at q = 2^W, the walk's `tally` of
@@ -265,14 +226,14 @@ def verify_maj_hit(max_n: int = 6) -> Iterator[_Instance]:
             width, T, gens, hooks_at = _hit_sides(board, shape, tallies[shape.parts], tally_width)
             mahonian_at = q_fact_at(n, 1 << width)
             yield ("mahonian", {"board": board},
-                   _Packed(sum(T), width), _Packed(mahonian_at, width))
+                   Packed(sum(T), width), Packed(mahonian_at, width))
             shift = shape.n_stat() * width
             lhs = [pack(g, width) * hooks_at for g in gens]
             for k in range(n):
                 yield ("refinement", {"shape": shape, "k": k},
-                       _Packed(lhs[k], width), _Packed(T[n - k] << shift, width))
+                       Packed(lhs[k], width), Packed(T[n - k] << shift, width))
             yield ("hook-length-q-analogue", {"shape": shape},
-                   _Packed(sum(lhs), width), _Packed(mahonian_at << shift, width))
+                   Packed(sum(lhs), width), Packed(mahonian_at << shift, width))
 
 
 @_suite("charge-hit")
@@ -301,7 +262,7 @@ def verify_charge_hit(max_n: int = 6) -> Iterator[_Instance]:
                 top = max(len(c) - 1, n * k)
                 lhs = pack(c[::-1], width) * hooks_at << ((top + 1 - len(c) + half) * width)
                 rhs = T[k] << ((top + conj.n_stat()) * width)
-                yield "refinement", {"shape": shape, "k": k}, _Packed(lhs, width), _Packed(rhs, width)
+                yield "refinement", {"shape": shape, "k": k}, Packed(lhs, width), Packed(rhs, width)
 
 
 @_suite("summation")
@@ -365,8 +326,9 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
                 sum(comb(n + k, n) * sum(map(abs, row))
                     for k, row in enumerate(censuses[heights])))
             for heights in boards))
-        ints, binoms = q_table_at(n, width)
-        mahonian = _Packed(prod(ints[1:n + 1]), width)
+        ints, rows = q_table_at(n, width)
+        binoms = [row[n] for row in rows]  # [a choose n]
+        mahonian = Packed(prod(ints[1:n + 1]), width)
         for shape, (base, raised) in zip(bases, pairs):
             yield ("complement", {"shape": shape}, raised.complement_rotated(),
                    bases[shape.conjugate()])
@@ -375,7 +337,7 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
                 if T is None:  # checked already
                     continue
                 packed = [pack(row, width) for row in T]
-                yield ("mahonian", {"board": board}, _Packed(sum(packed), width), mahonian)
+                yield ("mahonian", {"board": board}, Packed(sum(packed), width), mahonian)
                 for x in range(n + 1):
                     factors = [x + h - i + 1 for i, h in enumerate(board.heights, 1)]
                     if any(f < 0 for f in factors):
@@ -383,11 +345,11 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
                     lhs = prod(ints[f] for f in factors)
                     rhs = sum(binoms[x + k] * packed[k] for k in range(n - x, n + 1))
                     yield ("product-identity", {"board": board, "x": x},
-                           _Packed(lhs, width), _Packed(rhs, width))
+                           Packed(lhs, width), Packed(rhs, width))
                 solved = _solve_product_identity(board.heights, ints, binoms)
                 yield ("product-route", {"board": board},
-                       [_Packed(v, width) for v in solved],
-                       [_Packed(v, width) for v in packed])
+                       [Packed(v, width) for v in solved],
+                       [Packed(v, width) for v in packed])
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +522,14 @@ def _content_tally(parts: tuple[int, ...], width: int) -> list[int]:
     P_k = prod_j [parts_j + k choose parts_j].  Evaluation at q = 2^W is
     a ring map, so only the result has to fit a slot, and each of its
     coefficients is at most the multinomial coefficient, at most n!.
+    Every binomial is read from the q-Pascal rows of one
+    qpoly.q_table_at(n, W): parts_j + k < 2n, and n + 1 <= 2n.
     """
     n = sum(parts)
     q = 1 << width
-    P = [prod(q_binom_at(a + k, a, q) for a in parts) for k in range(n)]
-    E = [(-1) ** j * q ** comb(j, 2) * q_binom_at(n + 1, j, q) for j in range(n)]
+    binoms = q_table_at(n, width)[1]
+    P = [prod(binoms[a + k][a] for a in parts) for k in range(n)]
+    E = [(-1) ** j * q ** comb(j, 2) * binoms[n + 1][j] for j in range(n)]
     return [sum(E[d - k] * P[k] for k in range(d + 1)) for d in range(n)]
 
 
@@ -591,7 +556,7 @@ def _coefficient(value: int, width: int, stride: int):
     """The coefficient of M_alpha that an expansion holds as `value`,
     packed at (2^width, 2^(width*stride)): 0 when absent, as an
     expansion keeps no zero coefficient, else the packed side."""
-    return _Packed(value, width, stride) if value else 0
+    return Packed(value, width, stride) if value else 0
 
 
 def _by_composition(lhs: dict, rhs: dict) -> Iterator[tuple]:
@@ -633,7 +598,7 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
     basis by one subset-sum transform.  Each of these tallies is a list
     by des of rows at q = 2^W.  They are joined into one int at
     t = q^S and every (q, t) side is built from those ints by integer
-    products and sums, compared as _Packed and read back as a QTPoly
+    products and sums, compared as qpoly.Packed values and read back
     only when shown.  S is one more than the largest q-degree of any row
     (its bit length over W), so that no row spills into the next power
     of t.  W is _width of bounds on the sides: the tallies count n! or
@@ -695,7 +660,7 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
         for shape in shapes:
             rhs = sum(K[nu, shape] * schur_at[nu] for nu in shapes if (nu, shape) in dominant)
             yield ("kostka-lemma", {"shape": shape},
-                   _Packed(words_at[shape], width, stride), _Packed(rhs, width, stride))
+                   Packed(words_at[shape], width, stride), Packed(rhs, width, stride))
 
         # Inverse insertion giving back every p shows that p -> (P, Q)
         # is injective; the pairs of standard fillings of one shape
@@ -737,8 +702,8 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
             # q-hook formula: sum of q^maj * prod [h(u)] = q^n(shape) [n]!
             hooks_at = prod(q_int_at(h, 1 << width) for h in shape.hooks())
             yield ("t1-specialization", {"shape": shape},
-                   _Packed(sum(rows) * hooks_at, width),
-                   _Packed(mahonian_at << (shape.n_stat() * width), width))
+                   Packed(sum(rows) * hooks_at, width),
+                   Packed(mahonian_at << (shape.n_stat() * width), width))
             at_q1 = [sum(unpack(row, width)) for row in rows]
             yield "q1-specialization", {"shape": shape}, at_q1, qyt_counts_via_pnk(shape)[:n]
 

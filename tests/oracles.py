@@ -131,6 +131,15 @@ def poly_mul_brute(a, b):
     return out
 
 
+def q_fact_brute(k):
+    """Coefficients of [k]! = [1][2]...[k], lowest degree first, by the
+    schoolbook product of the q-integers [i] = 1 + q + ... + q^(i-1)."""
+    out = [1]
+    for i in range(1, k + 1):
+        out = poly_mul_brute(out, [1] * i)
+    return out
+
+
 def eulerian_brute(n, k):
     return sum(
         1

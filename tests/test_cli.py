@@ -247,11 +247,12 @@ def test_rsk_example(capsys):
     assert "shape: 2,2,1" in out
 
 
-def test_rsk_multiset_word(capsys):
-    code, out = run(capsys, "rsk", "1,1,2", "--format", "json")
+def test_rsk_word_with_repeated_letters(capsys):
+    # P is the insertion tableau and Q the recording one, as for a permutation
+    code, out = run(capsys, "rsk", "1,3,1", "--format", "json")
     assert code == 0
     blob = json.loads(out)
-    assert blob["shape"] == "3"
+    assert (blob["shape"], blob["P"], blob["Q"]) == ("2,1", "1,1/3", "1,2/3")
 
 
 def test_expand_schur(capsys):

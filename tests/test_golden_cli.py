@@ -107,12 +107,13 @@ GOLDEN = {
         "8c16c7dc08af78d1ecc4a6234bdb3e2e50bc74e239f437ec3f47d485eb67e914",
     "rsk 45312 --format csv":
         "93b4beff9e9cfc3a8ed0cca4989f8cc1660368cdc294e6ce68be28c880eec3d5",
+    # P is the insertion tableau and Q the recording one, as for a permutation
     "rsk 1,2,1,3,2 --format text":
-        "78491dd36c94b263d7b3573c71d5826c2ade09d6c879f2bfb3f763959ee46ad6",
+        "094352aba99cdf594ba9cbcc4c4468ad4a2200d8ac84bbfbb91f53ccd7ac74dc",
     "rsk 1,2,1,3,2 --format json":
-        "ea6dead13d80f28192e985f89ca40dc2f1aebc72a55f9ee1625a0db71c0e9b38",
+        "d64eab735407419b1f5be70967c0c700312b008cb12bc835d760fb5d02158851",
     "rsk 1,2,1,3,2 --format csv":
-        "2cbb57fa913d24876b4b5844e1c2bbdc8910bab0102c82416e34577bdafcf405",
+        "6e3752040d89a72b4a441f383b7c6432bab5128b5b61bd85ece22cb8272fb1b2",
     "expand schur --shape 2,2 --vars 3 --format text":
         "e0caf2442ef0fd17fc2c5f1052a5e814348ed4942da7e00890e5dbdb1ac9b9e6",
     "expand schur --shape 2,2 --vars 3 --format json":

@@ -2,94 +2,134 @@ import random
 import time
 from math import comb, factorial
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qyt.qpoly import (
-    QPoly,
-    QTPoly,
-    pack,
-    q_binom,
-    q_binom_at,
-    q_fact,
-    q_fact_at,
-    q_int,
-    q_table_at,
-    unpack,
-)
+from qyt.qpoly import Packed, pack, q_fact_at, q_int_at, q_table_at, unpack
+from qyt.symfun import gen_fn
 from qyt.verify import _width
 
 import oracles
 
 
-def test_q_int_examples():
-    assert q_int(0) == QPoly()
-    assert q_int(2) == QPoly((1, 1))
-    with pytest.raises(ValueError):
-        q_int(-1)
+def _trimmed(coeffs):
+    """The coefficient list as unpack reads it back: up to the leading
+    coefficient, [0] for the zero polynomial."""
+    out = list(coeffs)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out or [0]
 
 
-def test_q_fact_at_one():
-    assert sum(q_fact(4).coeffs) == 24
-    assert q_fact(0) == QPoly((1,))
-    with pytest.raises(ValueError):
-        q_fact(-1)
+def test_q_int_at_examples():
+    assert q_int_at(0, 16) == 0
+    assert q_int_at(2, 16) == pack((1, 1), 4)
+    for k in range(8):
+        assert q_int_at(k, 3) == sum(3**i for i in range(k))
+
+
+def _fact_width(k):
+    """A width holding every coefficient of [k]!: they sum to k!."""
+    return factorial(k).bit_length() + 1
+
+
+def test_q_fact_at_at_one():
+    assert sum(unpack(q_fact_at(4, 1 << _fact_width(4)), _fact_width(4))) == 24
+    assert q_fact_at(0, 16) == 1
 
 
 def test_q_fact_is_the_product_of_the_q_integers():
     # the schoolbook product [1][2]...[k], against the read-back of
-    # q_fact_at, and q_fact_at against the q-integers at q = 3
-    product = [1]
+    # q_fact_at, and q_fact_at against the same product at q = 3
     for k in range(10):
-        if k:
-            product = oracles.poly_mul_brute(product, q_int(k).coeffs)
-        assert q_fact(k) == QPoly(product), k
+        product = oracles.q_fact_brute(k)
+        width = _fact_width(k)
+        assert unpack(q_fact_at(k, 1 << width), width) == product, k
         assert q_fact_at(k, 3) == sum(c * 3**d for d, c in enumerate(product)), k
 
 
-def test_q_binom_examples():
+#: [a choose b] for a <= 12 and b <= 6, read back from one q_table_at
+#: at a width that holds their coefficients, which sum to C(a, b).
+_N = 6
+_WIDTH = comb(2 * _N, _N).bit_length() + 1
+_ROWS = q_table_at(_N, _WIDTH)[1]
+
+
+def _binom(a, b):
+    return unpack(_ROWS[a][b], _WIDTH)
+
+
+def test_gaussian_binomial_examples():
     for a in range(7):
-        assert q_binom(a, 0) == QPoly((1,))
-    assert q_binom(4, 2) == QPoly((1, 1, 2, 1, 1))
-    with pytest.raises(ValueError):
-        q_binom(2, 3)
+        assert _binom(a, 0) == [1]
+    assert _binom(4, 2) == [1, 1, 2, 1, 1]
+    assert _ROWS[2][3] == 0  # b > a
 
 
-def test_q_binom_specializes_to_binomial():
-    for a in range(13):
-        for b in range(a + 1):
-            assert sum(q_binom(a, b).coeffs) == comb(a, b)
+def test_gaussian_binomials_specialize_to_binomial():
+    for a in range(2 * _N + 1):
+        for b in range(min(a, _N) + 1):
+            assert sum(_binom(a, b)) == comb(a, b)
 
 
-def test_q_binom_degree_and_positivity():
-    for a in range(11):
-        for b in range(a + 1):
-            p = q_binom(a, b)
-            assert len(p.coeffs) - 1 == b * (a - b)
-            assert all(c > 0 for c in p.coeffs)
+def test_gaussian_binomial_degree_and_positivity():
+    for a in range(2 * _N + 1):
+        for b in range(min(a, _N) + 1):
+            coeffs = _binom(a, b)
+            assert len(coeffs) - 1 == b * (a - b)
+            assert all(c > 0 for c in coeffs)
+            if a - b <= _N:
+                assert _ROWS[a][a - b] == _ROWS[a][b]
 
 
 def test_q_pascal_recurrence():
-    # [a choose b] = [a-1 choose b-1] + q^b [a-1 choose b], packed at a
-    # width that holds every coefficient of either side
-    for a in range(1, 11):
-        for b in range(a + 1):
-            width = comb(a, b).bit_length() + 1
-            rhs = 0
-            if b >= 1:
-                rhs += pack(q_binom(a - 1, b - 1).coeffs, width)
-            if b <= a - 1:
-                rhs += pack(q_binom(a - 1, b).coeffs, width) << (b * width)
-            assert pack(q_binom(a, b).coeffs, width) == rhs, (a, b)
+    # the table is built by [a choose b] = [a-1 choose b-1] + q^b [a-1 choose b];
+    # it must satisfy the mirrored rule too,
+    # [a choose b] = q^(a-b) [a-1 choose b-1] + [a-1 choose b]
+    for a in range(1, 2 * _N + 1):
+        for b in range(1, min(a, _N) + 1):
+            rhs = (_ROWS[a - 1][b - 1] << ((a - b) * _WIDTH)) + _ROWS[a - 1][b]
+            assert _ROWS[a][b] == rhs, (a, b)
+
+
+def test_gaussian_binomials_match_the_inversion_count():
+    for a in range(2 * _N + 1):
+        for b in range(min(a, _N) + 1):
+            assert _binom(a, b) == oracles.q_binom_brute(a, b), (a, b)
+
+
+def test_q_table_at_evaluates_the_gaussian_binomials():
+    # at widths too narrow to read back the values are still those of
+    # the polynomials at q = 2, 4 and 8
+    for n in range(8):
+        for width in (1, 2, 3):
+            q = 1 << width
+            ints, rows = q_table_at(n, width)
+            assert ints == [sum(q**d for d in range(f)) for f in range(2 * n + 2)]
+            for a in range(2 * n + 1):
+                for b in range(n + 1):
+                    want = sum(c * q**d for d, c in enumerate(oracles.q_binom_brute(a, b)))
+                    assert rows[a][b] == (want if b <= a else 0), (n, width, a, b)
+
+
+def test_q_table_at_matches_the_inversion_count():
+    for n in range(11):
+        for width in (factorial(n).bit_length() + 1, 64):
+            ints, rows = q_table_at(n, width)
+            assert ints == [pack((1,) * f, width) for f in range(2 * n + 2)]
+            assert rows == [
+                [pack(oracles.q_binom_brute(a, b), width) if b <= a else 0
+                 for b in range(n + 1)]
+                for a in range(2 * n + 1)
+            ], (n, width)
 
 
 def test_arithmetic_examples():
     # sums, int multiples, shifts by q^e and products of packed values are
     # those of the polynomials, read back at a width that holds them
     assert unpack(pack((1, 1), 3) << (2 * 3), 3) == [0, 0, 1, 1]
-    assert unpack(pack(q_int(2).coeffs, 4) * pack(q_int(3).coeffs, 4), 4) == [1, 2, 2, 1]
-    assert unpack(2 * pack(q_int(2).coeffs, 3) - pack((2,), 3), 3) == [0, 2]
+    assert unpack(pack((1, 1), 4) * pack((1, 1, 1), 4), 4) == [1, 2, 2, 1]
+    assert unpack(2 * pack((1, 1), 3) - pack((2,), 3), 3) == [0, 2]
     # at width 1 the packed value is the polynomial at q = 2
     assert pack((1, 2, 3), 1) == 1 + 4 + 12
 
@@ -101,10 +141,9 @@ def _smallest_width(coeffs):
 
 def test_pack_unpack_round_trips_at_the_smallest_width():
     for coeffs in [(), (0,), (1,), (5,), (-5,), (7, -7, 0, -7), (-3, 0, 7, -8),
-                   (0, 0, -1), (1, -1), (-1, 1), (2**70, -(2**70) + 1)]:
+                   (0, 0, -1), (1, -1), (-1, 1), (2**70, -(2**70) + 1), (4, 0, 0)]:
         width = _smallest_width(coeffs)
-        got = QPoly(unpack(pack(coeffs, width), width))
-        assert got == QPoly(coeffs), (coeffs, width)
+        assert unpack(pack(coeffs, width), width) == _trimmed(coeffs), (coeffs, width)
     assert unpack(0, 1) == [0]
     assert unpack(pack((-3, 0, 7, -8), 5), 5) == [-3, 0, 7, -8]
     # one bit fewer and the top slot reads as a borrow
@@ -143,8 +182,8 @@ def test_pack_is_linear_in_the_slot_count():
 @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=8))
 def test_pack_unpack_property(coeffs):
     width = _smallest_width(coeffs)
-    assert QPoly(unpack(pack(coeffs, width), width)) == QPoly(coeffs)
-    assert QPoly(unpack(pack(coeffs, width + 7), width + 7)) == QPoly(coeffs)
+    assert unpack(pack(coeffs, width), width) == _trimmed(coeffs)
+    assert unpack(pack(coeffs, width + 7), width + 7) == _trimmed(coeffs)
 
 
 signed_poly = st.lists(
@@ -157,75 +196,151 @@ def _packed_product(a, b):
     the suites compare at (verify._width): each product coefficient is at
     most |a|_1 * |b|_1 in absolute value."""
     width = _width(sum(map(abs, a)) * sum(map(abs, b)))
-    return QPoly(unpack(pack(a, width) * pack(b, width), width))
+    return unpack(pack(a, width) * pack(b, width), width)
 
 
 @given(signed_poly, signed_poly)
 def test_mul_matches_schoolbook_oracle(a, b):
-    assert _packed_product(a, b) == QPoly(oracles.poly_mul_brute(a, b))
-    assert _packed_product(a, [3]) == QPoly([3 * c for c in a])
+    assert _packed_product(a, b) == _trimmed(oracles.poly_mul_brute(a, b))
+    assert _packed_product(a, [3]) == _trimmed([3 * c for c in a])
 
 
 def test_constant_products_match_the_packed_route():
     shifted_monomial = (0, 0, 0, 0, 0, -2)
     for c in (0, 1, -3):
-        for p in (q_fact(6).coeffs, (-4, 0, 9, -1), shifted_monomial, (5,)):
-            want = QPoly(oracles.poly_mul_brute((c,), p))
+        for p in (oracles.q_fact_brute(6), (-4, 0, 9, -1), shifted_monomial, (5,)):
+            want = _trimmed(oracles.poly_mul_brute((c,), p))
             assert _packed_product((c,), p) == want, (c, p)
             assert _packed_product(p, (c,)) == want, (c, p)
-    assert _packed_product((-3,), shifted_monomial).coeffs == (0, 0, 0, 0, 0, 6)
+    assert _packed_product((-3,), shifted_monomial) == [0, 0, 0, 0, 0, 6]
+
+
+# The text and lists that `board --q-hits`, `expand genfun` and the
+# counterexamples print for these values, pinned: (coefficients by
+# degree, text, [degree, coefficient] pairs) in q, and (slots, stride,
+# text, [q-degree, t-degree, coefficient] triples) in q and t, slot
+# d * stride + e holding the coefficient of q^e t^d.  Terms in q and t
+# print by q-degree, then t-degree, whatever their slot order.
+Q_PRINTED = [
+    ((), "0", []),
+    ((5,), "5", [[0, 5]]),
+    ((-3,), "-3", [[0, -3]]),
+    ((1,), "1", [[0, 1]]),
+    ((-1,), "-1", [[0, -1]]),
+    ((0, 1), "q", [[1, 1]]),
+    ((0, -1), "-q", [[1, -1]]),
+    ((1, -1, 1, -1), "1 - q + q^2 - q^3", [[0, 1], [1, -1], [2, 1], [3, -1]]),
+    ((-1, 1), "-1 + q", [[0, -1], [1, 1]]),
+    ((-127, 3, 2, 1), "-127 + 3q + 2q^2 + q^3", [[0, -127], [1, 3], [2, 2], [3, 1]]),
+    ((0, 0, -1), "-q^2", [[2, -1]]),
+    ((1, 0, -2, 1), "1 - 2q^2 + q^3", [[0, 1], [2, -2], [3, 1]]),
+    ((0, 2, -3), "2q - 3q^2", [[1, 2], [2, -3]]),
+]
+
+QT_PRINTED = [
+    ((), 2, "0", []),
+    ((5,), 1, "5", [[0, 0, 5]]),
+    ((-1,), 3, "-1", [[0, 0, -1]]),
+    ((0, 1), 3, "q", [[1, 0, 1]]),
+    ((0, 0, 0, 1), 3, "t", [[0, 1, 1]]),
+    ((0, 0, 0, -1), 3, "-t", [[0, 1, -1]]),
+    ((0, 0, 1, 1), 3, "t + q^2", [[0, 1, 1], [2, 0, 1]]),
+    ((0, 0, -2, 3, 0, 0, -1), 3, "3 t - t^2 - 2 q^2", [[0, 1, 3], [0, 2, -1], [2, 0, -2]]),
+    ((1, 0, 0, 0, 0, 2, -7), 2, "1 - 7 t^3 + 2 q t^2", [[0, 0, 1], [0, 3, -7], [1, 2, 2]]),
+    ((0, 2, 3), 1, "2 t + 3 t^2", [[0, 1, 2], [0, 2, 3]]),
+    ((-4, 0, 0, 0, 0, 0, 0, 0, 1), 4, "-4 + t^2", [[0, 0, -4], [0, 2, 1]]),
+    ((0, 0, 0, 0, -1), 3, "-q t", [[1, 1, -1]]),
+    ((0, 1, 0, 0, 0, 1, -2), 3, "-2 t^2 + q + q^2 t", [[0, 2, -2], [1, 0, 1], [2, 1, 1]]),
+]
+
+# gen_fn(n, with_q) by shape, printed and listed, pinned the same way.
+GEN_FN_NO_Q = {
+    0: [
+        ("", "1", [[0, 0, 1]]),
+    ],
+    1: [
+        ("1", "1", [[0, 0, 1]]),
+    ],
+    2: [
+        ("2", "1", [[0, 0, 1]]),
+        ("1,1", "t", [[0, 1, 1]]),
+    ],
+    3: [
+        ("3", "1", [[0, 0, 1]]),
+        ("2,1", "2 t", [[0, 1, 2]]),
+        ("1,1,1", "t^2", [[0, 2, 1]]),
+    ],
+    4: [
+        ("4", "1", [[0, 0, 1]]),
+        ("3,1", "3 t", [[0, 1, 3]]),
+        ("2,2", "t + t^2", [[0, 1, 1], [0, 2, 1]]),
+        ("2,1,1", "3 t^2", [[0, 2, 3]]),
+        ("1,1,1,1", "t^3", [[0, 3, 1]]),
+    ],
+    5: [
+        ("5", "1", [[0, 0, 1]]),
+        ("4,1", "4 t", [[0, 1, 4]]),
+        ("3,2", "2 t + 3 t^2", [[0, 1, 2], [0, 2, 3]]),
+        ("3,1,1", "6 t^2", [[0, 2, 6]]),
+        ("2,2,1", "3 t^2 + 2 t^3", [[0, 2, 3], [0, 3, 2]]),
+        ("2,1,1,1", "4 t^3", [[0, 3, 4]]),
+        ("1,1,1,1,1", "t^4", [[0, 4, 1]]),
+    ],
+}
+
+GEN_FN_Q = {
+    0: [
+        ("", "1", [[0, 0, 1]]),
+    ],
+    1: [
+        ("1", "1", [[0, 0, 1]]),
+    ],
+    2: [
+        ("2", "1", [[0, 0, 1]]),
+        ("1,1", "q t", [[1, 1, 1]]),
+    ],
+    3: [
+        ("3", "1", [[0, 0, 1]]),
+        ("2,1", "q t + q^2 t", [[1, 1, 1], [2, 1, 1]]),
+        ("1,1,1", "q^3 t^2", [[3, 2, 1]]),
+    ],
+    4: [
+        ("4", "1", [[0, 0, 1]]),
+        ("3,1", "q t + q^2 t + q^3 t", [[1, 1, 1], [2, 1, 1], [3, 1, 1]]),
+        ("2,2", "q^2 t + q^4 t^2", [[2, 1, 1], [4, 2, 1]]),
+        ("2,1,1", "q^3 t^2 + q^4 t^2 + q^5 t^2", [[3, 2, 1], [4, 2, 1], [5, 2, 1]]),
+        ("1,1,1,1", "q^6 t^3", [[6, 3, 1]]),
+    ],
+}
 
 
 def test_str_and_pairs():
-    p = QPoly((1, 0, -2, 1))
-    assert str(p) == "1 - 2q^2 + q^3"
-    assert p.pairs() == [[0, 1], [2, -2], [3, 1]]
-    assert str(QPoly()) == "0"
+    for coeffs, text, pairs in Q_PRINTED:
+        for width in (_smallest_width(coeffs), 64):
+            p = Packed(pack(coeffs, width), width)
+            assert (str(p), p.pairs()) == (text, pairs), (coeffs, width)
 
 
-def test_qtpoly_triples_and_equality():
-    p = QTPoly({(3, 2): 1, (1, 2): 2, (0, 0): 5})
-    assert p.triples() == [[0, 0, 5], [1, 2, 2], [3, 2, 1]]
-    # repeated terms add up on construction, and a zero sum is dropped
-    assert QTPoly([((1, 2), 2), ((0, 0), 5), ((1, 2), -2)]) == QTPoly.term(0, 0, 5)
-    assert not QTPoly([((1, 1), 1), ((1, 1), -1)])
-    assert hash(QTPoly(dict(p.coeffs))) == hash(p)
-    # a QTPoly equals only a QTPoly with the same terms
-    assert QTPoly.term(1, 0) != QTPoly.term(0, 1)
-    assert QTPoly.term(0, 0, 3) != 3
-    with pytest.raises(ValueError):
-        QTPoly({(-1, 0): 1})
+def test_str_and_triples():
+    for slots, stride, text, triples in QT_PRINTED:
+        for width in (_smallest_width(slots), 64):
+            p = Packed(pack(slots, width), width, stride)
+            assert (str(p), p.triples()) == (text, triples), (slots, stride, width)
 
 
-def test_qtpoly_str():
-    assert str(QTPoly({(3, 2): 1})) == "q^3 t^2"
-    assert str(QTPoly({(0, 1): 2, (0, 2): 3})) == "2 t + 3 t^2"
-    assert str(QTPoly()) == "0"
+def test_gen_fn_prints_and_lists_as_before():
+    for with_q, table in ((False, GEN_FN_NO_Q), (True, GEN_FN_Q)):
+        for n, listed in table.items():
+            got = [(str(shape), str(p), p.triples()) for shape, p in gen_fn(n, with_q).items()]
+            assert got == listed, (n, with_q)
 
 
-def test_q_binom_at_evaluates_the_gaussian_binomial():
-    # against the inversion count, since q_binom is read from q_binom_at
-    for a in range(10):
-        for b in range(a + 1):
-            for q in (2, 3, 1 << 7):
-                want = sum(c * q**d for d, c in enumerate(oracles.q_binom_brute(a, b)))
-                assert q_binom_at(a, b, q) == want
-    with pytest.raises(ValueError):
-        q_binom_at(2, 3, 2)
-
-
-def test_q_binom_matches_the_inversion_count():
-    for a in range(13):
-        for b in range(a + 1):
-            assert q_binom(a, b) == QPoly(oracles.q_binom_brute(a, b)), (a, b)
-
-
-def test_q_table_at_matches_the_inversion_count():
-    for n in range(11):
-        for width in (factorial(n).bit_length() + 1, 64):
-            ints, binoms = q_table_at(n, width)
-            assert ints == [pack((1,) * f, width) for f in range(2 * n + 2)]
-            assert binoms == [
-                pack(oracles.q_binom_brute(a, n), width) if a >= n else 0
-                for a in range(2 * n + 1)
-            ], (n, width)
+def test_packed_equality():
+    # equal when value, width and stride are: the same polynomial at
+    # another width or stride is another value, and an int is none
+    p = Packed(pack((-127, 3, 2, 1), 8), 8)
+    assert p == Packed(p.value, 8) and not p != Packed(p.value, 8)
+    assert p != Packed(p.value, 9)
+    assert p != Packed(pack((-127, 3, 2, 1), 9), 9)
+    assert Packed(5, 4, 2) != Packed(5, 4, 3) and Packed(5, 4, 2) != Packed(5, 4)
+    assert Packed(3, 4) != 3

@@ -10,7 +10,7 @@ import qyt.verify
 from qyt import _kernels
 from qyt.board import FerrersBoard
 from qyt.partition import Partition, partitions
-from qyt.qpoly import QPoly, QTPoly, unpack
+from qyt.qpoly import Packed, pack, unpack
 from qyt.tableau import Tableau, enumerate_syt, qyt_count_exact
 from qyt.verify import (
     SUITES,
@@ -126,10 +126,10 @@ def test_each_counting_suite_walks_the_lattice_once(monkeypatch, suite, kwargs):
 
 
 def _read_rows(rows, width):
-    """The (q, t) polynomial of a tally by des whose rows are packed at
-    q = 2^width."""
-    return QTPoly(((e, d), c) for d, row in enumerate(rows)
-                  for e, c in enumerate(unpack(row, width)) if c)
+    """{(maj, des): count} of a tally by des whose rows are packed at
+    q = 2^width, the counts read back slot by slot."""
+    return {(e, d): c for d, row in enumerate(rows)
+            for e, c in enumerate(unpack(row, width)) if c}
 
 
 def _compositions(n):
@@ -146,7 +146,7 @@ def test_content_tally_matches_the_word_listing():
     for n in range(1, 8):
         least = factorial(n).bit_length() + 1
         for content in _compositions(n):
-            want = QTPoly(oracles.word_stats_brute(content))
+            want = dict(oracles.word_stats_brute(content))
             for width in (least, least + 7):
                 rows = _content_tally(content, width)
                 assert len(rows) == n
@@ -158,7 +158,7 @@ def test_inverse_descent_tally_matches_an_s_n_sweep():
 
     for n in range(1, 8):
         want = {
-            sum(1 << (j - 1) for j in inv): QTPoly(c)
+            sum(1 << (j - 1) for j in inv): dict(c)
             for inv, c in oracles.inverse_descent_brute(n).items()
         }
         least = factorial(n).bit_length() + 1
@@ -172,10 +172,8 @@ def test_inverse_descent_tally_matches_an_s_n_sweep():
 def test_gen_fn_is_the_read_back_of_the_suites_packed_walk():
     from math import comb
 
-    from qyt.qpoly import pack
     from qyt.symfun import gen_fn
     from qyt.tableau import descent_tallies
-    from qyt.verify import _Packed
 
     # the suite's width and stride on honest inputs: W = bits(n!) + 1,
     # and the stride read off the rows is one more than C(n, 2)
@@ -188,8 +186,9 @@ def test_gen_fn_is_the_read_back_of_the_suites_packed_walk():
         assert stride == comb(n, 2) + 1
         want = gen_fn(n)
         for shape in shapes:
-            packed = _Packed(pack(walk[shape.parts], width * stride), width, stride)
-            assert packed.read() == want[shape], shape
+            packed = Packed(pack(walk[shape.parts], width * stride), width, stride)
+            assert packed.triples() == want[shape].triples(), shape
+            assert str(packed) == str(want[shape]), shape
 
 
 def _when(match, change):
@@ -613,17 +612,17 @@ def test_an_inexact_hook_quotient_is_a_counterexample(monkeypatch):
 
 
 def test_the_runner_stops_at_the_first_differing_sides():
-    from qyt.qpoly import pack
-    from qyt.verify import _Packed, _suite
+    from qyt.verify import _suite
 
-    packed = _Packed(pack((-127, 3, 2, 1), 8), 8)
-    assert packed == _Packed(packed.value, 8)
-    assert packed != _Packed(packed.value, 9)
+    packed = Packed(pack((-127, 3, 2, 1), 8), 8)
+    assert packed == Packed(packed.value, 8)
+    assert packed != Packed(packed.value, 9)
+    one_plus_q = Packed(pack((1, 1), 8), 8)
 
     @_suite("toy")
     def toy(max_n: int = 3, check: str | None = "toy-check"):
-        yield check, {"n": 1}, QPoly((1, 1)), QPoly((1, 1))
-        yield check, {"shape": _P21, "x": (1, -2), "k": 0}, QPoly((1, 1)), packed
+        yield check, {"n": 1}, one_plus_q, Packed(one_plus_q.value, 8)
+        yield check, {"shape": _P21, "x": (1, -2), "k": 0}, one_plus_q, packed
         raise AssertionError("the body was resumed after differing sides")
 
     report = toy(2)
@@ -683,38 +682,43 @@ def _counted(monkeypatch, pairs):
     return calls
 
 
+#: What a Packed value is read back by: it is listed or printed.
+_PACKED_READS = [(Packed, ("__str__", "pairs", "triples"))]
+
+
 def test_genfun_compares_packed_ints(monkeypatch):
-    # every (q, t) side is built and compared as an int: QTPoly has no
-    # arithmetic, no polynomial is built or divided, and no Tableau is
-    # built, so none is destandardized
-    assert not [name for name in ("__mul__", "__rmul__", "__add__", "__radd__",
-                                  "__sub__", "__rsub__", "__neg__")
-                if hasattr(QTPoly, name)]
-    calls = _counted(monkeypatch, [(QPoly, ("__init__",)),
+    # every (q, t) side is built and compared as an int: no side is read
+    # back, none is divided, and no Tableau is built, so none is
+    # destandardized
+    calls = _counted(monkeypatch, [*_PACKED_READS,
                                    (Tableau, ("__init__", "destandardize"))])
     report = verify_genfun(max_n=6)
     assert report.passed, report.counterexample
     assert calls == []
+    str(Packed(1, 4))  # a read is counted
+    assert calls == ["Packed.__str__", "Packed.pairs"]
 
 
 def test_qpoly_is_a_read_back_value():
-    # QPoly has no arithmetic: it is built, compared with another QPoly,
-    # hashed, printed and listed as pairs
-    assert not [name for name in ("term", "degree", "shift", "at_one", "exact_div",
-                                  "__call__", "__mul__", "__rmul__", "__add__",
-                                  "__radd__", "__sub__", "__rsub__", "__neg__")
-                if hasattr(QPoly((1, 1)), name)]
+    # Packed has no arithmetic: it is built, compared with another
+    # Packed, listed and printed
+    assert not [name for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                                  "__rsub__", "__neg__", "__pow__", "__truediv__",
+                                  "__floordiv__", "__mod__", "__lshift__", "__call__",
+                                  "term", "degree", "shift", "at_one", "exact_div", "read")
+                if hasattr(Packed(3, 4), name)]
     assert not hasattr(qyt.qpoly, "_coerce") and not hasattr(qyt.verify, "_l1")
-    assert QPoly((3,)) != 3 and QPoly((3,)) == QPoly((3, 0))
-    assert hash(QPoly((1, 2))) == hash(QPoly([1, 2, 0]))
+    assert Packed(3, 4) != 3 and Packed(3, 4) == Packed(3, 4)
+    # the one value the suites compare and show
+    assert qyt.verify.Packed is Packed
 
 
 @pytest.mark.parametrize("suite", [verify_maj_hit, verify_charge_hit, verify_gjw],
                          ids=["maj-hit", "charge-hit", "gjw"])
 def test_q_hit_suites_build_no_qpoly(monkeypatch, suite):
-    # a passing run compares packed ints end to end; a QPoly is built
-    # only to show a counterexample
-    calls = _counted(monkeypatch, [(QPoly, ("__init__",))])
+    # a passing run compares packed ints end to end and reads no side
+    # back as a polynomial: that is done only to show a counterexample
+    calls = _counted(monkeypatch, _PACKED_READS)
     report = suite(max_n=6)
     assert report.passed, report.counterexample
     assert calls == []
@@ -744,13 +748,12 @@ def test_maj_refinement_hand_computed_instance():
     # circle weights distribute as [3]!.  With n(2,1) = 1 the identity
     # reads (q + q^2)(1 + q + q^2) == q * [3]!.
     from qyt.board import FerrersBoard
-    from qyt.qpoly import q_fact
 
     board = FerrersBoard.from_partition(Partition((2, 1))).plus_one()
     assert board.heights == (2, 2, 2)
     width, T = board.q_hit_numbers()
     T2 = unpack(T[2], width)
-    assert QPoly(T2) == q_fact(3)
+    assert T2 == oracles.q_fact_brute(3)
     lhs = oracles.poly_mul_brute((0, 1, 1), (1, 1, 1))
     assert lhs == [0, *T2]
     assert lhs == [0, 1, 2, 2, 1]
@@ -762,13 +765,12 @@ def test_charge_refinement_hand_computed_instance():
     # and with n(conjugate) = 1, C(3,2) = 3 the identity reads
     # (q + q^2)(1 + q + q^2) q^3 == q^(3+1) [3]!.
     from qyt.board import FerrersBoard
-    from qyt.qpoly import q_fact
 
     board = FerrersBoard.from_partition(Partition((2, 1)))
     assert board.heights == (1, 1, 1)
     width, T = board.q_hit_numbers()
     T1 = unpack(T[1], width)
-    assert QPoly(T1) == q_fact(3)
+    assert T1 == oracles.q_fact_brute(3)
     lhs = [0] * 3 + oracles.poly_mul_brute((0, 1, 1), (1, 1, 1))
     assert lhs == [0] * (3 * 1 + 1) + T1
 
