@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .qpoly import unpack
+from .qpoly import slot_width, unpack
 
 
 def active_backend() -> str:
@@ -41,10 +41,10 @@ def q_hit_census(n: int, boards) -> list[list[list[int]]]:
     (see FerrersBoard.q_weight_columns).
 
     The tally is one int whose slot k * (maxw + 1) + w, of width
-    bits(n!) + 1, holds the count for (k, w): adding dk hits and dw
-    circles shifts it by (dk * (maxw + 1) + dw) slots.  No count exceeds
-    n! < 2^(width - 1), so no slot carries into the next and the signed
-    unpack reads every count back.  A state keeps its tally as
+    qpoly.slot_width(n!), holds the count for (k, w): adding dk hits and
+    dw circles shifts it by (dk * (maxw + 1) + dw) slots.  No count
+    exceeds n! < 2^(width - 1), so no slot carries into the next and the
+    signed unpack reads every count back.  A state keeps its tally as
     (low, value), standing for value << low, with low the shift of its
     lowest term: the counts are nonnegative, so no sum clears that slot.
     Every hit moves a tally up a block of maxw + 1 slots, so most slots
@@ -56,7 +56,7 @@ def q_hit_census(n: int, boards) -> list[list[list[int]]]:
     at most n + 1 layers are held at once.
     """
     maxw = n * (n - 1) // 2
-    width = factorial(n).bit_length() + 1
+    width = slot_width(factorial(n))
     hit = (maxw + 1) * width
     full = (1 << n) - 1
     boards = [tuple(heights) for heights in boards]

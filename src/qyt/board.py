@@ -16,9 +16,9 @@ gives h_k at q = 1 and T_k at q = 2^W, where every polynomial is one
 packed integer (qpoly.pack), and returns T_0..T_n packed, to be read
 back (qpoly.Packed) where they are shown.
 The solve reads the q-integers and the Gaussian binomials [a choose n]
-at q = 2^W from qpoly.q_table_at, which builds them by shifts and adds,
-so no step divides.  The route that does not assume the identity
-is the census of _kernels.q_hit_census, a dynamic program over the rows
+at q = 2^W from the kept table qpoly.q_table_at(n, W), built by shifts
+and adds, so no step divides.  The route that does not assume the
+identity is the census of _kernels.q_hit_census, a dynamic program over the rows
 occupied column by column (no sweep over S_n); the gjw suite checks the
 identity against it, taking the census of every board of a size in one
 walk that shares the layers of common first columns.  Neither route
@@ -28,7 +28,6 @@ visits 2^n row sets per board.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
@@ -59,18 +58,6 @@ def _solve_product_identity(heights, ints: Sequence, binoms: Sequence) -> list:
             value -= binoms[x + k] * T[k]
         T[n - x] = value
     return T
-
-
-@lru_cache(maxsize=1)
-def _q_hit_table(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The slot width of the q-hit solve on boards of size n, with the
-    q-integers and Gaussian binomials at q = 2^width.  A sweep meets the
-    boards of one size in a row, so one table is kept."""
-    from .qpoly import q_table_at
-
-    width = factorial(n).bit_length() + 1
-    ints, rows = q_table_at(n, width)
-    return width, tuple(ints), tuple(row[n] for row in rows)
 
 
 class FerrersBoard:
@@ -157,12 +144,15 @@ class FerrersBoard:
         product identity at q = 2^width.
 
         The solve is ring arithmetic, so it yields T_k(2^width) exactly.
-        T_k has nonnegative coefficients summing to h_k <= n!, so at a
-        width of bits(n!) plus a sign bit unpack(T_k(2^width), width)
-        reads T_k back.
+        T_k has nonnegative coefficients summing to h_k <= n!, so at
+        width = qpoly.slot_width(n!) unpack(T_k(2^width), width) reads T_k
+        back.
         """
-        width, ints, binoms = _q_hit_table(self.n)
-        return width, _solve_product_identity(self.heights, ints, binoms)
+        from .qpoly import q_table_at, slot_width
+
+        width = slot_width(factorial(self.n))
+        ints, _, rows = q_table_at(self.n, width)
+        return width, _solve_product_identity(self.heights, ints, [row[-1] for row in rows])
 
     def q_hit_census(self) -> list[list[int]]:
         """The coefficient lists of T_0..T_n, by the census of

@@ -2,7 +2,8 @@
 tables, RSK traces, truncated expansions, and the verification suites.
 
 Exit codes: 0 on success (and on passing suites), 1 on a failing suite,
-2 on usage errors.  All results go to stdout; diagnostics to stderr.
+2 on usage errors, 141 (as for SIGPIPE) when the reader closes stdout
+early (`qyt ... | head`).  All results go to stdout; diagnostics to stderr.
 Every subcommand takes --format {text,json,csv}; output is deterministic
 for fixed arguments and seed.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from itertools import chain, islice
 from typing import Callable, Iterator
@@ -348,10 +350,17 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv).parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Python's recipe for a closed pipe: stdout goes to devnull, so
+        # that the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

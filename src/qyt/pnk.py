@@ -79,27 +79,25 @@ class _Levels:
 
     Row k of level n is the Eulerian number A(n, k) followed by
     a(n-1, k, m-1) - a(n-1, k-1, m-1) for m = 1..n, with a(n-1, ., .)
-    read as 0 outside 0..n-1.  The Eulerian row advances in the same
-    loop by A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1).
+    read as 0 outside 0..n-1.  Column 0 advances from column 0 of the
+    level below by A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1).
     """
 
-    __slots__ = ("n", "rows", "euler")
+    __slots__ = ("n", "rows")
 
     def __init__(self) -> None:
         self.n = 0
-        self.rows: tuple[tuple[int, ...], ...] = ((1,),)
-        self.euler = [1]  # A(0, 0)
+        self.rows: tuple[tuple[int, ...], ...] = ((1,),)  # A(0, 0)
 
     def advance(self, n: int) -> tuple[tuple[int, ...], ...]:
         """Build forward to level n >= self.n, keep it, and return its rows."""
-        rows, euler = self.rows, self.euler
+        rows = self.rows
         for level in range(self.n + 1, n + 1):
-            e = [0, *euler, 0]
-            euler = [(k + 1) * e[k + 1] + (level - k) * e[k] for k in range(level + 1)]
             zero = (0,) * level
             padded = [zero, *rows, zero]
-            rows = [(euler[k], *map(sub, padded[k + 1], padded[k])) for k in range(level + 1)]
-        self.n, self.rows, self.euler = n, tuple(rows), euler
+            rows = [((k + 1) * padded[k + 1][0] + (level - k) * padded[k][0],
+                     *map(sub, padded[k + 1], padded[k])) for k in range(level + 1)]
+        self.n, self.rows = n, tuple(rows)
         return self.rows
 
 

@@ -1,6 +1,8 @@
 """Exact integer polynomials in q, and in q and t, packed into single
-ints, with the q-integers, q-factorials and Gaussian binomials at an
-integer q.
+ints, and the one table of q-integers, q-factorials and Gaussian
+binomials at q = 2^W.  This module alone decides the packed layout:
+slot widths (slot_width), slot counts (slot_count) and t-strides
+(t_stride).
 
 Polynomials are computed as values: a polynomial evaluated at q = 2^W
 is one Python int whose W-bit slots hold its coefficients (pack), so a
@@ -14,18 +16,43 @@ Packed is such a value with its width, and its stride S when it has a
 t: it is only compared, listed and printed, and has no arithmetic of
 its own.
 
-Coefficients are Python ints, so overflow cannot happen.  Division is
-left only where the quotient is exact: q_int_at, which divides
-q^k - 1 by q - 1 at an integer q, and unpack, which divides
-2^(W*slots) - 1 by 2^W - 1 for its offset.  q_table_at builds the
-q-integers and the Gaussian binomials at q = 2^W by shifts and adds
-alone.
+Coefficients are Python ints, so overflow cannot happen.  The only
+division is unpack's offset, 2^(W*slots) - 1 over 2^W - 1, which is
+exact; q_table_at needs only shifts, adds and products.
 """
 
 from __future__ import annotations
 
-from math import prod
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
+
+
+def slot_width(*bounds: int) -> int:
+    """A slot width W at which two sides may be compared packed at
+    q = 2^W instead of as polynomials, given bounds on the sum of the
+    absolute values of the coefficients of either side.  If those are
+    below 2^(W-1), the coefficients of the difference D of the sides are
+    below 2^W, and D(2^W) = 0 forces d_0 = 0 (2^W divides it), then
+    d_1 = 0, and so on: equal packed ints mean equal polynomials.  So W
+    is a sign bit plus the bits of the largest bound.  Shifts by q^e
+    move slots but do not change them."""
+    return max(bounds).bit_length() + 1
+
+
+def slot_count(value: int, width: int) -> int:
+    """d + 1 for the polynomial of degree d packed at q = 2^width as
+    `value`, each coefficient fitting a signed slot: the value lies within
+    half a slot of its leading term, so it has d * width to
+    (d + 1) * width - 1 bits."""
+    return abs(value).bit_length() // width + 1
+
+
+def t_stride(rows: Iterable[int], width: int) -> int:
+    """A stride S at which `rows`, polynomials in q packed at width, are
+    joined as the coefficients of t at t = q^S: one more than their
+    largest q-degree (slot_count), so that slot d * S + e holds q^e t^d
+    alone.  Sums and int multiples of the rows add no degree."""
+    return max(slot_count(row, width) for row in rows)
 
 
 def pack(coeffs: Sequence[int], width: int) -> int:
@@ -50,15 +77,14 @@ def unpack(value: int, width: int) -> list[int]:
     """The coefficients c_0..c_d of the polynomial whose value at
     q = 2^width is `value`, given that |c_i| < 2^(width-1) for all i.
 
-    Under that bound the value lies within half a slot of its leading
-    term, so it has between d*width and (d+1)*width - 1 bits, which fixes
-    d.  Adding the offset 2^(width-1) to every slot makes every slot a
-    digit in 0..2^width - 1 with no borrow between slots; the digits are
-    read off and the offset is taken away again, a block of 256 slots at
-    a time so that the cost is linear in the slot count.  The list ends
-    at the leading coefficient ([0] for the value 0).
+    Under that bound there are slot_count(value, width) slots.  Adding
+    the offset 2^(width-1) to every slot makes every slot a digit in
+    0..2^width - 1 with no borrow between slots; the digits are read off
+    and the offset is taken away again, a block of 256 slots at a time
+    so that the cost is linear in the slot count.  The list ends at the
+    leading coefficient ([0] for the value 0).
     """
-    slots = abs(value).bit_length() // width + 1
+    slots = slot_count(value, width)
     half = 1 << (width - 1)
     value += ((1 << (width * slots)) - 1) // ((1 << width) - 1) * half
     mask = (1 << width) - 1
@@ -130,30 +156,24 @@ class Packed:
         return " ".join(chunks) or "0"
 
 
-def q_int_at(k: int, q: int) -> int:
-    """[k] evaluated at an integer q >= 2, that is (q^k - 1) / (q - 1)."""
-    return (q**k - 1) // (q - 1)
-
-
-def q_table_at(n: int, width: int) -> tuple[list[int], list[list[int]]]:
-    """The q-integers [0]..[2n+1] and the Gaussian binomials
-    rows[a][b] = [a choose b] for a = 0..2n and b = 0..n (0 for b > a),
-    at q = 2^width.
-
-    Only shifts and adds: [f+1] = q [f] + 1, and each row of binomials
-    comes from the one before by the q-Pascal rule
-    [a choose b] = [a-1 choose b-1] + q^b [a-1 choose b].
+@lru_cache(maxsize=1)
+def q_table_at(n: int, width: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    """(ints, facts, rows) at q = 2^width: ints[f] = [f] for f = 0..2n+1,
+    facts[f] = [f]! for f = 0..n and rows[a][b] = [a choose b] for
+    a = 0..2n and b = 0..n (0 for b > a), all tuples.  [f+1] = q [f] + 1,
+    [f]! = [f-1]! [f], and each row of binomials comes from the one
+    before by the q-Pascal rule [a choose b] = [a-1 choose b-1] +
+    q^b [a-1 choose b].  The last table is kept: a sweep asks for the
+    tables of one n in a row, at one width on honest inputs.
     """
     ints = [0]
     for _ in range(2 * n + 1):
         ints.append((ints[-1] << width) + 1)
-    rows = [[1] + [0] * n]  # [0 choose b] for b = 0..n
+    facts = [1]
+    for f in range(1, n + 1):
+        facts.append(facts[-1] * ints[f])
+    rows = [(1,) + (0,) * n]  # [0 choose b] for b = 0..n
     for _ in range(2 * n):
         row = rows[-1]
-        rows.append([1] + [row[b - 1] + (row[b] << (width * b)) for b in range(1, n + 1)])
-    return ints, rows
-
-
-def q_fact_at(k: int, q: int) -> int:
-    """[k]! = [1][2]...[k] evaluated at an integer q >= 2."""
-    return prod(q_int_at(i, q) for i in range(1, k + 1))
+        rows.append((1, *(row[b - 1] + (row[b] << (width * b)) for b in range(1, n + 1))))
+    return tuple(ints), tuple(facts), tuple(rows)

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .partition import Partition, as_partition, partitions
 from .perm import multiset_perms
-from .qpoly import Packed, pack
+from .qpoly import Packed, pack, t_stride
 from .tableau import Tableau, descent_tallies, maj_width
 
 
@@ -288,10 +288,9 @@ def gen_fn(n: int, with_q: bool = True) -> dict[Partition, Packed]:
     in partitions(n) order: the coefficient collects q^maj t^des over the
     shape's fillings, read from one walk of Young's lattice, and packed
     at q = 2^W and t = q^S.  W = tableau.maj_width holds every count,
-    and S is one more than the shape's largest maj, read off its rows:
-    a row whose leading slot is m has between m * W and (m + 1) * W - 1
-    bits.  With with_q=False the q-grading is dropped, so a filling with
-    largest entry k contributes t^(k-1): the walk counts at width 0, each
+    and S is one more than the shape's largest maj, read off its rows
+    (qpoly.t_stride).  With with_q=False the q-grading is dropped, so a
+    filling with largest entry k contributes t^(k-1): the walk counts at width 0, each
     count is below 2^(W-1), and S is 1."""
     shapes = list(partitions(n))
     width = maj_width(shapes)
@@ -299,6 +298,6 @@ def gen_fn(n: int, with_q: bool = True) -> dict[Partition, Packed]:
     out = {}
     for shape in shapes:
         rows = tallies[shape.parts]
-        stride = 1 + max(row.bit_length() // width for row in rows)
+        stride = t_stride(rows, width)
         out[shape] = Packed(pack(rows, width * stride), width, stride)
     return out

@@ -16,9 +16,9 @@ building any filling, by one level-by-level walk up Young's lattice
 (`descent_levels`) that keeps only the level below.  For each shape it
 holds a list by des of sum q^maj evaluated at q = 2^W, so a descent is
 a shift.  W = 0 gives the counts by des that the counting suites read;
-W = bits(f) + 1, f the most standard fillings of a top, keeps each maj
-in its own slot for `des_maj_counts` and `gen_fn`; the genfun suite
-walks at the wider W of its comparisons.  A suite walks the
+W = qpoly.slot_width(f), f the most standard fillings of a top, keeps
+each maj in its own slot for `des_maj_counts` and `gen_fn`; the genfun
+suite walks at the wider W of its comparisons.  A suite walks the
 lattice once, a single shape its own order ideal; nothing is cached.
 `enumerate_syt` serves only to list the fillings themselves.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .partition import Partition, as_partition
-from .qpoly import unpack
+from .qpoly import slot_width, unpack
 
 
 class Tableau:
@@ -334,10 +334,10 @@ def descent_tallies(width: int, tops) -> dict[tuple[int, ...], list[int]]:
 
 
 def maj_width(shapes) -> int:
-    """A width at which descent_levels keeps every maj apart: bits(f) + 1
+    """A width at which descent_levels keeps every maj apart: slot_width(f)
     for f the most standard fillings of any of `shapes`.  f only grows
     up Young's lattice, so it bounds every count below them too."""
-    return max(as_partition(shape).hook_length_count() for shape in shapes).bit_length() + 1
+    return slot_width(max(as_partition(shape).hook_length_count() for shape in shapes))
 
 
 def des_maj_counts(shape) -> tuple[tuple[tuple[int, int], int], ...]:

@@ -6,7 +6,13 @@ order (n ascending, shapes lexicographically decreasing), with both
 sides fully evaluated.  Identities with q-integer denominators are
 checked in cross-multiplied form, so only ring operations are needed:
 every q-check compares two ring values packed at one width, its
-suite's W for that instance (see _width), and nothing is divided.
+suite's W for that instance, and nothing is divided.  W is
+qpoly.slot_width of bounds read off the sides' inputs as they are, so
+that a faulty input with negative or oversized counts widens the slots
+instead of slipping through them; an input packed at another width is
+unpacked once, for its bound, and packed again only if W differs.
+t-strides are qpoly.t_stride of the rows as they are, and every q-value
+at q = 2^W comes from qpoly.q_table_at(n, W).
 
 A suite is written as a body: a generator that takes its bounds and
 yields (check, fields, lhs, rhs) for every instance, check being None
@@ -47,7 +53,7 @@ from .pnk import (
     pnk_eval_paths,
     qyt_counts_via_pnk,
 )
-from .qpoly import Packed, pack, q_fact_at, q_int_at, q_table_at, unpack
+from .qpoly import Packed, pack, q_table_at, slot_width, t_stride, unpack
 from .symfun import (
     fundamental_sums,
     monomial_truncated,
@@ -157,52 +163,25 @@ def verify_hit(max_n: int = 7) -> Iterator[_Instance]:
                 yield None, {"shape": shape, "k": k}, counts[k] * hooks, hit[k]
 
 
-def _width(*bounds: int) -> int:
-    """A slot width W at which two sides may be compared packed at
-    q = 2^W instead of as polynomials, given bounds on the sum of the
-    absolute values of the coefficients of either side.
-
-    If the coefficients of both sides are below 2^(W-1) in absolute
-    value, those of their difference D are below 2^W, and D(2^W) = 0
-    forces d_0 = 0 (2^W divides it), then d_1 = 0, and so on: equal
-    packed ints mean equal polynomials.  So W is a sign bit plus the bits
-    of the largest bound.  Shifts by q^e move slots but do not change
-    them.  Callers read their bounds off the sides' inputs as they are,
-    so that a faulty input with negative or oversized counts widens the
-    slots instead of slipping through them.  An input that is itself
-    packed at W is read at W: it holds the polynomial it reads back as.
-    An input packed at another width is unpacked once, for its bound,
-    and packed again at W only when W differs from its own width.
-
-    Two variables go the same way at t = q^S: if every q-degree is below
-    S, slot d * S + e holds the coefficient of q^e t^d and no other, so
-    S is one more than the largest q-degree of the inputs, read off each
-    packed row as its bit length over W (a row's leading slot d gives it
-    between d * W and (d + 1) * W - 1 bits), and sums and int multiples
-    of the rows add no degree.
-    """
-    return max(bounds).bit_length() + 1
-
-
 def _hit_sides(board: FerrersBoard, shape, tally: list[int],
-               tally_width: int) -> tuple[int, list[int], list[list[int]], int]:
+               tally_width: int) -> tuple[int, list[int], list[list[int]], int, int]:
     """(W, T_0..T_n of `board` packed at q = 2^W, the walk's `tally` of
-    `shape` read back from tally_width as rows, prod [h(u)] at q = 2^W):
-    the set-up of maj-hit and charge-hit.  W (see _width) is read off T and
-    the rows as they are: a row times the hook polynomial sums to at
-    most |rows|_1 * prod(hooks) in absolute value, a sum or a shift of
-    the T_k to at most sum_k |T_k|_1, and [n]! to n!.  T comes from the
-    board's solve at its own width, which is W on honest inputs, and is
-    packed again from its rows only when W differs."""
+    `shape` read back from tally_width as rows, prod [h(u)] and [n]! at
+    q = 2^W): the set-up of maj-hit and charge-hit.  W bounds a row times
+    the hook polynomial by |rows|_1 * prod(hooks), a sum or a shift of
+    the T_k by sum_k |T_k|_1, and [n]! by n!.  On honest inputs W is the
+    width of the board's solve, so T is used as solved and the table of
+    n at W is the one the solve read."""
     solve_width, T = board.q_hit_numbers()
     T_rows = [unpack(t, solve_width) for t in T]
     rows = [unpack(row, tally_width) for row in tally]
     hooks = shape.hooks()
-    width = _width(factorial(shape.size), sum(abs(c) for row in T_rows for c in row),
-                   sum(abs(c) for row in rows for c in row) * prod(hooks))
+    width = slot_width(factorial(shape.size), sum(abs(c) for row in T_rows for c in row),
+                       sum(abs(c) for row in rows for c in row) * prod(hooks))
     if width != solve_width:
         T = [pack(row, width) for row in T_rows]
-    return width, T, rows, prod(q_int_at(h, 1 << width) for h in hooks)
+    ints, facts, _ = q_table_at(shape.size, width)
+    return width, T, rows, prod(ints[h] for h in hooks), facts[-1]
 
 
 @_suite("maj-hit")
@@ -215,16 +194,16 @@ def verify_maj_hit(max_n: int = 6) -> Iterator[_Instance]:
     Also checks that the T_k sum to [n]! (Mahonian) and the summed
     corollary (sum over all standard fillings of q^maj) * prod [h] =
     q^n(shape) [n]!.  Both sides are compared packed at q = 2^W, with W,
-    T_k and the hook product from _hit_sides.  The sums of q^maj come
-    from one walk of Young's lattice at the maj width (tableau.maj_width)
-    and the T_k from the board's solve.
+    T_k, the hook product and [n]! from _hit_sides.  The sums of q^maj
+    come from one walk of Young's lattice at the maj width
+    (tableau.maj_width) and the T_k from the board's solve.
     """
     tally_width = maj_width(partitions(max_n))
     for n, tallies in enumerate(descent_levels(tally_width, partitions(max_n)), 1):
         for shape in partitions(n):
             board = FerrersBoard.from_partition(shape).plus_one()
-            width, T, gens, hooks_at = _hit_sides(board, shape, tallies[shape.parts], tally_width)
-            mahonian_at = q_fact_at(n, 1 << width)
+            width, T, gens, hooks_at, mahonian_at = _hit_sides(
+                board, shape, tallies[shape.parts], tally_width)
             yield ("mahonian", {"board": board},
                    Packed(sum(T), width), Packed(mahonian_at, width))
             shift = shape.n_stat() * width
@@ -243,22 +222,22 @@ def verify_charge_hit(max_n: int = 6) -> Iterator[_Instance]:
     (sum_{QYT_{=k+1}} q^ch) * prod [h(u)] * q^C(n,2)
         ==  q^(nk + n(conjugate)) * T_k(board of the conjugate),
 
-    compared packed as in maj-hit (see _hit_sides).  Charge is
-    n * k - maj, so the row of the fillings with k descents, read back
-    with d its top maj and reversed, is q^(d - nk) times the sum of
-    q^charge.  Both sides are multiplied by q^(e - nk), with e the
-    larger of d and n * k, so that no side is divided by a power of q
-    even when a maj exceeds n * k.
+    for k = 0..n (at n both sides are 0), compared packed as in maj-hit
+    (see _hit_sides).  Charge is n * k - maj, so the row of the fillings
+    with k descents, read back with d its top maj and reversed, is
+    q^(d - nk) times the sum of q^charge.  Both sides are multiplied by
+    q^(e - nk), with e the larger of d and n * k, so that no side is
+    divided by a power of q even when a maj exceeds n * k.
     """
     tally_width = maj_width(partitions(max_n))
     for n, tallies in enumerate(descent_levels(tally_width, partitions(max_n)), 1):
         half = comb(n, 2)
         for shape in partitions(n):
             conj = shape.conjugate()
-            width, T, majs, hooks_at = _hit_sides(
+            width, T, majs, hooks_at, _ = _hit_sides(
                 FerrersBoard.from_partition(conj), shape, tallies[shape.parts], tally_width)
-            for k in range(n):
-                c = majs[k]
+            for k in range(n + 1):
+                c = majs[k] if k < n else []  # no filling has n descents
                 top = max(len(c) - 1, n * k)
                 lhs = pack(c[::-1], width) * hooks_at << ((top + 1 - len(c) + half) * width)
                 rhs = T[k] << ((top + conj.n_stat()) * width)
@@ -321,14 +300,14 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
         pairs = [(base, base.plus_one()) for base in bases.values()]
         boards = list(dict.fromkeys(board.heights for pair in pairs for board in pair))
         censuses = dict(zip(boards, _kernels.q_hit_census(n, boards)))
-        width = _width(*(
+        width = slot_width(*(
             max(prod(n + h - i + 1 for i, h in enumerate(heights, 1)),
                 sum(comb(n + k, n) * sum(map(abs, row))
                     for k, row in enumerate(censuses[heights])))
             for heights in boards))
-        ints, rows = q_table_at(n, width)
+        ints, facts, rows = q_table_at(n, width)
         binoms = [row[n] for row in rows]  # [a choose n]
-        mahonian = Packed(prod(ints[1:n + 1]), width)
+        mahonian = Packed(facts[n], width)
         for shape, (base, raised) in zip(bases, pairs):
             yield ("complement", {"shape": shape}, raised.complement_rotated(),
                    bases[shape.conjugate()])
@@ -507,7 +486,7 @@ def _inverse_descent_tally(n: int, width: int) -> dict[int, list[int]]:
             for mask, packed in total.items()}
 
 
-def _content_tally(parts: tuple[int, ...], width: int) -> list[int]:
+def _content_tally(parts: tuple[int, ...], width: int, binoms) -> list[int]:
     """tally[d] = sum of q^maj at q = 2^width over the words with d
     descents in which the value i appears parts[i-1] times, for
     d = 0..n-1 with n = sum(parts), at a width above bits(n!).  By
@@ -522,14 +501,12 @@ def _content_tally(parts: tuple[int, ...], width: int) -> list[int]:
     P_k = prod_j [parts_j + k choose parts_j].  Evaluation at q = 2^W is
     a ring map, so only the result has to fit a slot, and each of its
     coefficients is at most the multinomial coefficient, at most n!.
-    Every binomial is read from the q-Pascal rows of one
-    qpoly.q_table_at(n, W): parts_j + k < 2n, and n + 1 <= 2n.
+    Every binomial is read from `binoms`, the q-Pascal rows of
+    qpoly.q_table_at(n, width): parts_j + k < 2n, and n + 1 <= 2n.
     """
     n = sum(parts)
-    q = 1 << width
-    binoms = q_table_at(n, width)[1]
     P = [prod(binoms[a + k][a] for a in parts) for k in range(n)]
-    E = [(-1) ** j * q ** comb(j, 2) * binoms[n + 1][j] for j in range(n)]
+    E = [(-1) ** j * (binoms[n + 1][j] << width * comb(j, 2)) for j in range(n)]
     return [sum(E[d - k] * P[k] for k in range(d + 1)) for d in range(n)]
 
 
@@ -599,16 +576,15 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
     by des of rows at q = 2^W.  They are joined into one int at
     t = q^S and every (q, t) side is built from those ints by integer
     products and sums, compared as qpoly.Packed values and read back
-    only when shown.  S is one more than the largest q-degree of any row
-    (its bit length over W), so that no row spills into the next power
-    of t.  W is _width of bounds on the sides: the tallies count n! or
-    fewer objects, weighted by the Kostka numbers and the Schur and
-    monomial coefficients as they are, and [n]! sums to n!.  The t = 1
-    check is the q-hook formula cross-multiplied, nothing divided: the
-    sum of a shape's rows times prod [h(u)] against q^n(shape) [n]!,
-    both summing to n! when honest.  prod [h(u)] at q = 2^W is a nonzero
-    integer, so the check passes exactly when the sum of the rows is the
-    q-hook quotient at q = 2^W.
+    only when shown.  S is t_stride of every row, so that no row spills
+    into the next power of t, and W is slot_width of bounds on the
+    sides: the tallies count n! or fewer objects, weighted by the Kostka
+    numbers and the Schur and monomial coefficients as they are, and
+    [n]! sums to n!.  The t = 1 check is the q-hook formula
+    cross-multiplied, nothing divided: the sum of a shape's rows times
+    prod [h(u)] against q^n(shape) [n]!, both summing to n! when honest.
+    prod [h(u)] at q = 2^W is a nonzero integer, so the check passes
+    exactly when the sum of the rows is the q-hook quotient at q = 2^W.
 
     The Kostka numbers of the lemma and of triangularity come from one
     table per n, filled by the cell walk tableau.kostka.  Triangularity
@@ -631,16 +607,16 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
         # the most objects each tally counts: fillings, words, S_n
         fillings = {shape: shape.hook_length_count() for shape in shapes}
         words = {shape: factorial(n) // prod(map(factorial, shape.parts)) for shape in shapes}
-        width = _width(
+        width = slot_width(
             factorial(n),
             _weighted_bound(schur, fillings), _weighted_bound(monomials, words),
             max(sum(abs(K[nu, lam]) * fillings[nu] for nu in shapes) for lam in shapes))
+        ints, facts, binoms = q_table_at(n, width)
         walk = descent_tallies(width, shapes)
         placed = _inverse_descent_tally(n, width)
-        contents = {shape: _content_tally(shape.parts, width) for shape in shapes}
-        stride = 1 + max(abs(row).bit_length() // width
-                         for tallies in (walk.values(), placed.values(), contents.values())
-                         for rows in tallies for row in rows)
+        contents = {shape: _content_tally(shape.parts, width, binoms) for shape in shapes}
+        stride = t_stride((row for tallies in (walk.values(), placed.values(), contents.values())
+                           for rows in tallies for row in rows), width)
         step = width * stride  # t = 2^step
         schur_at = {shape: pack(walk[shape.parts], step) for shape in shapes}
         expansion = _weighted(schur, schur_at)
@@ -696,14 +672,13 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
                 if (nu, lam) not in dominant:  # K vanishes off the dominance order
                     yield "triangularity", fields, got, 0
 
-        mahonian_at = q_fact_at(n, 1 << width)
         for shape in shapes:
             rows = walk[shape.parts]
             # q-hook formula: sum of q^maj * prod [h(u)] = q^n(shape) [n]!
-            hooks_at = prod(q_int_at(h, 1 << width) for h in shape.hooks())
+            hooks_at = prod(ints[h] for h in shape.hooks())
             yield ("t1-specialization", {"shape": shape},
                    Packed(sum(rows) * hooks_at, width),
-                   Packed(mahonian_at << (shape.n_stat() * width), width))
+                   Packed(facts[n] << (shape.n_stat() * width), width))
             at_q1 = [sum(unpack(row, width)) for row in rows]
             yield "q1-specialization", {"shape": shape}, at_q1, qyt_counts_via_pnk(shape)[:n]
 
@@ -740,12 +715,18 @@ def foulkes_multiplicity(n: int, k: int, shape) -> int:
 
 def polya_dimension_check(n: int, m: int) -> bool:
     """m**n == sum_k C(m+k, n) sum_shapes QYT_{=n-k}(shape) SYT(shape)."""
+    for name, value in (("n", n), ("m", m)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     return _polya_sum(n, m, descent_tallies(0, partitions(n))) == m**n
 
 
 def _polya_sum(n: int, m: int, tallies: dict[tuple[int, ...], list[int]]) -> int:
     """The right-hand side of polya_dimension_check, from the tallies at
-    width 0 of the partitions of n."""
+    width 0 of the partitions of n; at n = 0, C(m, 0) for the empty
+    filling, whose largest entry 0 no tally by descents holds."""
+    if n == 0:
+        return 1
     total = 0
     for shape in partitions(n):
         counts = tallies[shape.parts]

@@ -139,20 +139,49 @@ def test_verify_rejects_a_seed_the_suite_does_not_take(capsys, suite):
     assert captured.err == "error: --seed applies only to the lattice suite\n"
 
 
+def _closed_after(lines: int, *argv: str) -> tuple[int, str]:
+    """(exit code, stderr) of `qyt argv` in a fresh interpreter on the qyt
+    under test, whose stdout pipe the reader closes after `lines` lines."""
+    src = os.path.dirname(os.path.dirname(qyt.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "qyt.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+def test_a_reader_that_stops_early_ends_the_output_quietly():
+    # `qyt expand schur ... | head -1`: 209 352 lines, written in chunks,
+    # so the pipe closes while the command still writes
+    assert _closed_after(1, "expand", "schur", "--shape", "3,3,3,1", "--vars", "12") == (141, "")
+    # verify writes its report in one go at the end, which a reader can
+    # take whole before it closes the pipe; closed first, the pipe is
+    # certain to be closed when verify writes
+    assert _closed_after(0, "verify", "all") == (141, "")
+
+
 def test_verify_all_reports_every_suite_when_one_identity_fails(capsys, monkeypatch):
-    # [3]! + 1 breaks the Mahonian check of maj-hit and the q-hook
-    # formula of genfun; each is a counterexample, and the other suites
-    # still run and pass
-    true = verify.q_fact_at
-    monkeypatch.setattr(verify, "q_fact_at", lambda n, q: true(n, q) + (n == 3))
+    # [3]! + 1 in the tables that verify reads breaks the Mahonian checks
+    # of maj-hit and gjw and the q-hook formula of genfun; each is a
+    # counterexample, and the other suites still run and pass
+    true = verify.q_table_at
+
+    def faulty(n, width):
+        ints, facts, rows = true(n, width)
+        return ints, (*facts[:3], facts[3] + 1, *facts[4:]) if n >= 3 else facts, rows
+
+    monkeypatch.setattr(verify, "q_table_at", faulty)
     code, out = run(capsys, "verify", "all", "--max-n", "3")
     assert code == 1
     reports = [line for line in out.splitlines() if not line.startswith("{")]
     assert [line.split(" (")[0] for line in reports] == [
-        f"{name}: {'fail' if name in ('maj-hit', 'genfun') else 'pass'}"
+        f"{name}: {'fail' if name in ('maj-hit', 'genfun', 'gjw') else 'pass'}"
         for name in verify.SUITES]
     failures = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
-    assert [blob["check"] for blob in failures] == ["mahonian", "t1-specialization"]
+    assert [blob["check"] for blob in failures] == ["mahonian", "t1-specialization", "mahonian"]
 
 
 def test_suites_run_past_the_board_cap(capsys):

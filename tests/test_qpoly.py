@@ -1,13 +1,14 @@
 import random
 import time
-from math import comb, factorial
+from math import comb, factorial, prod
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qyt.qpoly import Packed, pack, q_fact_at, q_int_at, q_table_at, unpack
+import qyt
+from qyt.qpoly import Packed, pack, q_table_at, slot_count, slot_width, t_stride, unpack
 from qyt.symfun import gen_fn
-from qyt.verify import _width
 
 import oracles
 
@@ -21,38 +22,54 @@ def _trimmed(coeffs):
     return out or [0]
 
 
-def test_q_int_at_examples():
-    assert q_int_at(0, 16) == 0
-    assert q_int_at(2, 16) == pack((1, 1), 4)
-    for k in range(8):
-        assert q_int_at(k, 3) == sum(3**i for i in range(k))
+def test_q_integer_examples():
+    ints = q_table_at(3, 4)[0]
+    assert ints[0] == 0
+    assert ints[2] == pack((1, 1), 4)
+    # at widths 1 and 2 the table holds the values at q = 2 and q = 4
+    for width in (1, 2):
+        ints = q_table_at(3, width)[0]
+        for k in range(8):
+            assert ints[k] == sum((1 << width)**i for i in range(k))
 
 
 def _fact_width(k):
     """A width holding every coefficient of [k]!: they sum to k!."""
-    return factorial(k).bit_length() + 1
+    return slot_width(factorial(k))
 
 
-def test_q_fact_at_at_one():
-    assert sum(unpack(q_fact_at(4, 1 << _fact_width(4)), _fact_width(4))) == 24
-    assert q_fact_at(0, 16) == 1
+def test_q_factorial_at_one():
+    width = _fact_width(4)
+    assert sum(unpack(q_table_at(4, width)[1][4], width)) == 24
+    assert q_table_at(0, 4)[1] == (1,)
 
 
 def test_q_fact_is_the_product_of_the_q_integers():
-    # the schoolbook product [1][2]...[k], against the read-back of
-    # q_fact_at, and q_fact_at against the same product at q = 3
+    # the schoolbook products [1][2]...[f], against the read-back of
+    # every prefix product of the table, and the table's [k]! against the
+    # same product at q = 2, where the slots overlap
     for k in range(10):
-        product = oracles.q_fact_brute(k)
         width = _fact_width(k)
-        assert unpack(q_fact_at(k, 1 << width), width) == product, k
-        assert q_fact_at(k, 3) == sum(c * 3**d for d, c in enumerate(product)), k
+        facts = q_table_at(k, width)[1]
+        assert [unpack(v, width) for v in facts] == [
+            oracles.q_fact_brute(f) for f in range(k + 1)], k
+        product = oracles.q_fact_brute(k)
+        assert q_table_at(k, 1)[1][k] == sum(c * 2**d for d, c in enumerate(product)), k
+
+
+def test_q_table_at_keeps_the_last_table():
+    table = q_table_at(5, 8)
+    assert q_table_at(5, 8) is table
+    assert q_table_at(5, 9) is not table
+    assert all(isinstance(part, tuple) for part in table)
+    assert all(isinstance(row, tuple) for row in table[2])
 
 
 #: [a choose b] for a <= 12 and b <= 6, read back from one q_table_at
 #: at a width that holds their coefficients, which sum to C(a, b).
 _N = 6
 _WIDTH = comb(2 * _N, _N).bit_length() + 1
-_ROWS = q_table_at(_N, _WIDTH)[1]
+_ROWS = q_table_at(_N, _WIDTH)[2]
 
 
 def _binom(a, b):
@@ -104,8 +121,9 @@ def test_q_table_at_evaluates_the_gaussian_binomials():
     for n in range(8):
         for width in (1, 2, 3):
             q = 1 << width
-            ints, rows = q_table_at(n, width)
-            assert ints == [sum(q**d for d in range(f)) for f in range(2 * n + 2)]
+            ints, facts, rows = q_table_at(n, width)
+            assert ints == tuple(sum(q**d for d in range(f)) for f in range(2 * n + 2))
+            assert facts == tuple(prod(ints[1:f + 1]) for f in range(n + 1))
             for a in range(2 * n + 1):
                 for b in range(n + 1):
                     want = sum(c * q**d for d, c in enumerate(oracles.q_binom_brute(a, b)))
@@ -115,13 +133,14 @@ def test_q_table_at_evaluates_the_gaussian_binomials():
 def test_q_table_at_matches_the_inversion_count():
     for n in range(11):
         for width in (factorial(n).bit_length() + 1, 64):
-            ints, rows = q_table_at(n, width)
-            assert ints == [pack((1,) * f, width) for f in range(2 * n + 2)]
-            assert rows == [
-                [pack(oracles.q_binom_brute(a, b), width) if b <= a else 0
-                 for b in range(n + 1)]
+            ints, facts, rows = q_table_at(n, width)
+            assert ints == tuple(pack((1,) * f, width) for f in range(2 * n + 2))
+            assert facts == tuple(pack(oracles.q_fact_brute(f), width) for f in range(n + 1))
+            assert rows == tuple(
+                tuple(pack(oracles.q_binom_brute(a, b), width) if b <= a else 0
+                      for b in range(n + 1))
                 for a in range(2 * n + 1)
-            ], (n, width)
+            ), (n, width)
 
 
 def test_arithmetic_examples():
@@ -148,6 +167,36 @@ def test_pack_unpack_round_trips_at_the_smallest_width():
     assert unpack(pack((-3, 0, 7, -8), 5), 5) == [-3, 0, 7, -8]
     # one bit fewer and the top slot reads as a borrow
     assert unpack(pack((7,), 3), 3) != [7]
+
+
+def test_slot_width_is_a_sign_bit_over_the_largest_bound():
+    assert [slot_width(b) for b in (0, 1, 127, 128)] == [1, 2, 8, 9]
+    assert slot_width(6, 128, 3) == 9
+    # 2^7 and q differ, but not at q = 2^7: a bound of 128 needs 9 bits
+    assert pack((128,), 7) == pack((0, 1), 7)
+    width = slot_width(128, 1)
+    assert pack((128,), width) != pack((0, 1), width)
+
+
+def test_slot_count_and_t_stride():
+    assert slot_count(0, 4) == 1
+    for coeffs in [(5,), (1, 2, 3), (5, -7), (0, 0, -1), (-7, 0, 0, 0, 1)]:
+        assert slot_count(pack(coeffs, 4), 4) == len(coeffs), coeffs
+    rows = [pack((1,), 4), pack((0, 0, 1), 4), pack((3, -2), 4)]
+    assert t_stride(rows, 4) == 3
+    assert t_stride([0], 4) == 1
+    # slot d * S + e of the rows joined at t = q^S holds q^e t^d
+    assert unpack(pack(rows, 4 * 3), 4) == [1, 0, 0, 0, 0, 1, 3, -2]
+
+
+def test_only_qpoly_decides_the_packed_layout():
+    # the sign-bit rule and the slot count are written out in qpoly alone
+    rules = ("bit_length() + 1", "bit_length() //")
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in Path(qyt.__file__).parent.glob("*.py")}
+    assert all(rule in sources["qpoly.py"] for rule in rules)
+    assert [name for name, text in sorted(sources.items())
+            if name != "qpoly.py" and any(rule in text for rule in rules)] == []
 
 
 def test_unpack_reads_long_values_block_by_block():
@@ -193,9 +242,9 @@ signed_poly = st.lists(
 
 def _packed_product(a, b):
     """a * b by one packed big-integer multiply, read back at the width
-    the suites compare at (verify._width): each product coefficient is at
+    the suites compare at (slot_width): each product coefficient is at
     most |a|_1 * |b|_1 in absolute value."""
-    width = _width(sum(map(abs, a)) * sum(map(abs, b)))
+    width = slot_width(sum(map(abs, a)) * sum(map(abs, b)))
     return unpack(pack(a, width) * pack(b, width), width)
 
 
@@ -203,6 +252,13 @@ def _packed_product(a, b):
 def test_mul_matches_schoolbook_oracle(a, b):
     assert _packed_product(a, b) == _trimmed(oracles.poly_mul_brute(a, b))
     assert _packed_product(a, [3]) == _trimmed([3 * c for c in a])
+
+
+@given(signed_poly, signed_poly)
+def test_sides_at_their_slot_width_are_equal_only_when_equal(a, b):
+    width = slot_width(sum(map(abs, a)), sum(map(abs, b)))
+    assert (pack(a, width) == pack(b, width)) == (_trimmed(a) == _trimmed(b))
+    assert pack(a, width) == pack(_trimmed(a), width)
 
 
 def test_constant_products_match_the_packed_route():

@@ -10,7 +10,7 @@ import qyt.verify
 from qyt import _kernels
 from qyt.board import FerrersBoard
 from qyt.partition import Partition, partitions
-from qyt.qpoly import Packed, pack, unpack
+from qyt.qpoly import Packed, pack, q_table_at, unpack
 from qyt.tableau import Tableau, enumerate_syt, qyt_count_exact
 from qyt.verify import (
     SUITES,
@@ -142,13 +142,14 @@ def test_content_tally_matches_the_word_listing():
     from qyt.verify import _content_tally
 
     # every content, not only the partitions the suite reads, at the
-    # least width the tally allows and at a wider one
+    # least width the tally allows and at a wider one, with the
+    # binomials of the table of n at that width
     for n in range(1, 8):
         least = factorial(n).bit_length() + 1
         for content in _compositions(n):
             want = dict(oracles.word_stats_brute(content))
             for width in (least, least + 7):
-                rows = _content_tally(content, width)
+                rows = _content_tally(content, width, q_table_at(n, width)[2])
                 assert len(rows) == n
                 assert _read_rows(rows, width) == want, (content, width)
 
@@ -238,6 +239,20 @@ def _on_board_222(change):
 def _recording(word, Q):
     """row_insert gives `word` the recording Q."""
     return _when(lambda w: tuple(w) == word, lambda out, w: (out[0], Q))
+
+
+def _fact_3(change):
+    """A fault for the tables that verify reads (qpoly.q_table_at): the
+    entry [3]! replaced by change([3]!, q) at the table's q, and every
+    other entry as it is."""
+    def make(true):
+        def faulty(n, width):
+            ints, facts, rows = true(n, width)
+            if n >= 3:
+                facts = (*facts[:3], change(facts[3], 1 << width), *facts[4:])
+            return ints, facts, rows
+        return faulty
+    return make
 
 
 # T_n + q on every board, at the width the solve packs T at
@@ -401,8 +416,8 @@ MUTATIONS = [
     pytest.param(
         # the word of content 2,1 at q^0 t^0 moved to q^1 t^0
         verify_genfun, {"max_n": 4}, qyt.verify, "_content_tally",
-        _when(lambda parts, width: parts == (2, 1),
-              lambda out, parts, width: [out[0] - 1 + (1 << width), *out[1:]]),
+        _when(lambda parts, width, binoms: parts == (2, 1),
+              lambda out, parts, width, binoms: [out[0] - 1 + (1 << width), *out[1:]]),
         {"check": "monomial", "n": 3},
         id="monomial"),
     pytest.param(
@@ -456,8 +471,8 @@ MUTATIONS = [
         id="truncated-fundamental"),
     pytest.param(
         # q [3]! at q = 2^W
-        verify_genfun, {"max_n": 3}, qyt.verify, "q_fact_at",
-        _when(lambda n, q: n == 3, lambda out, n, q: out * q),
+        verify_genfun, {"max_n": 3}, qyt.verify, "q_table_at",
+        _fact_3(lambda fact, q: fact * q),
         {"check": "t1-specialization", "shape": "3"},
         id="t1-specialization"),
     pytest.param(
@@ -604,8 +619,8 @@ def test_an_inexact_hook_quotient_is_a_counterexample(monkeypatch):
     # [3]! + 1 is not divisible by the hook product of any shape of 3;
     # the t = 1 check compares cross-multiplied, so nothing is divided
     # and the shape is reported with both sides read back
-    monkeypatch.setattr(qyt.verify, "q_fact_at", _when(
-        lambda n, q: n == 3, lambda out, n, q: out + 1)(qyt.verify.q_fact_at))
+    monkeypatch.setattr(qyt.verify, "q_table_at",
+                        _fact_3(lambda fact, q: fact + 1)(qyt.verify.q_table_at))
     assert verify_genfun(3).counterexample == {
         "check": "t1-specialization", "shape": "3",
         "lhs": "1 + 2q + 2q^2 + q^3", "rhs": "2 + 2q + 2q^2 + q^3"}
@@ -825,6 +840,21 @@ def test_polya_examples():
         assert polya_dimension_check(1, m)
         assert polya_dimension_check(2, m)
     assert polya_dimension_check(5, 3)
+
+
+def test_polya_holds_at_n_zero_and_at_m_zero():
+    # m^0 = 1 = C(m, 0) QYT_{=0}(empty) f^empty, the empty filling alone;
+    # at m = 0 both sides are 0 for n >= 1
+    for m in range(6):
+        assert polya_dimension_check(0, m), m
+    for n in range(1, 5):
+        assert polya_dimension_check(n, 0), n
+
+
+@pytest.mark.parametrize("n,m,name", [(-1, 3, "n"), (2, -1, "m"), (-2, -2, "n")])
+def test_polya_rejects_a_negative_argument_by_name(n, m, name):
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -"):
+        polya_dimension_check(n, m)
 
 
 def test_jack_coefficient_examples():
