@@ -11,14 +11,17 @@ identity (Garsia-Remmel's q-form)
 
     prod_i [x + h_i - i + 1]  ==  sum_k [x + k choose n] T_k,
 
-solved for T_n, T_{n-1}, ..., T_0 at x = 0, 1, ..., n.  The same solve
-gives h_k at q = 1 and T_k at q = 2^W, where every polynomial is one
-packed integer (qpoly.pack), and returns T_0..T_n packed, to be read
-back (qpoly.Packed) where they are shown.
-The solve reads the q-integers and the Gaussian binomials [a choose n]
-at q = 2^W from the kept table qpoly.q_table_at(n, W), built by shifts
-and adds, so no step divides.  The route that does not assume the
-identity is the census of _kernels.q_hit_census, a dynamic program over the rows
+solved for T_n, T_{n-1}, ..., T_0 at x = 0, 1, ..., n.  One solve,
+_solve_product_identity(heights, W), runs at q = 2^W, where every
+polynomial is one packed integer (qpoly.pack): at W = 0 (q = 1) it
+gives the hit numbers h_k, and at W = qpoly.slot_width(n!) the q-hit
+numbers T_k, packed, to be read back (qpoly.Packed) where they are
+shown.  At every width it reads the q-integers and the Gaussian
+binomials [a choose n] from the kept table qpoly.q_table_at(n, W),
+built by shifts and adds, so no step divides; at width 0 that is the
+table of the integers and the binomial coefficients.
+The route that does not assume the identity is the census of
+_kernels.q_hit_census, a dynamic program over the rows
 occupied column by column (no sweep over S_n); the gjw suite checks the
 identity against it, taking the census of every board of a size in one
 walk that shares the layers of common first columns.  Neither route
@@ -28,16 +31,16 @@ visits 2^n row sets per board.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import factorial
 from typing import Sequence
 
-from .partition import Partition
+from .partition import as_partition
 
 
-def _solve_product_identity(heights, ints: Sequence, binoms: Sequence) -> list:
-    """T_0..T_n from prod_i [x + h_i - i + 1] == sum_k [x + k choose n] T_k,
-    given ints[f] = [f] for f = 0..2n and binoms[a] = [a choose n] for
-    a = 0..2n, at q = 1 or at one q = 2^W.
+def _solve_product_identity(heights, width: int) -> list[int]:
+    """T_0..T_n at q = 2^width from prod_i [x + h_i - i + 1] ==
+    sum_k [x + k choose n] T_k, with [f] and [a choose n] read from
+    qpoly.q_table_at(n, width); width 0 is q = 1.
 
     At x the terms with x + k < n vanish, so the only new unknown is
     T_{n-x}, whose coefficient [n choose n] is 1: each step needs only
@@ -45,7 +48,10 @@ def _solve_product_identity(heights, ints: Sequence, binoms: Sequence) -> list:
     by at most 1 per column, so the first factor that is not positive is
     [0] = 0 and ends the product.
     """
+    from .qpoly import q_table_at
+
     n = len(heights)
+    ints, _, rows = q_table_at(n, width)
     T = [1] * (n + 1)
     for x in range(n + 1):
         value = 1
@@ -55,7 +61,7 @@ def _solve_product_identity(heights, ints: Sequence, binoms: Sequence) -> list:
             if f == 0:
                 break
         for k in range(n - x + 1, n + 1):
-            value -= binoms[x + k] * T[k]
+            value -= rows[x + k][n] * T[k]
         T[n - x] = value
     return T
 
@@ -80,11 +86,13 @@ class FerrersBoard:
     def from_partition(cls, shape) -> "FerrersBoard":
         """Board with column heights c_i + i - 1, where c_1 >= c_2 >= ...
         are the cell contents of `shape` in weakly decreasing order.
+        `shape` is read as partition.as_partition reads it: "3,2" is the
+        shape 3,2 and "32" the one-part shape 32.
 
         The construction never produces a column of full height n, so
         plus_one() is always legal on these boards.
         """
-        shape = shape if isinstance(shape, Partition) else Partition(shape)
+        shape = as_partition(shape)
         cs = sorted(shape.contents(), reverse=True)
         return cls(shape.size, tuple(c + i for i, c in enumerate(cs)))
 
@@ -132,11 +140,9 @@ class FerrersBoard:
         return sum(self.q_weight_columns(perm))
 
     def hit_numbers(self) -> list[int]:
-        """h_0..h_n, where h_k counts the permutations with exactly k hits,
-        by the product identity at q = 1."""
-        n = self.n
-        return _solve_product_identity(
-            self.heights, range(2 * n + 1), [comb(a, n) for a in range(2 * n + 1)])
+        """h_0..h_n, where h_k counts the permutations with exactly k hits:
+        the product identity solved at width 0, q = 1."""
+        return _solve_product_identity(self.heights, 0)
 
     def q_hit_numbers(self) -> tuple[int, list[int]]:
         """(width, [T_0(2^width), ..., T_n(2^width)]), where T_k collects
@@ -148,11 +154,10 @@ class FerrersBoard:
         width = qpoly.slot_width(n!) unpack(T_k(2^width), width) reads T_k
         back.
         """
-        from .qpoly import q_table_at, slot_width
+        from .qpoly import slot_width
 
         width = slot_width(factorial(self.n))
-        ints, _, rows = q_table_at(self.n, width)
-        return width, _solve_product_identity(self.heights, ints, [row[-1] for row in rows])
+        return width, _solve_product_identity(self.heights, width)
 
     def q_hit_census(self) -> list[list[int]]:
         """The coefficient lists of T_0..T_n, by the census of

@@ -105,6 +105,8 @@ def _cmd_count(args) -> int:
 def _cmd_board(args) -> int:
     from .board import FerrersBoard
 
+    if args.limit is not None and not (args.hits or args.q_hits):
+        raise ValueError("--limit applies only with --hits or --q-hits")
     board = FerrersBoard.from_partition(args.shape)
     if args.plus_one:
         board = board.plus_one()
@@ -223,6 +225,15 @@ def _cmd_rsk(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    # the options that only the other expansion reads
+    if args.what == "schur":
+        other, foreign = "genfun", {"--n": args.n is not None, "--no-q": args.no_q}
+    else:
+        other, foreign = "schur", {"--shape": args.shape is not None,
+                                   "--vars": args.vars is not None}
+    for option, given in foreign.items():
+        if given:
+            raise ValueError(f"{option} applies only to expand {other}")
     if args.what == "schur":
         from .symfun import expand_monomials, schur_truncated
 

@@ -1,8 +1,8 @@
 """Exact integer polynomials in q, and in q and t, packed into single
 ints, and the one table of q-integers, q-factorials and Gaussian
-binomials at q = 2^W.  This module alone decides the packed layout:
-slot widths (slot_width), slot counts (slot_count) and t-strides
-(t_stride).
+binomials at q = 2^W, which at W = 0 is the table at q = 1.  This
+module alone decides the packed layout: slot widths (slot_width), slot
+counts (slot_count) and t-strides (t_stride).
 
 Polynomials are computed as values: a polynomial evaluated at q = 2^W
 is one Python int whose W-bit slots hold its coefficients (pack), so a
@@ -163,8 +163,10 @@ def q_table_at(n: int, width: int) -> tuple[tuple[int, ...], tuple[int, ...], tu
     a = 0..2n and b = 0..n (0 for b > a), all tuples.  [f+1] = q [f] + 1,
     [f]! = [f-1]! [f], and each row of binomials comes from the one
     before by the q-Pascal rule [a choose b] = [a-1 choose b-1] +
-    q^b [a-1 choose b].  The last table is kept: a sweep asks for the
-    tables of one n in a row, at one width on honest inputs.
+    q^b [a-1 choose b].  Width 0 is q = 1, the ordinary table:
+    ints[f] = f, facts[f] = f! and rows[a][b] = C(a, b).  The last table
+    is kept: a sweep asks for the tables of one n in a row, at one width
+    on honest inputs.
     """
     ints = [0]
     for _ in range(2 * n + 1):

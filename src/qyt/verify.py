@@ -23,7 +23,19 @@ instance and stops at the first that differ, without resuming the
 body; that instance is the counterexample, {"check", **fields, "lhs",
 "rhs"}, each value shown by `_shown`.  Every suite that reads descent
 statistics, genfun aside, walks Young's lattice once per run
-(tableau.descent_levels) and reads each level as n reaches it.
+(tableau.descent_levels) and reads each level as n reaches it.  A
+tally by descents is paired with its other side over every row that
+either side has, a row that one side lacks read as 0: no standard
+filling of size n has n or more descents, so on honest input those rows
+are 0 on both sides, and a faulty row there is read, not skipped.
+
+q = 1 is width 0 of the packed layer: the walk at width 0 counts, and
+q_table_at(n, 0) holds the integers and the binomial coefficients.  So
+the one signed row prod_{i=0..n} (1 - t q^i) (_signed_row) serves
+MacMahon's content tallies at q = 2^W, the alternating summation and
+the Worpitzky form of the Eulerian numbers at q = 1, and the one
+product-identity solve (board._solve_product_identity) serves hit
+numbers at q = 1 and q-hit numbers at q = 2^W.
 
 The counting-level application identities live here too: signatures and
 ribbons, Foulkes multiplicities, the Polya dimension identity, and the
@@ -36,6 +48,7 @@ import functools
 import random
 import time
 from itertools import permutations as _all_perms
+from itertools import zip_longest
 from math import comb, factorial, prod
 from operator import mul
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -148,19 +161,42 @@ def _suite(name: str) -> Callable[[Callable[..., Iterator[_Instance]]], Callable
 
 
 # ---------------------------------------------------------------------------
+# the signed row prod_{i=0..n} (1 - t q^i)
+
+
+def _signed_row(n: int, width: int) -> list[int]:
+    """E_0..E_n at q = 2^width, E_j = (-1)^j q^C(j,2) [n+1 choose j]: by
+    the q-binomial theorem the coefficient of t^j in prod_{i=0..n}
+    (1 - t q^i), read from the q-Pascal rows of qpoly.q_table_at(n,
+    width), which hold [n+1 choose j] for j <= n (n >= 1).  The last
+    coefficient, at t^(n+1), is left out, since no caller reads a power
+    of t above n.  At width 0 it is the row (-1)^j C(n+1, j)."""
+    pascal = q_table_at(n, width)[2][n + 1]
+    return [(-1) ** j * (pascal[j] << width * comb(j, 2)) for j in range(n + 1)]
+
+
+def _times_signed_row(signed: list[int], P: Sequence[int]) -> list[int]:
+    """The coefficients of t^0..t^(len(P) - 1) in
+    (sum_j signed[j] t^j) * (sum_k P[k] t^k), for `signed` the signed row
+    of n and at most n + 1 terms P_k."""
+    return [sum(map(mul, signed[d::-1], P)) for d in range(len(P))]
+
+
+# ---------------------------------------------------------------------------
 # hit numbers
 
 
 @_suite("hit")
 def verify_hit(max_n: int = 7) -> Iterator[_Instance]:
-    """QYT_{=k+1}(shape) * hook product == h_k of the conjugate board."""
+    """QYT_{=k+1}(shape) * hook product == h_k of the conjugate board,
+    for k = 0..n and every further row of the walk's tally."""
     for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
         for shape in partitions(n):
             hooks = shape.hook_product()
             counts = tallies[shape.parts]
             hit = FerrersBoard.from_partition(shape.conjugate()).hit_numbers()
-            for k in range(n):
-                yield None, {"shape": shape, "k": k}, counts[k] * hooks, hit[k]
+            for k, (count, h) in enumerate(zip_longest(counts, hit, fillvalue=0)):
+                yield None, {"shape": shape, "k": k}, count * hooks, h
 
 
 def _hit_sides(board: FerrersBoard, shape, tally: list[int],
@@ -190,13 +226,13 @@ def verify_maj_hit(max_n: int = 6) -> Iterator[_Instance]:
 
     (sum_{QYT_{=k+1}} q^maj) * prod [h(u)]  ==  q^n(shape) * T_{n-k}(B+1),
 
-    where B+1 is the board of the shape with every column raised once.
-    Also checks that the T_k sum to [n]! (Mahonian) and the summed
-    corollary (sum over all standard fillings of q^maj) * prod [h] =
-    q^n(shape) [n]!.  Both sides are compared packed at q = 2^W, with W,
-    T_k, the hook product and [n]! from _hit_sides.  The sums of q^maj
-    come from one walk of Young's lattice at the maj width
-    (tableau.maj_width) and the T_k from the board's solve.
+    where B+1 is the board of the shape with every column raised once,
+    for k = 0..n (T_0(B+1) = 0) and every further row of the walk's
+    tally.  Also checks that the T_k sum to [n]! (Mahonian).  Both sides
+    are compared packed at q = 2^W, with W, T_k, the hook product and
+    [n]! from _hit_sides.  The sums of q^maj come from one walk of Young's
+    lattice at the maj width (tableau.maj_width) and the T_k from the
+    board's solve.
     """
     tally_width = maj_width(partitions(max_n))
     for n, tallies in enumerate(descent_levels(tally_width, partitions(max_n)), 1):
@@ -207,12 +243,11 @@ def verify_maj_hit(max_n: int = 6) -> Iterator[_Instance]:
             yield ("mahonian", {"board": board},
                    Packed(sum(T), width), Packed(mahonian_at, width))
             shift = shape.n_stat() * width
-            lhs = [pack(g, width) * hooks_at for g in gens]
-            for k in range(n):
-                yield ("refinement", {"shape": shape, "k": k},
-                       Packed(lhs[k], width), Packed(T[n - k] << shift, width))
-            yield ("hook-length-q-analogue", {"shape": shape},
-                   Packed(sum(lhs), width), Packed(mahonian_at << shift, width))
+            lhs = [Packed(pack(g, width) * hooks_at, width) for g in gens]
+            rhs = [Packed(t << shift, width) for t in reversed(T)]
+            zero = Packed(0, width)
+            for k, sides in enumerate(zip_longest(lhs, rhs, fillvalue=zero)):
+                yield ("refinement", {"shape": shape, "k": k}, *sides)
 
 
 @_suite("charge-hit")
@@ -222,12 +257,12 @@ def verify_charge_hit(max_n: int = 6) -> Iterator[_Instance]:
     (sum_{QYT_{=k+1}} q^ch) * prod [h(u)] * q^C(n,2)
         ==  q^(nk + n(conjugate)) * T_k(board of the conjugate),
 
-    for k = 0..n (at n both sides are 0), compared packed as in maj-hit
-    (see _hit_sides).  Charge is n * k - maj, so the row of the fillings
-    with k descents, read back with d its top maj and reversed, is
-    q^(d - nk) times the sum of q^charge.  Both sides are multiplied by
-    q^(e - nk), with e the larger of d and n * k, so that no side is
-    divided by a power of q even when a maj exceeds n * k.
+    compared packed as in maj-hit (see _hit_sides).  Charge is n * k -
+    maj, so the row of the fillings with k descents, read back with d its
+    top maj and reversed, is q^(d - nk) times the sum of q^charge.  Both
+    sides are multiplied by q^(e - nk), with e the larger of d and n * k,
+    so that no side is divided by a power of q even when a maj exceeds
+    n * k.
     """
     tally_width = maj_width(partitions(max_n))
     for n, tallies in enumerate(descent_levels(tally_width, partitions(max_n)), 1):
@@ -236,11 +271,12 @@ def verify_charge_hit(max_n: int = 6) -> Iterator[_Instance]:
             conj = shape.conjugate()
             width, T, majs, hooks_at, _ = _hit_sides(
                 FerrersBoard.from_partition(conj), shape, tallies[shape.parts], tally_width)
-            for k in range(n + 1):
-                c = majs[k] if k < n else []  # no filling has n descents
+            for k in range(max(len(majs), n + 1)):
+                c = majs[k] if k < len(majs) else []
+                t = T[k] if k <= n else 0
                 top = max(len(c) - 1, n * k)
                 lhs = pack(c[::-1], width) * hooks_at << ((top + 1 - len(c) + half) * width)
-                rhs = T[k] << ((top + conj.n_stat()) * width)
+                rhs = t << ((top + conj.n_stat()) * width)
                 yield "refinement", {"shape": shape, "k": k}, Packed(lhs, width), Packed(rhs, width)
 
 
@@ -248,19 +284,20 @@ def verify_charge_hit(max_n: int = 6) -> Iterator[_Instance]:
 def verify_summation(max_n: int = 8) -> Iterator[_Instance]:
     """Alternating summation:
 
-    QYT_{=k+1}(shape) == sum_m C(n+1, k-m) (-1)^(k-m) SSYT_{m+1}(shape).
+    QYT_{=k+1}(shape) == sum_m C(n+1, k-m) (-1)^(k-m) SSYT_{m+1}(shape),
 
-    The signed binomials (-1)^j C(n+1, j) are one row per n; the sum for
-    k pairs that row, read back from j = k, with SSYT_1..SSYT_{k+1}.
+    the coefficient of t^k in (1 - t)^(n+1) sum_m SSYT_{m+1} t^m, for
+    k = 0..n (at n the right side is 0) and every further row of the
+    walk's tally.  The signed row of n at width 0 (_signed_row) is built
+    once per n and multiplied with SSYT_1..SSYT_{n+1} of each shape.
     """
     for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
-        signed = [(-1) ** j * comb(n + 1, j) for j in range(n)]
+        signed = _signed_row(n, 0)
         for shape in partitions(n):
             counts = tallies[shape.parts]
-            ssyt = shape.hook_content_counts(n)
-            for k in range(n):
-                rhs = sum(map(mul, signed[k::-1], ssyt))
-                yield None, {"shape": shape, "k": k}, counts[k], rhs
+            sums = _times_signed_row(signed, shape.hook_content_counts(n + 1))
+            for k, (count, rhs) in enumerate(zip_longest(counts, sums, fillvalue=0)):
+                yield None, {"shape": shape, "k": k}, count, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +322,10 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
     per n, and nothing is divided: each census row is packed once, at W,
     and [n]!, the q-integers and the Gaussian binomials come from one
     qpoly.q_table_at per n.  The "product-route" check solves the
-    identity on that same table (board._solve_product_identity) and
-    compares the solve with the packed census rows, which hold the
-    census as it reads back at W, since W is read off the census.
+    identity at that same W (board._solve_product_identity, which reads
+    the same kept table) and compares the solve with the packed census
+    rows, which hold the census as it reads back at W, since W is read
+    off the census.
     W is read off the censuses of size n as they are, the widest bound
     of any board: the factors are nonnegative and grow with x, so x = n
     bounds every x.  The product side sums to at most
@@ -306,7 +344,6 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
                     for k, row in enumerate(censuses[heights])))
             for heights in boards))
         ints, facts, rows = q_table_at(n, width)
-        binoms = [row[n] for row in rows]  # [a choose n]
         mahonian = Packed(facts[n], width)
         for shape, (base, raised) in zip(bases, pairs):
             yield ("complement", {"shape": shape}, raised.complement_rotated(),
@@ -322,10 +359,10 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
                     if any(f < 0 for f in factors):
                         continue
                     lhs = prod(ints[f] for f in factors)
-                    rhs = sum(binoms[x + k] * packed[k] for k in range(n - x, n + 1))
+                    rhs = sum(rows[x + k][n] * packed[k] for k in range(n - x, n + 1))
                     yield ("product-identity", {"board": board, "x": x},
                            Packed(lhs, width), Packed(rhs, width))
-                solved = _solve_product_identity(board.heights, ints, binoms)
+                solved = _solve_product_identity(board.heights, width)
                 yield ("product-route", {"board": board},
                        [Packed(v, width) for v in solved],
                        [Packed(v, width) for v in packed])
@@ -380,10 +417,11 @@ def verify_lattice(max_n: int = 7, points: int = 200,
 
     for n in range(1, max_n + 1):
         table = a_table(n)
+        # the Eulerian numbers by Worpitzky's identity, not their
+        # recurrence: (1 - t)^(n+1) sum_k (k+1)^n t^k
+        want = _times_signed_row(_signed_row(n, 0), [(k + 1) ** n for k in range(n)])
         for k in range(n):
-            # the Eulerian number by its closed form, not its recurrence
-            want = sum((-1) ** j * comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 2))
-            yield "eulerian-base", {"n": n, "k": k}, table[k][0], want
+            yield "eulerian-base", {"n": n, "k": k}, table[k][0], want[k]
 
     for n in range(1, max_n + 1):
         table = a_table(n)
@@ -431,9 +469,8 @@ def verify_lattice(max_n: int = 7, points: int = 200,
         for shape in partitions(n):
             counts = tallies[shape.parts]
             by_paths = qyt_counts_via_pnk(shape)
-            for k in range(n + 1):
-                want = counts[k] if k < n else 0
-                yield "theorem", {"shape": shape, "k": k}, by_paths[k], want
+            for k, (paths, count) in enumerate(zip_longest(by_paths, counts, fillvalue=0)):
+                yield "theorem", {"shape": shape, "k": k}, paths, count
             yield "hook-recovery", {"shape": shape}, sum(by_paths), shape.hook_length_count()
 
 
@@ -495,19 +532,17 @@ def _content_tally(parts: tuple[int, ...], width: int, binoms) -> list[int]:
         sum_w t^des q^maj  =  prod_{i=0..n} (1 - t q^i)
                               * sum_{k>=0} t^k prod_j [parts_j + k choose parts_j].
 
-    By the q-binomial theorem the product is sum_j (-1)^j q^C(j,2)
-    [n+1 choose j] t^j, so the coefficient of t^d is
-    sum_{k<=d} (-1)^(d-k) q^C(d-k,2) [n+1 choose d-k] P_k with
-    P_k = prod_j [parts_j + k choose parts_j].  Evaluation at q = 2^W is
-    a ring map, so only the result has to fit a slot, and each of its
-    coefficients is at most the multinomial coefficient, at most n!.
-    Every binomial is read from `binoms`, the q-Pascal rows of
-    qpoly.q_table_at(n, width): parts_j + k < 2n, and n + 1 <= 2n.
+    The product is the signed row of n (_signed_row), so the tally is
+    that row times the P_k = prod_j [parts_j + k choose parts_j]
+    (_times_signed_row).  Evaluation at q = 2^W is a ring map, so only
+    the result has to fit a slot, and each of its coefficients is at
+    most the multinomial coefficient, at most n!.  The P_k read their
+    binomials from `binoms`, the q-Pascal rows of qpoly.q_table_at(n,
+    width): parts_j + k < 2n.
     """
     n = sum(parts)
     P = [prod(binoms[a + k][a] for a in parts) for k in range(n)]
-    E = [(-1) ** j * (binoms[n + 1][j] << width * comb(j, 2)) for j in range(n)]
-    return [sum(E[d - k] * P[k] for k in range(d + 1)) for d in range(n)]
+    return _times_signed_row(_signed_row(n, width), P)
 
 
 def _weighted(maps: dict, values: dict) -> dict[tuple[int, ...], int]:
@@ -723,17 +758,26 @@ def polya_dimension_check(n: int, m: int) -> bool:
 
 def _polya_sum(n: int, m: int, tallies: dict[tuple[int, ...], list[int]]) -> int:
     """The right-hand side of polya_dimension_check, from the tallies at
-    width 0 of the partitions of n; at n = 0, C(m, 0) for the empty
-    filling, whose largest entry 0 no tally by descents holds."""
+    width 0 of the partitions of n: sum over shapes of f^shape times
+    sum_d C(m + n - 1 - d, n) tally[d], over every row d a tally has; at
+    n = 0, C(m, 0) for the empty filling, whose largest entry 0 no tally
+    by descents holds."""
     if n == 0:
         return 1
     total = 0
     for shape in partitions(n):
         counts = tallies[shape.parts]
         total += shape.hook_length_count() * sum(
-            comb(m + k, n) * counts[n - k - 1] for k in range(n)
-        )
+            _binomial(m + n - 1 - d, n) * c for d, c in enumerate(counts))
     return total
+
+
+def _binomial(top: int, n: int) -> int:
+    """C(top, n) as the polynomial top (top - 1) ... (top - n + 1) / n!
+    in top: math.comb(top, n) for top >= 0, and for a negative top, which
+    only a tally row d >= m + n reaches, (-1)^n C(n - 1 - top, n), where
+    math.comb would raise."""
+    return comb(top, n) if top >= 0 else (-1) ** n * comb(n - 1 - top, n)
 
 
 def jack_coefficient(shape, k: int) -> int:
@@ -746,14 +790,17 @@ def jack_coefficient(shape, k: int) -> int:
 @_suite("foulkes")
 def verify_foulkes(max_n: int = 7) -> Iterator[_Instance]:
     """foulkes_multiplicity(n, k, shape), the standard fillings with
-    n - 1 - k descents counted by the walk of Young's lattice, ==
-    QYT_{=n-k}(shape) by the lattice-path route (qyt_counts_via_pnk)."""
+    d = n - 1 - k descents counted by the walk of Young's lattice, ==
+    QYT_{=n-k}(shape) by the lattice-path route (qyt_counts_via_pnk), by
+    ascending k.  Every row d either side has is read, so k = -1 at
+    d = n, where the path count P_{n,n}/H is 0."""
     for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
         for shape in partitions(n):
             by_des = tallies[shape.parts]
             by_paths = qyt_counts_via_pnk(shape)
-            for k in range(n):
-                yield None, {"shape": shape, "k": k}, by_des[n - 1 - k], by_paths[n - 1 - k]
+            pairs = list(zip_longest(by_des, by_paths, fillvalue=0))
+            for d in reversed(range(len(pairs))):
+                yield (None, {"shape": shape, "k": n - 1 - d}, *pairs[d])
 
 
 @_suite("polya")
@@ -767,8 +814,9 @@ def verify_polya(max_n: int = 6, max_m: int = 5) -> Iterator[_Instance]:
 @_suite("jack")
 def verify_jack(max_n: int = 6) -> Iterator[_Instance]:
     """The labeled coefficients against the two independent routes: the
-    lattice-path count of the conjugate shape and the hit numbers.  Each
-    shape's quasi-Yamanouchi counts are read once for all k."""
+    lattice-path count of the conjugate shape and the hit numbers, for
+    k = 0..n and every further row of the walk's tally.  Each shape's
+    quasi-Yamanouchi counts are read once for all k."""
     for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
         for shape in partitions(n):
             conj = shape.conjugate()
@@ -776,11 +824,12 @@ def verify_jack(max_n: int = 6) -> Iterator[_Instance]:
             path_counts = qyt_counts_via_pnk(conj)
             conj_hooks = conj.hook_product()
             hit = FerrersBoard.from_partition(shape).hit_numbers()
-            for k in range(n):
+            rows = zip_longest(counts, path_counts, hit, fillvalue=0)
+            for k, (count, by_paths, h) in enumerate(rows):
                 fields = {"shape": shape, "k": k}
-                got = factorial(n) * counts[k]  # jack_coefficient(shape, k)
-                yield "path-route", fields, got, factorial(n) * path_counts[k]
-                yield "hit-route", fields, got * conj_hooks, factorial(n) * hit[k]
+                got = factorial(n) * count  # jack_coefficient(shape, k)
+                yield "path-route", fields, got, factorial(n) * by_paths
+                yield "hit-route", fields, got * conj_hooks, factorial(n) * h
 
 
 #: CLI-facing registry of suites.

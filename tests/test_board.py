@@ -22,6 +22,12 @@ def test_from_partition_examples():
     assert FerrersBoard.from_partition(Partition((2, 2, 1))).heights == (1, 1, 2, 2, 2)
 
 
+def test_from_partition_reads_text_as_a_shape():
+    assert FerrersBoard.from_partition("3,2") == FerrersBoard.from_partition(Partition((3, 2)))
+    # "32" is the one-part shape 32, contents 0..31, not the shape 3,2
+    assert FerrersBoard.from_partition("32") == FerrersBoard(32, (31,) * 32)
+
+
 def test_from_partition_height_increments():
     # contents of a shape cover a contiguous interval, so consecutive
     # column heights step by 0 or 1 and never reach n
@@ -107,6 +113,24 @@ def test_hit_numbers_examples():
     assert FerrersBoard.from_partition(Partition((2, 2, 1))).hit_numbers() == [0, 48, 72, 0, 0, 0]
     full = FerrersBoard(4, (4,) * 4)
     assert full.hit_numbers() == [0, 0, 0, 0, 24]
+
+
+def test_hit_and_q_hit_numbers_read_one_table_at_two_widths(monkeypatch):
+    import qyt.qpoly
+
+    asked = []
+    true = qyt.qpoly.q_table_at
+
+    def recorded(n, width):
+        asked.append((n, width))
+        return true(n, width)
+
+    monkeypatch.setattr(qyt.qpoly, "q_table_at", recorded)
+    board = FerrersBoard.from_partition(Partition((2, 2, 1)))
+    assert board.hit_numbers() == [0, 48, 72, 0, 0, 0]
+    width, T = board.q_hit_numbers()
+    assert [sum(unpack(t, width)) for t in T] == [0, 48, 72, 0, 0, 0]
+    assert asked == [(5, 0), (5, factorial(5).bit_length() + 1)]
 
 
 def test_hit_numbers_match_oracle():

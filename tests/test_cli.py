@@ -139,6 +139,25 @@ def test_verify_rejects_a_seed_the_suite_does_not_take(capsys, suite):
     assert captured.err == "error: --seed applies only to the lattice suite\n"
 
 
+@pytest.mark.parametrize("argv,option", [
+    pytest.param(("expand", "schur", "--shape", "2,1", "--n", "4"), "--n", id="schur-n"),
+    pytest.param(("expand", "schur", "--shape", "2,1", "--no-q"), "--no-q", id="schur-no-q"),
+    pytest.param(("expand", "genfun", "--n", "3", "--shape", "2,1"), "--shape",
+                 id="genfun-shape"),
+    pytest.param(("expand", "genfun", "--n", "3", "--vars", "2"), "--vars", id="genfun-vars"),
+    pytest.param(("board", "--shape", "3,2", "--limit", "2"), "--limit", id="board-limit"),
+    pytest.param(("board", "--shape", "3,2", "--plus-one", "--limit", "9", "--format", "json"),
+                 "--limit", id="board-plus-one-limit-json"),
+])
+def test_an_option_the_command_would_ignore_is_rejected(capsys, argv, option):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} applies only ")
+    assert "Traceback" not in captured.err
+
+
 def _closed_after(lines: int, *argv: str) -> tuple[int, str]:
     """(exit code, stderr) of `qyt argv` in a fresh interpreter on the qyt
     under test, whose stdout pipe the reader closes after `lines` lines."""

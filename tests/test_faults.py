@@ -1,18 +1,22 @@
 """A seeded sweep of single-slot faults over the seams where the q-suites
 read packed values: the walk rows of maj-hit and charge-hit, the T_k of
 FerrersBoard.q_hit_numbers, the census cells that gjw reads, and the
-three tallies of genfun.
+three tallies of genfun; and over the walk at width 0, q = 1, whose
+counts the hit, summation, lattice, foulkes and jack suites read.
 
 Each fault changes one slot of one value that one call of the seam
 returns: by +-1 or +-2^e for e = 1..80, by flipping its sign, or by
 moving its term to the next slot.  A slot is a coefficient of a value
-packed at the seam's width, or one census cell.  The suite must report
+packed at the seam's width, one census cell, or one count of a tally at
+width 0; moving the last count of a tally appends a row at n descents,
+which no standard filling has.  The suite must report
 a failure for every fault: a pass means that the fault slipped between
 the slots or that no check reads the value, and an exception that the
 suite does not report its counterexample.
 """
 
 import random
+from functools import partial
 from typing import Callable, NamedTuple
 
 import pytest
@@ -21,7 +25,17 @@ import qyt.verify
 from qyt import _kernels
 from qyt.board import FerrersBoard
 from qyt.qpoly import pack, unpack
-from qyt.verify import verify_charge_hit, verify_genfun, verify_gjw, verify_maj_hit
+from qyt.verify import (
+    verify_charge_hit,
+    verify_foulkes,
+    verify_genfun,
+    verify_gjw,
+    verify_hit,
+    verify_jack,
+    verify_lattice,
+    verify_maj_hit,
+    verify_summation,
+)
 
 SEED = 27
 BOUND = 5
@@ -60,6 +74,13 @@ def _walk(suite):
                 lambda args, out: args[0], generator=True)
 
 
+def _walk_counts(suite):
+    """The walk at width 0: each tally is a list of counts by des."""
+    return Seam(suite, qyt.verify, "descent_levels", _level_copy,
+                lambda level: [(level, key) for key in level],
+                lambda args, out: None, generator=True)
+
+
 def _q_hits(suite):
     return Seam(suite, FerrersBoard, "q_hit_numbers",
                 lambda out: (out[0], list(out[1])),
@@ -84,6 +105,14 @@ SEAMS = {
     "genfun content tally": Seam(verify_genfun, qyt.verify, "_content_tally", list,
                                  lambda out: [(out, k) for k in range(len(out))],
                                  lambda args, out: args[1]),
+    # polya is left out: at its max_m = 5 a count moved to d = 5 at n = 5
+    # weighs C(m - 1, 5) = 0 for every m <= 5, so that fault passes
+    "hit walk counts": _walk_counts(verify_hit),
+    "summation walk counts": _walk_counts(verify_summation),
+    # no sampled check of lattice reads the walk
+    "lattice walk counts": _walk_counts(partial(verify_lattice, points=0)),
+    "foulkes walk counts": _walk_counts(verify_foulkes),
+    "jack walk counts": _walk_counts(verify_jack),
 }
 
 

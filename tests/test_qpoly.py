@@ -65,6 +65,29 @@ def test_q_table_at_keeps_the_last_table():
     assert all(isinstance(row, tuple) for row in table[2])
 
 
+def _ordinary_table(n):
+    """The table at q = 1, from math alone."""
+    return (tuple(range(2 * n + 2)), tuple(factorial(f) for f in range(n + 1)),
+            tuple(tuple(comb(a, b) for b in range(n + 1)) for a in range(2 * n + 1)))
+
+
+def test_width_zero_is_the_ordinary_table():
+    for n in range(13):
+        assert q_table_at(n, 0) == _ordinary_table(n), n
+
+
+def test_alternating_widths_each_get_their_own_table():
+    # the hit numbers (width 0) and the q-hit numbers (width W) of one n
+    # may ask in turn; each must get the table of its own width
+    width = slot_width(factorial(6))
+    for _ in range(3):
+        assert q_table_at(6, 0) == _ordinary_table(6)
+        ints, facts, rows = q_table_at(6, width)
+        assert ints[2] == (1 << width) + 1
+        assert unpack(facts[3], width) == [1, 2, 2, 1]
+        assert unpack(rows[4][2], width) == [1, 1, 2, 1, 1]
+
+
 #: [a choose b] for a <= 12 and b <= 6, read back from one q_table_at
 #: at a width that holds their coefficients, which sum to C(a, b).
 _N = 6

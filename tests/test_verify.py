@@ -10,7 +10,7 @@ import qyt.verify
 from qyt import _kernels
 from qyt.board import FerrersBoard
 from qyt.partition import Partition, partitions
-from qyt.qpoly import Packed, pack, q_table_at, unpack
+from qyt.qpoly import Packed, pack, q_table_at, slot_width, unpack
 from qyt.tableau import Tableau, enumerate_syt, qyt_count_exact
 from qyt.verify import (
     SUITES,
@@ -152,6 +152,33 @@ def test_content_tally_matches_the_word_listing():
                 rows = _content_tally(content, width, q_table_at(n, width)[2])
                 assert len(rows) == n
                 assert _read_rows(rows, width) == want, (content, width)
+
+
+def test_signed_row_is_the_product_of_one_minus_t_q_to_the_i():
+    from math import comb
+
+    from qyt.verify import _signed_row, _times_signed_row
+
+    for n in range(1, 8):
+        # prod_{i=0..n} (1 - t q^i) as {(t-degree, q-degree): coefficient}
+        product = {(0, 0): 1}
+        for i in range(n + 1):
+            step = dict(product)
+            for (d, e), c in product.items():
+                step[d + 1, e + i] = step.get((d + 1, e + i), 0) - c
+            product = step
+        width = slot_width(2 ** (n + 1))
+        got = _signed_row(n, width)
+        assert len(got) == n + 1
+        for d, value in enumerate(got):
+            # the top q-degree at t^d is the sum of the d largest i
+            top = comb(d, 2) + d * (n + 1 - d)
+            want = [product.get((d, e), 0) for e in range(top + 1)]
+            assert unpack(value, width) == want, (n, d)
+        assert _signed_row(n, 0) == [(-1) ** j * comb(n + 1, j) for j in range(n + 1)]
+        # (1 - t)^(n+1) times sum_k t^k is (1 - t)^n
+        assert _times_signed_row(_signed_row(n, 0), [1] * (n + 1)) == [
+            (-1) ** j * comb(n, j) for j in range(n + 1)]
 
 
 def test_inverse_descent_tally_matches_an_s_n_sweep():
@@ -312,10 +339,10 @@ MUTATIONS = [
         {"check": "refinement", "shape": "2,1"},
         id="maj-hit-maj-moved"),
     pytest.param(
-        # a filling with n descents, which no k < n of the refinement reads
+        # a filling with n descents, which the refinement reads at k = n
         verify_maj_hit, {"max_n": 3}, qyt.verify, "descent_levels",
         _walked((((1, 1), 1), ((1, 2), 1), ((3, 0), 1))),
-        {"check": "hook-length-q-analogue", "shape": "2,1"},
+        {"check": "refinement", "shape": "2,1", "k": 3},
         id="hook-length-q-analogue"),
     pytest.param(
         verify_charge_hit, {"max_n": 3}, qyt.verify, "descent_levels", _MAJ_MOVED,
@@ -523,9 +550,9 @@ MUTATIONS = [
          "lhs": "1 + 2q + 2q^2 + q^3", "rhs": "0"},
         id="product-identity"),
     pytest.param(
-        # T_n + q on every board, at the q of the suite's table: ints[2] = q + 1
+        # T_n + q on every board, at the width the suite solves at
         verify_gjw, {"max_n": 2}, qyt.verify, "_solve_product_identity",
-        _when(_always, lambda out, heights, ints, binoms: [*out[:-1], out[-1] + ints[2] - 1]),
+        _when(_always, lambda out, heights, width: [*out[:-1], out[-1] + (1 << width)]),
         {"check": "product-route", "board": "n=1; heights=0",
          "lhs": ["1", "q"], "rhs": ["1", "0"]},
         id="product-route"),
@@ -583,7 +610,7 @@ def test_every_named_check_has_a_row():
                for suite in SUITES.values()}
     assert set().union(*yielded.values()) - {None} == {
         "closed-forms", "complement", "eulerian-base", "fundamental",
-        "hit-route", "hook-length-q-analogue", "hook-recovery",
+        "hit-route", "hook-recovery",
         "kostka-lemma", "mahonian", "monomial", "path-route",
         "path-vs-ebasis", "product-identity", "product-route",
         "q1-specialization", "recursion", "refinement", "row-sums",
@@ -595,6 +622,74 @@ def test_every_named_check_has_a_row():
     missing = [(name, check) for name, suite in SUITES.items()
                for check in sorted(yielded[suite] - rows.get(suite, set()), key=str)]
     assert missing == []
+
+
+def _fault_both_walks(monkeypatch, pairs):
+    """Shape 2,1's tally replaced by `pairs` (see _walked) in the walk
+    that the suites call through verify and through tableau."""
+    for module in (qyt.verify, qyt.tableau):
+        monkeypatch.setattr(module, "descent_levels",
+                            _walked(pairs)(module.descent_levels))
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("suite,expected", [
+    pytest.param(verify_hit, lambda d: {"k": d, "lhs": 3, "rhs": 0}, id="hit"),
+    pytest.param(verify_maj_hit, lambda d: {"check": "refinement", "k": d}, id="maj-hit"),
+    pytest.param(verify_charge_hit, lambda d: {"check": "refinement", "k": d}, id="charge-hit"),
+    pytest.param(verify_summation, lambda d: {"k": d, "lhs": 1, "rhs": 0}, id="summation"),
+    pytest.param(verify_lattice, lambda d: {"check": "theorem", "k": d}, id="lattice"),
+    pytest.param(verify_genfun, lambda d: {"check": "fundamental", "n": 3}, id="genfun"),
+    pytest.param(verify_foulkes, lambda d: {"k": 2 - d, "lhs": 1, "rhs": 0}, id="foulkes"),
+    pytest.param(verify_polya, lambda d: {"n": 3, "m": 4 if d == 3 else 1}, id="polya"),
+    pytest.param(verify_jack, lambda d: {"check": "path-route", "k": d}, id="jack"),
+])
+def test_a_filling_with_n_or_more_descents_fails_every_walk_reading_suite(
+        monkeypatch, suite, expected, d):
+    # no standard filling of size n has n descents, so the honest rows
+    # at des >= n are 0, and each suite must read them all the same,
+    # also past the rows its other side has
+    _fault_both_walks(monkeypatch, (((1, 1), 1), ((1, 2), 1), ((d, 5), 1)))
+    report = suite(max_n=3)
+    assert report.status == "fail"
+    assert {key: report.counterexample.get(key) for key in expected(d)} == expected(d)
+
+
+_LAST_RAISED = _when(_always, lambda out, *args: [*out[:-1], out[-1] + 1])
+
+
+@pytest.mark.parametrize("suite,owner,name,expected", [
+    pytest.param(verify_hit, FerrersBoard, "hit_numbers", {"k": 1}, id="hit-h_n"),
+    pytest.param(verify_jack, FerrersBoard, "hit_numbers", {"check": "hit-route", "k": 1},
+                 id="jack-h_n"),
+    pytest.param(verify_jack, qyt.verify, "qyt_counts_via_pnk",
+                 {"check": "path-route", "k": 1}, id="jack-paths"),
+    pytest.param(verify_lattice, qyt.verify, "qyt_counts_via_pnk",
+                 {"check": "theorem", "k": 1}, id="lattice-paths"),
+    pytest.param(verify_foulkes, qyt.verify, "qyt_counts_via_pnk", {"k": -1},
+                 id="foulkes-paths"),
+    pytest.param(verify_summation, Partition, "hook_content_counts", {"k": 1},
+                 id="summation-ssyt"),
+])
+def test_the_other_side_is_read_at_n_descents(monkeypatch, suite, owner, name, expected):
+    # the last entry of the other side, at n descents, where an honest
+    # tally of n rows has none: h_n, P_{n,n}/H, or SSYT_{n+1} in the
+    # alternating sum at k = n
+    monkeypatch.setattr(owner, name, _LAST_RAISED(getattr(owner, name)))
+    report = suite(max_n=1)
+    assert report.status == "fail"
+    want = {**expected, "shape": "1"}
+    assert {key: report.counterexample.get(key) for key in want} == want
+
+
+@pytest.mark.parametrize("d", range(3, 12))
+def test_polya_reads_a_tally_row_of_any_degree(monkeypatch, d):
+    # C(m + n - 1 - d, n) is the polynomial in m, so a row d >= m + n,
+    # where math.comb would raise, weighs its count too
+    _fault_both_walks(monkeypatch, (((1, 1), 1), ((1, 2), 1), ((d, 0), 1)))
+    report = verify_polya(max_n=3)
+    assert report.status == "fail"
+    assert report.counterexample["n"] == 3
 
 
 @pytest.mark.parametrize("rows,term", [
