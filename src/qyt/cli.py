@@ -260,18 +260,20 @@ def _cmd_expand(args) -> int:
     if args.n is None:
         raise ValueError("expand genfun requires --n")
     expansion = gen_fn(args.n, with_q=not args.no_q)
-    _emit(args,
-          lambda: {"n": args.n, "q": not args.no_q, "schur": [
-              {"partition": str(shape), "coeff": coeff.triples()}
-              for shape, coeff in expansion.items()
-          ]},
-          lambda: "\n".join(f"{shape}: {coeff}" for shape, coeff in expansion.items()),
-          ["partition", "q_degree", "t_degree", "coeff"],
-          lambda: [
-              [str(shape), q, t, c]
-              for shape, coeff in expansion.items()
-              for q, t, c in coeff.triples()
-          ])
+    if args.format == "json":
+        # partitions are digits and commas and every value an int or a
+        # bool, so the JSON is written as text with nothing to escape; a
+        # list of ints prints as its JSON
+        terms = (f'{{"coeff": {coeff.triples()}, "partition": "{shape}"}}'
+                 for shape, coeff in expansion.items())
+        _write_joined(f'{{"n": {args.n}, "q": {"false" if args.no_q else "true"}, "schur": [',
+                      terms, ", ", "]}\n")
+    elif args.format == "csv":
+        print(_csv_text(["partition", "q_degree", "t_degree", "coeff"],
+                        [[str(shape), q, t, c] for shape, coeff in expansion.items()
+                         for q, t, c in coeff.triples()]))
+    else:
+        print("\n".join(f"{shape}: {coeff}" for shape, coeff in expansion.items()))
     return 0
 
 

@@ -128,10 +128,30 @@ class Packed:
         return [[d, c] for d, c in enumerate(unpack(self.value, self.width)) if c]
 
     def triples(self) -> list[list[int]]:
-        """Nonzero [q-degree, t-degree, coefficient] triples, sorted."""
-        stride = self.stride
-        return sorted([s % stride, s // stride, c]
-                      for s, c in enumerate(unpack(self.value, self.width)) if c)
+        """Nonzero [q-degree, t-degree, coefficient] triples, sorted.
+
+        Each t-row is read on its own.  The row of t^d is the value's
+        balanced remainder at the step 2^(width * stride), in
+        [-2^(step-1), 2^(step-1)): a row whose coefficients fit signed
+        slots lies strictly inside that range, and taking it away before
+        the shift carries a negative row's borrow into the next.  Only
+        the slots from the row's lowest nonzero one to its leading one
+        are unpacked, so zero rows and the zero slots around a row cost
+        nothing."""
+        width, stride = self.width, self.stride
+        step = width * stride
+        mask, half = (1 << step) - 1, 1 << (step - 1)
+        value, out = self.value, []
+        for d in range(slot_count(value, step)):
+            row = value & mask
+            if row >= half:
+                row -= 1 << step
+            value = (value - row) >> step
+            if row:
+                low = ((row & -row).bit_length() - 1) // width
+                out += [[e, d, c] for e, c in enumerate(unpack(row >> (low * width), width), low)
+                        if c]
+        return sorted(out)
 
     def __str__(self) -> str:
         """Terms by ascending degree, by q-degree then t-degree with a

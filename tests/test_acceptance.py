@@ -112,8 +112,10 @@ def test_criterion_6_lattice_path_polynomials():
         }
         for (n, k), coeffs in expected.items():
             assert a_coeffs(n, k) == coeffs, (n, k)
-        # triangle rows, Eulerian constants, row sums, symmetry,
-        # recursion, and the lattice theorem itself
+        # triangle rows, Eulerian constants, row sums, the path sums
+        # against the e-basis on every point of {0,1}^n for n <= 7 (which
+        # proves their symmetry and recursion), the sampled points, and
+        # the lattice theorem itself
         report = verify_lattice(max_n=7, points=200)
         assert report.passed, report.counterexample
 

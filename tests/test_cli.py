@@ -247,11 +247,12 @@ def test_import_leaves_out_unused_stdlib_modules():
     assert after_expand.isdisjoint({"json", "csv"})
 
 
-def _modules_loaded(script: str) -> set[str]:
-    """The qyt modules in sys.modules after running script in a fresh
-    interpreter on the qyt under test."""
+def _modules_loaded(script: str, prefix: str = "qyt") -> set[str]:
+    """The modules named prefix... in sys.modules after running script in
+    a fresh interpreter on the qyt under test."""
     script += ("\nimport sys\n"
-               "print(' '.join(m for m in sys.modules if m.startswith('qyt')), file=sys.stderr)")
+               f"print(' '.join(m for m in sys.modules if m.startswith({prefix!r})), "
+               "file=sys.stderr)")
     src = os.path.dirname(os.path.dirname(qyt.__file__))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
@@ -272,6 +273,16 @@ def test_help_and_board_leave_out_the_unused_layers():
     assert "qyt.board" in loaded
     assert loaded.isdisjoint({"qyt.verify", "qyt.symfun", "qyt.pnk", "qyt.tableau",
                               "qyt._kernels", "qyt.qpoly"})
+
+
+def test_expand_json_loads_no_json_module():
+    # both expansions write their JSON as text
+    loaded = _modules_loaded(
+        "from qyt.cli import main\n"
+        "main(['expand', 'genfun', '--n', '4', '--format', 'json'])\n"
+        "main(['expand', 'schur', '--shape', '3,1', '--vars', '3', '--format', 'json'])",
+        prefix="json")
+    assert loaded == set()
 
 
 def test_table_a_coeffs(capsys):

@@ -2,7 +2,9 @@
 read packed values: the walk rows of maj-hit and charge-hit, the T_k of
 FerrersBoard.q_hit_numbers, the census cells that gjw reads, and the
 three tallies of genfun; and over the walk at width 0, q = 1, whose
-counts the hit, summation, lattice, foulkes and jack suites read.
+counts the hit, summation, lattice, foulkes and jack suites read; and
+over the e-basis coefficients a(n, k, m) that lattice reads
+(verify.a_table).
 
 Each fault changes one slot of one value that one call of the seam
 returns: by +-1 or +-2^e for e = 1..80, by flipping its sign, or by
@@ -210,3 +212,44 @@ def test_every_single_slot_fault_fails_its_suite(monkeypatch, label):
             survived.append((fault, target))
     assert (survived, raised) == ([], [])
 
+
+def _table_faulted(true, n, fault, k, m):
+    """A fault for verify.a_table: the table of n with `fault` at entry
+    (k, m) on every call, as a faulty table would read, and every other
+    table as it is."""
+    def faulty(size):
+        table = true(size)
+        if size == n:
+            table[k][m] = table[k][m] + fault[1] if fault[0] == "add" else -table[k][m]
+        return table
+    return faulty
+
+
+def test_every_single_entry_fault_of_the_e_basis_table_fails_lattice(monkeypatch):
+    # the adds at a seeded entry of a seeded table, and a sign flip of a
+    # seeded nonzero entry at m = 0 and at m >= 1 of every table, n <= 5;
+    # with no sampled points only the exhaustive checks can see them
+    rng = random.Random(f"{SEED} a_table")
+    true = qyt.verify.a_table
+    cases = []
+    for fault in FAULTS:
+        if fault[0] == "add":
+            n = rng.randint(1, BOUND)
+            cases.append((n, fault, rng.randrange(n + 1), rng.randrange(n + 1)))
+    for n in range(1, BOUND + 1):
+        table = true(n)
+        for columns in ([0], range(1, n + 1)):
+            k, m = rng.choice([(k, m) for k in range(n + 1) for m in columns if table[k][m]])
+            cases.append((n, ("flip",), k, m))
+    survived, raised = [], []
+    for n, fault, k, m in cases:
+        monkeypatch.setattr(qyt.verify, "a_table", _table_faulted(true, n, fault, k, m))
+        try:
+            report = verify_lattice(BOUND, points=0)
+        except Exception as exc:  # every raise is a finding
+            raised.append((n, fault, k, m, repr(exc)))
+            continue
+        if report.passed:
+            survived.append((n, fault, k, m))
+    assert len(cases) == len(FAULTS) - 2 + 2 * BOUND
+    assert (survived, raised) == ([], [])

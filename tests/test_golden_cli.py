@@ -43,11 +43,18 @@ INVOCATIONS = [
     *_each_format("expand", "schur", "--shape", "3,3,3,1", "--vars", "8"),
     *_each_format("expand", "genfun", "--n", "6"),
     *_each_format("expand", "genfun", "--n", "6", "--no-q"),
+    # every degree up to 11 as JSON, and the text and csv at 4 and 9,
+    # with and without q
+    *[("expand", "genfun", "--n", str(n), *no_q, "--format", "json")
+      for n in range(12) if n != 6 for no_q in ((), ("--no-q",))],
+    *[("expand", "genfun", "--n", str(n), *no_q, "--format", fmt)
+      for n in (4, 9) for fmt in ("text", "csv") for no_q in ((), ("--no-q",))],
     ("verify", "hit", "--max-n", "5"),
     ("verify", "maj-hit", "--max-n", "4"),
     ("verify", "charge-hit", "--max-n", "4"),
     ("verify", "summation", "--max-n", "5"),
     ("verify", "lattice", "--max-n", "4", "--seed", "5"),
+    *[("verify", "lattice", "--max-n", str(n)) for n in (1, 3, 7, 10)],
     ("verify", "genfun", "--max-n", "4"),
     ("verify", "gjw", "--max-n", "4"),
     ("verify", "foulkes", "--max-n", "5"),
@@ -146,6 +153,66 @@ GOLDEN = {
         "4a40f139a4baec1b80fbaf1b02cd418a0f7dbea93003f45c4681525e051e2470",
     "expand genfun --n 6 --no-q --format csv":
         "a91120e54c97a97425a0719164745ffefa593b02bbf6848bb54f7bb5410136c1",
+    "expand genfun --n 0 --format json":
+        "6b598c6244f4015189eb05133ef99f5bff0842134d2c2d92ec122f2552c81fb5",
+    "expand genfun --n 0 --no-q --format json":
+        "eeeaf3c8eda0d0af63652301a61f4164aa400d15e1c45aaa488e93be777a5e6a",
+    "expand genfun --n 1 --format json":
+        "dd9ce2b301de77f283141fa562f1ef61fa856cab0d47f32777aba17375c0ca9f",
+    "expand genfun --n 1 --no-q --format json":
+        "a133084efbae1979afef2b9e71dfa7d25847a888d4f4f589fdefbfc38c852511",
+    "expand genfun --n 2 --format json":
+        "df33b051afc14d22086472144b58c6f5dc3ed06ff1aebea5e2cb7b1e6a42a4ad",
+    "expand genfun --n 2 --no-q --format json":
+        "4e0d65d35da81083a3fb17d5f4f153b2e4b717b6ef9e7d7d3e30cda3838f92c4",
+    "expand genfun --n 3 --format json":
+        "3b721b738e3d9580ade8a462ee6fa379e73fe19de53d07141df31f882cdd6e7c",
+    "expand genfun --n 3 --no-q --format json":
+        "c346b6eab0c2707a314e1cb273576a638d545ced6ef8561fcf512c997625c61b",
+    "expand genfun --n 4 --format json":
+        "3aaf1655cd4a50f20bf77132b67ef1bb19a5ef711136f37fd0eef48f60fc4885",
+    "expand genfun --n 4 --no-q --format json":
+        "4bd64e1c3197022171afe07cc9bd3d46cb3bb3363e6656a4d2d22ef51089d745",
+    "expand genfun --n 5 --format json":
+        "c3f013d8fc67a0580aecee73c766987107c847f1b605f53ab82d153e1dbdc2ed",
+    "expand genfun --n 5 --no-q --format json":
+        "15dd9ce805f8ab73aef6f0c7d33ac8332336ed573809b5ea4b07c33091bcab94",
+    "expand genfun --n 7 --format json":
+        "10fdff8e3a611d305d251e5b103213d40fc7e0335b74a5ce14cc4c27759a70d4",
+    "expand genfun --n 7 --no-q --format json":
+        "ed0c4a144411f9139babcb0807ce6f28c16cd3f965b3e29ec66403b9232b45b3",
+    "expand genfun --n 8 --format json":
+        "b6f188e16b7bcdf3ca21922b0b16177bcfe18d2e4039858e7b949b04df6b66f3",
+    "expand genfun --n 8 --no-q --format json":
+        "14552610149abd2c3cd949275b25bf39610f773cf5b3bf8a647a3a35468d1830",
+    "expand genfun --n 9 --format json":
+        "2d8d29e01ba37a7d61958112f2f1e9ab62409858d959bcadfa54d5f56f88956a",
+    "expand genfun --n 9 --no-q --format json":
+        "df2217b947a3a704fd440bd9da1a4df26c5184c13a078875a927831fc725fac4",
+    "expand genfun --n 10 --format json":
+        "87d783947cd417c69361e4e600438d0424be43fd8a8b967df19a9f99d96ad9b2",
+    "expand genfun --n 10 --no-q --format json":
+        "86b984af759fcccb412740e62ce22cc3a8d7e9c15946b5387e0393b92e24d212",
+    "expand genfun --n 11 --format json":
+        "e258a215d18597fcc19ae29353a9112d98487f168cdfdff8c16ab60ca5f170a9",
+    "expand genfun --n 11 --no-q --format json":
+        "b131ecdf4a6179c9a261a1d8ab1cdb5e775dd69f05d947e65cd3eb28acf23c7e",
+    "expand genfun --n 4 --format text":
+        "6961955e13a6d26adeb56af1f1eb3fb682ddc0063c9b54eefafebb958b80e9c1",
+    "expand genfun --n 4 --no-q --format text":
+        "edde5f88be3afcb9f159cbab3efc4da3e8a48395e432a7c247df158020757150",
+    "expand genfun --n 4 --format csv":
+        "e499d09ebee6941f675282141cbb0751b67d7cb1e69fb5268801415c967f855d",
+    "expand genfun --n 4 --no-q --format csv":
+        "83146e4bbe8c37fdf1b750a83f23b0e848186a464e801e6848fb91ab8ef34aad",
+    "expand genfun --n 9 --format text":
+        "2f23b4b38e7147e2fb671a38e24f8cbcb04ba30799eb1af11534d958207f257b",
+    "expand genfun --n 9 --no-q --format text":
+        "9e063d441b6daa957f0709fa4827ff5e0fdfca938de5dd7e4a0b797335904711",
+    "expand genfun --n 9 --format csv":
+        "f068483e85a08e6cf9394534890da7c6ad7fec498e6283bea31cd8abe6db585b",
+    "expand genfun --n 9 --no-q --format csv":
+        "d575b252ef17abe9781a6474a53072100ac2b3218b134d0f9d7065509653cf7f",
     "verify hit --max-n 5":
         "e57e450a1630a3f1add880d57b2f873237d55e998e36b54a6dfac5f2861ecf6c",
     "verify maj-hit --max-n 4":
@@ -156,6 +223,14 @@ GOLDEN = {
         "9fdbc12b8b6489c8742748707e4dc9bcb0dc8a7fdea225ab3683444493f8fdc1",
     "verify lattice --max-n 4 --seed 5":
         "d459ac94db42efd306a9aba97abb5f9c480a0665d6340c74c222afac4ead8270",
+    "verify lattice --max-n 1":
+        "07bef4a605cd2528b02d4584c6c665335816736bda4d9c6b7a7ee66eb5d872c4",
+    "verify lattice --max-n 3":
+        "9d26497032884412d9d308a537d267c7294303a908e9c29fcc271dcec4684457",
+    "verify lattice --max-n 7":
+        "dc14e2faa0a83d5eb0bce75c7dcf399d3938d71dbd6c897855c90fac30325db0",
+    "verify lattice --max-n 10":
+        "15372bdeac155c691b5e940335d3ad5076157242282c2c78f480672847b36ec0",
     "verify genfun --max-n 4":
         "c59771b40a800e57eb7a09ea9ec84a9a079f3f176731a6ae2b8a2d563916517c",
     "verify gjw --max-n 4":

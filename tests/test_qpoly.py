@@ -407,6 +407,41 @@ def test_str_and_triples():
             assert (str(p), p.triples()) == (text, triples), (slots, stride, width)
 
 
+def _whole_read_back(p):
+    """The triples of p read from every slot of the whole value."""
+    return sorted([s % p.stride, s // p.stride, c]
+                  for s, c in enumerate(unpack(p.value, p.width)) if c)
+
+
+def test_row_wise_triples_match_the_whole_read_back():
+    for with_q in (True, False):
+        for n in range(15):
+            for shape, p in gen_fn(n, with_q).items():
+                assert p.triples() == _whole_read_back(p), (n, with_q, shape)
+
+
+@st.composite
+def _qt_slots(draw):
+    """(slots, width, stride): t-rows of signed slots that each fit the
+    width, one of the rows in the middle all zero when there are three or
+    more."""
+    width = draw(st.integers(min_value=2, max_value=12))
+    stride = draw(st.integers(min_value=1, max_value=5))
+    bound = (1 << (width - 1)) - 1
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=stride, max_size=stride),
+                         min_size=1, max_size=6))
+    if len(rows) >= 3:
+        rows[draw(st.integers(1, len(rows) - 2))] = [0] * stride
+    return [c for row in rows for c in row], width, stride
+
+
+@given(_qt_slots())
+def test_row_wise_triples_read_every_signed_slot(case):
+    slots, width, stride = case
+    p = Packed(pack(slots, width), width, stride)
+    assert p.triples() == sorted([s % stride, s // stride, c] for s, c in enumerate(slots) if c)
+
+
 def test_gen_fn_prints_and_lists_as_before():
     for with_q, table in ((False, GEN_FN_NO_Q), (True, GEN_FN_Q)):
         for n, listed in table.items():

@@ -93,6 +93,20 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def test_grid_path_rows_are_the_explicit_path_sums():
+    from itertools import product
+
+    from qyt.pnk import pnk_eval_paths
+    from qyt.verify import _grid_path_rows
+
+    # every 0/1 point of every n <= 7, in order, against the sum over
+    # every path
+    rows = list(_grid_path_rows(7))
+    assert [x for x, _ in rows] == [x for n in range(1, 8) for x in product((0, 1), repeat=n)]
+    for x, row in rows:
+        assert row == [pnk_eval_paths(len(x), k, x) for k in range(len(x) + 1)], x
+
+
 def test_lattice_builds_the_elementary_values_once_per_shape(monkeypatch):
     import qyt.pnk
 
@@ -315,6 +329,21 @@ _BOTH_DES_RAISED = _walked((((2, 1), 1), ((2, 2), 1)))
 _PATH_MOVED = _when(_p21, lambda out, shape: [0, 1, 1, 0])
 _HOOK_COUNT_RAISED = _when(_p21, lambda out, shape: out + 1)
 
+
+def _grid_moved(x, k):
+    """A fault for the path rows of lattice's grid
+    (verify._grid_path_rows): at the point x, one unit of P_{n,k} moved
+    to P_{n,k+1}, so that the row keeps its sum."""
+    def make(true):
+        def faulty(top):
+            for point, row in true(top):
+                if point == x:
+                    row = [*row[:k], row[k] - 1, row[k + 1] + 1, *row[k + 2:]]
+                yield point, row
+        return faulty
+    return make
+
+
 # Every fault that a test injects into a suite is a row here: one fault
 # through one module seam, and the fields of the counterexample it must
 # give, the check's name among them when the suite names its checks.
@@ -322,9 +351,9 @@ _HOOK_COUNT_RAISED = _when(_p21, lambda out, shape: out + 1)
 # when its suite names its checks.
 # Every named check of every suite has a row
 # (test_every_named_check_has_a_row).  A row's bounds keep every check
-# that runs before its target from meeting the fault: the lattice rows
-# at max_n = 1 sample only n = 1 in path-vs-ebasis, and points = 0 skips
-# the sampled checks altogether.
+# that runs before its target from meeting the fault: points = 0 skips
+# lattice's sampled path-vs-ebasis, whose random points would otherwise
+# meet a fault in the path sums or the e-basis rows first.
 MUTATIONS = [
     pytest.param(
         verify_hit, {"max_n": 3}, qyt.verify, "descent_levels", _DES_MOVED,
@@ -385,20 +414,18 @@ MUTATIONS = [
         {"check": "path-vs-ebasis"},
         id="path-vs-ebasis"),
     pytest.param(
-        verify_lattice, {"max_n": 1, "points": 50}, qyt.verify, "pnk_eval_paths",
-        _when(lambda n, k, xs: n >= 2, lambda out, n, k, xs: out + xs[0]),
-        {"check": "symmetry"},
-        id="symmetry"),
+        # a(2, 0, 1) and a(2, 1, 1) moved by one unit each way: every row
+        # sum, every Eulerian constant and every triangle row holds, and
+        # e_1 is 0 at the origin, so the grid sees it first at x = (0, 1)
+        verify_lattice, {"max_n": 3, "points": 0}, qyt.verify, "a_table",
+        _when(lambda n: n == 2, lambda out, n: _added(out, {(0, 1): 1, (1, 1): -1})),
+        {"check": "path-grid", "n": 2, "x": [0, 1], "lhs": [2, 0, 0], "rhs": [3, -1, 0]},
+        id="path-grid-ebasis"),
     pytest.param(
-        verify_lattice, {"max_n": 1, "points": 0}, qyt.verify, "pnk_eval_paths",
-        _when(lambda n, k, xs: n >= 2, lambda out, n, k, xs: out + xs[0]),
-        {"check": "symmetry-exhaustive"},
-        id="symmetry-exhaustive"),
-    pytest.param(
-        verify_lattice, {"max_n": 1, "points": 50}, qyt.verify, "pnk_eval_ebasis",
-        _when(lambda n, k, xs: n == 3, lambda out, *args: out + 1),
-        {"check": "recursion"},
-        id="recursion"),
+        verify_lattice, {"max_n": 3, "points": 0}, qyt.verify, "_grid_path_rows",
+        _grid_moved((1, 0, 1), 1),
+        {"check": "path-grid", "n": 3, "x": [1, 0, 1]},
+        id="path-grid-paths"),
     pytest.param(
         verify_lattice, {"max_n": 3, "points": 10}, qyt.verify, "descent_levels",
         _DES_MOVED,
@@ -611,10 +638,10 @@ def test_every_named_check_has_a_row():
     assert set().union(*yielded.values()) - {None} == {
         "closed-forms", "complement", "eulerian-base", "fundamental",
         "hit-route", "hook-recovery",
-        "kostka-lemma", "mahonian", "monomial", "path-route",
+        "kostka-lemma", "mahonian", "monomial", "path-grid", "path-route",
         "path-vs-ebasis", "product-identity", "product-route",
-        "q1-specialization", "recursion", "refinement", "row-sums",
-        "rsk-bijection", "rsk-shapes", "symmetry", "symmetry-exhaustive",
+        "q1-specialization", "refinement", "row-sums",
+        "rsk-bijection", "rsk-shapes",
         "t1-specialization", "theorem", "triangle-rows", "triangularity",
         "truncated-fundamental",
     }
