@@ -6,27 +6,27 @@ the board iff r <= heights[i-1].  A permutation pi hits the board at
 column i when pi(i) <= heights[i-1], and its q-weight is the circle
 count of the walk described at q_weight_columns below.
 
-Hit and q-hit numbers come from the Goldman-Joichi-White product
-identity (Garsia-Remmel's q-form)
+Hit and q-hit numbers come from one route, _rook_route(heights, W),
+at q = 2^W, where every polynomial is one packed integer (qpoly.pack):
+the Garsia-Remmel q-rook numbers R_k (Garsia and Remmel, JCTA 41,
+1986), built column by column, then read out as the T_k by
 
-    prod_i [x + h_i - i + 1]  ==  sum_k [x + k choose n] T_k,
+    sum_k T_k z^k  ==  sum_k R_k [n-k]! prod_{i=n-k+1..n} (z - q^i).
 
-solved for T_n, T_{n-1}, ..., T_0 at x = 0, 1, ..., n.  One solve,
-_solve_product_identity(heights, W), runs at q = 2^W, where every
-polynomial is one packed integer (qpoly.pack): at W = 0 (q = 1) it
-gives the hit numbers h_k, and at W = qpoly.slot_width(n!) the q-hit
-numbers T_k, packed, to be read back (qpoly.Packed) where they are
-shown.  At every width it reads the q-integers and the Gaussian
-binomials [a choose n] from the kept table qpoly.q_table_at(n, W),
-built by shifts and adds, so no step divides; at width 0 that is the
-table of the integers and the binomial coefficients.
-The route that does not assume the identity is the census of
-_kernels.q_hit_census, a dynamic program over the rows
-occupied column by column (no sweep over S_n); the gjw suite checks the
-identity against it, taking the census of every board of a size in one
-walk that shares the layers of common first columns.  Neither route
-caps the board size: the solve takes polynomial time and the census
-visits 2^n row sets per board.
+At W = 0 (q = 1) it gives the hit numbers h_k, and at
+W = qpoly.slot_width(n!) the q-hit numbers T_k, packed, to be read back
+(qpoly.Packed) where they are shown.  The q-integers and q-factorials
+come from the kept table qpoly.q_table_at(n, W), built by shifts and
+adds, so no step divides; at width 0 they are the integers and the
+factorials.
+The route that assumes neither the recursion nor any identity is the
+census of _kernels.q_hit_census, a dynamic program over the rows
+occupied column by column (no sweep over S_n).  The gjw suite checks the rook route
+against it, and the census against the Goldman-Joichi-White product
+identity, taking the census of every board of a size in one walk that
+shares the layers of common first columns.  Neither route caps the
+board size: the rook route takes O(n^2) shifts and adds per board and
+the census visits 2^n row sets per board.
 """
 
 from __future__ import annotations
@@ -37,32 +37,33 @@ from typing import Sequence
 from .partition import as_partition
 
 
-def _solve_product_identity(heights, width: int) -> list[int]:
-    """T_0..T_n at q = 2^width from prod_i [x + h_i - i + 1] ==
-    sum_k [x + k choose n] T_k, with [f] and [a choose n] read from
-    qpoly.q_table_at(n, width); width 0 is q = 1.
+def _rook_route(heights, width: int) -> list[int]:
+    """T_0..T_n at q = 2^width by the q-rook numbers R_0..R_n, with [f]
+    and [f]! read from qpoly.q_table_at(n, width); width 0 is q = 1.
 
-    At x the terms with x + k < n vanish, so the only new unknown is
-    T_{n-x}, whose coefficient [n choose n] is 1: each step needs only
-    products and differences.  The factors start at x + h_1 >= 0 and drop
-    by at most 1 per column, so the first factor that is not positive is
-    [0] = 0 and ends the product.
+    Each column of height h, in weakly increasing order, takes R_k to
+    q^(h-k) R_k + [h-k+1] R_(k-1) for k = h down to 1, then R_0 to
+    q^h R_0.  Horner's rule then reads the T_k out, innermost first:
+    T = [R_n], and for k = n-1 down to 0, T times (z - q^(n-k)) plus
+    R_k [n-k]! on its constant term.  Each step updates T in place by one
+    shift and one subtraction per coefficient.
     """
     from .qpoly import q_table_at
 
     n = len(heights)
-    ints, _, rows = q_table_at(n, width)
-    T = [1] * (n + 1)
-    for x in range(n + 1):
-        value = 1
-        for i, h in enumerate(heights, 1):
-            f = x + h - i + 1
-            value *= ints[f]
-            if f == 0:
-                break
-        for k in range(n - x + 1, n + 1):
-            value -= rows[x + k][n] * T[k]
-        T[n - x] = value
+    ints, facts, _ = q_table_at(n, width)
+    R = [1] + [0] * n
+    for h in heights:
+        for k in range(h, 0, -1):
+            R[k] = (R[k] << width * (h - k)) + ints[h - k + 1] * R[k - 1]
+        R[0] <<= width * h
+    T = [R[n]]
+    for k in range(n - 1, -1, -1):
+        shift = width * (n - k)
+        T.append(T[-1])
+        for j in range(len(T) - 2, 0, -1):
+            T[j] = T[j - 1] - (T[j] << shift)
+        T[0] = R[k] * facts[n - k] - (T[0] << shift)
     return T
 
 
@@ -141,15 +142,15 @@ class FerrersBoard:
 
     def hit_numbers(self) -> list[int]:
         """h_0..h_n, where h_k counts the permutations with exactly k hits:
-        the product identity solved at width 0, q = 1."""
-        return _solve_product_identity(self.heights, 0)
+        the rook route at width 0, q = 1."""
+        return _rook_route(self.heights, 0)
 
     def q_hit_numbers(self) -> tuple[int, list[int]]:
         """(width, [T_0(2^width), ..., T_n(2^width)]), where T_k collects
         q^(q-weight) over the permutations with exactly k hits, by the
-        product identity at q = 2^width.
+        rook route at q = 2^width.
 
-        The solve is ring arithmetic, so it yields T_k(2^width) exactly.
+        The route is ring arithmetic, so it yields T_k(2^width) exactly.
         T_k has nonnegative coefficients summing to h_k <= n!, so at
         width = qpoly.slot_width(n!) unpack(T_k(2^width), width) reads T_k
         back.
@@ -157,14 +158,14 @@ class FerrersBoard:
         from .qpoly import slot_width
 
         width = slot_width(factorial(self.n))
-        return width, _solve_product_identity(self.heights, width)
+        return width, _rook_route(self.heights, width)
 
     def q_hit_census(self) -> list[list[int]]:
         """The coefficient lists of T_0..T_n, by the census of
         _kernels.q_hit_census on this board alone, a dynamic program over
         the sets of rows the first columns occupy: it visits 2^n row sets,
-        not the n! permutations, and does not assume the product
-        identity.  The gjw suite, which tests that identity, asks the
+        not the n! permutations, and assumes neither the rook route nor
+        the product identity.  The gjw suite, which tests both, asks the
         kernel for every board of a size at once, so that boards with
         common first columns share their layers."""
         from . import _kernels

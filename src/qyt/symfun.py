@@ -24,7 +24,7 @@ partitions to coefficients packed at q = 2^W and t = q^S
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .partition import Partition, as_partition, partitions
@@ -175,23 +175,15 @@ def monomial_truncated(shape, n_vars: int) -> dict[tuple[int, ...], int]:
 def fundamental_truncated(
     strict_at: Iterable[int], n: int, n_vars: int,
 ) -> dict[tuple[int, ...], int]:
-    """Fundamental quasisymmetric polynomial F_S in x_1..x_N: the sum of
-    M_T over the subsets T of [n-1] containing S, each T read as the
-    composition of n with partial sums T; the compositions with more than
-    N parts drop out."""
+    """Fundamental quasisymmetric polynomial F_S in x_1..x_N: F_S in
+    degree n (fundamental_sums), without the compositions of more than N
+    parts."""
     sigma = set(strict_at)
     if any(j < 1 or j > n - 1 for j in sigma):
         raise ValueError("strict positions must lie in 1..n-1")
-    free = [j for j in range(1, n) if j not in sigma]
-    out = {}
-    for extra in range(len(free) + 1):
-        for added in combinations(free, extra):
-            cuts = [0, *sorted(sigma.union(added)), n]
-            # b > a except at n = 0, whose only composition is ()
-            alpha = tuple(b - a for a, b in zip(cuts, cuts[1:]) if b > a)
-            if len(alpha) <= n_vars:
-                out[alpha] = 1
-    return out
+    mask = sum(1 << (j - 1) for j in sigma)
+    return {alpha: c for alpha, c in fundamental_sums({mask: 1}, n).items()
+            if len(alpha) <= n_vars}
 
 
 def fundamental_sums(coeffs: dict[int, int], n: int) -> dict[tuple[int, ...], int]:

@@ -33,9 +33,9 @@ q = 1 is width 0 of the packed layer: the walk at width 0 counts, and
 q_table_at(n, 0) holds the integers and the binomial coefficients.  So
 the one signed row prod_{i=0..n} (1 - t q^i) (_signed_row) serves
 MacMahon's content tallies at q = 2^W, the alternating summation and
-the Worpitzky form of the Eulerian numbers at q = 1, and the one
-product-identity solve (board._solve_product_identity) serves hit
-numbers at q = 1 and q-hit numbers at q = 2^W.
+the Worpitzky form of the Eulerian numbers at q = 1, and the one rook
+route (board._rook_route) serves hit numbers at q = 1 and q-hit numbers
+at q = 2^W.
 
 The counting-level application identities live here too: signatures and
 ribbons, Foulkes multiplicities, the Polya dimension identity, and the
@@ -53,7 +53,7 @@ from operator import mul
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import _kernels
-from .board import FerrersBoard, _solve_product_identity
+from .board import FerrersBoard, _rook_route
 from .partition import as_partition, partitions
 from .perm import descent_set as word_descents
 from .perm import perms
@@ -205,15 +205,15 @@ def _hit_sides(board: FerrersBoard, shape, tally: list[int],
     q = 2^W): the set-up of maj-hit and charge-hit.  W bounds a row times
     the hook polynomial by |rows|_1 * prod(hooks), a sum or a shift of
     the T_k by sum_k |T_k|_1, and [n]! by n!.  On honest inputs W is the
-    width of the board's solve, so T is used as solved and the table of
-    n at W is the one the solve read."""
-    solve_width, T = board.q_hit_numbers()
-    T_rows = [unpack(t, solve_width) for t in T]
+    width of the board's rook route, so T is used as it comes and the
+    table of n at W is the one the route read."""
+    route_width, T = board.q_hit_numbers()
+    T_rows = [unpack(t, route_width) for t in T]
     rows = [unpack(row, tally_width) for row in tally]
     hooks = shape.hooks()
     width = slot_width(factorial(shape.size), sum(abs(c) for row in T_rows for c in row),
                        sum(abs(c) for row in rows for c in row) * prod(hooks))
-    if width != solve_width:
+    if width != route_width:
         T = [pack(row, width) for row in T_rows]
     ints, facts, _ = q_table_at(shape.size, width)
     return width, T, rows, prod(ints[h] for h in hooks), facts[-1]
@@ -231,7 +231,7 @@ def verify_maj_hit(max_n: int = 6) -> Iterator[_Instance]:
     are compared packed at q = 2^W, with W, T_k, the hook product and
     [n]! from _hit_sides.  The sums of q^maj come from one walk of Young's
     lattice at the maj width (tableau.maj_width) and the T_k from the
-    board's solve.
+    board's rook route.
     """
     tally_width = maj_width(partitions(max_n))
     for n, tallies in enumerate(descent_levels(tally_width, partitions(max_n)), 1):
@@ -307,30 +307,36 @@ def verify_summation(max_n: int = 8) -> Iterator[_Instance]:
 def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
     """On every board built from a shape of size <= max_n (raised or not):
     the complement of the raised board is the conjugate's board up to
-    rotation; the q-hit numbers are Mahonian; and the Goldman-Joichi-White
-    identity  prod_i [x + h_i - i + 1] == sum_k [x+k choose n] T_k  holds
-    for every x in 0..n whose factors are all nonnegative.
+    rotation; the q-hit numbers of the census are Mahonian, equal the
+    rook route's ("rook-route", board._rook_route) and satisfy the
+    Goldman-Joichi-White identity
 
-    T_k comes from the census here (_kernels.q_hit_census), since the
-    board's own q-hit numbers are solved from this identity and would
-    satisfy it by construction.  The census of every distinct board of
-    size n, base or raised (the raised board of one shape can be the
-    board of another), is taken in one walk, which shares the layers of
-    common first columns, and each board is checked once.
-    Every check of a board compares both sides packed at q = 2^W, one W
-    per n, and nothing is divided: each census row is packed once, at W,
-    and [n]!, the q-integers and the Gaussian binomials come from one
-    qpoly.q_table_at per n.  The "product-route" check solves the
-    identity at that same W (board._solve_product_identity, which reads
-    the same kept table) and compares the solve with the packed census
-    rows, which hold the census as it reads back at W, since W is read
-    off the census.
+        prod_i [x + h_i - i + 1]  ==  sum_k [x+k choose n] T_k
+
+    at every x in 0..n ("product-identity").  The census
+    (_kernels.q_hit_census) counts the circle statistic and assumes
+    neither of the other two.  The identity at x = 0..n is a triangular
+    system in T_n, ..., T_0 with a unit diagonal, so it holds at every x
+    exactly when the census is its solution.  The factors start at
+    x + h_1 >= 0 and drop by at most 1 per column, so the product stops
+    at its first factor [0] = 0, before any negative one.
+
+    The census of every distinct board of size n, base or raised (the
+    raised board of one shape can be the board of another), is taken in
+    one walk, which shares the layers of common first columns, and each
+    board is checked once.  Every check of a board compares both sides
+    packed at q = 2^W, one W per n, and nothing is divided: each census
+    row is packed once, at W, and [n]!, the q-integers and the Gaussian
+    binomials come from one qpoly.q_table_at per n, which the rook route
+    at W reads too.  The packed census rows hold the census as it reads
+    back at W, since W is read off the census.
     W is read off the censuses of size n as they are, the widest bound
-    of any board: the factors are nonnegative and grow with x, so x = n
-    bounds every x.  The product side sums to at most
-    prod_i (n + h_i - i + 1), which is at least n! (the Mahonian side),
-    and the binomial side to at most sum_k C(n + k, n) |T_k|_1, which is
-    at least the census side of the Mahonian check and |T_k|_1 for each k.
+    of any board: a product that reaches no [0] has positive factors,
+    each at most its value at x = n, so x = n bounds every x.  The
+    product side sums to at most prod_i (n + h_i - i + 1), at least n!
+    (the Mahonian side), and the binomial side to at most
+    sum_k C(n + k, n) |T_k|_1, at least the census side of the Mahonian
+    check and |T_k|_1 for each k.
     """
     for n in range(1, max_n + 1):
         bases = {shape: FerrersBoard.from_partition(shape) for shape in partitions(n)}
@@ -354,16 +360,16 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
                 packed = [pack(row, width) for row in T]
                 yield ("mahonian", {"board": board}, Packed(sum(packed), width), mahonian)
                 for x in range(n + 1):
-                    factors = [x + h - i + 1 for i, h in enumerate(board.heights, 1)]
-                    if any(f < 0 for f in factors):
-                        continue
-                    lhs = prod(ints[f] for f in factors)
+                    lhs = 1
+                    for i, h in enumerate(board.heights, 1):
+                        lhs *= ints[x + h - i + 1]
+                        if not lhs:
+                            break
                     rhs = sum(rows[x + k][n] * packed[k] for k in range(n - x, n + 1))
                     yield ("product-identity", {"board": board, "x": x},
                            Packed(lhs, width), Packed(rhs, width))
-                solved = _solve_product_identity(board.heights, width)
-                yield ("product-route", {"board": board},
-                       [Packed(v, width) for v in solved],
+                yield ("rook-route", {"board": board},
+                       [Packed(v, width) for v in _rook_route(board.heights, width)],
                        [Packed(v, width) for v in packed])
 
 

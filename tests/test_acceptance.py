@@ -263,3 +263,14 @@ def test_criterion_18_schur_expansion_in_twelve_variables():
         tracemalloc.stop()
     print(f"criterion 18: traced peak {peak / 2**20:.2f} MiB (budget 4 MiB)")
     assert peak <= 4 * 2**20
+
+
+def test_criterion_19_q_hit_numbers_of_every_board_of_eighteen():
+    def body():
+        for shape in partitions(18):
+            base = FerrersBoard.from_partition(shape)
+            for board in (base, base.plus_one()):
+                width, T = board.q_hit_numbers()
+                assert sum(T) == q_table_at(18, width)[1][18]  # [18]!, packed
+
+    _criterion(19, "q-hit numbers of every base and raised board of size 18", 1.2, body)

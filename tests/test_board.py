@@ -141,7 +141,7 @@ def test_hit_numbers_match_oracle():
 
 def _q_hits(board):
     """The coefficient lists of T_0..T_n, read back from the values the
-    solve packs."""
+    rook route packs."""
     width, values = board.q_hit_numbers()
     return [unpack(v, width) for v in values]
 
@@ -168,7 +168,7 @@ def test_q_hit_numbers_specialize_and_sum():
 
 
 def _assert_product_route_matches_census(board):
-    # equal packed at the solve's width, which holds every census count
+    # equal packed at the route's width, which holds every census count
     [census] = _kernels.q_hit_census(board.n, [board.heights])
     width, values = board.q_hit_numbers()
     assert values == [pack(row, width) for row in census]

@@ -1,10 +1,11 @@
 """A seeded sweep of single-slot faults over the seams where the q-suites
 read packed values: the walk rows of maj-hit and charge-hit, the T_k of
-FerrersBoard.q_hit_numbers, the census cells that gjw reads, and the
-three tallies of genfun; and over the walk at width 0, q = 1, whose
-counts the hit, summation, lattice, foulkes and jack suites read; and
-over the e-basis coefficients a(n, k, m) that lattice reads
-(verify.a_table).
+FerrersBoard.q_hit_numbers, the census cells and the rook route
+(board._rook_route) that gjw reads, and the three tallies of genfun;
+over the walk at width 0, q = 1, whose counts the hit, summation,
+lattice, foulkes and jack suites read, and the hit numbers that hit and
+jack read (FerrersBoard.hit_numbers); and over the e-basis coefficients
+a(n, k, m) that lattice reads (verify.a_table).
 
 Each fault changes one slot of one value that one call of the seam
 returns: by +-1 or +-2^e for e = 1..80, by flipping its sign, or by
@@ -52,6 +53,11 @@ def _rows_of(level):
     return [(rows, k) for rows in level.values() for k in range(len(rows))]
 
 
+def _entries(out):
+    """(container, key) for every entry of a list."""
+    return [(out, k) for k in range(len(out))]
+
+
 def _level_copy(level):
     return {key: list(rows) for key, rows in level.items()}
 
@@ -86,8 +92,15 @@ def _walk_counts(suite):
 def _q_hits(suite):
     return Seam(suite, FerrersBoard, "q_hit_numbers",
                 lambda out: (out[0], list(out[1])),
-                lambda out: [(out[1], k) for k in range(len(out[1]))],
+                lambda out: _entries(out[1]),
                 lambda args, out: out[0])
+
+
+def _hit_counts(suite):
+    """The hit numbers h_0..h_n: one list of counts at width 0, handled
+    whole (by the full slice), so that its counts are the slots."""
+    return Seam(suite, FerrersBoard, "hit_numbers", list,
+                lambda out: [(out, slice(None))], lambda args, out: None)
 
 
 SEAMS = {
@@ -95,6 +108,8 @@ SEAMS = {
     "charge-hit walk rows": _walk(verify_charge_hit),
     "maj-hit T_k": _q_hits(verify_maj_hit),
     "charge-hit T_k": _q_hits(verify_charge_hit),
+    "gjw rook route": Seam(verify_gjw, qyt.verify, "_rook_route", list, _entries,
+                           lambda args, out: args[1]),
     "gjw census cells": Seam(
         verify_gjw, _kernels, "q_hit_census",
         lambda out: [[list(row) for row in rows] for rows in out],
@@ -105,8 +120,7 @@ SEAMS = {
     "genfun placed-set tally": Seam(verify_genfun, qyt.verify, "_inverse_descent_tally",
                                     _level_copy, _rows_of, lambda args, out: args[1]),
     "genfun content tally": Seam(verify_genfun, qyt.verify, "_content_tally", list,
-                                 lambda out: [(out, k) for k in range(len(out))],
-                                 lambda args, out: args[1]),
+                                 _entries, lambda args, out: args[1]),
     # polya is left out: at its max_m = 5 a count moved to d = 5 at n = 5
     # weighs C(m - 1, 5) = 0 for every m <= 5, so that fault passes
     "hit walk counts": _walk_counts(verify_hit),
@@ -115,6 +129,8 @@ SEAMS = {
     "lattice walk counts": _walk_counts(partial(verify_lattice, points=0)),
     "foulkes walk counts": _walk_counts(verify_foulkes),
     "jack walk counts": _walk_counts(verify_jack),
+    "hit hit numbers": _hit_counts(verify_hit),
+    "jack hit numbers": _hit_counts(verify_jack),
 }
 
 

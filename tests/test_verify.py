@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+import qyt.board
 import qyt.qpoly
 import qyt.symfun
 import qyt.tableau
@@ -264,17 +265,43 @@ def _p21(shape, *args):
     return Partition(shape) == _P21
 
 
-def _on_board_222(change):
+def _on_board(target, change):
     """A fault for the census of a list of boards (_kernels.q_hit_census):
-    change(rows) in place of the true rows of board 2,2,2, the raised
-    board of shape 2,1, and every other board's rows as they are."""
+    change(rows) in place of the true rows of the board with heights
+    `target`, and every other board's rows as they are."""
     def make(true):
         def faulty(n, boards):
             boards = [tuple(heights) for heights in boards]
-            return [change(rows) if heights == (2, 2, 2) else rows
+            return [change(rows) if heights == target else rows
                     for heights, rows in zip(boards, true(n, boards))]
         return faulty
     return make
+
+
+def _on_board_222(change):
+    """_on_board of board 2,2,2, the raised board of shape 2,1."""
+    return _on_board((2, 2, 2), change)
+
+
+def _rook_variant(step=1, power=0):
+    """board._rook_route written out again, with [h-k+step] in its
+    recursion and q^(n-k+power) in its transform: step 1 and power 0
+    are the route (test_rook_variants_are_the_route_but_one_factor)."""
+    def route(heights, width):
+        n = len(heights)
+        ints, facts, _ = q_table_at(n, width)
+        R = [1] + [0] * n
+        for h in heights:
+            for k in range(h, 0, -1):
+                R[k] = (R[k] << width * (h - k)) + ints[h - k + step] * R[k - 1]
+            R[0] <<= width * h
+        T = [R[n]]
+        for k in range(n - 1, -1, -1):
+            shift = width * (n - k + power)
+            T = [low - (high << shift) for low, high in zip([0, *T], [*T, 0])]
+            T[0] += R[k] * facts[n - k]
+        return T
+    return lambda true: route
 
 
 def _recording(word, Q):
@@ -296,7 +323,7 @@ def _fact_3(change):
     return make
 
 
-# T_n + q on every board, at the width the solve packs T at
+# T_n + q on every board, at the width the rook route packs T at
 _T_N_OFF_BY_Q = _when(_always, lambda out, board: (
     out[0], [*out[1][:-1], out[1][-1] + (1 << out[0])]))
 
@@ -577,12 +604,34 @@ MUTATIONS = [
          "lhs": "1 + 2q + 2q^2 + q^3", "rhs": "0"},
         id="product-identity"),
     pytest.param(
-        # T_n + q on every board, at the width the suite solves at
-        verify_gjw, {"max_n": 2}, qyt.verify, "_solve_product_identity",
+        # one q^0 count of the zero board of shape 1,1,1 moved from T_0
+        # to T_3, which keeps the sum Mahonian; only x = 0 and 1, whose
+        # products reach a factor [0], see it
+        verify_gjw, {"max_n": 3}, _kernels, "q_hit_census",
+        _on_board((0, 0, 0), lambda out: _added(out, {(0, 0): -1, (3, 0): 1})),
+        {"check": "product-identity", "board": "n=3; heights=0,0,0", "x": 0,
+         "lhs": "0", "rhs": "1"},
+        id="product-identity-zero-board"),
+    pytest.param(
+        # T_n + q on every board, at the width the suite runs the route at
+        verify_gjw, {"max_n": 2}, qyt.verify, "_rook_route",
         _when(_always, lambda out, heights, width: [*out[:-1], out[-1] + (1 << width)]),
-        {"check": "product-route", "board": "n=1; heights=0",
+        {"check": "rook-route", "board": "n=1; heights=0",
          "lhs": ["1", "q"], "rhs": ["1", "0"]},
-        id="product-route"),
+        id="rook-route"),
+    pytest.param(
+        verify_gjw, {"max_n": 3}, qyt.verify, "_rook_route", _rook_variant(power=1),
+        {"check": "rook-route", "board": "n=1; heights=1", "lhs": ["q - q^2", "1"]},
+        id="rook-route-transform"),
+    pytest.param(
+        verify_hit, {"max_n": 3}, qyt.board, "_rook_route", _rook_variant(step=2),
+        {"shape": "1,1", "k": 0, "rhs": -2},
+        id="hit-rook-recursion"),
+    pytest.param(
+        # invisible at q = 1, where hit reads the route
+        verify_maj_hit, {"max_n": 3}, qyt.board, "_rook_route", _rook_variant(power=1),
+        {"check": "mahonian", "board": "n=1; heights=1", "lhs": "1 + q - q^2"},
+        id="maj-hit-rook-transform"),
     pytest.param(
         verify_foulkes, {"max_n": 3}, qyt.verify, "descent_levels", _BOTH_DES_RAISED,
         {"shape": "2,1"},
@@ -639,8 +688,8 @@ def test_every_named_check_has_a_row():
         "closed-forms", "complement", "eulerian-base", "fundamental",
         "hit-route", "hook-recovery",
         "kostka-lemma", "mahonian", "monomial", "path-grid", "path-route",
-        "path-vs-ebasis", "product-identity", "product-route",
-        "q1-specialization", "refinement", "row-sums",
+        "path-vs-ebasis", "product-identity",
+        "q1-specialization", "refinement", "rook-route", "row-sums",
         "rsk-bijection", "rsk-shapes",
         "t1-specialization", "theorem", "triangle-rows", "triangularity",
         "truncated-fundamental",
@@ -649,6 +698,20 @@ def test_every_named_check_has_a_row():
     missing = [(name, check) for name, suite in SUITES.items()
                for check in sorted(yielded[suite] - rows.get(suite, set()), key=str)]
     assert missing == []
+
+
+def test_rook_variants_are_the_route_but_one_factor():
+    from itertools import combinations_with_replacement
+
+    from qyt.board import _rook_route
+
+    for n in range(6):
+        for heights in combinations_with_replacement(range(n + 1), n):
+            for width in (0, slot_width(factorial(n))):
+                route = _rook_route(heights, width)
+                assert _rook_variant()(None)(heights, width) == route
+                if width == 0:  # q^(n-k+1) is q^(n-k) at q = 1
+                    assert _rook_variant(power=1)(None)(heights, width) == route
 
 
 def _fault_both_walks(monkeypatch, pairs):
