@@ -1,16 +1,16 @@
 """The q-hit census of Ferrers boards, in pure Python.
 
-This census is the route to q-hit numbers that does not assume the
-product identity; the board module computes hit and q-hit numbers by
-that identity and keeps the census only as the independent side of the
-gjw suite.  It does not sweep S_n: a dynamic program over the rows
-occupied by the crosses of earlier columns counts the same permutations
-in O(2^n * n) transitions per board.  Each state's (hits, weight) tally
-is one packed integer (qpoly.pack), so a transition is one shift and one
-add.  The layer after column j depends only on n and the first j
-heights, so one call takes every board of a size and walks them depth
-first in sorted order: boards with a common column prefix share its
-layers.
+This census is the route to q-hit numbers that assumes neither the
+product identity nor the rook recursion; the board module computes hit
+and q-hit numbers by the rook route (board._rook_route) and keeps the
+census only as the independent side of gjw.  It does not sweep S_n: a
+dynamic program over the rows occupied by the crosses of earlier
+columns counts the same permutations in O(2^n * n) transitions per
+board.  Each state's (hits, weight) tally is one packed integer
+(qpoly.pack), so a transition is one shift and one add.  The layer after
+column j depends only on n and the first j heights, so one call takes
+every board of a size and walks them depth first in sorted order:
+boards with a common column prefix share its layers.
 """
 
 from __future__ import annotations

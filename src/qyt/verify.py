@@ -59,7 +59,6 @@ from .perm import descent_set as word_descents
 from .perm import perms
 from .pnk import (
     DEFAULT_SEED,
-    a_coeffs,
     a_table,
     pnk_eval_ebasis,
     pnk_eval_paths,
@@ -377,32 +376,6 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
 # weighted lattice paths
 
 
-_SMALL_PNK_COEFFS = {
-    # Closed forms of P_{n,k} for n <= 3 against the elementary basis
-    # (coefficients of e_0..e_n).  P_{n,n} is the single all-east path,
-    # whose weight prod_i (N_i - x_i) = prod_i (-x_i) fixes the sign
-    # (-1)^n on e_n.
-    (1, 0): (1, 1),
-    (1, 1): (0, -1),
-    (2, 0): (1, 1, 1),
-    (2, 1): (1, -1, -2),
-    (2, 2): (0, 0, 1),
-    (3, 0): (1, 1, 1, 1),
-    (3, 1): (4, 0, -2, -3),
-    (3, 2): (1, -1, 1, 3),
-    (3, 3): (0, 0, 0, -1),
-}
-
-_TRIANGLE_ROWS = {
-    # a(n, k, n-3) for k = 0..n-1: each entry feeds its value and its
-    # negation to the next row, so the rows sum to zero for m >= 1.
-    3: (1, 4, 1),
-    4: (1, 3, -3, -1),
-    5: (1, 2, -6, 2, 1),
-    6: (1, 1, -8, 8, -1, -1),
-}
-
-
 def _grid_path_rows(top: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """(x, [P_{n,0}(x), ..., P_{n,n}(x)]) for n = 1..top and every x in
     {0,1}^n, n ascending and x lexicographic: the path sums by east
@@ -421,11 +394,12 @@ def _grid_path_rows(top: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
 @_suite("lattice")
 def verify_lattice(max_n: int = 7, points: int = 200,
                    seed: int = DEFAULT_SEED) -> Iterator[_Instance]:
-    """The lattice-path route to QYT counting, plus the supporting facts
-    about the e-basis coefficients a(n, k, m): the n <= 3 closed forms,
-    the fixed n-m = 3 triangle rows, the Eulerian constant terms, the
-    vanishing row sums, the path sums against the e-basis on the whole
-    grid {0,1}^n, and the theorem with the hook count it recovers.
+    """The e-basis coefficients a(n, k, m) of the path sums P_{n,k}: the
+    Eulerian constant terms, the vanishing row sums and the path sums
+    against the e-basis on the whole grid {0,1}^n; and the hook count
+    that the lattice-path route recovers, sum_k P_{n,k}(c(shape)) / H =
+    f^shape ("hook-recovery").  That route against the walk's counts by
+    descents is foulkes's check.
 
     The "path-grid" check proves P_{n,k} = sum_m a(n, k, m) e_m for every
     n <= min(max_n, 7) and every k.  Both sides are multilinear in x_1..x_n,
@@ -436,9 +410,11 @@ def verify_lattice(max_n: int = 7, points: int = 200,
     with j ones is sum_m a(n, k, m) C(j, m), read from a_table(n).  The
     symmetry of P_{n,k} follows, since the e-basis side is symmetric, and
     so does its two-term recursion, which is the path sum split at its
-    last step.  The grid stops at 7, where the sampling stopped: its
-    points double with each n, 254 up to 7 and 2 046 up to 10, where it
-    would take about as long as the rest of the suite.
+    last step.  The C(j, m) are independent functions of j = 0..n, so
+    the grid fixes every a(n, k, m), the closed forms of small n too.
+    The grid stops at 7, where the sampling stopped: its points double
+    with each n, 254 up to 7 and 2 046 up to 10, where it would take
+    about as long as the rest of the suite.
 
     "path-vs-ebasis" evaluates both routes of pnk (the explicit path sum
     and the e-basis dot product) at `points` seeded integer points with
@@ -446,13 +422,6 @@ def verify_lattice(max_n: int = 7, points: int = 200,
     and `seed`, because the benchmark (qytbench) reads both bounds from
     the suite's report."""
     rng = random.Random(seed)
-
-    for (n, k), expected in sorted(_SMALL_PNK_COEFFS.items()):
-        yield "closed-forms", {"n": n, "k": k}, a_coeffs(n, k), expected
-
-    for n, expected in sorted(_TRIANGLE_ROWS.items()):
-        table = a_table(n)
-        yield "triangle-rows", {"n": n}, tuple(table[k][n - 3] for k in range(n)), expected
 
     for n in range(1, max_n + 1):
         table = a_table(n)
@@ -484,13 +453,10 @@ def verify_lattice(max_n: int = 7, points: int = 200,
                        for j in range(n + 1)]
         yield "path-grid", {"n": n, "x": x}, row, by_ones[sum(x)]
 
-    for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
+    for n in range(1, max_n + 1):
         for shape in partitions(n):
-            counts = tallies[shape.parts]
-            by_paths = qyt_counts_via_pnk(shape)
-            for k, (paths, count) in enumerate(zip_longest(by_paths, counts, fillvalue=0)):
-                yield "theorem", {"shape": shape, "k": k}, paths, count
-            yield "hook-recovery", {"shape": shape}, sum(by_paths), shape.hook_length_count()
+            yield ("hook-recovery", {"shape": shape},
+                   sum(qyt_counts_via_pnk(shape)), shape.hook_length_count())
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +580,11 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
     """Both expansions of the q,t Schur generating function, the Kostka
     lemma behind the monomial one, RSK sanity, the fundamental
     expansion of each Schur function from its quasi-Yamanouchi fillings,
-    monomial triangularity against Kostka numbers, the t = 1 specialization
-    against the q-hook formula and the q = 1 one against the path
-    counts.  Expansions keep every composition of n, which is lossless
-    in degree n; the fundamental, monomial and truncated-fundamental
-    checks compare them one composition at a time, fewest parts first.
+    monomial triangularity against Kostka numbers, and the t = 1
+    specialization against the q-hook formula.  Expansions keep every
+    composition of n, which is lossless in degree n; the fundamental,
+    monomial and truncated-fundamental checks compare them one
+    composition at a time, fewest parts first.
 
     Each side is built from a tally, not by listing words.  The
     fundamental side tallies S_n by (Des(p^-1), maj, des) with the
@@ -733,8 +699,6 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
             yield ("t1-specialization", {"shape": shape},
                    Packed(sum(rows) * hooks_at, width),
                    Packed(facts[n] << (shape.n_stat() * width), width))
-            at_q1 = [sum(unpack(row, width)) for row in rows]
-            yield "q1-specialization", {"shape": shape}, at_q1, qyt_counts_via_pnk(shape)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -824,31 +788,29 @@ def verify_foulkes(max_n: int = 7) -> Iterator[_Instance]:
 
 @_suite("polya")
 def verify_polya(max_n: int = 6, max_m: int = 5) -> Iterator[_Instance]:
-    """polya_dimension_check(n, m) for every n, m up to the bounds."""
+    """polya_dimension_check(n, m) for every n <= max_n and every m up to
+    max(max_m, n + 1).  Both sides are polynomials of degree n in m (see
+    _binomial), so n + 1 values of m make them equal for every m."""
     for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
-        for m in range(1, max_m + 1):
+        for m in range(1, max(max_m, n + 1) + 1):
             yield None, {"n": n, "m": m}, _polya_sum(n, m, tallies), m**n
 
 
 @_suite("jack")
 def verify_jack(max_n: int = 6) -> Iterator[_Instance]:
-    """The labeled coefficients against the two independent routes: the
-    lattice-path count of the conjugate shape and the hit numbers, for
-    k = 0..n and every further row of the walk's tally.  Each shape's
-    quasi-Yamanouchi counts are read once for all k."""
+    """The labeled coefficients times the conjugate's hook product against
+    n! times the hit numbers of the shape's board ("hit-route"), for
+    k = 0..n and every further row of the walk's tally.  The walk's
+    counts against the lattice-path route are foulkes's check."""
     for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
         for shape in partitions(n):
             conj = shape.conjugate()
             counts = tallies[conj.parts]
-            path_counts = qyt_counts_via_pnk(conj)
             conj_hooks = conj.hook_product()
             hit = FerrersBoard.from_partition(shape).hit_numbers()
-            rows = zip_longest(counts, path_counts, hit, fillvalue=0)
-            for k, (count, by_paths, h) in enumerate(rows):
-                fields = {"shape": shape, "k": k}
+            for k, (count, h) in enumerate(zip_longest(counts, hit, fillvalue=0)):
                 got = factorial(n) * count  # jack_coefficient(shape, k)
-                yield "path-route", fields, got, factorial(n) * by_paths
-                yield "hit-route", fields, got * conj_hooks, factorial(n) * h
+                yield "hit-route", {"shape": shape, "k": k}, got * conj_hooks, factorial(n) * h
 
 
 #: CLI-facing registry of suites.

@@ -112,11 +112,13 @@ def test_criterion_6_lattice_path_polynomials():
         }
         for (n, k), coeffs in expected.items():
             assert a_coeffs(n, k) == coeffs, (n, k)
-        # triangle rows, Eulerian constants, row sums, the path sums
-        # against the e-basis on every point of {0,1}^n for n <= 7 (which
-        # proves their symmetry and recursion), the sampled points, and
-        # the lattice theorem itself
+        # Eulerian constants, row sums, the path sums against the e-basis
+        # on every point of {0,1}^n for n <= 7 (which proves their
+        # symmetry and recursion), the sampled points and the hook count
         report = verify_lattice(max_n=7, points=200)
+        assert report.passed, report.counterexample
+        # the lattice theorem itself: the path counts against the walk's
+        report = verify_foulkes(max_n=7)
         assert report.passed, report.counterexample
 
     _criterion(6, "lattice-path polynomial checks", 60, body)

@@ -167,7 +167,7 @@ def test_q_hit_numbers_specialize_and_sum():
     assert sum(T[2]) == 72
 
 
-def _assert_product_route_matches_census(board):
+def _assert_rook_route_matches_census(board):
     # equal packed at the route's width, which holds every census count
     [census] = _kernels.q_hit_census(board.n, [board.heights])
     width, values = board.q_hit_numbers()
@@ -175,20 +175,20 @@ def _assert_product_route_matches_census(board):
     assert board.hit_numbers() == oracles.hit_numbers_brute(board.heights)
 
 
-def test_product_route_matches_census_on_every_small_board():
+def test_rook_route_matches_census_on_every_small_board():
     for n in range(6):
         for heights in combinations_with_replacement(range(n + 1), n):
-            _assert_product_route_matches_census(FerrersBoard(n, heights))
+            _assert_rook_route_matches_census(FerrersBoard(n, heights))
 
 
-def test_product_route_matches_census_on_partition_boards():
+def test_rook_route_matches_census_on_partition_boards():
     for lam in shapes_upto(7):
         base = FerrersBoard.from_partition(lam)
-        _assert_product_route_matches_census(base)
-        _assert_product_route_matches_census(base.plus_one())
+        _assert_rook_route_matches_census(base)
+        _assert_rook_route_matches_census(base.plus_one())
 
 
-def test_product_route_matches_census_on_large_partition_boards():
+def test_rook_route_matches_census_on_large_partition_boards():
     # sizes the census reaches only since it stopped sweeping S_n; no
     # route caps the board size
     for lam in [*partitions(8), *partitions(9), *partitions(10)]:

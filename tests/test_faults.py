@@ -3,7 +3,7 @@ read packed values: the walk rows of maj-hit and charge-hit, the T_k of
 FerrersBoard.q_hit_numbers, the census cells and the rook route
 (board._rook_route) that gjw reads, and the three tallies of genfun;
 over the walk at width 0, q = 1, whose counts the hit, summation,
-lattice, foulkes and jack suites read, and the hit numbers that hit and
+foulkes, polya and jack suites read, and the hit numbers that hit and
 jack read (FerrersBoard.hit_numbers); and over the e-basis coefficients
 a(n, k, m) that lattice reads (verify.a_table).
 
@@ -19,7 +19,6 @@ suite does not report its counterexample.
 """
 
 import random
-from functools import partial
 from typing import Callable, NamedTuple
 
 import pytest
@@ -37,6 +36,7 @@ from qyt.verify import (
     verify_jack,
     verify_lattice,
     verify_maj_hit,
+    verify_polya,
     verify_summation,
 )
 
@@ -121,13 +121,10 @@ SEAMS = {
                                     _level_copy, _rows_of, lambda args, out: args[1]),
     "genfun content tally": Seam(verify_genfun, qyt.verify, "_content_tally", list,
                                  _entries, lambda args, out: args[1]),
-    # polya is left out: at its max_m = 5 a count moved to d = 5 at n = 5
-    # weighs C(m - 1, 5) = 0 for every m <= 5, so that fault passes
     "hit walk counts": _walk_counts(verify_hit),
     "summation walk counts": _walk_counts(verify_summation),
-    # no sampled check of lattice reads the walk
-    "lattice walk counts": _walk_counts(partial(verify_lattice, points=0)),
     "foulkes walk counts": _walk_counts(verify_foulkes),
+    "polya walk counts": _walk_counts(verify_polya),
     "jack walk counts": _walk_counts(verify_jack),
     "hit hit numbers": _hit_counts(verify_hit),
     "jack hit numbers": _hit_counts(verify_jack),

@@ -55,10 +55,15 @@ def test_schur_truncated_small_cases():
 
 
 def test_fundamental_sums_is_the_sum_of_fundamentals():
+    # F_S in n variables: the weakly increasing words over 1..n of length
+    # n that are strict exactly at S
     for n in range(1, 7):
         for mask in range(1 << (n - 1)):
-            strict = {j for j in range(1, n) if mask >> (j - 1) & 1}
-            assert fundamental_sums({mask: 1}, n) == fundamental_truncated(strict, n, n)
+            strict = [j for j in range(1, n) if mask >> (j - 1) & 1]
+            words = [w for w in combinations_with_replacement(range(1, n + 1), n)
+                     if all(w[j - 1] < w[j] for j in strict)]
+            got = fundamental_sums({mask: 1}, n)
+            assert dict(_terms(got, n)) == _exponent_counts([(w,) for w in words], n)
     # int coefficients that cancel on some compositions: M_(1,1,1,1)
     # lies in all three fundamentals, and 2 + 1 - 3 = 0 drops it
     coeffs = {0b001: 2, 0b101: 1, 0b110: -3}

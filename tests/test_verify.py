@@ -119,17 +119,18 @@ def test_lattice_builds_the_elementary_values_once_per_shape(monkeypatch):
     assert len(calls) == shapes
 
 
-@pytest.mark.parametrize("suite,kwargs", [
-    pytest.param(verify_hit, {}, id="hit"),
-    pytest.param(verify_maj_hit, {}, id="maj-hit"),
-    pytest.param(verify_charge_hit, {}, id="charge-hit"),
-    pytest.param(verify_summation, {}, id="summation"),
-    pytest.param(verify_lattice, {"points": 0}, id="lattice"),
-    pytest.param(verify_foulkes, {}, id="foulkes"),
-    pytest.param(verify_polya, {}, id="polya"),
-    pytest.param(verify_jack, {}, id="jack"),
+@pytest.mark.parametrize("suite,kwargs,walks", [
+    pytest.param(verify_hit, {}, 1, id="hit"),
+    pytest.param(verify_maj_hit, {}, 1, id="maj-hit"),
+    pytest.param(verify_charge_hit, {}, 1, id="charge-hit"),
+    pytest.param(verify_summation, {}, 1, id="summation"),
+    # the path route against the walk is foulkes's check alone
+    pytest.param(verify_lattice, {"points": 0}, 0, id="lattice"),
+    pytest.param(verify_foulkes, {}, 1, id="foulkes"),
+    pytest.param(verify_polya, {}, 1, id="polya"),
+    pytest.param(verify_jack, {}, 1, id="jack"),
 ])
-def test_each_counting_suite_walks_the_lattice_once(monkeypatch, suite, kwargs):
+def test_each_counting_suite_walks_the_lattice_once(monkeypatch, suite, kwargs, walks):
     # the walk is counted wherever a module binds it: a call through
     # tableau (qyt_counts, des_maj_counts, descent_tallies) passes its
     # module global, a call from the suite body verify's
@@ -137,7 +138,7 @@ def test_each_counting_suite_walks_the_lattice_once(monkeypatch, suite, kwargs):
     through_verify = _count_calls(monkeypatch, qyt.verify, "descent_levels")
     report = suite(max_n=8, **kwargs)
     assert report.passed, report.counterexample
-    assert len(through_tableau) + len(through_verify) == 1
+    assert len(through_tableau) + len(through_verify) == walks
 
 
 def _read_rows(rows, width):
@@ -416,14 +417,16 @@ MUTATIONS = [
         {"shape": "2,1"},
         id="summation-descent-moved"),
     pytest.param(
-        verify_lattice, {"max_n": 3}, qyt.verify, "a_coeffs",
-        _when(lambda n, k: (n, k) == (2, 1), lambda out, n, k: (*out[:-1], out[-1] + 1)),
-        {"check": "closed-forms", "n": 2, "k": 1},
+        # a(2, 1, 2) of the closed form P_{2,1} = e_0 - e_1 - 2 e_2
+        verify_lattice, {"max_n": 3}, qyt.verify, "a_table",
+        _when(lambda n: n == 2, lambda out, n: _added(out, {(1, 2): 1})),
+        {"check": "row-sums", "n": 2, "m": 2},
         id="closed-forms"),
     pytest.param(
-        verify_lattice, {"max_n": 3}, qyt.verify, "a_table",
+        # a(4, 1, 1), an entry of the triangle row a(4, k, 4 - 3)
+        verify_lattice, {"max_n": 4}, qyt.verify, "a_table",
         _when(lambda n: n == 4, lambda out, n: _added(out, {(1, 1): 1})),
-        {"check": "triangle-rows", "n": 4},
+        {"check": "row-sums", "n": 4, "m": 1},
         id="triangle-rows"),
     pytest.param(
         verify_lattice, {"max_n": 3}, qyt.verify, "a_table",
@@ -453,15 +456,6 @@ MUTATIONS = [
         _grid_moved((1, 0, 1), 1),
         {"check": "path-grid", "n": 3, "x": [1, 0, 1]},
         id="path-grid-paths"),
-    pytest.param(
-        verify_lattice, {"max_n": 3, "points": 10}, qyt.verify, "descent_levels",
-        _DES_MOVED,
-        {"shape": "2,1"},
-        id="lattice-descent-moved"),
-    pytest.param(
-        verify_lattice, {"max_n": 3}, qyt.verify, "qyt_counts_via_pnk", _PATH_MOVED,
-        {"check": "theorem", "shape": "2,1"},
-        id="theorem"),
     pytest.param(
         verify_lattice, {"max_n": 3, "points": 0}, Partition, "hook_length_count",
         _HOOK_COUNT_RAISED,
@@ -557,11 +551,6 @@ MUTATIONS = [
         {"check": "t1-specialization", "shape": "3"},
         id="t1-specialization"),
     pytest.param(
-        verify_genfun, {"max_n": 3}, qyt.verify, "qyt_counts_via_pnk",
-        _when(_always, lambda out, shape: out[1:] + [0]),
-        {"check": "q1-specialization", "shape": "1"},
-        id="q1-specialization"),
-    pytest.param(
         verify_gjw, {"max_n": 3}, FerrersBoard, "complement_rotated",
         _when(_always, lambda out, board: board),
         {"check": "complement", "shape": "1"},
@@ -641,6 +630,16 @@ MUTATIONS = [
         {"shape": "2,1"},
         id="foulkes-path-moved"),
     pytest.param(
+        verify_foulkes, {"max_n": 3}, qyt.verify, "descent_levels", _DES_MOVED,
+        {"shape": "2,1"},
+        id="lattice-descent-moved"),
+    pytest.param(
+        # every shape's path counts moved down one k
+        verify_foulkes, {"max_n": 3}, qyt.verify, "qyt_counts_via_pnk",
+        _when(_always, lambda out, shape: out[1:] + [0]),
+        {"shape": "1"},
+        id="q1-specialization"),
+    pytest.param(
         verify_polya, {"max_n": 3, "max_m": 3}, qyt.verify, "descent_levels",
         _BOTH_DES_RAISED,
         {"n": 3, "m": 2},
@@ -649,10 +648,6 @@ MUTATIONS = [
         verify_jack, {"max_n": 3}, qyt.verify, "descent_levels", _DES_MOVED,
         {"shape": "2,1"},
         id="jack-descent-moved"),
-    pytest.param(
-        verify_jack, {"max_n": 3}, qyt.verify, "qyt_counts_via_pnk", _PATH_MOVED,
-        {"check": "path-route", "shape": "2,1"},
-        id="path-route"),
     pytest.param(
         verify_jack, {"max_n": 3}, FerrersBoard, "hit_numbers",
         _when(lambda board: board == FerrersBoard.from_partition(_P21),
@@ -685,19 +680,39 @@ def test_every_named_check_has_a_row():
     yielded = {suite: {check for check, *_ in suite.__wrapped__()}
                for suite in SUITES.values()}
     assert set().union(*yielded.values()) - {None} == {
-        "closed-forms", "complement", "eulerian-base", "fundamental",
-        "hit-route", "hook-recovery",
-        "kostka-lemma", "mahonian", "monomial", "path-grid", "path-route",
-        "path-vs-ebasis", "product-identity",
-        "q1-specialization", "refinement", "rook-route", "row-sums",
-        "rsk-bijection", "rsk-shapes",
-        "t1-specialization", "theorem", "triangle-rows", "triangularity",
+        "complement", "eulerian-base", "fundamental", "hit-route", "hook-recovery",
+        "kostka-lemma", "mahonian", "monomial", "path-grid",
+        "path-vs-ebasis", "product-identity", "refinement", "rook-route", "row-sums",
+        "rsk-bijection", "rsk-shapes", "t1-specialization", "triangularity",
         "truncated-fundamental",
     }
     assert {suite for suite, checks in yielded.items() if checks == {None}} == _UNNAMED
     missing = [(name, check) for name, suite in SUITES.items()
                for check in sorted(yielded[suite] - rows.get(suite, set()), key=str)]
     assert missing == []
+
+
+def _failing_checks(monkeypatch, owner, name, fault):
+    """{(suite, check)} of every suite that fails at max_n = 3 with
+    `fault` in owner.name, the check None where the suite names none."""
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, fault(getattr(owner, name)))
+        reports = [suite(max_n=3) for suite in SUITES.values()]
+    return {(report.suite, report.counterexample.get("check"))
+            for report in reports if not report.passed}
+
+
+def test_each_route_fault_fails_only_the_checks_that_read_that_route(monkeypatch):
+    # one unit of the path counts of 2,1 moved up one k, which keeps
+    # their sum: only foulkes compares the path route with the walk
+    assert _failing_checks(monkeypatch, qyt.verify, "qyt_counts_via_pnk",
+                           _PATH_MOVED) == {("foulkes", None)}
+    # hit and jack's hit-route both compare the hit numbers with the walk,
+    # until jack gets a route of its own (ROADMAP item 7)
+    raised = _when(lambda board: board == FerrersBoard.from_partition(_P21),
+                   lambda out, board: [h + 1 for h in out])
+    assert _failing_checks(monkeypatch, FerrersBoard, "hit_numbers", raised) == {
+        ("hit", None), ("jack", "hit-route")}
 
 
 def test_rook_variants_are_the_route_but_one_factor():
@@ -728,11 +743,10 @@ def _fault_both_walks(monkeypatch, pairs):
     pytest.param(verify_maj_hit, lambda d: {"check": "refinement", "k": d}, id="maj-hit"),
     pytest.param(verify_charge_hit, lambda d: {"check": "refinement", "k": d}, id="charge-hit"),
     pytest.param(verify_summation, lambda d: {"k": d, "lhs": 1, "rhs": 0}, id="summation"),
-    pytest.param(verify_lattice, lambda d: {"check": "theorem", "k": d}, id="lattice"),
     pytest.param(verify_genfun, lambda d: {"check": "fundamental", "n": 3}, id="genfun"),
     pytest.param(verify_foulkes, lambda d: {"k": 2 - d, "lhs": 1, "rhs": 0}, id="foulkes"),
     pytest.param(verify_polya, lambda d: {"n": 3, "m": 4 if d == 3 else 1}, id="polya"),
-    pytest.param(verify_jack, lambda d: {"check": "path-route", "k": d}, id="jack"),
+    pytest.param(verify_jack, lambda d: {"check": "hit-route", "k": d}, id="jack"),
 ])
 def test_a_filling_with_n_or_more_descents_fails_every_walk_reading_suite(
         monkeypatch, suite, expected, d):
@@ -752,10 +766,8 @@ _LAST_RAISED = _when(_always, lambda out, *args: [*out[:-1], out[-1] + 1])
     pytest.param(verify_hit, FerrersBoard, "hit_numbers", {"k": 1}, id="hit-h_n"),
     pytest.param(verify_jack, FerrersBoard, "hit_numbers", {"check": "hit-route", "k": 1},
                  id="jack-h_n"),
-    pytest.param(verify_jack, qyt.verify, "qyt_counts_via_pnk",
-                 {"check": "path-route", "k": 1}, id="jack-paths"),
     pytest.param(verify_lattice, qyt.verify, "qyt_counts_via_pnk",
-                 {"check": "theorem", "k": 1}, id="lattice-paths"),
+                 {"check": "hook-recovery"}, id="lattice-paths"),
     pytest.param(verify_foulkes, qyt.verify, "qyt_counts_via_pnk", {"k": -1},
                  id="foulkes-paths"),
     pytest.param(verify_summation, Partition, "hook_content_counts", {"k": 1},
@@ -763,7 +775,8 @@ _LAST_RAISED = _when(_always, lambda out, *args: [*out[:-1], out[-1] + 1])
 ])
 def test_the_other_side_is_read_at_n_descents(monkeypatch, suite, owner, name, expected):
     # the last entry of the other side, at n descents, where an honest
-    # tally of n rows has none: h_n, P_{n,n}/H, or SSYT_{n+1} in the
+    # tally of n rows has none: h_n, P_{n,n}/H (in lattice, a term of
+    # the sum that recovers the hook count), or SSYT_{n+1} in the
     # alternating sum at k = n
     monkeypatch.setattr(owner, name, _LAST_RAISED(getattr(owner, name)))
     report = suite(max_n=1)
@@ -780,6 +793,22 @@ def test_polya_reads_a_tally_row_of_any_degree(monkeypatch, d):
     report = verify_polya(max_n=3)
     assert report.status == "fail"
     assert report.counterexample["n"] == 3
+
+
+def test_polya_reads_a_count_that_every_m_up_to_max_m_weighs_0(monkeypatch):
+    # a count appended to the rows d = 0..4 of shape 5 weighs C(m - 1, 5),
+    # 0 for every m <= 5: the polynomials of degree 5 in m need m = 6
+    true = qyt.verify.descent_levels
+
+    def faulty(width, tops):
+        for level in true(width, tops):
+            if (5,) in level:
+                assert len(level[5,]) == 5
+                level = {**level, (5,): [*level[5,], 1]}
+            yield level
+
+    monkeypatch.setattr(qyt.verify, "descent_levels", faulty)
+    assert verify_polya(max_n=5).counterexample == {"n": 5, "m": 6, "lhs": 7777, "rhs": 7776}
 
 
 @pytest.mark.parametrize("rows,term", [
