@@ -578,7 +578,7 @@ def _descent_mask(rows: Sequence[Sequence[int]], n: int) -> int:
 @_suite("genfun")
 def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
     """Both expansions of the q,t Schur generating function, the Kostka
-    lemma behind the monomial one, RSK sanity, the fundamental
+    lemma behind the monomial one, the RSK bijection, the fundamental
     expansion of each Schur function from its quasi-Yamanouchi fillings,
     monomial triangularity against Kostka numbers, and the t = 1
     specialization against the q-hook formula.  Expansions keep every
@@ -611,8 +611,8 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
     needs no separate check that the coefficient of M_nu in s_nu is 1:
     it requires that coefficient to equal K[nu, nu], and a K[nu, nu]
     other than 1 has already failed the Kostka lemma or the monomial
-    check, since the walk's tally of nu is never zero.  The RSK checks
-    insert every p of S_n and give it back by inverse insertion,
+    check, since the walk's tally of nu is never zero.  The RSK check
+    inserts every p of S_n and gives it back by inverse insertion,
     keeping no pair.  The truncated-fundamental check still walks the
     standard fillings, as the rows of the cell walk that enumerate_syt
     wraps (tableau._ssyt_rows) with no Tableau built, and tallies their
@@ -658,18 +658,17 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
             yield ("kostka-lemma", {"shape": shape},
                    Packed(words_at[shape], width, stride), Packed(rhs, width, stride))
 
-        # Inverse insertion giving back every p shows that p -> (P, Q)
-        # is injective; the pairs of standard fillings of one shape
-        # number sum f_shape^2, so it is onto when that sum is n!.
+        # Inverse insertion pops each row of P once per label in that row
+        # of Q, so giving back every p shows that P and Q share a shape
+        # and that p -> (P, Q) is injective; the pairs of standard fillings
+        # of one shape number sum f_shape^2, so it is onto when that is n!.
         for p in perms(n):
             P, Q = row_insert(p)
-            fields = {"perm": p}
-            yield "rsk-shapes", fields, tuple(map(len, P)), tuple(map(len, Q))
             try:
                 back = row_uninsert(P, Q)
-            except (KeyError, IndexError):  # Q is not a standard filling
+            except (KeyError, IndexError):  # Q is not a standard filling of P's shape
                 back = None
-            yield "rsk-bijection", fields, back, p
+            yield "rsk-bijection", {"perm": p}, back, p
         squares_sum = sum(f * f for f in fillings.values())
         yield "rsk-bijection", {"n": n}, squares_sum, factorial(n)
 
@@ -798,14 +797,14 @@ def verify_polya(max_n: int = 6, max_m: int = 5) -> Iterator[_Instance]:
 
 @_suite("jack")
 def verify_jack(max_n: int = 6) -> Iterator[_Instance]:
-    """The labeled coefficients times the conjugate's hook product against
-    n! times the hit numbers of the shape's board ("hit-route"), for
-    k = 0..n and every further row of the walk's tally.  The walk's
-    counts against the lattice-path route are foulkes's check."""
-    for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
+    """The labeled coefficients, n! times the conjugate's lattice-path
+    counts (qyt_counts_via_pnk), times its hook product against n! times
+    the hit numbers of the shape's board ("hit-route"), for k = 0..n, h_n
+    against P_{n,n}/H.  hit and foulkes compare the walk with each route."""
+    for n in range(1, max_n + 1):
         for shape in partitions(n):
             conj = shape.conjugate()
-            counts = tallies[conj.parts]
+            counts = qyt_counts_via_pnk(conj)
             conj_hooks = conj.hook_product()
             hit = FerrersBoard.from_partition(shape).hit_numbers()
             for k, (count, h) in enumerate(zip_longest(counts, hit, fillvalue=0)):

@@ -2,10 +2,15 @@
 read packed values: the walk rows of maj-hit and charge-hit, the T_k of
 FerrersBoard.q_hit_numbers, the census cells and the rook route
 (board._rook_route) that gjw reads, and the three tallies of genfun;
-over the walk at width 0, q = 1, whose counts the hit, summation,
-foulkes, polya and jack suites read, and the hit numbers that hit and
-jack read (FerrersBoard.hit_numbers); and over the e-basis coefficients
-a(n, k, m) that lattice reads (verify.a_table).
+over the seams that hold plain ints: the walk at width 0, q = 1, whose
+counts the hit, summation, foulkes and polya suites read, the hit
+numbers that hit and jack read (FerrersBoard.hit_numbers), the
+lattice-path counts that foulkes and jack read
+(verify.qyt_counts_via_pnk) and the hook-content counts that summation
+reads (Partition.hook_content_counts); and over the e-basis
+coefficients a(n, k, m) that lattice reads (verify.a_table).  lattice's
+path counts are left out: a count moved by one k keeps the sum that
+hook-recovery reads, and that is all lattice reads of them.
 
 Each fault changes one slot of one value that one call of the seam
 returns: by +-1 or +-2^e for e = 1..80, by flipping its sign, or by
@@ -26,6 +31,7 @@ import pytest
 import qyt.verify
 from qyt import _kernels
 from qyt.board import FerrersBoard
+from qyt.partition import Partition
 from qyt.qpoly import pack, unpack
 from qyt.verify import (
     verify_charge_hit,
@@ -96,10 +102,11 @@ def _q_hits(suite):
                 lambda args, out: out[0])
 
 
-def _hit_counts(suite):
-    """The hit numbers h_0..h_n: one list of counts at width 0, handled
-    whole (by the full slice), so that its counts are the slots."""
-    return Seam(suite, FerrersBoard, "hit_numbers", list,
+def _counts(suite, owner, name):
+    """A seam that returns one list of counts at width 0, such as the hit
+    numbers h_0..h_n, handled whole (by the full slice), so that its
+    counts are the slots."""
+    return Seam(suite, owner, name, list,
                 lambda out: [(out, slice(None))], lambda args, out: None)
 
 
@@ -125,9 +132,12 @@ SEAMS = {
     "summation walk counts": _walk_counts(verify_summation),
     "foulkes walk counts": _walk_counts(verify_foulkes),
     "polya walk counts": _walk_counts(verify_polya),
-    "jack walk counts": _walk_counts(verify_jack),
-    "hit hit numbers": _hit_counts(verify_hit),
-    "jack hit numbers": _hit_counts(verify_jack),
+    "hit hit numbers": _counts(verify_hit, FerrersBoard, "hit_numbers"),
+    "jack hit numbers": _counts(verify_jack, FerrersBoard, "hit_numbers"),
+    "foulkes path counts": _counts(verify_foulkes, qyt.verify, "qyt_counts_via_pnk"),
+    "jack path counts": _counts(verify_jack, qyt.verify, "qyt_counts_via_pnk"),
+    "summation hook-content counts": _counts(verify_summation, Partition,
+                                             "hook_content_counts"),
 }
 
 

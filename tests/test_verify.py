@@ -124,11 +124,12 @@ def test_lattice_builds_the_elementary_values_once_per_shape(monkeypatch):
     pytest.param(verify_maj_hit, {}, 1, id="maj-hit"),
     pytest.param(verify_charge_hit, {}, 1, id="charge-hit"),
     pytest.param(verify_summation, {}, 1, id="summation"),
-    # the path route against the walk is foulkes's check alone
+    # the path route against the walk is foulkes's check alone, and
+    # the hit numbers against the walk hit's
     pytest.param(verify_lattice, {"points": 0}, 0, id="lattice"),
     pytest.param(verify_foulkes, {}, 1, id="foulkes"),
     pytest.param(verify_polya, {}, 1, id="polya"),
-    pytest.param(verify_jack, {}, 1, id="jack"),
+    pytest.param(verify_jack, {}, 0, id="jack"),
 ])
 def test_each_counting_suite_walks_the_lattice_once(monkeypatch, suite, kwargs, walks):
     # the walk is counted wherever a module binds it: a call through
@@ -510,9 +511,11 @@ MUTATIONS = [
         {"check": "triangularity", "shape": "1,1,1"},
         id="triangularity"),
     pytest.param(
+        # Q of another shape than P: inverse insertion pops the top row
+        # of P past its end
         verify_genfun, {"max_n": 4}, qyt.verify, "row_insert",
         _recording((2, 1, 3), ((1, 2, 3),)),
-        {"check": "rsk-shapes", "perm": [2, 1, 3]},
+        {"check": "rsk-bijection", "perm": [2, 1, 3]},
         id="rsk-shapes"),
     pytest.param(
         # 132 and 312 share P = 12/3 but not Q; give 312 the Q of 132
@@ -645,9 +648,9 @@ MUTATIONS = [
         {"n": 3, "m": 2},
         id="polya"),
     pytest.param(
-        verify_jack, {"max_n": 3}, qyt.verify, "descent_levels", _DES_MOVED,
-        {"shape": "2,1"},
-        id="jack-descent-moved"),
+        verify_jack, {"max_n": 3}, qyt.verify, "qyt_counts_via_pnk", _PATH_MOVED,
+        {"check": "hit-route", "shape": "2,1", "k": 1},
+        id="jack-path-moved"),
     pytest.param(
         verify_jack, {"max_n": 3}, FerrersBoard, "hit_numbers",
         _when(lambda board: board == FerrersBoard.from_partition(_P21),
@@ -683,7 +686,7 @@ def test_every_named_check_has_a_row():
         "complement", "eulerian-base", "fundamental", "hit-route", "hook-recovery",
         "kostka-lemma", "mahonian", "monomial", "path-grid",
         "path-vs-ebasis", "product-identity", "refinement", "rook-route", "row-sums",
-        "rsk-bijection", "rsk-shapes", "t1-specialization", "triangularity",
+        "rsk-bijection", "t1-specialization", "triangularity",
         "truncated-fundamental",
     }
     assert {suite for suite, checks in yielded.items() if checks == {None}} == _UNNAMED
@@ -692,27 +695,43 @@ def test_every_named_check_has_a_row():
     assert missing == []
 
 
-def _failing_checks(monkeypatch, owner, name, fault):
+def _failing_checks(monkeypatch, name, fault, *owners):
     """{(suite, check)} of every suite that fails at max_n = 3 with
-    `fault` in owner.name, the check None where the suite names none."""
+    `fault` in owner.name for each of `owners`, the check None where the
+    suite names none."""
     with monkeypatch.context() as patch:
-        patch.setattr(owner, name, fault(getattr(owner, name)))
+        for owner in owners:
+            patch.setattr(owner, name, fault(getattr(owner, name)))
         reports = [suite(max_n=3) for suite in SUITES.values()]
     return {(report.suite, report.counterexample.get("check"))
             for report in reports if not report.passed}
 
 
 def test_each_route_fault_fails_only_the_checks_that_read_that_route(monkeypatch):
+    # a filling of 2,1 moved up one descent, in the walk that the suites
+    # call through verify and through tableau: every check that reads
+    # the walk, and not jack, which reads the path route in its place
+    assert _failing_checks(monkeypatch, "descent_levels", _DES_MOVED,
+                           qyt.verify, qyt.tableau) == {
+        ("hit", None), ("summation", None), ("foulkes", None), ("polya", None),
+        ("maj-hit", "refinement"), ("charge-hit", "refinement"),
+        ("genfun", "fundamental")}
     # one unit of the path counts of 2,1 moved up one k, which keeps
-    # their sum: only foulkes compares the path route with the walk
-    assert _failing_checks(monkeypatch, qyt.verify, "qyt_counts_via_pnk",
-                           _PATH_MOVED) == {("foulkes", None)}
-    # hit and jack's hit-route both compare the hit numbers with the walk,
-    # until jack gets a route of its own (ROADMAP item 7)
+    # their sum: foulkes compares the path route with the walk, and
+    # jack's hit-route with the hit numbers
+    assert _failing_checks(monkeypatch, "qyt_counts_via_pnk", _PATH_MOVED, qyt.verify) == {
+        ("foulkes", None), ("jack", "hit-route")}
+    # hit compares the hit numbers with the walk, and jack's hit-route
+    # with the path route
     raised = _when(lambda board: board == FerrersBoard.from_partition(_P21),
                    lambda out, board: [h + 1 for h in out])
-    assert _failing_checks(monkeypatch, FerrersBoard, "hit_numbers", raised) == {
+    assert _failing_checks(monkeypatch, "hit_numbers", raised, FerrersBoard) == {
         ("hit", None), ("jack", "hit-route")}
+    # SSYT_2 of 2,1 raised by one: summation alone reads the
+    # hook-content counts
+    ssyt_raised = _when(_p21, lambda out, shape, upto: [out[0], out[1] + 1, *out[2:]])
+    assert _failing_checks(monkeypatch, "hook_content_counts", ssyt_raised, Partition) == {
+        ("summation", None)}
 
 
 def test_rook_variants_are_the_route_but_one_factor():
@@ -746,7 +765,6 @@ def _fault_both_walks(monkeypatch, pairs):
     pytest.param(verify_genfun, lambda d: {"check": "fundamental", "n": 3}, id="genfun"),
     pytest.param(verify_foulkes, lambda d: {"k": 2 - d, "lhs": 1, "rhs": 0}, id="foulkes"),
     pytest.param(verify_polya, lambda d: {"n": 3, "m": 4 if d == 3 else 1}, id="polya"),
-    pytest.param(verify_jack, lambda d: {"check": "hit-route", "k": d}, id="jack"),
 ])
 def test_a_filling_with_n_or_more_descents_fails_every_walk_reading_suite(
         monkeypatch, suite, expected, d):
@@ -770,14 +788,16 @@ _LAST_RAISED = _when(_always, lambda out, *args: [*out[:-1], out[-1] + 1])
                  {"check": "hook-recovery"}, id="lattice-paths"),
     pytest.param(verify_foulkes, qyt.verify, "qyt_counts_via_pnk", {"k": -1},
                  id="foulkes-paths"),
+    pytest.param(verify_jack, qyt.verify, "qyt_counts_via_pnk",
+                 {"check": "hit-route", "k": 1}, id="jack-paths"),
     pytest.param(verify_summation, Partition, "hook_content_counts", {"k": 1},
                  id="summation-ssyt"),
 ])
 def test_the_other_side_is_read_at_n_descents(monkeypatch, suite, owner, name, expected):
     # the last entry of the other side, at n descents, where an honest
     # tally of n rows has none: h_n, P_{n,n}/H (in lattice, a term of
-    # the sum that recovers the hook count), or SSYT_{n+1} in the
-    # alternating sum at k = n
+    # the sum that recovers the hook count, and in jack, read against
+    # h_n), or SSYT_{n+1} in the alternating sum at k = n
     monkeypatch.setattr(owner, name, _LAST_RAISED(getattr(owner, name)))
     report = suite(max_n=1)
     assert report.status == "fail"
