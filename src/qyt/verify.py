@@ -612,11 +612,11 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
     it requires that coefficient to equal K[nu, nu], and a K[nu, nu]
     other than 1 has already failed the Kostka lemma or the monomial
     check, since the walk's tally of nu is never zero.  The RSK check
-    inserts every p of S_n and gives it back by inverse insertion,
-    keeping no pair.  The truncated-fundamental check still walks the
-    standard fillings, as the rows of the cell walk that enumerate_syt
-    wraps (tableau._ssyt_rows) with no Tableau built, and tallies their
-    descent sets, read off those rows."""
+    inserts every p of S_n and, when P and Q share a shape, gives it
+    back by inverse insertion, keeping no pair.  The truncated-fundamental
+    check walks the standard fillings, as the rows of the cell walk that
+    enumerate_syt wraps (tableau._ssyt_rows) with no Tableau built, and
+    tallies their descent sets, read off those rows."""
     for n in range(1, max_n + 1):
         shapes = list(partitions(n))
         # composition -> coefficient of M_composition
@@ -658,14 +658,14 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
             yield ("kostka-lemma", {"shape": shape},
                    Packed(words_at[shape], width, stride), Packed(rhs, width, stride))
 
-        # Inverse insertion pops each row of P once per label in that row
-        # of Q, so giving back every p shows that P and Q share a shape
-        # and that p -> (P, Q) is injective; the pairs of standard fillings
-        # of one shape number sum f_shape^2, so it is onto when that is n!.
+        # Inverse insertion reads only the cells of P that Q labels, so P's
+        # shape is compared with Q's first; then giving back every p shows
+        # that p -> (P, Q) is injective; the pairs of standard fillings of
+        # one shape number sum f_shape^2, so it is onto when that is n!.
         for p in perms(n):
             P, Q = row_insert(p)
             try:
-                back = row_uninsert(P, Q)
+                back = row_uninsert(P, Q) if list(map(len, P)) == list(map(len, Q)) else None
             except (KeyError, IndexError):  # Q is not a standard filling of P's shape
                 back = None
             yield "rsk-bijection", {"perm": p}, back, p

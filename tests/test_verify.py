@@ -511,12 +511,18 @@ MUTATIONS = [
         {"check": "triangularity", "shape": "1,1,1"},
         id="triangularity"),
     pytest.param(
-        # Q of another shape than P: inverse insertion pops the top row
-        # of P past its end
+        # Q of another shape than P, with a row longer than P's
         verify_genfun, {"max_n": 4}, qyt.verify, "row_insert",
         _recording((2, 1, 3), ((1, 2, 3),)),
         {"check": "rsk-bijection", "perm": [2, 1, 3]},
         id="rsk-shapes"),
+    pytest.param(
+        # P given an extra row that Q does not label: inverse insertion
+        # alone never reads it, and still gives back 2,1,3
+        verify_genfun, {"max_n": 4}, qyt.verify, "row_insert",
+        _when(lambda w: tuple(w) == (2, 1, 3), lambda out, w: ((*out[0], (9,)), out[1])),
+        {"check": "rsk-bijection", "perm": [2, 1, 3]},
+        id="rsk-shapes-extra-row"),
     pytest.param(
         # 132 and 312 share P = 12/3 but not Q; give 312 the Q of 132
         verify_genfun, {"max_n": 4}, qyt.verify, "row_insert",
