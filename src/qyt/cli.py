@@ -11,6 +11,7 @@ for fixed arguments and seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -376,5 +377,17 @@ def main(argv=None) -> int:
         return 141
 
 
+def run() -> None:
+    """The process entry point.  On every way out of main, argparse's
+    SystemExit included, the heap is frozen, so that the shutdown
+    collections skip it: its memory goes back to the system with the
+    process, and qyt has no __del__ for a collection to run.  atexit
+    handlers and the flush of stdout and stderr still run."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,5 +1,6 @@
 import csv
 import functools
+import gc
 import io
 import json
 import os
@@ -180,6 +181,45 @@ def test_a_reader_that_stops_early_ends_the_output_quietly():
     # take whole before it closes the pipe; closed first, the pipe is
     # certain to be closed when verify writes
     assert _closed_after(0, "verify", "all") == (141, "")
+
+
+def _freeze_count_at_exit(tmp_path, *argv: str) -> tuple[int, int]:
+    """(exit code, gc.get_freeze_count() as an atexit hook reads it) of
+    `python -m qyt.cli argv` on the qyt under test; the hook is
+    registered by a sitecustomize module, before qyt runs."""
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n")
+    src = os.path.dirname(os.path.dirname(qyt.__file__))
+    proc = subprocess.run([sys.executable, "-m", "qyt.cli", *argv], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), src])})
+    word, count = proc.stderr.splitlines()[-1].split()
+    assert word == "frozen"
+    return proc.returncode, int(count)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["count", "--shape", "3,x", "--syt"], 2),
+    (["verify", "hit", "--max-n", "3"], 0),
+])
+def test_a_process_freezes_its_heap_on_every_way_out(tmp_path, argv, code):
+    # --help and a usage error leave main as argparse's SystemExit
+    exit_code, frozen = _freeze_count_at_exit(tmp_path, *argv)
+    assert exit_code == code and frozen > 0
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    assert run(capsys, "board", "--shape", "3,2") == (0, "2,2,2,3,3\n")
+    assert gc.get_freeze_count() == 0
+
+
+def test_the_installed_script_takes_the_same_exit_path():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+        assert tomllib.load(f)["project"]["scripts"] == {"qyt": "qyt.cli:run"}
 
 
 def test_verify_all_reports_every_suite_when_one_identity_fails(capsys, monkeypatch):

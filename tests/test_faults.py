@@ -6,21 +6,28 @@ over the seams that hold plain ints: the walk at width 0, q = 1, whose
 counts the hit, summation, foulkes and polya suites read, the hit
 numbers that hit and jack read (FerrersBoard.hit_numbers), the
 lattice-path counts that foulkes and jack read
-(verify.qyt_counts_via_pnk) and the hook-content counts that summation
-reads (Partition.hook_content_counts); and over the e-basis
-coefficients a(n, k, m) that lattice reads (verify.a_table).  lattice's
-path counts are left out: a count moved by one k keeps the sum that
-hook-recovery reads, and that is all lattice reads of them.
+(verify.qyt_counts_via_pnk), the hook-content counts that summation
+reads (Partition.hook_content_counts), and the Kostka numbers, the
+truncated Schur and monomial expansions and the RSK pairs that genfun
+reads (kostka, schur_truncated, monomial_truncated, row_insert); and
+over the e-basis coefficients a(n, k, m) that lattice reads
+(verify.a_table).  lattice's path counts are left out: a count moved by
+one k keeps the sum that hook-recovery reads, and that is all lattice
+reads of them.
 
 Each fault changes one slot of one value that one call of the seam
 returns: by +-1 or +-2^e for e = 1..80, by flipping its sign, or by
 moving its term to the next slot.  A slot is a coefficient of a value
-packed at the seam's width, one census cell, or one count of a tally at
-width 0; moving the last count of a tally appends a row at n descents,
-which no standard filling has.  The suite must report
-a failure for every fault: a pass means that the fault slipped between
-the slots or that no check reads the value, and an exception that the
-suite does not report its counterexample.
+packed at the seam's width, one census cell, one count of a tally at
+width 0, one Kostka number, the coefficient of one composition in an
+expansion, or one entry of an insertion or recording tableau; moving the
+last count of a tally appends a row at n descents, which no standard
+filling has, a Kostka number moved goes to 0, and the coefficient of
+the last composition moves to the first.  A flip or a move that falls
+on an output with no nonzero slot falls on the next output instead.
+The suite must report a failure for every fault: a pass means that the
+fault slipped between the slots or that no check reads the value, and
+an exception that the suite does not report its counterexample.
 """
 
 import random
@@ -68,11 +75,19 @@ def _level_copy(level):
     return {key: list(rows) for key, rows in level.items()}
 
 
+def _compositions(n):
+    """Every composition of n, by (length, alpha) as genfun compares them."""
+    cuts = [[j for j in range(1, n) if mask >> (j - 1) & 1] for mask in range(1 << (n - 1))]
+    return sorted((tuple(b - a for a, b in zip([0, *cut], [*cut, n])) for cut in cuts),
+                  key=lambda alpha: (len(alpha), alpha))
+
+
 class Seam(NamedTuple):
     """One place a suite reads packed values: `owner.name`, whose output
-    `copy` makes mutable and `handles` lists as (container, key) pairs,
-    each item packed at width(args, output), or a plain coefficient list
-    where that is None.  A generator seam yields one output per level."""
+    `copy` makes mutable, `handles` lists as (container, key) pairs and
+    `back` gives the form the suite reads, each item packed at
+    width(args, output), or a plain coefficient list where that is None.
+    A generator seam yields one output per level."""
 
     suite: Callable
     owner: object
@@ -81,6 +96,7 @@ class Seam(NamedTuple):
     handles: Callable
     width: Callable
     generator: bool = False
+    back: Callable = lambda out: out
 
 
 def _walk(suite):
@@ -108,6 +124,24 @@ def _counts(suite, owner, name):
     counts are the slots."""
     return Seam(suite, owner, name, list,
                 lambda out: [(out, slice(None))], lambda args, out: None)
+
+
+def _expansion(name):
+    """An expansion in the monomial basis, {composition: coefficient},
+    handled as its coefficients at every composition of its degree, so
+    that a move goes to the next composition and the last to the first."""
+    def copy(out):
+        alphas = _compositions(sum(next(iter(out))))
+        return alphas, [out.get(alpha, 0) for alpha in alphas]
+
+    def back(box):
+        alphas, coeffs = box
+        if len(coeffs) > len(alphas):
+            coeffs[0] += coeffs.pop()
+        return {alpha: c for alpha, c in zip(alphas, coeffs) if c}
+
+    return Seam(verify_genfun, qyt.verify, name, copy, lambda box: [(box[1], slice(None))],
+                lambda args, out: None, back=back)
 
 
 SEAMS = {
@@ -138,6 +172,15 @@ SEAMS = {
     "jack path counts": _counts(verify_jack, qyt.verify, "qyt_counts_via_pnk"),
     "summation hook-content counts": _counts(verify_summation, Partition,
                                              "hook_content_counts"),
+    "genfun Kostka numbers": Seam(verify_genfun, qyt.verify, "kostka", lambda out: [out],
+                                  lambda box: [(box, slice(None))], lambda args, out: None,
+                                  back=lambda box: box[0]),
+    "genfun Schur expansions": _expansion("schur_truncated"),
+    "genfun monomial expansions": _expansion("monomial_truncated"),
+    "genfun RSK pairs": Seam(verify_genfun, qyt.verify, "row_insert",
+                             lambda out: [list(map(list, rows)) for rows in out],
+                             lambda out: [(rows, r) for rows in out for r in range(len(rows))],
+                             lambda args, out: None),
 }
 
 
@@ -158,29 +201,33 @@ def _faulted(coeffs, fault, slot):
 
 def _inject(seam, fault, target, rng):
     """A fault for seam.owner.name: the output of call number `target`
-    (a level, for a generator) copied with `fault` at one slot that rng
-    picks, a nonzero one for a flip or a move."""
-    calls = [0]
+    (a level, for a generator), or of the first call after it with a
+    nonzero slot for a flip or a move, copied with `fault` at one slot
+    that rng picks, a nonzero one for a flip or a move."""
+    left = [target]  # the outputs to pass before the faulted one
 
     def change(out, args):
-        calls[0] += 1
-        if calls[0] != target + 1:
+        left[0] -= 1
+        if left[0] != -1:
             return out
-        out = seam.copy(out)
-        width = seam.width(args, out)
+        box = seam.copy(out)
+        width = seam.width(args, box)
         spots = []
-        for container, key in seam.handles(out):
+        for container, key in seam.handles(box):
             value = container[key]
             coeffs = value if width is None else unpack(value, width)
             spots += [(container, key, s) for s, c in enumerate(coeffs)
                       if c or fault[0] == "add"]
+        if not spots:
+            left[0] = 0
+            return out
         container, key, slot = rng.choice(spots)
         value = container[key]
         if width is None:
             container[key] = _faulted(value, fault, slot)
         else:
             container[key] = pack(_faulted(unpack(value, width), fault, slot), width)
-        return out
+        return seam.back(box)
 
     def make(true):
         if seam.generator:
