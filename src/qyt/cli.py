@@ -141,15 +141,21 @@ def _cmd_board(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import SUITES
+    from .verify import SUITES, Run
 
     if args.seed is not None and args.suite not in ("lattice", "all"):
         raise ValueError("--seed applies only to the lattice suite")
-    names = list(SUITES) if args.suite == "all" else [args.suite]
     bounds = {} if args.max_n is None else {"max_n": args.max_n}
     seed = {} if args.seed is None else {"seed": args.seed}
-    reports = [SUITES[name](**bounds, **(seed if name == "lattice" else {}))
-               for name in names]
+
+    def report(name: str):
+        return SUITES[name](**bounds, **(seed if name == "lattice" else {}))
+
+    if args.suite == "all":
+        with Run(list(SUITES), args.max_n):  # one run: the suites share what they compute
+            reports = [report(name) for name in SUITES]
+    else:  # a suite alone keeps nothing
+        reports = [report(args.suite)]
 
     def text() -> str:
         lines = []
@@ -340,12 +346,24 @@ _COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write to stdout, such as
+    --help into a closed pipe, is not swallowed: it reaches main's
+    BrokenPipeError handler, as the output of every command does."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser for argv.  Every command is listed, with its help, but
     only the invoked one gets its arguments: the first token that does
     not start with "-", since the top-level parser has no option that
     takes a value."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qyt",
         description="Exact counting and verification for quasi-Yamanouchi tableaux.",
     )
@@ -362,8 +380,12 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
     try:
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except SystemExit:  # --help or a usage error: flush what help wrote here
+            sys.stdout.flush()
+            raise
         code = args.run(args)
         sys.stdout.flush()
         return code

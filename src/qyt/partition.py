@@ -19,9 +19,16 @@ class Partition:
     Values are canonical: zero parts are stripped, so ``Partition((3, 2, 0))``
     equals ``Partition((3, 2))``.  The text form is comma-separated parts,
     with the empty string denoting the empty partition.
+
+    The column lengths, the conjugate, the hooks and the contents are
+    computed on first use and kept, as tuples, so that a shape that the
+    suites of one verify run share computes each once; hooks() and
+    contents() hand out fresh lists.  Each tuple is built from a list:
+    a tuple of a generator is allocated at a guessed size and then
+    shrunk, which leaves its memory block to another size's free list.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_columns", "_conjugate", "_hooks", "_contents")
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
         raw = tuple(int(p) for p in parts)
@@ -32,6 +39,7 @@ class Partition:
             if a < b:
                 raise ValueError(f"parts must weakly decrease, got {raw}")
         self.parts = tuple(p for p in raw if p > 0)
+        self._columns = self._conjugate = self._hooks = self._contents = None
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -76,29 +84,41 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Reflect the diagram across its main diagonal."""
-        return Partition(self._column_lengths())
+        if self._conjugate is None:
+            self._conjugate = Partition(self._column_lengths())
+        return self._conjugate
 
-    def _column_lengths(self) -> list[int]:
+    def _column_lengths(self) -> tuple[int, ...]:
         """Cells in each column, left to right: the conjugate's parts."""
-        parts = self.parts
-        return [sum(1 for p in parts if p > i) for i in range(parts[0] if parts else 0)]
+        if self._columns is None:
+            parts = self.parts
+            self._columns = tuple([sum(1 for p in parts if p > i)
+                                   for i in range(parts[0] if parts else 0)])
+        return self._columns
+
+    def _content_tuple(self) -> tuple[int, ...]:
+        if self._contents is None:
+            self._contents = tuple([i - j for (i, j) in self.cells()])
+        return self._contents
 
     def contents(self) -> list[int]:
         """c(u) = i - j for every cell, in cells() order."""
-        return [i - j for (i, j) in self.cells()]
+        return list(self._content_tuple())
+
+    def _hook_tuple(self) -> tuple[int, ...]:
+        if self._hooks is None:
+            cols = self._column_lengths()
+            self._hooks = tuple([(row - i) + (cols[i - 1] - j) + 1
+                                 for j, row in enumerate(self.parts, 1)
+                                 for i in range(1, row + 1)])
+        return self._hooks
 
     def hooks(self) -> list[int]:
         """h(u) for every cell, in cells() order."""
-        return list(self._hook_lengths())
+        return list(self._hook_tuple())
 
     def hook_product(self) -> int:
-        return prod(self._hook_lengths())
-
-    def _hook_lengths(self) -> Iterator[int]:
-        cols = self._column_lengths()
-        for j, row in enumerate(self.parts, 1):
-            for i in range(1, row + 1):
-                yield (row - i) + (cols[i - 1] - j) + 1
+        return prod(self._hook_tuple())
 
     def n_stat(self) -> int:
         """n(lambda) = sum_i (i - 1) * lambda_i."""
@@ -144,7 +164,7 @@ class Partition:
         return self._hook_content_quotients(range(1, upto + 1))
 
     def _hook_content_quotients(self, ms: Iterable[int]) -> list[int]:
-        contents = self.contents()
+        contents = self._content_tuple()
         hooks = self.hook_product()
         out = []
         for m in ms:

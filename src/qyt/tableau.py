@@ -18,8 +18,10 @@ holds a list by des of sum q^maj evaluated at q = 2^W, so a descent is
 a shift.  W = 0 gives the counts by des that the counting suites read;
 W = qpoly.slot_width(f), f the most standard fillings of a top, keeps
 each maj in its own slot for `des_maj_counts` and `gen_fn`; the genfun
-suite walks at the wider W of its comparisons.  A suite walks the
-lattice once, a single shape its own order ideal; nothing is cached.
+suite walks at the wider W of its comparisons.  A suite reads one walk
+of the lattice, and a single shape walks its own order ideal.  The walk
+keeps nothing between calls; the suites of one verify run share the
+levels of one walk per width (verify.Run).
 `enumerate_syt` serves only to list the fillings themselves.
 
 Every filling comes from one cell walk, `_ssyt_rows`, which fills the

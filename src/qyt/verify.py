@@ -22,8 +22,9 @@ max_* bound below 1, times the body, compares the two sides of each
 instance and stops at the first that differ, without resuming the
 body; that instance is the counterexample, {"check", **fields, "lhs",
 "rhs"}, each value shown by `_shown`.  Every suite that reads descent
-statistics, genfun aside, walks Young's lattice once per run
-(tableau.descent_levels) and reads each level as n reaches it.  A
+statistics, genfun aside, reads the levels of one walk of Young's
+lattice (tableau.descent_levels) as n reaches them, and the suites of
+one run share each walk, hit numbers and path counts (see Run).  A
 tally by descents is paired with its other side over every row that
 either side has, a row that one side lacks read as 0: no standard
 filling of size n has n or more descents, so on honest input those rows
@@ -50,7 +51,8 @@ import time
 from itertools import zip_longest
 from math import comb, factorial, prod
 from operator import mul
-from typing import Callable, Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _kernels
 from .board import FerrersBoard, _rook_route
@@ -125,7 +127,8 @@ def _suite(name: str) -> Callable[[Callable[..., Iterator[_Instance]]], Callable
     body, which gets the caller's arguments as they are.  It stops at
     the first instance whose sides differ, leaving the body suspended
     there, and reports it as the counterexample: the check (left out
-    when None), the fields, then lhs and rhs, each value shown.
+    when None), the fields, then lhs and rhs, each value shown.  The
+    suite's default bounds are its `defaults`.
     """
     def decorate(body: Callable[..., Iterator[_Instance]]) -> Callable[..., SuiteReport]:
         params = body.__code__.co_varnames[:body.__code__.co_argcount]
@@ -153,9 +156,103 @@ def _suite(name: str) -> Callable[[Callable[..., Iterator[_Instance]]], Callable
                 ms=int((time.perf_counter() - started) * 1000),
             )
 
+        suite.defaults = defaults
         return suite
 
     return decorate
+
+
+# ---------------------------------------------------------------------------
+# one run: the values its suites share
+
+
+#: The run in progress, or None.
+_RUN: Run | None = None
+
+
+class Run:
+    """One verify call that runs the suites `names` of SUITES, each at
+    max_n, or at its default bound where max_n is None, sharing values.
+    `qyt verify all` is one run of ten suites; it is opened with `with`,
+    and at most one is open at a time.
+
+    Within a run each of these is computed once: the partitions of each n,
+    as one tuple, whose Partitions keep their hooks, contents and
+    conjugates; the levels of the walk of Young's lattice at each width
+    (_levels); the hit numbers of each board and the lattice-path counts
+    of each shape (_shared).  A value is keyed by the function as verify,
+    or its class, binds it when called, plus its arguments, so that a
+    function patched before a run is a new key and its fault is seen.
+    Values are kept as tuples, and walk levels as read-only mappings of
+    tuples, so that no suite changes what a later one reads.  Everything
+    is dropped when the run ends: a fault patched beneath a shared
+    function, such as board._rook_route beneath FerrersBoard.hit_numbers,
+    changes its values but not its key.
+
+    A suite called alone runs outside any run, by the same code with
+    nothing kept: a function is called each time it is asked, the
+    partitions come one at a time, and the walk holds only the level
+    below the one it builds.
+    """
+
+    __slots__ = ("top", "values")
+
+    def __init__(self, names: Sequence[str], max_n: int | None = None) -> None:
+        #: the largest max_n of the run, below whose partitions it walks
+        self.top = max(SUITES[name].defaults["max_n"] if max_n is None else max_n
+                       for name in names)
+        self.values: dict = {}
+
+    def __enter__(self) -> Run:
+        global _RUN
+        if _RUN is not None:
+            raise RuntimeError("a verify run is open already")
+        _RUN = self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _RUN
+        _RUN = None
+        self.values.clear()
+
+
+def _shared(fn: Callable, *args) -> Sequence:
+    """fn(*args): within a run, a tuple computed on the first call with
+    this fn and these args; outside one, as fn returns it."""
+    run = _RUN
+    if run is None:
+        return fn(*args)
+    key = (fn, *args)
+    value = run.values.get(key)
+    if value is None:
+        value = run.values[key] = tuple(fn(*args))
+    return value
+
+
+def _levels(width: int, max_n: int) -> Iterator[Mapping[tuple[int, ...], Sequence[int]]]:
+    """Levels 1..max_n of the walk of Young's lattice at `width`
+    (descent_levels), each holding every partition of its size.  Outside
+    a run, the walk below the partitions of max_n, keeping no level.
+    Within one, a walk per width below the partitions of the run's
+    largest bound, built only as far as its suites read, each level kept
+    for the suites after the first; a suite that reads past that bound
+    walks alone."""
+    walk = descent_levels
+    run = _RUN
+    if run is None or max_n > run.top:
+        yield from walk(width, _shared(partitions, max_n))
+        return
+    key = (walk, width)
+    if key not in run.values:
+        run.values[key] = ([], walk(width, _shared(partitions, run.top)))
+    kept, rest = run.values[key]
+    for n in range(max_n):
+        if n == len(kept):
+            level = next(rest, None)
+            if level is None:
+                return
+            kept.append(MappingProxyType({mu: tuple(t) for mu, t in level.items()}))
+        yield kept[n]
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +285,17 @@ def _times_signed_row(signed: list[int], P: Sequence[int]) -> list[int]:
 def verify_hit(max_n: int = 7) -> Iterator[_Instance]:
     """QYT_{=k+1}(shape) * hook product == h_k of the conjugate board,
     for k = 0..n and every further row of the walk's tally."""
-    for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
-        for shape in partitions(n):
+    for n, tallies in enumerate(_levels(0, max_n), 1):
+        for shape in _shared(partitions, n):
             hooks = shape.hook_product()
             counts = tallies[shape.parts]
-            hit = FerrersBoard.from_partition(shape.conjugate()).hit_numbers()
+            hit = _shared(FerrersBoard.hit_numbers,
+                          FerrersBoard.from_partition(shape.conjugate()))
             for k, (count, h) in enumerate(zip_longest(counts, hit, fillvalue=0)):
                 yield None, {"shape": shape, "k": k}, count * hooks, h
 
 
-def _hit_sides(board: FerrersBoard, shape, tally: list[int],
+def _hit_sides(board: FerrersBoard, shape, tally: Sequence[int],
                tally_width: int) -> tuple[int, list[int], list[list[int]], int, int]:
     """(W, T_0..T_n of `board` packed at q = 2^W, the walk's `tally` of
     `shape` read back from tally_width as rows, prod [h(u)] and [n]! at
@@ -232,9 +330,9 @@ def verify_maj_hit(max_n: int = 6) -> Iterator[_Instance]:
     lattice at the maj width (tableau.maj_width) and the T_k from the
     board's rook route.
     """
-    tally_width = maj_width(partitions(max_n))
-    for n, tallies in enumerate(descent_levels(tally_width, partitions(max_n)), 1):
-        for shape in partitions(n):
+    tally_width = maj_width(_shared(partitions, max_n))
+    for n, tallies in enumerate(_levels(tally_width, max_n), 1):
+        for shape in _shared(partitions, n):
             board = FerrersBoard.from_partition(shape).plus_one()
             width, T, gens, hooks_at, mahonian_at = _hit_sides(
                 board, shape, tallies[shape.parts], tally_width)
@@ -262,10 +360,10 @@ def verify_charge_hit(max_n: int = 6) -> Iterator[_Instance]:
     so that no side is divided by a power of q even when a maj exceeds
     n * k.
     """
-    tally_width = maj_width(partitions(max_n))
-    for n, tallies in enumerate(descent_levels(tally_width, partitions(max_n)), 1):
+    tally_width = maj_width(_shared(partitions, max_n))
+    for n, tallies in enumerate(_levels(tally_width, max_n), 1):
         half = comb(n, 2)
-        for shape in partitions(n):
+        for shape in _shared(partitions, n):
             conj = shape.conjugate()
             width, T, majs, hooks_at, _ = _hit_sides(
                 FerrersBoard.from_partition(conj), shape, tallies[shape.parts], tally_width)
@@ -289,9 +387,9 @@ def verify_summation(max_n: int = 8) -> Iterator[_Instance]:
     walk's tally.  The signed row of n at width 0 (_signed_row) is built
     once per n and multiplied with SSYT_1..SSYT_{n+1} of each shape.
     """
-    for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
+    for n, tallies in enumerate(_levels(0, max_n), 1):
         signed = _signed_row(n, 0)
-        for shape in partitions(n):
+        for shape in _shared(partitions, n):
             counts = tallies[shape.parts]
             sums = _times_signed_row(signed, shape.hook_content_counts(n + 1))
             for k, (count, rhs) in enumerate(zip_longest(counts, sums, fillvalue=0)):
@@ -338,7 +436,7 @@ def verify_gjw(max_n: int = 6) -> Iterator[_Instance]:
     check and |T_k|_1 for each k.
     """
     for n in range(1, max_n + 1):
-        bases = {shape: FerrersBoard.from_partition(shape) for shape in partitions(n)}
+        bases = {shape: FerrersBoard.from_partition(shape) for shape in _shared(partitions, n)}
         pairs = [(base, base.plus_one()) for base in bases.values()]
         boards = list(dict.fromkeys(board.heights for pair in pairs for board in pair))
         censuses = dict(zip(boards, _kernels.q_hit_census(n, boards)))
@@ -454,9 +552,9 @@ def verify_lattice(max_n: int = 7, points: int = 200,
         yield "path-grid", {"n": n, "x": x}, row, by_ones[sum(x)]
 
     for n in range(1, max_n + 1):
-        for shape in partitions(n):
+        for shape in _shared(partitions, n):
             yield ("hook-recovery", {"shape": shape},
-                   sum(qyt_counts_via_pnk(shape)), shape.hook_length_count())
+                   sum(_shared(qyt_counts_via_pnk, shape)), shape.hook_length_count())
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +716,7 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
     enumerate_syt wraps (tableau._ssyt_rows) with no Tableau built, and
     tallies their descent sets, read off those rows."""
     for n in range(1, max_n + 1):
-        shapes = list(partitions(n))
+        shapes = tuple(_shared(partitions, n))
         # composition -> coefficient of M_composition
         schur = {shape: schur_truncated(shape, n) for shape in shapes}
         monomials = {shape: monomial_truncated(shape, n) for shape in shapes}
@@ -735,23 +833,30 @@ def polya_dimension_check(n: int, m: int) -> bool:
     for name, value in (("n", n), ("m", m)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
-    return _polya_sum(n, m, descent_tallies(0, partitions(n))) == m**n
+    return _polya_sum(n, m, _polya_weights(n, descent_tallies(0, partitions(n)))) == m**n
 
 
-def _polya_sum(n: int, m: int, tallies: dict[tuple[int, ...], list[int]]) -> int:
-    """The right-hand side of polya_dimension_check, from the tallies at
-    width 0 of the partitions of n: sum over shapes of f^shape times
-    sum_d C(m + n - 1 - d, n) tally[d], over every row d a tally has; at
-    n = 0, C(m, 0) for the empty filling, whose largest entry 0 no tally
-    by descents holds."""
+def _polya_weights(n: int, tallies: Mapping[tuple[int, ...], Sequence[int]]) -> list[int]:
+    """D_d = sum over the partitions of n of f^shape tally[d], from the
+    tallies at width 0, for every row d that a tally has."""
+    weights: list[int] = []
+    for shape in _shared(partitions, n):
+        f = shape.hook_length_count()
+        counts = tallies[shape.parts]
+        weights += [0] * (len(counts) - len(weights))
+        for d, c in enumerate(counts):
+            weights[d] += f * c
+    return weights
+
+
+def _polya_sum(n: int, m: int, weights: Sequence[int]) -> int:
+    """The right-hand side of polya_dimension_check, from the weights D_d
+    of n (_polya_weights): sum_d C(m + n - 1 - d, n) D_d; at n = 0,
+    C(m, 0) for the empty filling, whose largest entry 0 no tally by
+    descents holds."""
     if n == 0:
         return 1
-    total = 0
-    for shape in partitions(n):
-        counts = tallies[shape.parts]
-        total += shape.hook_length_count() * sum(
-            _binomial(m + n - 1 - d, n) * c for d, c in enumerate(counts))
-    return total
+    return sum(_binomial(m + n - 1 - d, n) * w for d, w in enumerate(weights))
 
 
 def _binomial(top: int, n: int) -> int:
@@ -776,10 +881,10 @@ def verify_foulkes(max_n: int = 7) -> Iterator[_Instance]:
     QYT_{=n-k}(shape) by the lattice-path route (qyt_counts_via_pnk), by
     ascending k.  Every row d either side has is read, so k = -1 at
     d = n, where the path count P_{n,n}/H is 0."""
-    for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
-        for shape in partitions(n):
+    for n, tallies in enumerate(_levels(0, max_n), 1):
+        for shape in _shared(partitions, n):
             by_des = tallies[shape.parts]
-            by_paths = qyt_counts_via_pnk(shape)
+            by_paths = _shared(qyt_counts_via_pnk, shape)
             pairs = list(zip_longest(by_des, by_paths, fillvalue=0))
             for d in reversed(range(len(pairs))):
                 yield (None, {"shape": shape, "k": n - 1 - d}, *pairs[d])
@@ -789,27 +894,30 @@ def verify_foulkes(max_n: int = 7) -> Iterator[_Instance]:
 def verify_polya(max_n: int = 6, max_m: int = 5) -> Iterator[_Instance]:
     """polya_dimension_check(n, m) for every n <= max_n and every m up to
     max(max_m, n + 1).  Both sides are polynomials of degree n in m (see
-    _binomial), so n + 1 values of m make them equal for every m."""
-    for n, tallies in enumerate(descent_levels(0, partitions(max_n)), 1):
+    _binomial), so n + 1 values of m make them equal for every m.  The
+    tallies of each n are weighed once (_polya_weights), for every m."""
+    for n, tallies in enumerate(_levels(0, max_n), 1):
+        weights = _polya_weights(n, tallies)
         for m in range(1, max(max_m, n + 1) + 1):
-            yield None, {"n": n, "m": m}, _polya_sum(n, m, tallies), m**n
+            yield None, {"n": n, "m": m}, _polya_sum(n, m, weights), m**n
 
 
 @_suite("jack")
 def verify_jack(max_n: int = 6) -> Iterator[_Instance]:
-    """The labeled coefficients, n! times the conjugate's lattice-path
-    counts (qyt_counts_via_pnk), times its hook product against n! times
-    the hit numbers of the shape's board ("hit-route"), for k = 0..n, h_n
-    against P_{n,n}/H.  hit and foulkes compare the walk with each route."""
+    """The labeled coefficients jack_coefficient(shape, k), n! times the
+    conjugate's lattice-path counts (qyt_counts_via_pnk), against n!
+    times the hit numbers of the shape's board ("hit-route"), for
+    k = 0..n, h_n against P_{n,n}/H: with the common factor n! dropped
+    and the conjugate's hook product H multiplied back, count * H == h_k.
+    hit and foulkes compare the walk with each route."""
     for n in range(1, max_n + 1):
-        for shape in partitions(n):
+        for shape in _shared(partitions, n):
             conj = shape.conjugate()
-            counts = qyt_counts_via_pnk(conj)
+            counts = _shared(qyt_counts_via_pnk, conj)
             conj_hooks = conj.hook_product()
-            hit = FerrersBoard.from_partition(shape).hit_numbers()
+            hit = _shared(FerrersBoard.hit_numbers, FerrersBoard.from_partition(shape))
             for k, (count, h) in enumerate(zip_longest(counts, hit, fillvalue=0)):
-                got = factorial(n) * count  # jack_coefficient(shape, k)
-                yield "hit-route", {"shape": shape, "k": k}, got * conj_hooks, factorial(n) * h
+                yield "hit-route", {"shape": shape, "k": k}, count * conj_hooks, h
 
 
 #: CLI-facing registry of suites.

@@ -159,12 +159,14 @@ def test_an_option_the_command_would_ignore_is_rejected(capsys, argv, option):
     assert "Traceback" not in captured.err
 
 
-def _closed_after(lines: int, *argv: str) -> tuple[int, str]:
+def _closed_after(lines: int, *argv: str, **env: str) -> tuple[int, str]:
     """(exit code, stderr) of `qyt argv` in a fresh interpreter on the qyt
-    under test, whose stdout pipe the reader closes after `lines` lines."""
+    under test, with `env` added to its environment, whose stdout pipe
+    the reader closes after `lines` lines."""
     src = os.path.dirname(os.path.dirname(qyt.__file__))
+    env = {**os.environ, "PYTHONPATH": src, **env}
     proc = subprocess.Popen([sys.executable, "-m", "qyt.cli", *argv], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+                            stderr=subprocess.PIPE, env=env)
     for _ in range(lines):
         assert proc.stdout.readline()
     proc.stdout.close()
@@ -181,6 +183,12 @@ def test_a_reader_that_stops_early_ends_the_output_quietly():
     # take whole before it closes the pipe; closed first, the pipe is
     # certain to be closed when verify writes
     assert _closed_after(0, "verify", "all") == (141, "")
+    # --help too, which argparse writes and whose failed write it would
+    # swallow: unbuffered, the write itself fails; buffered, the flush
+    for unbuffered in ("1", ""):
+        assert _closed_after(0, "--help", PYTHONUNBUFFERED=unbuffered) == (141, ""), unbuffered
+    for name, *_ in cli._COMMANDS:
+        assert _closed_after(0, name, "--help") == (141, ""), name
 
 
 def _freeze_count_at_exit(tmp_path, *argv: str) -> tuple[int, int]:

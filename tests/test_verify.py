@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 import qyt.board
+import qyt.cli
 import qyt.qpoly
 import qyt.symfun
 import qyt.tableau
@@ -356,6 +357,9 @@ _MAJ_MOVED = _walked((((1, 2), 2),))
 _BOTH_DES_RAISED = _walked((((2, 1), 1), ((2, 2), 1)))
 # The path counts of shape 2,1 are [0, 2, 0, 0]; move one up one k.
 _PATH_MOVED = _when(_p21, lambda out, shape: [0, 1, 1, 0])
+# The hit numbers of the board of shape 2,1, each raised by one.
+_HITS_RAISED = _when(lambda board: board == FerrersBoard.from_partition(_P21),
+                     lambda out, board: [h + 1 for h in out])
 _HOOK_COUNT_RAISED = _when(_p21, lambda out, shape: out + 1)
 
 
@@ -658,9 +662,7 @@ MUTATIONS = [
         {"check": "hit-route", "shape": "2,1", "k": 1},
         id="jack-path-moved"),
     pytest.param(
-        verify_jack, {"max_n": 3}, FerrersBoard, "hit_numbers",
-        _when(lambda board: board == FerrersBoard.from_partition(_P21),
-              lambda out, board: [h + 1 for h in out]),
+        verify_jack, {"max_n": 3}, FerrersBoard, "hit_numbers", _HITS_RAISED,
         {"check": "hit-route", "shape": "2,1", "k": 0},
         id="hit-route"),
 ]
@@ -729,15 +731,137 @@ def test_each_route_fault_fails_only_the_checks_that_read_that_route(monkeypatch
         ("foulkes", None), ("jack", "hit-route")}
     # hit compares the hit numbers with the walk, and jack's hit-route
     # with the path route
-    raised = _when(lambda board: board == FerrersBoard.from_partition(_P21),
-                   lambda out, board: [h + 1 for h in out])
-    assert _failing_checks(monkeypatch, "hit_numbers", raised, FerrersBoard) == {
+    assert _failing_checks(monkeypatch, "hit_numbers", _HITS_RAISED, FerrersBoard) == {
         ("hit", None), ("jack", "hit-route")}
     # SSYT_2 of 2,1 raised by one: summation alone reads the
     # hook-content counts
     ssyt_raised = _when(_p21, lambda out, shape, upto: [out[0], out[1] + 1, *out[2:]])
     assert _failing_checks(monkeypatch, "hook_content_counts", ssyt_raised, Partition) == {
         ("summation", None)}
+
+
+def _width_0(fault):
+    """A fault for the walk (descent_levels) that faults only the walk at
+    width 0, which hit, summation, foulkes and polya read."""
+    def make(true):
+        faulty = fault(true)
+        return lambda width, tops: (faulty if width == 0 else true)(width, tops)
+    return make
+
+
+def _verify_all(capsys, *argv):
+    """(exit code, the reports of `qyt verify all argv --format json`
+    without their ms)."""
+    code = qyt.cli.main(["verify", "all", *argv, "--format", "json"])
+    blobs = json.loads(capsys.readouterr().out)
+    return code, [{key: value for key, value in blob.items() if key != "ms"} for blob in blobs]
+
+
+@pytest.mark.parametrize("owner,name,fault,failing", [
+    pytest.param(None, None, None, set(), id="honest"),
+    pytest.param(qyt.verify, "descent_levels", _width_0(_DES_MOVED),
+                 {"hit", "summation", "foulkes", "polya"}, id="walk-at-width-0"),
+    pytest.param(FerrersBoard, "hit_numbers", _HITS_RAISED, {"hit", "jack"},
+                 id="hit-numbers-raised"),
+    pytest.param(qyt.verify, "qyt_counts_via_pnk", _PATH_MOVED, {"foulkes", "jack"},
+                 id="path-count-moved"),
+])
+def test_verify_all_reports_each_suite_as_it_reports_alone(capsys, monkeypatch, owner, name,
+                                                           fault, failing):
+    # one run shares the walk, the hit numbers and the path counts among
+    # its suites; each suite still reads what it reads alone, faults
+    # patched before the run included
+    if fault is not None:
+        monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    code, together = _verify_all(capsys)
+    alone = [{key: value for key, value in suite().to_json().items() if key != "ms"}
+             for suite in SUITES.values()]
+    assert together == alone
+    assert {blob["suite"] for blob in alone if blob["status"] == "fail"} == failing
+    assert code == (1 if failing else 0)
+
+
+def test_a_patch_made_after_a_run_is_seen_by_the_next(capsys, monkeypatch):
+    # the rook route sits beneath FerrersBoard.hit_numbers, whose key a
+    # patch of the route leaves as it is: only a run that ends with
+    # everything it kept serves the next run the faulty values
+    assert _verify_all(capsys, "--max-n", "3")[0] == 0
+    assert qyt.verify._RUN is None
+    monkeypatch.setattr(qyt.board, "_rook_route", _rook_variant(step=2)(qyt.board._rook_route))
+    code, reports = _verify_all(capsys, "--max-n", "3")
+    assert code == 1
+    hit = next(blob for blob in reports if blob["suite"] == "hit")
+    assert hit["counterexample"] == verify_hit(max_n=3).counterexample
+    assert {"shape": "1,1", "k": 0, "rhs": -2}.items() <= hit["counterexample"].items()
+    # a run that raises ends too, and runs do not nest
+    assert qyt.cli.main(["verify", "all", "--max-n", "0"]) == 2
+    assert qyt.verify._RUN is None
+    with qyt.verify.Run(["hit"]):
+        with pytest.raises(RuntimeError, match="^a verify run is open already$"):
+            with qyt.verify.Run(["hit"]):
+                pass
+    assert qyt.verify._RUN is None
+
+
+def test_one_verify_all_computes_each_shared_value_once(capsys, monkeypatch):
+    through_verify = _count_calls(monkeypatch, qyt.verify, "descent_levels")
+    through_tableau = _count_calls(monkeypatch, qyt.tableau, "descent_levels")
+    hits = _count_calls(monkeypatch, FerrersBoard, "hit_numbers")
+    paths = _count_calls(monkeypatch, qyt.verify, "qyt_counts_via_pnk")
+    assert _verify_all(capsys)[0] == 0
+    # hit, summation, foulkes and polya read the walk at width 0, up to
+    # 7, 8, 7 and 6
+    walks = through_verify + through_tableau
+    assert [width for width, _ in walks].count(0) == 1
+    # hit reads the boards of every shape up to 7, jack up to 6
+    boards = {FerrersBoard.from_partition(shape) for n in range(1, 8) for shape in partitions(n)}
+    assert len(hits) == len(boards) == 44
+    assert {board for board, in hits} == boards
+    # foulkes and lattice read every shape up to 7, jack the conjugates up to 6
+    assert len(paths) == len({shape for shape, in paths}) == 44
+
+
+def test_a_suite_that_reads_past_the_runs_bound_walks_alone(monkeypatch):
+    # a count appended to the tally of shape 8, which a walk below the
+    # partitions of the run's bound, 6, never reaches
+    true = qyt.verify.descent_levels
+
+    def faulty(width, tops):
+        for level in true(width, tops):
+            if (8,) in level:
+                level = {**level, (8,): [*level[8,], 1]}
+            yield level
+
+    monkeypatch.setattr(qyt.verify, "descent_levels", faulty)
+    with qyt.verify.Run(["polya"]):
+        assert verify_polya().passed
+        assert verify_summation().counterexample == {"shape": "8", "k": 8, "lhs": 1, "rhs": 0}
+
+
+def test_a_suite_called_alone_keeps_no_walk_level(monkeypatch):
+    import weakref
+
+    class Level(dict):  # a dict that a weak reference can name
+        pass
+
+    true = qyt.verify.descent_levels
+    alive = []  # how many earlier levels are still held, as each is built
+
+    def walk(width, tops):
+        refs = []
+        for level in true(width, tops):
+            alive.append(sum(ref() is not None for ref in refs))
+            level = Level(level)
+            refs.append(weakref.ref(level))
+            yield level
+
+    monkeypatch.setattr(qyt.verify, "descent_levels", walk)
+    for suite in (verify_hit, verify_maj_hit, verify_charge_hit, verify_summation,
+                  verify_foulkes, verify_polya):
+        alive.clear()
+        assert suite(max_n=8).passed
+        # the suite holds the level below the one being built, and no other
+        assert alive == [0] + [1] * 7, suite
 
 
 def test_rook_variants_are_the_route_but_one_factor():
