@@ -22,14 +22,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "board": ("FerrersBoard",),
     "partition": ("Partition", "partitions"),
-    "perm": ("descent_set", "des", "eulerian", "inverse", "maj", "multiset_perms", "perms"),
-    "pnk": ("a_coeffs", "a_table", "pnk_eval_ebasis", "pnk_eval_paths",
-            "qyt_count_via_pnk", "qyt_counts_via_pnk"),
+    "perm": ("descent_set", "des", "inverse", "maj", "multiset_perms", "perms"),
+    "pnk": ("a_coeffs", "a_table", "pnk_eval_ebasis", "pnk_eval_paths", "qyt_counts_via_pnk"),
     "qpoly": ("Packed",),
-    "symfun": ("fundamental_truncated", "gen_fn", "monomial_truncated", "rsk",
-               "schur_truncated"),
-    "tableau": ("Tableau", "des_maj_counts", "enumerate_qyt_at_most", "enumerate_qyt_exact",
-                "enumerate_ssyt", "enumerate_syt", "kostka", "qyt_count_exact", "qyt_counts"),
+    "symfun": ("gen_fn", "monomial_truncated", "rsk", "schur_truncated"),
+    "tableau": ("Tableau", "des_maj_counts", "enumerate_ssyt", "enumerate_syt", "kostka",
+                "qyt_count_exact", "qyt_counts"),
     "verify": ("SUITES", "SuiteReport", "foulkes_multiplicity", "jack_coefficient",
                "polya_dimension_check", "ribbon_rows", "signature_of"),
 }

@@ -68,12 +68,15 @@ def _rook_route(heights, width: int) -> list[int]:
 
 
 class FerrersBoard:
-    """Weakly increasing column heights inside an n x n grid."""
+    """Weakly increasing column heights inside an n x n grid.
+
+    The heights are a tuple built from a list, as Partition's tuples are
+    and for the same reason."""
 
     __slots__ = ("n", "heights")
 
     def __init__(self, n: int, heights: Sequence[int]) -> None:
-        hs = tuple(int(h) for h in heights)
+        hs = tuple([int(h) for h in heights])
         if len(hs) != n:
             raise ValueError(f"expected {n} column heights, got {len(hs)}")
         if any(h < 0 or h > n for h in hs):
@@ -95,15 +98,15 @@ class FerrersBoard:
         """
         shape = as_partition(shape)
         cs = sorted(shape.contents(), reverse=True)
-        return cls(shape.size, tuple(c + i for i, c in enumerate(cs)))
+        return cls(shape.size, [c + i for i, c in enumerate(cs)])
 
     def plus_one(self) -> "FerrersBoard":
         """Increment every column height by one."""
-        return FerrersBoard(self.n, tuple(h + 1 for h in self.heights))
+        return FerrersBoard(self.n, [h + 1 for h in self.heights])
 
     def complement_rotated(self) -> "FerrersBoard":
         """Complement within the n x n grid, rotated a half turn."""
-        return FerrersBoard(self.n, tuple(self.n - h for h in reversed(self.heights)))
+        return FerrersBoard(self.n, [self.n - h for h in reversed(self.heights)])
 
     def hits(self, perm: Sequence[int]) -> int:
         """|graph(perm) ∩ board|: columns i with perm[i] <= heights[i]."""
@@ -159,18 +162,6 @@ class FerrersBoard:
 
         width = slot_width(factorial(self.n))
         return width, _rook_route(self.heights, width)
-
-    def q_hit_census(self) -> list[list[int]]:
-        """The coefficient lists of T_0..T_n, by the census of
-        _kernels.q_hit_census on this board alone, a dynamic program over
-        the sets of rows the first columns occupy: it visits 2^n row sets,
-        not the n! permutations, and assumes neither the rook route nor
-        the product identity.  The gjw suite, which tests both, asks the
-        kernel for every board of a size at once, so that boards with
-        common first columns share their layers."""
-        from . import _kernels
-
-        return _kernels.q_hit_census(self.n, [self.heights])[0]
 
     def _check_perm(self, perm) -> None:
         if len(perm) != self.n or sorted(perm) != list(range(1, self.n + 1)):

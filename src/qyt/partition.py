@@ -23,22 +23,23 @@ class Partition:
     The column lengths, the conjugate, the hooks and the contents are
     computed on first use and kept, as tuples, so that a shape that the
     suites of one verify run share computes each once; hooks() and
-    contents() hand out fresh lists.  Each tuple is built from a list:
-    a tuple of a generator is allocated at a guessed size and then
-    shrunk, which leaves its memory block to another size's free list.
+    contents() hand out fresh lists.  Each tuple, the parts too, is built
+    from a list: a tuple of a generator is allocated at a guessed size
+    and then shrunk, which leaves its memory block to another size's free
+    list.
     """
 
     __slots__ = ("parts", "_columns", "_conjugate", "_hooks", "_contents")
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
-        raw = tuple(int(p) for p in parts)
+        raw = tuple([int(p) for p in parts])
         for p in raw:
             if p < 0:
                 raise ValueError(f"parts must be nonnegative, got {p}")
         for a, b in zip(raw, raw[1:]):
             if a < b:
                 raise ValueError(f"parts must weakly decrease, got {raw}")
-        self.parts = tuple(p for p in raw if p > 0)
+        self.parts = tuple([p for p in raw if p > 0])
         self._columns = self._conjugate = self._hooks = self._contents = None
 
     @classmethod

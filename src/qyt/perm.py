@@ -1,5 +1,5 @@
-"""Permutations and multiset words: descents, major index, Eulerian
-numbers, inverses, and streaming enumeration.
+"""Permutations and multiset words: descents, major index, inverses,
+and streaming enumeration.
 
 Words are tuples in one-line notation with 1-based values; descent
 positions are 1-based as well.
@@ -66,23 +66,6 @@ def multiset_perms(content: Sequence[int]) -> Iterator[Word]:
                 counts[v] += 1
 
     return emit()
-
-
-def eulerian(n: int, k: int) -> int:
-    """Number of permutations in S_n with exactly k descents.
-
-    Computed row by row by the classical recurrence
-    A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1); the test suite pins
-    this against a brute-force descent census.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > max(n - 1, 0):
-        return 0
-    row = [1]  # A(0, 0)
-    for m in range(1, n + 1):
-        row = [(j + 1) * a + (m - j) * b for j, (a, b) in enumerate(zip(row + [0], [0] + row))]
-    return row[k]
 
 
 def parse_word(text: str) -> Word:

@@ -173,17 +173,3 @@ def qyt_counts_via_pnk(shape) -> list[int]:
             )
         counts.append(count)
     return counts
-
-
-def qyt_count_via_pnk(shape, k: int) -> int:
-    """Count quasi-Yamanouchi fillings with largest entry k + 1 as
-    P_{n,k}(contents) / hook product: entry k of qyt_counts_via_pnk, and
-    0 for k outside 0..n.  A caller that needs several k for one shape
-    reads that list once instead."""
-    shape = as_partition(shape)
-    n = shape.size
-    if n == 0:
-        raise ValueError("defined for nonempty shapes")
-    if k < 0 or k > n:
-        return 0
-    return qyt_counts_via_pnk(shape)[k]

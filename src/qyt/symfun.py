@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .partition import Partition, as_partition, partitions
 from .perm import multiset_perms
@@ -170,20 +170,6 @@ def monomial_truncated(shape, n_vars: int) -> dict[tuple[int, ...], int]:
         tuple(values[i - 1] for i in word): 1
         for word in multiset_perms([parts.count(v) for v in values])
     }
-
-
-def fundamental_truncated(
-    strict_at: Iterable[int], n: int, n_vars: int,
-) -> dict[tuple[int, ...], int]:
-    """Fundamental quasisymmetric polynomial F_S in x_1..x_N: F_S in
-    degree n (fundamental_sums), without the compositions of more than N
-    parts."""
-    sigma = set(strict_at)
-    if any(j < 1 or j > n - 1 for j in sigma):
-        raise ValueError("strict positions must lie in 1..n-1")
-    mask = sum(1 << (j - 1) for j in sigma)
-    return {alpha: c for alpha, c in fundamental_sums({mask: 1}, n).items()
-            if len(alpha) <= n_vars}
 
 
 def fundamental_sums(coeffs: dict[int, int], n: int) -> dict[tuple[int, ...], int]:

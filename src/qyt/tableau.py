@@ -6,10 +6,11 @@ increase upward.  A semistandard filling is quasi-Yamanouchi when, for
 every value i >= 2 that appears, some instance of i sits in a strictly
 higher row than some instance of i - 1.
 
-Quasi-Yamanouchi fillings are enumerated through the standard fillings:
-relabelling the i-th run of a standard filling to i (destandardization)
-is a bijection onto the quasi-Yamanouchi fillings of the same shape, and
-a filling with k runs lands on one with largest entry k.
+Quasi-Yamanouchi fillings are counted through the standard fillings:
+relabelling the i-th run of a standard filling to i (destandardization,
+`Tableau.destandardize`) is a bijection onto the quasi-Yamanouchi
+fillings of the same shape, and a filling with k runs lands on one with
+largest entry k.  The fillings are counted (`qyt_counts`), not listed.
 
 The descent statistics of the standard fillings are counted without
 building any filling, by one level-by-level walk up Young's lattice
@@ -266,24 +267,6 @@ def enumerate_syt(shape) -> list[Tableau]:
     bottom-to-top reading word."""
     parts = as_partition(shape).parts
     return [Tableau(rows) for rows in _ssyt_rows(parts, (1,) * sum(parts))]
-
-
-def enumerate_qyt_exact(shape, m: int) -> list[Tableau]:
-    """Quasi-Yamanouchi fillings with largest entry exactly m."""
-    return [
-        q
-        for q in (t.destandardize() for t in enumerate_syt(shape))
-        if q.max_entry == m
-    ]
-
-
-def enumerate_qyt_at_most(shape, m: int) -> list[Tableau]:
-    """Quasi-Yamanouchi fillings with largest entry at most m."""
-    return [
-        q
-        for q in (t.destandardize() for t in enumerate_syt(shape))
-        if q.max_entry <= m
-    ]
 
 
 def _corners(parts: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:

@@ -1,5 +1,3 @@
-from math import factorial
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 from qyt.perm import (
     des,
     descent_set,
-    eulerian,
     format_word,
     inverse,
     maj,
@@ -70,24 +67,6 @@ def test_multiset_perms_examples():
     assert list(multiset_perms((2, 1))) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
     assert len(list(multiset_perms((1, 1, 1)))) == 6
     assert set(multiset_perms((1, 1, 1))) == set(perms(3))
-
-
-def test_eulerian_examples():
-    assert eulerian(3, 1) == 4
-    for n in range(1, 8):
-        assert eulerian(n, 0) == 1
-    assert eulerian(4, 2) == 11
-
-
-def test_eulerian_against_brute_force():
-    for n in range(1, 8):
-        for k in range(n):
-            assert eulerian(n, k) == oracles.eulerian_brute(n, k)
-
-
-def test_eulerian_rows_sum_to_factorial():
-    for n in range(1, 10):
-        assert sum(eulerian(n, k) for k in range(n)) == factorial(n)
 
 
 def test_maj_is_mahonian():

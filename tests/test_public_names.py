@@ -1,5 +1,7 @@
-"""The names the package exports and the names README.md cites exist."""
+"""The names the package exports and the names README.md cites exist, and
+each exported name has a reader."""
 
+import ast
 import importlib
 import inspect
 import re
@@ -42,3 +44,66 @@ def test_every_name_the_readme_cites_resolves():
                 break
             obj = getattr(obj, attr)
     assert missing == []
+
+
+SRC = Path(qyt.__file__).resolve().parent
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+
+#: Exported names that nothing in `src/qyt` or the acceptance criteria
+#: reads, each with the reason it is still exported.
+_UNREAD = {
+    "SuiteReport": "the type every suite returns; the CLI reads its fields, not its name",
+    "des": "the descent count of a word, for library callers",
+    "maj": "the major index of a word, for library callers",
+    "inverse": "the inverse of a permutation, for library callers",
+    "des_maj_counts": "(des, maj) of one shape's standard fillings, read off the walk",
+    "signature_of": "the sign word of a word or filling, the input of ribbon_rows",
+    "foulkes_multiplicity": "one Foulkes count; the foulkes suite reads a shape's counts at once",
+    "polya_dimension_check": "one (n, m) of the polya identity; the suite shares work across m",
+}
+
+
+def _reads(path):
+    """(module, name) for each name the file at `path` imports from qyt
+    or reads as an attribute of a qyt module or of qyt itself; a bare
+    identifier is not a read."""
+    modules = {}  # local name -> qyt module it is bound to ("" for qyt)
+    reads = set()
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "qyt":
+                    modules[alias.asname or "qyt"] = alias.name[4:] if alias.asname else ""
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "qyt":
+                    continue
+                module = module[4:]
+            for alias in node.names:
+                if module or alias.name in qyt._HOME:
+                    reads.add((module or qyt._HOME[alias.name], alias.name))
+                else:  # a submodule, such as `from . import _kernels`
+                    modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in modules:
+                module = modules[owner.id]
+            elif (isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
+                  and modules.get(owner.value.id) == ""):
+                module = owner.attr
+            else:
+                continue
+            reads.add((module or qyt._HOME.get(node.attr, ""), node.attr))
+    return reads
+
+
+def test_every_exported_name_has_a_reader():
+    # a name that no command, suite or acceptance criterion reads is a
+    # second copy of something, or dead: delete it or give the reason
+    reads = set().union(*map(_reads, [*sorted(SRC.glob("*.py")), ACCEPTANCE]))
+    unread = {name for name, module in qyt._HOME.items() if (module, name) not in reads}
+    assert sorted(unread - _UNREAD.keys()) == []
+    assert sorted(_UNREAD.keys() - unread) == []

@@ -11,7 +11,6 @@ from qyt.perm import descent_set, inverse, multiset_perms, perms
 from qyt.symfun import (
     expand_monomials,
     fundamental_sums,
-    fundamental_truncated,
     gen_fn,
     monomial_truncated,
     row_insert,
@@ -69,24 +68,27 @@ def test_fundamental_sums_is_the_sum_of_fundamentals():
     coeffs = {0b001: 2, 0b101: 1, 0b110: -3}
     want = Counter()
     for strict, c in [({1}, 2), ({1, 3}, 1), ({2, 3}, -3)]:
-        for alpha, one in fundamental_truncated(strict, 4, 4).items():
-            want[alpha] += c * one
-    assert fundamental_sums(coeffs, 4) == {alpha: c for alpha, c in want.items() if c}
-    assert (1, 1, 1, 1) not in fundamental_sums(coeffs, 4)
+        words = [w for w in combinations_with_replacement(range(1, 5), 4)
+                 if all(w[j - 1] < w[j] for j in strict)]
+        for exps, one in _exponent_counts([(w,) for w in words], 4).items():
+            want[exps] += c * one
+    got = fundamental_sums(coeffs, 4)
+    assert dict(_terms(got, 4)) == {exps: c for exps, c in want.items() if c}
+    assert (1, 1, 1, 1) not in got
 
 
 def test_fundamental_small_cases():
-    f_empty = fundamental_truncated((), 2, 2)
+    # F_S for S = {}, {1}, {1, 2}, as bitmasks of S
+    f_empty = fundamental_sums({0b0: 1}, 2)
     assert f_empty == {(2,): 1, (1, 1): 1}
     assert dict(_terms(f_empty, 2)) == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
-    f_one = fundamental_truncated((1,), 2, 2)
-    assert f_one == {(1, 1): 1}
-    assert fundamental_truncated((1,), 3, 9) == {(1, 2): 1, (1, 1, 1): 1}
-    assert fundamental_truncated((1,), 3, 2) == {(1, 2): 1}
-    assert fundamental_truncated((1, 2), 3, 2) == {}
-    assert fundamental_truncated((), 0, 0) == {(): 1}
-    with pytest.raises(ValueError):
-        fundamental_truncated((2,), 2, 2)
+    assert fundamental_sums({0b1: 1}, 2) == {(1, 1): 1}
+    f_one = fundamental_sums({0b01: 1}, 3)
+    assert f_one == {(1, 2): 1, (1, 1, 1): 1}
+    # in x_1, x_2: the compositions of at most 2 parts
+    assert dict(_terms(f_one, 2)) == {(1, 2): 1}
+    assert dict(_terms(fundamental_sums({0b11: 1}, 3), 2)) == {}
+    assert fundamental_sums({0b0: 1}, 0) == {(): 1}
 
 
 def test_monomial_small_cases():
@@ -195,7 +197,7 @@ def test_fundamental_truncation_matches_brute_force_words():
     for n in range(6):
         for size in range(n):
             for sigma in combinations(range(1, n), size):
-                full = fundamental_truncated(sigma, n, n)
+                full = fundamental_sums({sum(1 << (j - 1) for j in sigma): 1}, n)
                 for n_vars in range(n + 2):
                     words = [
                         w for w in combinations_with_replacement(range(1, n_vars + 1), n)
@@ -204,7 +206,6 @@ def test_fundamental_truncation_matches_brute_force_words():
                     want = _exponent_counts([(w,) for w in words], n_vars)
                     truncated = {alpha: c for alpha, c in full.items() if len(alpha) <= n_vars}
                     assert dict(_terms(truncated, n_vars)) == want
-                    assert fundamental_truncated(sigma, n, n_vars) == truncated
 
 
 def test_rsk_identity_and_example():

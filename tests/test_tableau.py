@@ -9,8 +9,6 @@ from qyt.tableau import (
     Tableau,
     des_maj_counts,
     descent_levels,
-    enumerate_qyt_at_most,
-    enumerate_qyt_exact,
     enumerate_ssyt,
     enumerate_syt,
     kostka,
@@ -99,19 +97,14 @@ def test_syt_counts_match_hook_length_formula():
 
 
 def test_qyt_enumeration_figure_counts():
-    exact3 = {str(t) for t in enumerate_qyt_exact(Partition((2, 2, 1)), 3)}
-    assert exact3 == {"1,1/2,2/3", "1,1/2,3/3", "1,2/2,3/3"}
-    exact4 = {str(t) for t in enumerate_qyt_exact(Partition((2, 2, 1)), 4)}
-    assert exact4 == {"1,2/2,3/4", "1,3/2,4/3"}
-    assert [str(t) for t in enumerate_qyt_exact(Partition((5,)), 1)] == ["1,1,1,1,1"]
+    def listed(parts, m):
+        return {str(Tableau(rows)) for rows in oracles.qyt_exact_brute(parts, m)}
 
-
-def test_qyt_enumeration_matches_direct_backtracking():
-    for lam in shapes_upto(6):
-        for m in range(1, lam.size + 1):
-            got = {t.rows for t in enumerate_qyt_exact(lam, m)}
-            want = set(oracles.qyt_exact_brute(lam.parts, m))
-            assert got == want
+    assert listed((2, 2, 1), 3) == {"1,1/2,2/3", "1,1/2,3/3", "1,2/2,3/3"}
+    assert listed((2, 2, 1), 4) == {"1,2/2,3/4", "1,3/2,4/3"}
+    assert listed((5,), 1) == {"1,1,1,1,1"}
+    assert [qyt_count_exact((2, 2, 1), m) for m in (3, 4)] == [3, 2]
+    assert qyt_count_exact((5,), 1) == 1
 
 
 def test_qyt_predicate_on_example_fillings():
@@ -305,12 +298,3 @@ def test_kostka_matches_oracle():
                 assert kostka(nu, w) == by_weight[m][w], (nu, w)
     assert kostka(Partition((3, 2)), (2, 0, 2, 1)) == oracles.kostka_brute((3, 2), (2, 0, 2, 1))
     assert kostka(Partition((2, 1)), (1, 1)) == 0  # sizes differ
-
-
-def test_qyt_at_most_is_cumulative():
-    for lam in shapes_upto(6):
-        n = lam.size
-        for m in range(1, n + 1):
-            assert len(enumerate_qyt_at_most(lam, m)) == sum(
-                qyt_count_exact(lam, j) for j in range(m + 1)
-            )
