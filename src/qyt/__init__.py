@@ -22,14 +22,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "board": ("FerrersBoard",),
     "partition": ("Partition", "partitions"),
-    "perm": ("descent_set", "des", "inverse", "maj", "multiset_perms", "perms"),
+    "perm": ("multiset_perms", "perms"),
     "pnk": ("a_coeffs", "a_table", "pnk_eval_ebasis", "pnk_eval_paths", "qyt_counts_via_pnk"),
     "qpoly": ("Packed",),
     "symfun": ("gen_fn", "monomial_truncated", "rsk", "schur_truncated"),
-    "tableau": ("Tableau", "des_maj_counts", "enumerate_ssyt", "enumerate_syt", "kostka",
-                "qyt_count_exact", "qyt_counts"),
-    "verify": ("SUITES", "SuiteReport", "foulkes_multiplicity", "jack_coefficient",
-               "polya_dimension_check", "ribbon_rows", "signature_of"),
+    "tableau": ("Tableau", "enumerate_ssyt", "enumerate_syt", "kostka", "qyt_count_exact",
+                "qyt_counts"),
+    "verify": ("SUITES", "SuiteReport", "jack_coefficient", "ribbon_rows"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -83,6 +83,10 @@ def _cmd_count(args) -> int:
     from .tableau import qyt_count_exact, qyt_counts
 
     shape = args.shape
+    for option in ("exact-entry", "max-entry", "ssyt"):
+        bound = getattr(args, option.replace("-", "_"))
+        if bound is not None and bound < 0:
+            raise ValueError(f"--{option} must be nonnegative, got {bound}")
     if args.exact_entry is not None:
         mode, arg = "exact-entry", args.exact_entry
         value = qyt_count_exact(shape, args.exact_entry)

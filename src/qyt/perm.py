@@ -1,8 +1,7 @@
-"""Permutations and multiset words: descents, major index, inverses,
-and streaming enumeration.
+"""Permutations and multiset words: streaming enumeration, and parsing
+and formatting of words.
 
-Words are tuples in one-line notation with 1-based values; descent
-positions are 1-based as well.
+Words are tuples in one-line notation with 1-based values.
 """
 
 from __future__ import annotations
@@ -11,32 +10,6 @@ from itertools import permutations as _lex_permutations
 from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
-
-
-def descent_set(word: Sequence[int]) -> set[int]:
-    """Positions i (1-based) with word[i] > word[i+1]."""
-    return {i for i in range(1, len(word)) if word[i - 1] > word[i]}
-
-
-def des(word: Sequence[int]) -> int:
-    return len(descent_set(word))
-
-
-def maj(word: Sequence[int]) -> int:
-    return sum(descent_set(word))
-
-
-def is_permutation(word: Sequence[int]) -> bool:
-    return sorted(word) == list(range(1, len(word) + 1))
-
-
-def inverse(perm: Sequence[int]) -> Word:
-    if not is_permutation(perm):
-        raise ValueError(f"not a permutation: {tuple(perm)}")
-    inv = [0] * len(perm)
-    for i, v in enumerate(perm, 1):
-        inv[v - 1] = i
-    return tuple(inv)
 
 
 def perms(n: int) -> Iterator[Word]:

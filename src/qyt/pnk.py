@@ -20,8 +20,8 @@ from typing import Iterator, Sequence
 
 from .partition import as_partition
 
-#: Seed for the deterministic pseudo-random evaluation points used by
-#: the identity suites; recorded in their reports.
+#: Seed for the deterministic pseudo-random evaluation points of the
+#: lattice suite, the one suite that samples; recorded in its report.
 DEFAULT_SEED = 8675309
 
 NORTH = "N"

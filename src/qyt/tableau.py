@@ -18,12 +18,15 @@ building any filling, by one level-by-level walk up Young's lattice
 holds a list by des of sum q^maj evaluated at q = 2^W, so a descent is
 a shift.  W = 0 gives the counts by des that the counting suites read;
 W = qpoly.slot_width(f), f the most standard fillings of a top, keeps
-each maj in its own slot for `des_maj_counts` and `gen_fn`; the genfun
+each maj in its own slot for `gen_fn` and the q-hit suites; the genfun
 suite walks at the wider W of its comparisons.  A suite reads one walk
 of the lattice, and a single shape walks its own order ideal.  The walk
 keeps nothing between calls; the suites of one verify run share the
 levels of one walk per width (verify.Run).
-`enumerate_syt` serves only to list the fillings themselves.
+`enumerate_syt` serves only to list the fillings themselves.  The
+descent set of one standard filling is read off its rows by
+`descent_mask`, which `Tableau.descent_set` and the genfun suite's walk
+of the fillings share.
 
 Every filling comes from one cell walk, `_ssyt_rows`, which fills the
 cells in reading order under a budget of uses per value:
@@ -37,7 +40,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .partition import Partition, as_partition
-from .qpoly import slot_width, unpack
+from .qpoly import slot_width
 
 
 class Tableau:
@@ -56,34 +59,9 @@ class Tableau:
                     raise ValueError("entries must be positive integers")
         self.rows = tuple(rws)
 
-    @classmethod
-    def parse(cls, text: str) -> "Tableau":
-        """Rows bottom to top separated by "/", entries comma-separated."""
-        text = text.strip()
-        if not text:
-            return cls()
-        return cls(
-            tuple(int(v) for v in chunk.split(",")) if chunk else ()
-            for chunk in text.split("/")
-        )
-
     @property
     def size(self) -> int:
         return self.shape.size
-
-    @property
-    def max_entry(self) -> int:
-        return max((max(row) for row in self.rows), default=0)
-
-    def weight(self, upto: int | None = None) -> tuple[int, ...]:
-        """Multiplicity vector of the entries 1..upto."""
-        k = upto if upto is not None else self.max_entry
-        out = [0] * k
-        for row in self.rows:
-            for v in row:
-                if v <= k:
-                    out[v - 1] += 1
-        return tuple(out)
 
     def is_semistandard(self) -> bool:
         for row in self.rows:
@@ -115,45 +93,11 @@ class Tableau:
         return True
 
     def descent_set(self) -> set[int]:
-        """Positions i with i + 1 strictly above i; a non-standard filling
-        is measured through its standardization."""
+        """Positions i with i + 1 strictly above i (descent_mask); a
+        non-standard filling is measured through its standardization."""
         t = self if self.is_standard() else self.standardize()
-        row_of = {}
-        for j, row in enumerate(t.rows):
-            for v in row:
-                row_of[v] = j
-        return {i for i in range(1, t.size) if row_of[i + 1] > row_of[i]}
-
-    def des(self) -> int:
-        return len(self.descent_set())
-
-    def maj(self) -> int:
-        return sum(self.descent_set())
-
-    def charge(self) -> int:
-        """Sum over entries of ch(i), where ch(1) = 0 and ch(i+1) is ch(i),
-        incremented exactly when i is a descent."""
-        dset = self.descent_set()
-        total = level = 0
-        for i in range(1, self.size + 1):
-            total += level
-            if i in dset:
-                level += 1
-        return total
-
-    def runs(self) -> list[list[int]]:
-        """Maximal blocks of consecutive entries between descents."""
-        if not self.is_standard():
-            raise ValueError("runs are defined for standard fillings")
-        if self.size == 0:
-            return []
-        dset = self.descent_set()
-        out: list[list[int]] = [[]]
-        for v in range(1, self.size + 1):
-            out[-1].append(v)
-            if v in dset:
-                out.append([])
-        return out
+        mask = descent_mask(t.rows, t.size)
+        return {i for i in range(1, t.size) if mask >> (i - 1) & 1}
 
     def destandardize(self) -> "Tableau":
         """Send every entry of the i-th run to i.
@@ -269,6 +213,19 @@ def enumerate_syt(shape) -> list[Tableau]:
     return [Tableau(rows) for rows in _ssyt_rows(parts, (1,) * sum(parts))]
 
 
+def descent_mask(rows: Iterable[Iterable[int]], n: int) -> int:
+    """The descent set of the standard filling of size n with these rows,
+    as a bitmask (bit i - 1 for i): i is a descent when i + 1 sits in a
+    strictly higher row.  These are the partial sums of the weight of its
+    destandardization.  The rows are read as they are, so the rows of the
+    cell walk need no Tableau."""
+    row_of = [0] * (n + 1)
+    for j, row in enumerate(rows):
+        for v in row:
+            row_of[v] = j
+    return sum(1 << (i - 1) for i in range(1, n) if row_of[i + 1] > row_of[i])
+
+
 def _corners(parts: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(r, parts with the last cell of row r removed) for each corner row r."""
     for r, p in enumerate(parts):
@@ -323,16 +280,6 @@ def maj_width(shapes) -> int:
     for f the most standard fillings of any of `shapes`.  f only grows
     up Young's lattice, so it bounds every count below them too."""
     return slot_width(max(as_partition(shape).hook_length_count() for shape in shapes))
-
-
-def des_maj_counts(shape) -> tuple[tuple[tuple[int, int], int], ...]:
-    """((des, maj), count) over the standard fillings of `shape`, sorted,
-    from the walk of its order ideal at the maj width; the empty shape
-    has its one filling at (0, 0).  Charge is n * des - maj."""
-    width = maj_width([shape])
-    tally = descent_tallies(width, [shape])[as_partition(shape).parts]
-    return tuple(((d, mj), c) for d, row in enumerate(tally)
-                 for mj, c in enumerate(unpack(row, width)) if c)
 
 
 def qyt_counts(shape) -> list[int]:

@@ -38,9 +38,9 @@ the Worpitzky form of the Eulerian numbers at q = 1, and the one rook
 route (board._rook_route) serves hit numbers at q = 1 and q-hit numbers
 at q = 2^W.
 
-The counting-level application identities live here too: signatures and
-ribbons, Foulkes multiplicities, the Polya dimension identity, and the
-labeled one-row Jack coefficients.
+The counting-level applications live here too: the ribbon a sign word
+traces and the labeled one-row Jack coefficients.  The foulkes and polya
+suites check the Foulkes multiplicities and the Polya dimension identity.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 from . import _kernels
 from .board import FerrersBoard, _rook_route
 from .partition import as_partition, partitions
-from .perm import descent_set as word_descents
 from .perm import perms
 from .pnk import (
     DEFAULT_SEED,
@@ -75,9 +74,9 @@ from .symfun import (
     schur_truncated,
 )
 from .tableau import (
-    Tableau,
     _ssyt_rows,
     descent_levels,
+    descent_mask,
     descent_tallies,
     kostka,
     maj_width,
@@ -662,17 +661,6 @@ def _by_composition(lhs: dict, rhs: dict) -> Iterator[tuple]:
         yield alpha, lhs.get(alpha, 0), rhs.get(alpha, 0)
 
 
-def _descent_mask(rows: Sequence[Sequence[int]], n: int) -> int:
-    """The descent set of a standard filling of size n as a bitmask (bit
-    i-1 for i): i is a descent when i + 1 sits in a higher row.  These are
-    the partial sums of the weight of its destandardization."""
-    row_of = [0] * (n + 1)
-    for j, row in enumerate(rows):
-        for v in row:
-            row_of[v] = j
-    return sum(1 << (i - 1) for i in range(1, n) if row_of[i + 1] > row_of[i])
-
-
 @_suite("genfun")
 def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
     """Both expansions of the q,t Schur generating function, the Kostka
@@ -714,7 +702,8 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
     back by inverse insertion, keeping no pair.  The truncated-fundamental
     check walks the standard fillings, as the rows of the cell walk that
     enumerate_syt wraps (tableau._ssyt_rows) with no Tableau built, and
-    tallies their descent sets, read off those rows."""
+    tallies their descent sets, read off those rows by the rule that
+    Tableau.descent_set reads too (tableau.descent_mask)."""
     for n in range(1, max_n + 1):
         shapes = tuple(_shared(partitions, n))
         # composition -> coefficient of M_composition
@@ -774,7 +763,7 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
             tally: dict[int, int] = {}  # descent mask -> fillings
             # the walk refills its rows in place, each read before the next
             for rows in _ssyt_rows(shape.parts, (1,) * n):
-                mask = _descent_mask(rows, n)
+                mask = descent_mask(rows, n)
                 tally[mask] = tally.get(mask, 0) + 1
             # vars: the fewest variables in which the two sides differ there
             for alpha, lhs, rhs in _by_composition(fundamental_sums(tally, n), schur[shape]):
@@ -799,16 +788,7 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
 
 
 # ---------------------------------------------------------------------------
-# applications: signatures, ribbons, Foulkes, Polya, Jack
-
-
-def signature_of(x) -> str:
-    """Sign word of length n - 1: '+' at non-descents, '-' at descents."""
-    if isinstance(x, Tableau):
-        dset, n = x.descent_set(), x.size
-    else:
-        dset, n = word_descents(x), len(x)
-    return "".join("-" if i in dset else "+" for i in range(1, n))
+# applications: ribbons, Foulkes, Polya, Jack
 
 
 def ribbon_rows(sigma: str) -> tuple[int, ...]:
@@ -817,23 +797,6 @@ def ribbon_rows(sigma: str) -> tuple[int, ...]:
     if any(ch not in "+-" for ch in sigma):
         raise ValueError("signature must be a word over '+' and '-'")
     return tuple(len(run) + 1 for run in sigma.split("-"))
-
-
-def foulkes_multiplicity(n: int, k: int, shape) -> int:
-    """Standard fillings of `shape` whose signature carries exactly k
-    plus signs, i.e. exactly n - 1 - k descents."""
-    shape = as_partition(shape)
-    if shape.size != n:
-        raise ValueError("shape size must equal n")
-    return qyt_count_exact(shape, n - k)
-
-
-def polya_dimension_check(n: int, m: int) -> bool:
-    """m**n == sum_k C(m+k, n) sum_shapes QYT_{=n-k}(shape) SYT(shape)."""
-    for name, value in (("n", n), ("m", m)):
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-    return _polya_sum(n, m, _polya_weights(n, descent_tallies(0, partitions(n)))) == m**n
 
 
 def _polya_weights(n: int, tallies: Mapping[tuple[int, ...], Sequence[int]]) -> list[int]:
@@ -850,12 +813,8 @@ def _polya_weights(n: int, tallies: Mapping[tuple[int, ...], Sequence[int]]) -> 
 
 
 def _polya_sum(n: int, m: int, weights: Sequence[int]) -> int:
-    """The right-hand side of polya_dimension_check, from the weights D_d
-    of n (_polya_weights): sum_d C(m + n - 1 - d, n) D_d; at n = 0,
-    C(m, 0) for the empty filling, whose largest entry 0 no tally by
-    descents holds."""
-    if n == 0:
-        return 1
+    """The right-hand side of the polya identity, from the weights D_d of
+    n (_polya_weights): sum_d C(m + n - 1 - d, n) D_d."""
     return sum(_binomial(m + n - 1 - d, n) * w for d, w in enumerate(weights))
 
 
@@ -876,8 +835,9 @@ def jack_coefficient(shape, k: int) -> int:
 
 @_suite("foulkes")
 def verify_foulkes(max_n: int = 7) -> Iterator[_Instance]:
-    """foulkes_multiplicity(n, k, shape), the standard fillings with
-    d = n - 1 - k descents counted by the walk of Young's lattice, ==
+    """The Foulkes multiplicity of (n, k, shape), the standard fillings of
+    the shape whose sign word carries exactly k plus signs, that is
+    d = n - 1 - k descents, counted by the walk of Young's lattice, ==
     QYT_{=n-k}(shape) by the lattice-path route (qyt_counts_via_pnk), by
     ascending k.  Every row d either side has is read, so k = -1 at
     d = n, where the path count P_{n,n}/H is 0."""
@@ -892,7 +852,8 @@ def verify_foulkes(max_n: int = 7) -> Iterator[_Instance]:
 
 @_suite("polya")
 def verify_polya(max_n: int = 6, max_m: int = 5) -> Iterator[_Instance]:
-    """polya_dimension_check(n, m) for every n <= max_n and every m up to
+    """m**n == sum_k C(m + k, n) sum_shapes QYT_{=n-k}(shape) SYT(shape),
+    the Polya dimension identity, for every n <= max_n and every m up to
     max(max_m, n + 1).  Both sides are polynomials of degree n in m (see
     _binomial), so n + 1 values of m make them equal for every m.  The
     tallies of each n are weighed once (_polya_weights), for every m."""

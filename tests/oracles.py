@@ -82,6 +82,31 @@ def descents_of_standard(rows):
     return {i for i in range(1, n) if row_of[i + 1] > row_of[i]}
 
 
+def charge_brute(rows):
+    """Charge of a standard filling, level by level: 1 stands at level 0,
+    and i + 1 one level above i when i is a descent, else at the level of
+    i; the charge is the sum of the levels."""
+    dset = descents_of_standard(rows)
+    total = level = 0
+    for i in range(1, sum(map(len, rows)) + 1):
+        total += level
+        if i in dset:
+            level += 1
+    return total
+
+
+def descents_of_word(word):
+    """Positions i (1-based) with word[i] > word[i+1]."""
+    return {i for i in range(1, len(word)) if word[i - 1] > word[i]}
+
+
+def inverse_brute(p):
+    """The inverse of a permutation, by the positions map: p^-1(v) is the
+    position (1-based) of v in p."""
+    where = {v: i for i, v in enumerate(p, 1)}
+    return tuple(where[v] for v in range(1, len(p) + 1))
+
+
 def hit_numbers_brute(heights):
     """Hit census by direct membership tests, square by square."""
     n = len(heights)

@@ -42,9 +42,20 @@ def test_count_ssyt_zero_has_no_fillings(capsys):
     # is empty, as enumeration has it
     code, out = run(capsys, "count", "--shape", "3,2", "--ssyt", "0")
     assert code == 0 and out.strip() == "0"
-    code = main(["count", "--shape", "3,2", "--ssyt", "-1"])
+
+
+@pytest.mark.parametrize("option,bound", [("--exact-entry", "-1"), ("--max-entry", "-5"),
+                                          ("--ssyt", "-1")])
+def test_count_rejects_a_negative_bound_by_name(capsys, option, bound):
+    code = main(["count", "--shape", "3,2", option, bound])
+    captured = capsys.readouterr()
     assert code == 2
-    assert capsys.readouterr().err == "error: m must be nonnegative\n"
+    assert captured.out == ""
+    assert captured.err == f"error: {option} must be nonnegative, got {bound}\n"
+    assert "Traceback" not in captured.err
+    # K = 0 stays a bound, which no filling of a nonempty shape meets
+    code, out = run(capsys, "count", "--shape", "3,2", option, "0")
+    assert code == 0 and out.strip() == "0"
 
 
 def test_count_json(capsys):

@@ -1,11 +1,13 @@
 """The names the package exports and the names README.md cites exist, and
-each exported name has a reader."""
+each exported name, and each public method of an exported class, has a
+reader."""
 
 import ast
 import importlib
 import inspect
 import re
 from pathlib import Path
+from types import FunctionType
 
 import qyt
 
@@ -49,17 +51,13 @@ def test_every_name_the_readme_cites_resolves():
 SRC = Path(qyt.__file__).resolve().parent
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
-#: Exported names that nothing in `src/qyt` or the acceptance criteria
-#: reads, each with the reason it is still exported.
+#: Exported names, and "Class.method" for public methods of exported
+#: classes, that nothing in `src/qyt` or the acceptance criteria reads,
+#: each with the reason it is still kept.
 _UNREAD = {
     "SuiteReport": "the type every suite returns; the CLI reads its fields, not its name",
-    "des": "the descent count of a word, for library callers",
-    "maj": "the major index of a word, for library callers",
-    "inverse": "the inverse of a permutation, for library callers",
-    "des_maj_counts": "(des, maj) of one shape's standard fillings, read off the walk",
-    "signature_of": "the sign word of a word or filling, the input of ribbon_rows",
-    "foulkes_multiplicity": "one Foulkes count; the foulkes suite reads a shape's counts at once",
-    "polya_dimension_check": "one (n, m) of the polya identity; the suite shares work across m",
+    "Tableau.is_quasi_yamanouchi": "the paper's definition of its objects, which qyt counts",
+    "Tableau.destandardize": "the paper's bijection from standard fillings onto its objects",
 }
 
 
@@ -105,5 +103,48 @@ def test_every_exported_name_has_a_reader():
     # second copy of something, or dead: delete it or give the reason
     reads = set().union(*map(_reads, [*sorted(SRC.glob("*.py")), ACCEPTANCE]))
     unread = {name for name, module in qyt._HOME.items() if (module, name) not in reads}
-    assert sorted(unread - _UNREAD.keys()) == []
-    assert sorted(_UNREAD.keys() - unread) == []
+    kept = {name for name in _UNREAD if "." not in name}
+    assert sorted(unread - kept) == []
+    assert sorted(kept - unread) == []
+
+
+#: The exported classes, by name.
+_CLASSES = {name: obj for name in qyt.__all__ if inspect.isclass(obj := getattr(qyt, name))}
+
+#: "Class.method" for each public method and property an exported class defines.
+_METHODS = {f"{name}.{attr}" for name, cls in _CLASSES.items()
+            for attr, value in vars(cls).items() if not attr.startswith("_")
+            and isinstance(value, (FunctionType, classmethod, staticmethod, property))}
+
+
+def _method_reads(path):
+    """The names in _METHODS that the file at `path` reads: "C.m" for each
+    attribute read `.m` outside the body of m itself, for every exported
+    class C that defines m.  A read qualified by an exported class reads
+    only that class's method: `Partition.size` is no read of
+    `Tableau.size`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    own = set()  # the reads of a method inside its own body
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in _CLASSES:
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    own.update(id(sub) for sub in ast.walk(fn)
+                               if isinstance(sub, ast.Attribute) and sub.attr == fn.name)
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in own:
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            reads.update(f"{name}.{node.attr}" for name in _CLASSES
+                         if owner not in _CLASSES or owner == name)
+    return reads & _METHODS
+
+
+def test_every_public_method_has_a_reader():
+    # a method that nothing in `src/qyt` or the acceptance criteria reads
+    # is dead library surface: delete it or give the reason
+    reads = set().union(*map(_method_reads, [*sorted(SRC.glob("*.py")), ACCEPTANCE]))
+    unread = _METHODS - reads
+    kept = {name for name in _UNREAD if "." in name}
+    assert sorted(unread - kept) == []
+    assert sorted(kept - unread) == []

@@ -3,15 +3,18 @@ from itertools import accumulate, combinations
 
 import pytest
 
-from qyt.partition import Partition, partitions
+from qyt.partition import Partition, as_partition, partitions
+from qyt.qpoly import unpack
 from qyt.symfun import gen_fn
 from qyt.tableau import (
     Tableau,
-    des_maj_counts,
     descent_levels,
+    descent_mask,
+    descent_tallies,
     enumerate_ssyt,
     enumerate_syt,
     kostka,
+    maj_width,
     qyt_count_exact,
     qyt_counts,
 )
@@ -24,8 +27,17 @@ def shapes_upto(n):
         yield from partitions(size)
 
 
+def _des_maj_counts(shape):
+    """((des, maj), count) over the standard fillings of `shape`, sorted,
+    unpacked from the walk of its order ideal at the maj width."""
+    width = maj_width([shape])
+    tally = descent_tallies(width, [shape])[as_partition(shape).parts]
+    return tuple(((d, mj), c) for d, row in enumerate(tally)
+                 for mj, c in enumerate(unpack(row, width)) if c)
+
+
 def test_parse_and_str_round_trip():
-    t = Tableau.parse("1,1/2,2/3")
+    t = Tableau(((1, 1), (2, 2), (3,)))
     assert t.rows == ((1, 1), (2, 2), (3,))
     assert str(t) == "1,1/2,2/3"
     assert t.shape == Partition((2, 2, 1))
@@ -121,7 +133,7 @@ def test_destandardization_bijection():
         assert len(set(images)) == len(syt)  # injectivity
         for t, q in zip(syt, images):
             assert q.is_quasi_yamanouchi()
-            assert q.max_entry == len(t.runs())
+            assert max(map(max, q.rows)) == len(t.descent_set()) + 1  # one per run
             assert q.standardize() == t  # inverse
         # surjectivity onto quasi-Yamanouchi fillings of any max entry
         n = lam.size
@@ -135,7 +147,7 @@ def test_refinement_by_descents():
     for lam in shapes_upto(7):
         n = lam.size
         for k in range(1, n + 1):
-            by_descents = sum(1 for t in enumerate_syt(lam) if t.des() == k - 1)
+            by_descents = sum(1 for t in enumerate_syt(lam) if len(t.descent_set()) == k - 1)
             assert qyt_count_exact(lam, k) == by_descents
         assert sum(qyt_count_exact(lam, k) for k in range(n + 1)) == lam.hook_length_count()
 
@@ -143,14 +155,14 @@ def test_refinement_by_descents():
 def test_des_maj_counts_match_enumeration():
     for n in range(10):
         for lam in partitions(n):
-            tally = Counter((t.des(), t.maj()) for t in enumerate_syt(lam))
-            assert des_maj_counts(lam) == tuple(sorted(tally.items()))
-    assert des_maj_counts(Partition(())) == (((0, 0), 1),)
-    assert des_maj_counts((2, 1)) == (((1, 1), 1), ((1, 2), 1))
+            tally = Counter((len(d), sum(d)) for d in map(Tableau.descent_set, enumerate_syt(lam)))
+            assert _des_maj_counts(lam) == tuple(sorted(tally.items()))
+    assert _des_maj_counts(Partition(())) == (((0, 0), 1),)
+    assert _des_maj_counts((2, 1)) == (((1, 1), 1), ((1, 2), 1))
     # the lattice is walked level by level, so size is not bounded by
     # the interpreter's recursion limit
-    assert des_maj_counts((1500,)) == (((0, 0), 1),)
-    assert des_maj_counts((1,) * 1500) == (((1499, 1499 * 1500 // 2), 1),)
+    assert _des_maj_counts((1500,)) == (((0, 0), 1),)
+    assert _des_maj_counts((1,) * 1500) == (((1499, 1499 * 1500 // 2), 1),)
 
 
 def test_des_maj_counts_match_oracle():
@@ -160,7 +172,7 @@ def test_des_maj_counts_match_oracle():
             for rows in oracles.syt_brute(lam.parts):
                 dset = oracles.descents_of_standard(rows)
                 tally[(len(dset), sum(dset))] += 1
-            assert des_maj_counts(lam) == tuple(sorted(tally.items()))
+            assert _des_maj_counts(lam) == tuple(sorted(tally.items()))
 
 
 def test_descent_counts_are_the_des_marginal_of_the_maj_tallies():
@@ -170,7 +182,7 @@ def test_descent_counts_are_the_des_marginal_of_the_maj_tallies():
         assert tallies.keys() == {lam.parts for lam in partitions(n)}
         for lam in partitions(n):
             marginal = [0] * n
-            for (d, _), c in des_maj_counts(lam):
+            for (d, _), c in _des_maj_counts(lam):
                 marginal[d] += c
             assert tallies[lam.parts] == marginal, lam
     assert n == 12
@@ -181,7 +193,8 @@ def test_gen_fn_matches_enumeration(with_q):
     for n in range(1, 8):
         expansion = gen_fn(n, with_q=with_q)
         for lam in partitions(n):
-            tally = Counter((t.maj() if with_q else 0, t.des()) for t in enumerate_syt(lam))
+            tally = Counter((sum(d) if with_q else 0, len(d))
+                            for d in map(Tableau.descent_set, enumerate_syt(lam)))
             assert expansion[lam].triples() == sorted(
                 [qd, td, c] for (qd, td), c in tally.items()), lam
 
@@ -212,12 +225,12 @@ def test_standardize_example():
 def test_descent_set_and_runs_example():
     t = Tableau(((1, 2, 3, 6, 8), (4, 5, 7, 11), (9, 10, 12)))
     assert t.descent_set() == {3, 6, 8, 11}
-    assert t.maj() == 28
-    assert t.charge() == 20
-    assert t.runs() == [[1, 2, 3], [4, 5, 6], [7, 8], [9, 10, 11], [12]]
+    assert oracles.charge_brute(t.rows) == 20
+    # the runs 1-3, 4-6, 7-8, 9-11 and 12 are relabelled 1..5
+    assert t.destandardize().rows == ((1, 1, 1, 2, 3), (2, 2, 3, 4), (4, 4, 5))
     row = Tableau(((1, 2, 3, 4),))
     assert row.descent_set() == set()
-    assert row.charge() == 0
+    assert oracles.charge_brute(row.rows) == 0
     col = Tableau(((1,), (2,), (3,)))
     assert col.descent_set() == {1, 2}
 
@@ -228,30 +241,28 @@ def test_stats_agree_through_standardization():
         for t in enumerate_syt(lam):
             q = t.destandardize()
             assert q.descent_set() == t.descent_set()
-            assert q.maj() == t.maj()
-            assert q.des() == t.des()
-            assert q.charge() == t.charge()
 
 
 def test_destandardized_weight_marks_the_descents():
     # the partial sums of the weight of the destandardized filling are the
     # descent set, so the genfun suite's truncated-fundamental check may
-    # read that set off the standard filling's rows (verify._descent_mask)
-    from qyt.verify import _descent_mask
-
+    # read that set off the standard filling's rows (tableau.descent_mask)
     for lam in shapes_upto(8):
         n = lam.size
         for t in enumerate_syt(lam):
-            dset = t.descent_set()
-            assert set(accumulate(t.destandardize().weight()[:-1])) == dset
-            assert _descent_mask(t.rows, n) == sum(1 << (i - 1) for i in dset)
+            dset = oracles.descents_of_standard(t.rows)
+            q = t.destandardize().rows
+            weight = [sum(row.count(v) for row in q) for v in range(1, max(map(max, q)) + 1)]
+            assert set(accumulate(weight[:-1])) == dset
+            assert descent_mask(t.rows, n) == sum(1 << (i - 1) for i in dset)
+            assert t.descent_set() == dset
 
 
 def test_charge_is_comajor():
     for lam in shapes_upto(6):
         n = lam.size
         for t in enumerate_syt(lam):
-            assert t.charge() == sum(n - i for i in t.descent_set())
+            assert oracles.charge_brute(t.rows) == sum(n - i for i in t.descent_set())
 
 
 def test_kostka_examples():

@@ -17,11 +17,8 @@ from qyt.tableau import Tableau, enumerate_syt, qyt_count_exact
 from qyt.verify import (
     SUITES,
     SuiteReport,
-    foulkes_multiplicity,
     jack_coefficient,
-    polya_dimension_check,
     ribbon_rows,
-    signature_of,
     verify_charge_hit,
     verify_foulkes,
     verify_genfun,
@@ -134,8 +131,8 @@ def test_lattice_builds_the_elementary_values_once_per_shape(monkeypatch):
 ])
 def test_each_counting_suite_walks_the_lattice_once(monkeypatch, suite, kwargs, walks):
     # the walk is counted wherever a module binds it: a call through
-    # tableau (qyt_counts, des_maj_counts, descent_tallies) passes its
-    # module global, a call from the suite body verify's
+    # tableau (qyt_counts, descent_tallies) passes its module global, a
+    # call from the suite body verify's
     through_tableau = _count_calls(monkeypatch, qyt.tableau, "descent_levels")
     through_verify = _count_calls(monkeypatch, qyt.verify, "descent_levels")
     report = suite(max_n=8, **kwargs)
@@ -1154,13 +1151,6 @@ def test_charge_refinement_hand_computed_instance():
     assert lhs == [0] * (3 * 1 + 1) + T1
 
 
-def test_signature_of_words_and_tableaux():
-    assert signature_of((4, 5, 3, 1, 2)) == "+--+"
-    assert signature_of((1, 2, 3)) == "++"
-    t = Tableau(((1, 2, 3, 6, 8), (4, 5, 7, 11), (9, 10, 12)))
-    assert signature_of(t) == "++-++-+-++-"
-
-
 def test_ribbon_rows_examples():
     assert ribbon_rows("++-++-+-++-") == (3, 3, 2, 3, 1)
     assert ribbon_rows("+" * 7) == (8,)
@@ -1176,49 +1166,38 @@ def test_ribbon_total_size():
 
 
 def test_foulkes_multiplicity_examples():
-    assert foulkes_multiplicity(5, 3, Partition((3, 2))) == 2
+    # the standard fillings whose sign word has k plus signs: QYT_{=n-k}
+    assert qyt_count_exact(Partition((3, 2)), 5 - 3) == 2
     for n in range(2, 7):
-        assert foulkes_multiplicity(n, n - 1, Partition((n,))) == 1
+        assert qyt_count_exact(Partition((n,)), 1) == 1
         for lam in partitions(n):
             if lam != Partition((n,)):
-                assert foulkes_multiplicity(n, n - 1, lam) == 0
-    with pytest.raises(ValueError):
-        foulkes_multiplicity(4, 1, Partition((3, 2)))
+                assert qyt_count_exact(lam, 1) == 0
 
 
 def test_foulkes_multiplicity_counts_signatures():
+    # a sign word has '+' at each of the n - 1 non-descents
     for n in range(1, 6):
         for lam in partitions(n):
             for k in range(n):
                 direct = sum(
                     1
                     for t in enumerate_syt(lam)
-                    if signature_of(t).count("+") == k
+                    if n - 1 - len(t.descent_set()) == k
                 )
-                assert foulkes_multiplicity(n, k, lam) == direct
                 assert direct == qyt_count_exact(lam, n - k)
 
 
 def test_polya_examples():
-    for m in range(1, 11):
-        assert polya_dimension_check(1, m)
-        assert polya_dimension_check(2, m)
-    assert polya_dimension_check(5, 3)
-
-
-def test_polya_holds_at_n_zero_and_at_m_zero():
-    # m^0 = 1 = C(m, 0) QYT_{=0}(empty) f^empty, the empty filling alone;
-    # at m = 0 both sides are 0 for n >= 1
-    for m in range(6):
-        assert polya_dimension_check(0, m), m
-    for n in range(1, 5):
-        assert polya_dimension_check(n, 0), n
+    assert verify_polya(max_n=2, max_m=10).status == "pass"
+    assert verify_polya(max_n=5, max_m=3).status == "pass"
 
 
 @pytest.mark.parametrize("n,m,name", [(-1, 3, "n"), (2, -1, "m"), (-2, -2, "n")])
 def test_polya_rejects_a_negative_argument_by_name(n, m, name):
-    with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -"):
-        polya_dimension_check(n, m)
+    # the bounds are checked in signature order, so max_n is named first
+    with pytest.raises(ValueError, match=f"^max_{name} must be at least 1, got -"):
+        verify_polya(max_n=n, max_m=m)
 
 
 def test_jack_coefficient_examples():
