@@ -79,14 +79,20 @@ def _shape(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _check_bound(args, option: str, least: int) -> None:
+    """Reject --option below `least`, by its name, before any library call."""
+    value = getattr(args, option.replace("-", "_"))
+    if value is not None and value < least:
+        rule = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"--{option} must be {rule}, got {value}")
+
+
 def _cmd_count(args) -> int:
     from .tableau import qyt_count_exact, qyt_counts
 
     shape = args.shape
     for option in ("exact-entry", "max-entry", "ssyt"):
-        bound = getattr(args, option.replace("-", "_"))
-        if bound is not None and bound < 0:
-            raise ValueError(f"--{option} must be nonnegative, got {bound}")
+        _check_bound(args, option, 0)
     if args.exact_entry is not None:
         mode, arg = "exact-entry", args.exact_entry
         value = qyt_count_exact(shape, args.exact_entry)
@@ -149,6 +155,7 @@ def _cmd_verify(args) -> int:
 
     if args.seed is not None and args.suite not in ("lattice", "all"):
         raise ValueError("--seed applies only to the lattice suite")
+    _check_bound(args, "max-n", 1)
     bounds = {} if args.max_n is None else {"max_n": args.max_n}
     seed = {} if args.seed is None else {"seed": args.seed}
 
@@ -156,7 +163,7 @@ def _cmd_verify(args) -> int:
         return SUITES[name](**bounds, **(seed if name == "lattice" else {}))
 
     if args.suite == "all":
-        with Run(list(SUITES), args.max_n):  # one run: the suites share what they compute
+        with Run():  # one run: the suites share what they compute
             reports = [report(name) for name in SUITES]
     else:  # a suite alone keeps nothing
         reports = [report(args.suite)]
@@ -188,6 +195,7 @@ def _cmd_verify(args) -> int:
 def _cmd_table(args) -> int:
     from .pnk import a_table
 
+    _check_bound(args, "n", 1)
     table = a_table(args.n)
 
     def text() -> str:
@@ -250,6 +258,7 @@ def _cmd_expand(args) -> int:
 
         if args.shape is None:
             raise ValueError("expand schur requires --shape")
+        _check_bound(args, "vars", 0)
         n_vars = args.vars if args.vars is not None else args.shape.size
         coeffs = schur_truncated(args.shape, n_vars)
         # the shape is digits and commas and every value an int, so the
@@ -270,6 +279,7 @@ def _cmd_expand(args) -> int:
 
     if args.n is None:
         raise ValueError("expand genfun requires --n")
+    _check_bound(args, "n", 0)
     expansion = gen_fn(args.n, with_q=not args.no_q)
     if args.format == "json":
         # partitions are digits and commas and every value an int or a

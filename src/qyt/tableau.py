@@ -19,10 +19,10 @@ holds a list by des of sum q^maj evaluated at q = 2^W, so a descent is
 a shift.  W = 0 gives the counts by des that the counting suites read;
 W = qpoly.slot_width(f), f the most standard fillings of a top, keeps
 each maj in its own slot for `gen_fn` and the q-hit suites; the genfun
-suite walks at the wider W of its comparisons.  A suite reads one walk
-of the lattice, and a single shape walks its own order ideal.  The walk
-keeps nothing between calls; the suites of one verify run share the
-levels of one walk per width (verify.Run).
+suite walks at the wider W of its comparisons.  With no top the walk
+has no end and a suite reads its first max_n levels; a single shape
+walks its own order ideal.  The walk keeps nothing between calls; the
+suites of one verify run share one walk per width (verify.Run).
 `enumerate_syt` serves only to list the fillings themselves.  The
 descent set of one standard filling is read off its rows by
 `descent_mask`, which `Tableau.descent_set` and the genfun suite's walk
@@ -37,9 +37,10 @@ and `kostka(shape, weight)` gives the weight and counts.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Iterable, Iterator
 
-from .partition import Partition, as_partition
+from .partition import Partition, _part_tuples, as_partition
 from .qpoly import slot_width
 
 
@@ -233,11 +234,14 @@ def _corners(parts: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
             yield r, parts[:r] + ((p - 1,) if p > 1 else ()) + parts[r + 1:]
 
 
-def descent_levels(width: int, tops) -> Iterator[dict[tuple[int, ...], list[int]]]:
-    """The walk of Young's lattice below `tops`, shapes of one size N:
-    for n = 1..N, {parts: tally} over the sub-shapes of size n, where
-    tally[d] = sum of q^maj over the standard fillings with d descents,
-    at q = 2^width, for d = 0..n-1.  At width 0 these are counts.
+def descent_levels(width: int, tops=None) -> Iterator[dict[tuple[int, ...], list[int]]]:
+    """The walk of Young's lattice: for n = 1, 2, ..., {parts: tally}
+    over shapes of size n, tally[d] = sum of q^maj over the standard
+    fillings with d descents at q = 2^width (counts at width 0), for
+    d = 0..n-1.  With no `tops` it has no end, level n holding every
+    partition of n in partitions(n) order; below `tops`, shapes of one
+    size N, it ends at N with the same tallies, as every shape of size
+    n <= N lies below one of N.
 
     The state is a sub-shape together with the row r of its largest
     entry n, and each level is built from the one below, which is then
@@ -245,12 +249,16 @@ def descent_levels(width: int, tops) -> Iterator[dict[tuple[int, ...], list[int]
     r', and n - 1 is a descent exactly when r > r': the tally moves up
     one descent and its maj grows by n - 1, a shift by (n - 1) * width.
     """
-    ideal = [{as_partition(shape).parts for shape in tops}]
-    while any(ideal[-1]):
-        ideal.append({rest for mu in ideal[-1] for _, rest in _corners(mu)})
+    if tops is None:
+        shape_levels = (_part_tuples(n, n) for n in count(1))
+    else:
+        ideal = [{as_partition(shape).parts for shape in tops}]
+        while any(ideal[-1]):
+            ideal.append({rest for mu in ideal[-1] for _, rest in _corners(mu)})
+        shape_levels = reversed(ideal[:-1])
     # the empty filling, as if its largest entry ended row 0
     below: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {(): [(0, [1])]}
-    for n, shapes in enumerate(reversed(ideal[:-1]), 1):
+    for n, shapes in enumerate(shape_levels, 1):
         shift = (n - 1) * width
         level = {}
         for mu in shapes:

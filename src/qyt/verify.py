@@ -14,18 +14,13 @@ unpacked once, for its bound, and packed again only if W differs.
 t-strides are qpoly.t_stride of the rows as they are, and every q-value
 at q = 2^W comes from qpoly.q_table_at(n, W).
 
-A suite is written as a body: a generator that takes its bounds and
-yields (check, fields, lhs, rhs) for every instance, check being None
-in the suites that name no checks (hit, summation, foulkes, polya).
-`_suite` makes it into the suite.  It reports the bounds, rejects a
-max_* bound below 1, times the body, compares the two sides of each
-instance and stops at the first that differ, without resuming the
-body; that instance is the counterexample, {"check", **fields, "lhs",
-"rhs"}, each value shown by `_shown`.  Every suite that reads descent
-statistics, genfun aside, reads the levels of one walk of Young's
-lattice (tableau.descent_levels) as n reaches them, and the suites of
-one run share each walk, hit numbers and path counts (see Run).  A
-tally by descents is paired with its other side over every row that
+A suite is written as a body, a generator that yields (check, fields,
+lhs, rhs) for every instance, and `_suite` makes it into the suite.
+Every suite that reads descent statistics, genfun aside, reads the
+first max_n levels of the walk of Young's lattice with no top
+(tableau.descent_levels, through _levels), and the suites of one run
+share one such walk per width, hit numbers and path counts (see Run).
+A tally by descents is paired with its other side over every row that
 either side has, a row that one side lacks read as 0: no standard
 filling of size n has n or more descents, so on honest input those rows
 are 0 on both sides, and a faulty row there is read, not skipped.
@@ -48,7 +43,7 @@ from __future__ import annotations
 import functools
 import random
 import time
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from math import comb, factorial, prod
 from operator import mul
 from types import MappingProxyType
@@ -126,8 +121,7 @@ def _suite(name: str) -> Callable[[Callable[..., Iterator[_Instance]]], Callable
     body, which gets the caller's arguments as they are.  It stops at
     the first instance whose sides differ, leaving the body suspended
     there, and reports it as the counterexample: the check (left out
-    when None), the fields, then lhs and rhs, each value shown.  The
-    suite's default bounds are its `defaults`.
+    when None), the fields, then lhs and rhs, each value shown.
     """
     def decorate(body: Callable[..., Iterator[_Instance]]) -> Callable[..., SuiteReport]:
         params = body.__code__.co_varnames[:body.__code__.co_argcount]
@@ -155,7 +149,6 @@ def _suite(name: str) -> Callable[[Callable[..., Iterator[_Instance]]], Callable
                 ms=int((time.perf_counter() - started) * 1000),
             )
 
-        suite.defaults = defaults
         return suite
 
     return decorate
@@ -170,14 +163,12 @@ _RUN: Run | None = None
 
 
 class Run:
-    """One verify call that runs the suites `names` of SUITES, each at
-    max_n, or at its default bound where max_n is None, sharing values.
-    `qyt verify all` is one run of ten suites; it is opened with `with`,
-    and at most one is open at a time.
+    """One verify call whose suites share what they compute, such as
+    `qyt verify all`: opened with `with`, at most one at a time.
 
     Within a run each of these is computed once: the partitions of each n,
     as one tuple, whose Partitions keep their hooks, contents and
-    conjugates; the levels of the walk of Young's lattice at each width
+    conjugates; the levels of the one walk of Young's lattice per width
     (_levels); the hit numbers of each board and the lattice-path counts
     of each shape (_shared).  A value is keyed by the function as verify,
     or its class, binds it when called, plus its arguments, so that a
@@ -188,18 +179,14 @@ class Run:
     function, such as board._rook_route beneath FerrersBoard.hit_numbers,
     changes its values but not its key.
 
-    A suite called alone runs outside any run, by the same code with
-    nothing kept: a function is called each time it is asked, the
-    partitions come one at a time, and the walk holds only the level
-    below the one it builds.
+    A suite called alone runs outside any run, by the same code keeping
+    nothing: a function is called each time it is asked, the partitions
+    come one at a time, and the walk holds only the level below.
     """
 
-    __slots__ = ("top", "values")
+    __slots__ = ("values",)
 
-    def __init__(self, names: Sequence[str], max_n: int | None = None) -> None:
-        #: the largest max_n of the run, below whose partitions it walks
-        self.top = max(SUITES[name].defaults["max_n"] if max_n is None else max_n
-                       for name in names)
+    def __init__(self) -> None:
         self.values: dict = {}
 
     def __enter__(self) -> Run:
@@ -229,28 +216,22 @@ def _shared(fn: Callable, *args) -> Sequence:
 
 
 def _levels(width: int, max_n: int) -> Iterator[Mapping[tuple[int, ...], Sequence[int]]]:
-    """Levels 1..max_n of the walk of Young's lattice at `width`
-    (descent_levels), each holding every partition of its size.  Outside
-    a run, the walk below the partitions of max_n, keeping no level.
-    Within one, a walk per width below the partitions of the run's
-    largest bound, built only as far as its suites read, each level kept
-    for the suites after the first; a suite that reads past that bound
-    walks alone."""
-    walk = descent_levels
+    """Levels 1..max_n of the walk of Young's lattice at `width` with no
+    top (descent_levels), each holding every partition of its size.
+    Outside a run, the walk alone, keeping no level.  Within one, the
+    run's one walk at this width, built only as deep as its deepest
+    reader, each level kept for the suites after the first."""
     run = _RUN
-    if run is None or max_n > run.top:
-        yield from walk(width, _shared(partitions, max_n))
+    if run is None:
+        yield from islice(descent_levels(width), max_n)
         return
-    key = (walk, width)
+    key = (descent_levels, width)
     if key not in run.values:
-        run.values[key] = ([], walk(width, _shared(partitions, run.top)))
+        run.values[key] = ([], descent_levels(width))
     kept, rest = run.values[key]
     for n in range(max_n):
         if n == len(kept):
-            level = next(rest, None)
-            if level is None:
-                return
-            kept.append(MappingProxyType({mu: tuple(t) for mu, t in level.items()}))
+            kept.append(MappingProxyType({mu: tuple(t) for mu, t in next(rest).items()}))
         yield kept[n]
 
 

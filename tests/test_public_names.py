@@ -122,7 +122,8 @@ def _method_reads(path):
     attribute read `.m` outside the body of m itself, for every exported
     class C that defines m.  A read qualified by an exported class reads
     only that class's method: `Partition.size` is no read of
-    `Tableau.size`."""
+    `Tableau.size`.  A read of the argparse namespace `args` reads an
+    option, no method: `args.hits` is no read of `FerrersBoard.hits`."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     own = set()  # the reads of a method inside its own body
     for node in tree.body:
@@ -135,9 +136,18 @@ def _method_reads(path):
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in own:
             owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if owner == "args":
+                continue
             reads.update(f"{name}.{node.attr}" for name in _CLASSES
                          if owner not in _CLASSES or owner == name)
     return reads & _METHODS
+
+
+def test_an_option_read_off_args_is_no_method_read(tmp_path):
+    path = tmp_path / "options.py"
+    path.write_text("def run(args, board):\n    return args.hits, board.plus_one()\n",
+                    encoding="utf-8")
+    assert _method_reads(path) == {"FerrersBoard.plus_one"}
 
 
 def test_every_public_method_has_a_reader():

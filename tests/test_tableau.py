@@ -188,6 +188,22 @@ def test_descent_counts_are_the_des_marginal_of_the_maj_tallies():
     assert n == 12
 
 
+@pytest.mark.parametrize("at_maj_width", [False, True], ids=["width-0", "maj-width"])
+def test_the_walk_with_no_top_holds_every_shape_of_each_size(at_maj_width):
+    # level n of the endless walk is level n of the walk below the
+    # partitions of any N >= n, its keys in partitions(n) order
+    for N in range(1, 11):
+        tops = list(partitions(N))
+        width = maj_width(tops) if at_maj_width else 0
+        endless = descent_levels(width)
+        for n, (bounded, level) in enumerate(zip(descent_levels(width, tops), endless), 1):
+            assert list(level) == [lam.parts for lam in partitions(n)]
+            assert level == bounded
+        assert n == N
+        # and it goes on past N
+        assert list(next(endless)) == [lam.parts for lam in partitions(N + 1)]
+
+
 @pytest.mark.parametrize("with_q", [True, False])
 def test_gen_fn_matches_enumeration(with_q):
     for n in range(1, 8):

@@ -334,7 +334,7 @@ def _walked(pairs):
     these ((des, maj), count) pairs, packed at the walk's width (at
     width 0 the maj drops out)."""
     def make(true):
-        def faulty(width, tops):
+        def faulty(width, tops=None):
             for level in true(width, tops):
                 if _P21.parts in level:
                     tally = [0] * max(3, 1 + max(d for (d, _), _ in pairs))
@@ -742,7 +742,7 @@ def _width_0(fault):
     width 0, which hit, summation, foulkes and polya read."""
     def make(true):
         faulty = fault(true)
-        return lambda width, tops: (faulty if width == 0 else true)(width, tops)
+        return lambda width, tops=None: (faulty if width == 0 else true)(width, tops)
     return make
 
 
@@ -791,11 +791,16 @@ def test_a_patch_made_after_a_run_is_seen_by_the_next(capsys, monkeypatch):
     assert hit["counterexample"] == verify_hit(max_n=3).counterexample
     assert {"shape": "1,1", "k": 0, "rhs": -2}.items() <= hit["counterexample"].items()
     # a run that raises ends too, and runs do not nest
-    assert qyt.cli.main(["verify", "all", "--max-n", "0"]) == 2
+    def raising(shape):
+        raise ValueError("no path counts")
+
+    monkeypatch.setattr(qyt.verify, "qyt_counts_via_pnk", raising)
+    assert qyt.cli.main(["verify", "all", "--max-n", "3"]) == 2
+    assert capsys.readouterr().err == "error: no path counts\n"
     assert qyt.verify._RUN is None
-    with qyt.verify.Run(["hit"]):
+    with qyt.verify.Run():
         with pytest.raises(RuntimeError, match="^a verify run is open already$"):
-            with qyt.verify.Run(["hit"]):
+            with qyt.verify.Run():
                 pass
     assert qyt.verify._RUN is None
 
@@ -809,7 +814,7 @@ def test_one_verify_all_computes_each_shared_value_once(capsys, monkeypatch):
     # hit, summation, foulkes and polya read the walk at width 0, up to
     # 7, 8, 7 and 6
     walks = through_verify + through_tableau
-    assert [width for width, _ in walks].count(0) == 1
+    assert [args[0] for args in walks].count(0) == 1
     # hit reads the boards of every shape up to 7, jack up to 6
     boards = {FerrersBoard.from_partition(shape) for n in range(1, 8) for shape in partitions(n)}
     assert len(hits) == len(boards) == 44
@@ -818,21 +823,57 @@ def test_one_verify_all_computes_each_shared_value_once(capsys, monkeypatch):
     assert len(paths) == len({shape for shape, in paths}) == 44
 
 
-def test_a_suite_that_reads_past_the_runs_bound_walks_alone(monkeypatch):
-    # a count appended to the tally of shape 8, which a walk below the
-    # partitions of the run's bound, 6, never reaches
+def _levels_built(monkeypatch):
+    """The widths of the levels that the walk, called through verify,
+    yields from now on, one entry per level."""
+    true = qyt.verify.descent_levels
+    built = []
+
+    def walk(width, tops=None):
+        for level in true(width, tops):
+            built.append(width)
+            yield level
+
+    monkeypatch.setattr(qyt.verify, "descent_levels", walk)
+    return built
+
+
+def test_a_later_suite_reads_the_runs_walk_deeper(monkeypatch):
+    # a count appended to the tally of shape 8, which polya, reading the
+    # run's walk at width 0 up to 6, never reaches; summation then reads
+    # the same walk on to 8 and meets it
     true = qyt.verify.descent_levels
 
-    def faulty(width, tops):
+    def faulty(width, tops=None):
         for level in true(width, tops):
             if (8,) in level:
                 level = {**level, (8,): [*level[8,], 1]}
             yield level
 
     monkeypatch.setattr(qyt.verify, "descent_levels", faulty)
-    with qyt.verify.Run(["polya"]):
+    built = _levels_built(monkeypatch)
+    with qyt.verify.Run():
         assert verify_polya().passed
+        assert built == [0] * 6
         assert verify_summation().counterexample == {"shape": "8", "k": 8, "lhs": 1, "rhs": 0}
+        assert built == [0] * 8
+
+
+def test_a_run_builds_its_walk_only_as_deep_as_its_deepest_reader(monkeypatch):
+    built = _levels_built(monkeypatch)
+    with qyt.verify.Run():
+        for suite, max_n in ((verify_hit, 5), (verify_foulkes, 3), (verify_summation, 7),
+                             (verify_polya, 2), (verify_maj_hit, 4)):
+            assert suite(max_n=max_n).passed
+    # one walk at width 0, to 7, and one at the maj width, to 4
+    assert built.count(0) == 7
+    assert len(built) == 11
+
+
+def test_a_suite_alone_builds_exactly_max_n_levels(monkeypatch):
+    built = _levels_built(monkeypatch)
+    assert verify_hit(max_n=3).passed
+    assert built == [0] * 3
 
 
 def test_a_suite_called_alone_keeps_no_walk_level(monkeypatch):
@@ -844,7 +885,7 @@ def test_a_suite_called_alone_keeps_no_walk_level(monkeypatch):
     true = qyt.verify.descent_levels
     alive = []  # how many earlier levels are still held, as each is built
 
-    def walk(width, tops):
+    def walk(width, tops=None):
         refs = []
         for level in true(width, tops):
             alive.append(sum(ref() is not None for ref in refs))
@@ -947,7 +988,7 @@ def test_polya_reads_a_count_that_every_m_up_to_max_m_weighs_0(monkeypatch):
     # 0 for every m <= 5: the polynomials of degree 5 in m need m = 6
     true = qyt.verify.descent_levels
 
-    def faulty(width, tops):
+    def faulty(width, tops=None):
         for level in true(width, tops):
             if (5,) in level:
                 assert len(level[5,]) == 5
