@@ -118,6 +118,7 @@ def _cmd_board(args) -> int:
 
     if args.limit is not None and not (args.hits or args.q_hits):
         raise ValueError("--limit applies only with --hits or --q-hits")
+    _check_bound(args, "limit", 0)
     board = FerrersBoard.from_partition(args.shape)
     if args.plus_one:
         board = board.plus_one()

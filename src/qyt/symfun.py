@@ -264,15 +264,16 @@ def gen_fn(n: int, with_q: bool = True) -> dict[Partition, Packed]:
     """Schur generating function of the quasi-Yamanouchi fillings of
     size n, as {shape: coefficient of s_shape} over every partition of n
     in partitions(n) order: the coefficient collects q^maj t^des over the
-    shape's fillings, read from one walk of Young's lattice, and packed
-    at q = 2^W and t = q^S.  W = tableau.maj_width holds every count,
-    and S is one more than the shape's largest maj, read off its rows
-    (qpoly.t_stride).  With with_q=False the q-grading is dropped, so a
-    filling with largest entry k contributes t^(k-1): the walk counts at width 0, each
-    count is below 2^(W-1), and S is 1."""
+    shape's fillings, read from level n of the walk of Young's lattice
+    (tableau.descent_tallies) and packed at q = 2^W and t = q^S.
+    W = tableau.maj_width holds every count, and S is one more than the
+    shape's largest maj, read off its rows (qpoly.t_stride).  With
+    with_q=False the q-grading is dropped, so a filling with largest
+    entry k contributes t^(k-1): the walk counts at width 0, each count
+    is below 2^(W-1), and S is 1."""
     shapes = list(partitions(n))
     width = maj_width(shapes)
-    tallies = descent_tallies(width if with_q else 0, shapes)
+    tallies = descent_tallies(width if with_q else 0, n)
     out = {}
     for shape in shapes:
         rows = tallies[shape.parts]

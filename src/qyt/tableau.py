@@ -14,15 +14,15 @@ largest entry k.  The fillings are counted (`qyt_counts`), not listed.
 
 The descent statistics of the standard fillings are counted without
 building any filling, by one level-by-level walk up Young's lattice
-(`descent_levels`) that keeps only the level below.  For each shape it
-holds a list by des of sum q^maj evaluated at q = 2^W, so a descent is
-a shift.  W = 0 gives the counts by des that the counting suites read;
-W = qpoly.slot_width(f), f the most standard fillings of a top, keeps
-each maj in its own slot for `gen_fn` and the q-hit suites; the genfun
-suite walks at the wider W of its comparisons.  With no top the walk
-has no end and a suite reads its first max_n levels; a single shape
-walks its own order ideal.  The walk keeps nothing between calls; the
-suites of one verify run share one walk per width (verify.Run).
+(`descent_levels`) that grows each level from the one below, the only
+one it keeps.  Each shape holds a list by des of sum q^maj at q = 2^W,
+so a descent is a shift.  W = 0 gives the counts by des that the
+counting suites read; W = qpoly.slot_width(f), f the most standard
+fillings of a shape read, keeps each maj in its own slot for `gen_fn`
+and the q-hit suites; the genfun suite walks at the wider W of its
+comparisons.  With no top the walk has no end; inside one shape
+(`qyt_counts`) it ends there.  The walk keeps nothing between calls;
+the suites of one verify run share one walk per width (verify.Run).
 `enumerate_syt` serves only to list the fillings themselves.  The
 descent set of one standard filling is read off its rows by
 `descent_mask`, which `Tableau.descent_set` and the genfun suite's walk
@@ -37,10 +37,10 @@ and `kostka(shape, weight)` gives the weight and counts.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import count, islice
 from typing import Iterable, Iterator
 
-from .partition import Partition, _part_tuples, as_partition
+from .partition import Partition, as_partition
 from .qpoly import slot_width
 
 
@@ -227,58 +227,49 @@ def descent_mask(rows: Iterable[Iterable[int]], n: int) -> int:
     return sum(1 << (i - 1) for i in range(1, n) if row_of[i + 1] > row_of[i])
 
 
-def _corners(parts: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(r, parts with the last cell of row r removed) for each corner row r."""
-    for r, p in enumerate(parts):
-        if r + 1 == len(parts) or parts[r + 1] < p:
-            yield r, parts[:r] + ((p - 1,) if p > 1 else ()) + parts[r + 1:]
-
-
-def descent_levels(width: int, tops=None) -> Iterator[dict[tuple[int, ...], list[int]]]:
+def descent_levels(width: int, top=None) -> Iterator[dict[tuple[int, ...], list[int]]]:
     """The walk of Young's lattice: for n = 1, 2, ..., {parts: tally}
     over shapes of size n, tally[d] = sum of q^maj over the standard
     fillings with d descents at q = 2^width (counts at width 0), for
-    d = 0..n-1.  With no `tops` it has no end, level n holding every
-    partition of n in partitions(n) order; below `tops`, shapes of one
-    size N, it ends at N with the same tallies, as every shape of size
-    n <= N lies below one of N.
+    d = 0..n-1, in partitions(n) order.  With no `top` it has no end,
+    level n holding every partition of n; inside `top`, one shape, level
+    n holds those inside it, with the same tallies, up to its size.
 
-    The state is a sub-shape together with the row r of its largest
-    entry n, and each level is built from the one below, which is then
-    dropped.  Removing n from row r leaves n - 1 at the end of some row
-    r', and n - 1 is a descent exactly when r > r': the tally moves up
-    one descent and its maj grows by n - 1, a shift by (n - 1) * width.
+    The state is a shape together with the row r of its largest entry n.
+    Level n grows from level n - 1, which is then dropped, by placing n
+    at the end of each row r where a cell fits (inside `top`).  When
+    n - 1 ends row r', it is a descent exactly when r > r': the tally
+    moves up one descent and its maj grows by n - 1, a shift by
+    (n - 1) * width.  A shape is first met from the largest shape below
+    it, so each level keeps the order of the one below.
     """
-    if tops is None:
-        shape_levels = (_part_tuples(n, n) for n in count(1))
-    else:
-        ideal = [{as_partition(shape).parts for shape in tops}]
-        while any(ideal[-1]):
-            ideal.append({rest for mu in ideal[-1] for _, rest in _corners(mu)})
-        shape_levels = reversed(ideal[:-1])
+    limit = None if top is None else (*as_partition(top).parts, 0)  # row r's cap
     # the empty filling, as if its largest entry ended row 0
     below: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {(): [(0, [1])]}
-    for n, shapes in enumerate(shape_levels, 1):
+    for n in count(1):
         shift = (n - 1) * width
         level = {}
-        for mu in shapes:
-            level[mu] = by_top = []
-            for r, rest in _corners(mu):
+        for mu, by_top in below.items():
+            for r, p in enumerate((*mu, 0)):
+                if (r and mu[r - 1] == p) or (limit is not None and limit[r] == p):
+                    continue
                 tally = [0] * n
-                for row, sub in below[rest]:
+                for row, sub in by_top:
                     up, s = (1, shift) if r > row else (0, 0)
                     for d, v in enumerate(sub, up):
                         tally[d] += v << s
-                by_top.append((r, tally))
+                level.setdefault((*mu[:r], p + 1, *mu[r + 1:]), []).append((r, tally))
+        if not level:
+            return
         below = level
         yield {mu: [sum(col) for col in zip(*(t for _, t in by_top))]
                for mu, by_top in level.items()}
 
 
-def descent_tallies(width: int, tops) -> dict[tuple[int, ...], list[int]]:
-    """The last level of descent_levels(width, tops), keeping no other."""
+def descent_tallies(width: int, n: int) -> dict[tuple[int, ...], list[int]]:
+    """Level n of descent_levels(width), keeping no other."""
     level = {(): [1]}  # the empty shape's, which no level holds
-    for level in descent_levels(width, tops):
+    for level in islice(descent_levels(width), n):
         pass
     return level
 
@@ -295,7 +286,11 @@ def qyt_counts(shape) -> list[int]:
     standard filling with d descents destandardizes to one with largest
     entry d + 1, and the walk at width 0 counts the fillings by d."""
     parts = as_partition(shape).parts
-    return [0, *descent_tallies(0, [parts])[parts]] if parts else [1]
+    if not parts:
+        return [1]  # the empty filling, whose largest entry is 0
+    for level in descent_levels(0, parts):
+        pass
+    return [0, *level[parts]]
 
 
 def qyt_count_exact(shape, m: int) -> int:

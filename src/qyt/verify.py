@@ -16,9 +16,10 @@ at q = 2^W comes from qpoly.q_table_at(n, W).
 
 A suite is written as a body, a generator that yields (check, fields,
 lhs, rhs) for every instance, and `_suite` makes it into the suite.
-Every suite that reads descent statistics, genfun aside, reads the
-first max_n levels of the walk of Young's lattice with no top
-(tableau.descent_levels, through _levels), and the suites of one run
+Every suite that reads descent statistics reads the walk of Young's
+lattice with no top (tableau.descent_levels).  genfun reads its level n
+at the width of each n (tableau.descent_tallies); every other suite
+reads its first max_n levels through _levels, and the suites of one run
 share one such walk per width, hit numbers and path counts (see Run).
 A tally by descents is paired with its other side over every row that
 either side has, a row that one side lacks read as 0: no standard
@@ -335,10 +336,10 @@ def verify_charge_hit(max_n: int = 6) -> Iterator[_Instance]:
 
     compared packed as in maj-hit (see _hit_sides).  Charge is n * k -
     maj, so the row of the fillings with k descents, read back with d its
-    top maj and reversed, is q^(d - nk) times the sum of q^charge.  Both
-    sides are multiplied by q^(e - nk), with e the larger of d and n * k,
-    so that no side is divided by a power of q even when a maj exceeds
-    n * k.
+    top maj (0 for a row the tally lacks) and reversed, is q^(d - nk)
+    times the sum of q^charge.  So both sides are multiplied by
+    q^(d - nk): the reversed row times prod [h(u)] * q^C(n,2) against
+    q^(d + n(conjugate)) * T_k, and no exponent is negative.
     """
     tally_width = maj_width(_shared(partitions, max_n))
     for n, tallies in enumerate(_levels(tally_width, max_n), 1):
@@ -348,11 +349,10 @@ def verify_charge_hit(max_n: int = 6) -> Iterator[_Instance]:
             width, T, majs, hooks_at, _ = _hit_sides(
                 FerrersBoard.from_partition(conj), shape, tallies[shape.parts], tally_width)
             for k in range(max(len(majs), n + 1)):
-                c = majs[k] if k < len(majs) else []
+                c = majs[k] if k < len(majs) else [0]
                 t = T[k] if k <= n else 0
-                top = max(len(c) - 1, n * k)
-                lhs = pack(c[::-1], width) * hooks_at << ((top + 1 - len(c) + half) * width)
-                rhs = t << ((top + conj.n_stat()) * width)
+                lhs = pack(c[::-1], width) * hooks_at << (half * width)
+                rhs = t << ((len(c) - 1 + conj.n_stat()) * width)
                 yield "refinement", {"shape": shape, "k": k}, Packed(lhs, width), Packed(rhs, width)
 
 
@@ -657,13 +657,13 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
     fundamental side tallies S_n by (Des(p^-1), maj, des) with the
     placed-set program (_inverse_descent_tally), the monomial side each
     partition content by MacMahon's closed form (_content_tally), and
-    the Schur side is the walk of Young's lattice (descent_tallies);
-    fundamental_sums turns a tally by descent set into the monomial
-    basis by one subset-sum transform.  Each of these tallies is a list
-    by des of rows at q = 2^W.  They are joined into one int at
-    t = q^S and every (q, t) side is built from those ints by integer
-    products and sums, compared as qpoly.Packed values and read back
-    only when shown.  S is t_stride of every row, so that no row spills
+    the Schur side is level n of the walk of Young's lattice
+    (descent_tallies); fundamental_sums turns a tally by descent set
+    into the monomial basis by one subset-sum transform.  Each of these
+    tallies is a list by des of rows at q = 2^W.  They are joined into
+    one int at t = q^S and every (q, t) side is built from those ints by
+    integer products and sums, compared as qpoly.Packed values and read
+    back only when shown.  S is t_stride of every row, so that no row spills
     into the next power of t, and W is slot_width of bounds on the
     sides: the tallies count n! or fewer objects, weighted by the Kostka
     numbers and the Schur and monomial coefficients as they are, and
@@ -700,7 +700,7 @@ def verify_genfun(max_n: int = 5) -> Iterator[_Instance]:
             _weighted_bound(schur, fillings), _weighted_bound(monomials, words),
             max(sum(abs(K[nu, lam]) * fillings[nu] for nu in shapes) for lam in shapes))
         ints, facts, binoms = q_table_at(n, width)
-        walk = descent_tallies(width, shapes)
+        walk = descent_tallies(width, n)
         placed = _inverse_descent_tally(n, width)
         contents = {shape: _content_tally(shape.parts, width, binoms) for shape in shapes}
         stride = t_stride((row for tallies in (walk.values(), placed.values(), contents.values())

@@ -484,6 +484,7 @@ def test_verify_rejects_bounds_below_one(capsys, suite, bound):
     pytest.param(("expand", "genfun"), "--n", "-1", "0", id="genfun-n"),
     pytest.param(("table", "a-coeffs"), "--n", "0", "1", id="table-n"),
     pytest.param(("verify", "hit"), "--max-n", "0", "1", id="verify-max-n"),
+    pytest.param(("board", "--shape=", "--hits"), "--limit", "-5", "0", id="board-limit"),
 ])
 def test_a_numeric_option_out_of_range_is_named(capsys, command, option, bound, least):
     # the option's name, not the library argument it feeds

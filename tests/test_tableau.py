@@ -1,5 +1,6 @@
+import tracemalloc
 from collections import Counter
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 
 import pytest
 
@@ -10,7 +11,6 @@ from qyt.tableau import (
     Tableau,
     descent_levels,
     descent_mask,
-    descent_tallies,
     enumerate_ssyt,
     enumerate_syt,
     kostka,
@@ -29,9 +29,13 @@ def shapes_upto(n):
 
 def _des_maj_counts(shape):
     """((des, maj), count) over the standard fillings of `shape`, sorted,
-    unpacked from the walk of its order ideal at the maj width."""
+    unpacked from the walk inside it at the maj width."""
+    parts = as_partition(shape).parts
     width = maj_width([shape])
-    tally = descent_tallies(width, [shape])[as_partition(shape).parts]
+    level = {(): [1]}  # the empty shape's, which no level holds
+    for level in descent_levels(width, parts):
+        pass
+    tally = level[parts]
     return tuple(((d, mj), c) for d, row in enumerate(tally)
                  for mj, c in enumerate(unpack(row, width)) if c)
 
@@ -178,7 +182,7 @@ def test_des_maj_counts_match_oracle():
 def test_descent_counts_are_the_des_marginal_of_the_maj_tallies():
     # the walk at width 0, once over every shape of size 1..12, against
     # each shape's own walk at its maj width
-    for n, tallies in enumerate(descent_levels(0, partitions(12)), 1):
+    for n, tallies in enumerate(islice(descent_levels(0), 12), 1):
         assert tallies.keys() == {lam.parts for lam in partitions(n)}
         for lam in partitions(n):
             marginal = [0] * n
@@ -190,18 +194,35 @@ def test_descent_counts_are_the_des_marginal_of_the_maj_tallies():
 
 @pytest.mark.parametrize("at_maj_width", [False, True], ids=["width-0", "maj-width"])
 def test_the_walk_with_no_top_holds_every_shape_of_each_size(at_maj_width):
-    # level n of the endless walk is level n of the walk below the
-    # partitions of any N >= n, its keys in partitions(n) order
-    for N in range(1, 11):
-        tops = list(partitions(N))
-        width = maj_width(tops) if at_maj_width else 0
-        endless = descent_levels(width)
-        for n, (bounded, level) in enumerate(zip(descent_levels(width, tops), endless), 1):
-            assert list(level) == [lam.parts for lam in partitions(n)]
-            assert level == bounded
-        assert n == N
-        # and it goes on past N
-        assert list(next(endless)) == [lam.parts for lam in partitions(N + 1)]
+    # level n of the walk with no top holds every partition of n, in
+    # partitions(n) order; level n of the walk inside a shape of size N
+    # is that level cut down to the shapes inside the top, in the same
+    # order, for n = 1..N, and there the walk ends
+    for N in range(1, 10):
+        for top in partitions(N):
+            width = maj_width([top]) if at_maj_width else 0
+            endless = descent_levels(width)
+            n = 0
+            for n, (level, full) in enumerate(zip(descent_levels(width, top), endless), 1):
+                assert list(full) == [lam.parts for lam in partitions(n)]
+                inside = {mu: tally for mu, tally in full.items()
+                          if len(mu) <= len(top) and all(map(int.__le__, mu, top))}
+                assert list(level) == list(inside)
+                assert level == inside
+            assert n == N, top
+    assert list(descent_levels(0, ())) == []
+
+
+def test_the_walk_inside_a_shape_keeps_only_the_level_below():
+    # one shape per level, a column of 1500 cells: the walk holds the
+    # tallies of one or two levels, not every level of the column
+    tracemalloc.start()
+    try:
+        assert qyt_counts((1,) * 1500)[1500] == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
 
 
 @pytest.mark.parametrize("with_q", [True, False])

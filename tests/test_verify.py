@@ -223,7 +223,7 @@ def test_gen_fn_is_the_read_back_of_the_suites_packed_walk():
     for n in range(1, 9):
         shapes = list(partitions(n))
         width = factorial(n).bit_length() + 1
-        walk = descent_tallies(width, shapes)
+        walk = descent_tallies(width, n)
         stride = 1 + max(abs(row).bit_length() // width
                          for rows in walk.values() for row in rows)
         assert stride == comb(n, 2) + 1
@@ -334,8 +334,8 @@ def _walked(pairs):
     these ((des, maj), count) pairs, packed at the walk's width (at
     width 0 the maj drops out)."""
     def make(true):
-        def faulty(width, tops=None):
-            for level in true(width, tops):
+        def faulty(width, top=None):
+            for level in true(width, top):
                 if _P21.parts in level:
                     tally = [0] * max(3, 1 + max(d for (d, _), _ in pairs))
                     for (d, mj), c in pairs:
@@ -742,7 +742,7 @@ def _width_0(fault):
     width 0, which hit, summation, foulkes and polya read."""
     def make(true):
         faulty = fault(true)
-        return lambda width, tops=None: (faulty if width == 0 else true)(width, tops)
+        return lambda width, top=None: (faulty if width == 0 else true)(width, top)
     return make
 
 
@@ -829,8 +829,8 @@ def _levels_built(monkeypatch):
     true = qyt.verify.descent_levels
     built = []
 
-    def walk(width, tops=None):
-        for level in true(width, tops):
+    def walk(width, top=None):
+        for level in true(width, top):
             built.append(width)
             yield level
 
@@ -844,8 +844,8 @@ def test_a_later_suite_reads_the_runs_walk_deeper(monkeypatch):
     # the same walk on to 8 and meets it
     true = qyt.verify.descent_levels
 
-    def faulty(width, tops=None):
-        for level in true(width, tops):
+    def faulty(width, top=None):
+        for level in true(width, top):
             if (8,) in level:
                 level = {**level, (8,): [*level[8,], 1]}
             yield level
@@ -885,9 +885,9 @@ def test_a_suite_called_alone_keeps_no_walk_level(monkeypatch):
     true = qyt.verify.descent_levels
     alive = []  # how many earlier levels are still held, as each is built
 
-    def walk(width, tops=None):
+    def walk(width, top=None):
         refs = []
-        for level in true(width, tops):
+        for level in true(width, top):
             alive.append(sum(ref() is not None for ref in refs))
             level = Level(level)
             refs.append(weakref.ref(level))
@@ -988,8 +988,8 @@ def test_polya_reads_a_count_that_every_m_up_to_max_m_weighs_0(monkeypatch):
     # 0 for every m <= 5: the polynomials of degree 5 in m need m = 6
     true = qyt.verify.descent_levels
 
-    def faulty(width, tops=None):
-        for level in true(width, tops):
+    def faulty(width, top=None):
+        for level in true(width, top):
             if (5,) in level:
                 assert len(level[5,]) == 5
                 level = {**level, (5,): [*level[5,], 1]}
